@@ -47,6 +47,7 @@ from .classifier import (
     fit_single_sensor_model,
     fit_standardizer,
     predict_proba,
+    predict_proba_features,
     select_cost,
     train_linear,
 )

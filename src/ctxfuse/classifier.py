@@ -220,17 +220,26 @@ def predict_proba_matrix(model: Union[LinearModel, TrivialModel], Z: np.ndarray)
     return np.clip(p, PROBABILITY_CLIP, 1.0 - PROBABILITY_CLIP)
 
 
-def predict_proba(model: SingleSensorModel, features: FeatureVector) -> float:
-    """P(label relevant | sensor features) for a single example."""
-    if features.sensor != model.sensor:
-        raise ValueError(f"feature sensor {features.sensor!r} != model sensor {model.sensor!r}")
-    expected = FEATURE_DIMS[model.sensor]
-    if features.values.shape[0] != expected:
+def predict_proba_features(model: SingleSensorModel, X: np.ndarray) -> np.ndarray:
+    """Probabilities for raw ``(n, d)`` feature rows of the model's sensor.
+
+    The one inference path for single-sensor models: standardize (NaN
+    entries impute to the training mean), then score. A trivial model gives
+    its clipped constant for every row.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != FEATURE_DIMS[model.sensor]:
         raise ValueError("feature dimension mismatch")
     if model.is_trivial:
-        return float(predict_proba_matrix(model.model, np.zeros((1, 1)))[0])
-    Z = model.standardizer.transform(features.values[None, :])
-    return float(predict_proba_matrix(model.model, Z)[0])
+        return predict_proba_matrix(model.model, X)
+    return predict_proba_matrix(model.model, model.standardizer.transform(X))
+
+
+def predict_proba(model: SingleSensorModel, features: FeatureVector) -> float:
+    """P(label relevant | sensor features) for a single example (one row)."""
+    if features.sensor != model.sensor:
+        raise ValueError(f"feature sensor {features.sensor!r} != model sensor {model.sensor!r}")
+    return float(predict_proba_features(model, features.values[None, :])[0])
 
 
 def decide(probability: float) -> bool:
@@ -294,6 +303,40 @@ def select_cost(
     return float(best_c), False
 
 
+def _train_at_selected_cost(Z, y, *, grid_search, fixed_cost, seed) -> tuple:
+    """``(model, notes)``: the grid-searched (or fixed) cost, then the final fit."""
+    notes = ()
+    if grid_search:
+        cost, fell_back = select_cost(Z, y, seed=seed)
+        if fell_back:
+            notes = ("cost_fallback:C=1",)
+    else:
+        cost = float(fixed_cost)
+    return train_linear(Z, y, cost), notes
+
+
+def _fit_pipeline(X, y, *, grid_search, fixed_cost, seed, standardize_trivial=False) -> tuple:
+    """Standardize, select the cost, fit: ``(standardizer, model, notes)``.
+
+    Single-class targets give a flagged trivial constant model instead of an
+    error; its standardizer is fitted only when ``standardize_trivial``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y).astype(np.int64)
+    n_pos = int(y.sum())
+    if n_pos == 0 or n_pos == y.shape[0]:
+        standardizer = fit_standardizer(X) if standardize_trivial else None
+        trivial = TrivialModel(probability=0.0 if n_pos == 0 else 1.0)
+        return standardizer, trivial, ("trivial:single_class",)
+
+    standardizer = fit_standardizer(X)
+    Z = standardizer.transform(X)
+    model, notes = _train_at_selected_cost(
+        Z, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
+    )
+    return standardizer, model, notes
+
+
 def fit_single_sensor_model(
     sensor: str,
     label: str,
@@ -310,36 +353,11 @@ def fit_single_sensor_model(
     Single-class labels yield a flagged trivial constant model instead of
     an error so evaluation harnesses can proceed.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y).astype(np.int64)
-    notes = []
-
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.shape[0]:
-        prob = 0.0 if n_pos == 0 else 1.0
-        return SingleSensorModel(
-            sensor=sensor,
-            label=label,
-            standardizer=None,
-            model=TrivialModel(probability=prob),
-            notes=("trivial:single_class",),
-        )
-
-    standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
-    if grid_search:
-        cost, fell_back = select_cost(Z, y, seed=seed)
-        if fell_back:
-            notes.append("cost_fallback:C=1")
-    else:
-        cost = float(fixed_cost)
-    model = train_linear(Z, y, cost)
+    standardizer, model, notes = _fit_pipeline(
+        X, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
+    )
     return SingleSensorModel(
-        sensor=sensor,
-        label=label,
-        standardizer=standardizer,
-        model=model,
-        notes=tuple(notes),
+        sensor=sensor, label=label, standardizer=standardizer, model=model, notes=notes
     )
 
 

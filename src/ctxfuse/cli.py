@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -122,6 +123,14 @@ def _digest_paths(paths) -> str:
     return h.hexdigest()
 
 
+def _input_digest(command: str, config: dict) -> str:
+    """Digest of the inputs a run of ``command`` with ``config`` reads."""
+    if command == "extract":
+        sessions = iter_session_dirs(Path(config["input"]))
+        return _digest_paths(p / "session.json" for p in sessions)
+    return _digest_paths(Path(config["features_dir"]).glob("*.features.csv"))
+
+
 def _read_labels_file(path) -> list:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -183,7 +192,7 @@ def cmd_extract(args) -> int:
 
     config = {"input": str(input_dir), "out": str(out_dir), "utc_offset": args.utc_offset, "seed": args.seed}
     extras = {
-        "input_digest": _digest_paths(p / "session.json" for p in sessions),
+        "input_digest": _input_digest("extract", config),
         "n_sessions": len(sessions),
         "n_users": len(by_user),
     }
@@ -266,7 +275,7 @@ def cmd_evaluate(args) -> int:
         "markdown": bool(args.markdown),
     }
     extras = {
-        "input_digest": _digest_paths(Path(args.features_dir).glob("*.features.csv")),
+        "input_digest": _input_digest("evaluate", config),
         "partition_folds": [list(f) for f in partition.folds],
         "chosen_costs": chosen_costs,
         "n_core_examples": n_eval,
@@ -335,7 +344,7 @@ def cmd_personalize(args) -> int:
         "markdown": bool(args.markdown),
     }
     extras = {
-        "input_digest": _digest_paths(Path(args.features_dir).glob("*.features.csv")),
+        "input_digest": _input_digest("personalize", config),
         "universal_train_users": sorted(train_users),
     }
     _write_manifest(out_dir, "personalize", config, extras, started)
@@ -351,25 +360,33 @@ def cmd_rerun(args) -> int:
         raise IngestionError(f"cannot read manifest {args.manifest}: {exc}") from exc
     command = manifest["command"]
     config = manifest["config"]
-    argv = [command]
-    for key, value in config.items():
-        if value is None or value is False:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        elif isinstance(value, list):
-            if key == "labels":
-                # labels were read from a file; recreate the list inline
-                tmp = Path(manifest.get("_labels_tmp", config.get("out", "."))) / "rerun_labels.txt"
-                tmp.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text("\n".join(value) + "\n", encoding="utf-8")
-                argv += [flag, str(tmp)]
+    recorded = manifest.get("input_digest")
+    current = _input_digest(command, config)
+    if recorded != current:
+        raise IngestionError(
+            f"inputs of {args.manifest} are missing or have changed since it was "
+            f"written (input digest {current[:12]}, recorded {str(recorded)[:12]}); "
+            "the run cannot be reproduced"
+        )
+    with tempfile.TemporaryDirectory(prefix="ctxfuse-rerun-") as tmp:
+        argv = [command]
+        for key, value in config.items():
+            if value is None or value is False:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif isinstance(value, list):
+                if key == "labels":
+                    # labels were read from a file; recreate it outside the outputs
+                    labels_file = Path(tmp) / "labels.txt"
+                    labels_file.write_text("\n".join(value) + "\n", encoding="utf-8")
+                    argv += [flag, str(labels_file)]
+                else:
+                    argv += [flag, ",".join(str(v) for v in value)]
             else:
-                argv += [flag, ",".join(str(v) for v in value)]
-        else:
-            argv += [flag, str(value)]
-    return main(argv)
+                argv += [flag, str(value)]
+        return main(argv)
 
 
 def main(argv=None) -> int:

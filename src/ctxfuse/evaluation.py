@@ -19,6 +19,7 @@ import numpy as np
 from .classifier import (
     DegenerateLabelError,
     fit_single_sensor_model,
+    predict_proba_features,
     predict_proba_matrix,
 )
 from .data import feature_matrix, label_vector
@@ -335,11 +336,9 @@ def _fold_models_and_counts(
             single_models[s] = model
             if model.is_trivial:
                 flags[label].append(f"fold{fold_index}:{s}:trivial")
-                sensor_probs[s] = np.full(len(pool), np.clip(model.model.probability, 1e-15, 1 - 1e-15))
             else:
                 costs[label][s] = model.model.cost
-                Z = model.standardizer.transform(test_X[s])
-                sensor_probs[s] = predict_proba_matrix(model.model, Z)
+            sensor_probs[s] = predict_proba_features(model, test_X[s])
 
         for s in systems:
             if s in SENSORS:

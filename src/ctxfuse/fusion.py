@@ -23,17 +23,25 @@ from .classifier import (
     TrivialModel,
     _core_model_from_dict,
     _core_model_to_dict,
+    _fit_pipeline,
     _standardizer_from_dict,
     _standardizer_to_dict,
+    _train_at_selected_cost,
     fit_standardizer,
     predict_proba,
+    predict_proba_features,
     predict_proba_matrix,
-    select_cost,
     single_sensor_model_from_dict,
     single_sensor_model_to_dict,
     train_linear,
 )
-from .data import concat_feature_matrix, has_all_sensors, label_vector, sensor_features
+from .data import (
+    concat_feature_matrix,
+    feature_matrix,
+    has_all_sensors,
+    label_vector,
+    sensor_features,
+)
 from .model import FEATURE_DIMS, RELEVANT, SENSORS
 
 FUSION_FORMAT_VERSION = "ctxfuse-fusion/1"
@@ -107,34 +115,15 @@ def early_fusion(
         raise ValueError("early fusion has no complete-sensor training examples")
     X = concat_feature_matrix(complete, sensors)
     y = label_vector(complete, label)
-
-    notes = []
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.shape[0]:
-        prob = 0.0 if n_pos == 0 else 1.0
-        return EarlyFusionModel(
-            label=label,
-            sensors=tuple(sensors),
-            standardizer=fit_standardizer(X),
-            model=TrivialModel(probability=prob),
-            notes=("trivial:single_class",),
-        )
-
-    standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
-    if grid_search:
-        cost, fell_back = select_cost(Z, y, seed=seed)
-        if fell_back:
-            notes.append("cost_fallback:C=1")
-    else:
-        cost = float(fixed_cost)
-    model = train_linear(Z, y, cost)
+    standardizer, model, notes = _fit_pipeline(
+        X, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed, standardize_trivial=True
+    )
     return EarlyFusionModel(
         label=label,
         sensors=tuple(sensors),
         standardizer=standardizer,
         model=model,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -142,6 +131,23 @@ def predict_early_fusion(model: EarlyFusionModel, example) -> float:
     X = concat_feature_matrix([example], model.sensors)
     Z = model.standardizer.transform(X)
     return float(predict_proba_matrix(model.model, Z)[0])
+
+
+def component_probability_matrix(
+    components: Mapping[str, SingleSensorModel], examples: Sequence
+) -> np.ndarray:
+    """``(n, k)`` probabilities of the k components, one matrix call per sensor.
+
+    Column order is the components' order. A sensor absent from an example
+    gives an all-NaN row, which standardizes to the training mean; callers
+    that must not score absent sensors check presence first.
+    """
+    return np.column_stack(
+        [
+            predict_proba_features(model, feature_matrix(examples, sensor))
+            for sensor, model in components.items()
+        ]
+    )
 
 
 def component_probabilities(
@@ -155,9 +161,8 @@ def component_probabilities(
             out[sensor] = predict_proba(model, fv)
         elif model.is_trivial:
             # constant models need no features
-            out[sensor] = float(
-                np.clip(model.model.probability, 1e-15, 1 - 1e-15)
-            )
+            absent = np.full((1, FEATURE_DIMS[sensor]), np.nan)
+            out[sensor] = float(predict_proba_features(model, absent)[0])
     return out
 
 
@@ -206,15 +211,13 @@ def late_fusion_learned(
     complete = [ex for ex in examples if has_all_sensors(ex, list(components))]
     if not complete:
         raise ValueError("late fusion has no complete-sensor training examples")
-    P = np.array(
-        [[component_probabilities(components, ex)[s] for s in components] for ex in complete]
-    )
     y = label_vector(complete, label)
 
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
         raise DegenerateLabelError("degenerate label: a single class is present")
 
+    P = component_probability_matrix(components, complete)
     if np.all(P == P[0:1, :]):
         # constant inputs carry no signal; the balanced intercept-only
         # optimum is 0, deciding negative everywhere
@@ -225,19 +228,14 @@ def late_fusion_learned(
             notes=("degenerate_inputs",),
         )
 
-    notes = []
-    if grid_search:
-        cost, fell_back = select_cost(P, y, seed=seed)
-        if fell_back:
-            notes.append("cost_fallback:C=1")
-    else:
-        cost = float(fixed_cost)
-    second = train_linear(P, y, cost)
+    second, notes = _train_at_selected_cost(
+        P, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
+    )
     return LateFusionLearned(
         label=label,
         components=dict(components),
         second_layer=second,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

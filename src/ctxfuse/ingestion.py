@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,11 +247,18 @@ def _parse_cell(cell: str, origin: str, lineno: int, colname: str) -> float:
     if cell == "" or cell.lower() == "nan":
         return np.nan
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise IngestionError(
             f"{origin}: line {lineno}: malformed value {cell!r} in column {colname!r}"
         ) from None
+    if math.isinf(value):
+        # one infinite cell would make its column's training mean non-finite
+        # and the standardizer would then zero the whole column
+        raise IngestionError(
+            f"{origin}: line {lineno}: non-finite value {cell!r} in column {colname!r}"
+        )
+    return value
 
 
 def parse_features_csv(source, user_id: Optional[str] = None) -> list:

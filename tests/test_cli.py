@@ -149,6 +149,36 @@ def test_rerun_reproduces_outputs(tmp_path, eval_setup):
     assert (out / "results_ba.csv").read_bytes() == first
 
 
+def test_rerun_writes_nothing_extra_into_outputs(tmp_path, eval_setup):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "results"
+    assert main([
+        "evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+        "--systems", "acc", "--seed", "2", "--out", str(out),
+    ]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    assert main(["rerun", str(out / "run_manifest.json")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+def test_rerun_rejects_changed_inputs(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "results"
+    assert main([
+        "evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+        "--systems", "acc", "--seed", "2", "--out", str(out),
+    ]) == 0
+    first = (out / "results_ba.csv").read_bytes()
+    table = sorted(features.glob("*.features.csv"))[0]
+    lines = table.read_text().splitlines()
+    lines = lines[:-1]  # drop one recorded minute
+    table.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["rerun", str(out / "run_manifest.json")]) == 2
+    assert "changed" in capsys.readouterr().err
+    assert (out / "results_ba.csv").read_bytes() == first
+
+
 def test_personalize_end_to_end(tmp_path):
     background, test_user, label = drift_user_scenario(
         seed=41, n_per_background=120, n_test_user=400

@@ -1,0 +1,245 @@
+"""The batched inference path against the per-row construction it replaced.
+
+``_rowwise_lfl_inputs`` and ``_rowwise_late_fusion_learned`` rebuild the LFL
+second-layer inputs one example and one sensor at a time from the model
+primitives (standardize one row, score it, clip), as the library did before
+the inputs were built with one matrix call per sensor. They are test oracles
+only.
+"""
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+import ctxfuse.evaluation as evaluation
+from ctxfuse.classifier import (
+    PROBABILITY_CLIP,
+    DegenerateLabelError,
+    LinearModel,
+    fit_single_sensor_model,
+    predict_proba,
+    predict_proba_features,
+    select_cost,
+    train_linear,
+)
+from ctxfuse.data import feature_matrix, has_all_sensors, label_vector, sensor_features
+from ctxfuse.evaluation import cross_validate, partition_folds
+from ctxfuse.fusion import (
+    LateFusionLearned,
+    component_probabilities,
+    component_probability_matrix,
+    late_fusion_learned,
+    predict_late_fusion_learned,
+)
+from ctxfuse.model import FEATURE_DIMS, SENSORS, Dataset, Example
+from synth import feature_example, make_triaxial
+
+
+def _rowwise_probability(model, example, sensor):
+    fv = sensor_features(example, sensor)
+    if model.is_trivial:
+        p = model.model.probability
+    elif fv is not None and not fv.fully_masked:
+        z = model.standardizer.transform(fv.values[None, :])
+        p = expit(z[0] @ model.model.weights + model.model.intercept)
+    else:
+        raise KeyError(sensor)
+    return float(np.clip(p, 1e-15, 1 - 1e-15))
+
+
+def _rowwise_lfl_inputs(components, examples):
+    complete = [ex for ex in examples if has_all_sensors(ex, list(components))]
+    P = np.array(
+        [[_rowwise_probability(components[s], ex, s) for s in components] for ex in complete]
+    )
+    return complete, P
+
+
+def _rowwise_late_fusion_learned(
+    examples, label, components, *, grid_search=True, fixed_cost=1.0, seed=0
+):
+    complete, P = _rowwise_lfl_inputs(components, examples)
+    if not complete:
+        raise ValueError("late fusion has no complete-sensor training examples")
+    y = label_vector(complete, label)
+    n_pos = int(y.sum())
+    if n_pos == 0 or n_pos == y.shape[0]:
+        raise DegenerateLabelError("degenerate label: a single class is present")
+    if np.all(P == P[0:1, :]):
+        return LateFusionLearned(
+            label=label,
+            components=dict(components),
+            second_layer=LinearModel(weights=np.zeros(P.shape[1]), intercept=0.0, cost=1.0),
+            notes=("degenerate_inputs",),
+        )
+    notes = []
+    if grid_search:
+        cost, fell_back = select_cost(P, y, seed=seed)
+        if fell_back:
+            notes.append("cost_fallback:C=1")
+    else:
+        cost = float(fixed_cost)
+    return LateFusionLearned(
+        label=label,
+        components=dict(components),
+        second_layer=train_linear(P, y, cost),
+        notes=tuple(notes),
+    )
+
+
+def _mixed_examples(seed=0, n=150):
+    """Examples with a latent target; acc and gyro carry raw payloads, the
+    rest precomputed features; some minutes lack the watch or location."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        h = rng.normal()
+        vals = {s: rng.normal(size=FEATURE_DIMS[s]) for s in ("wacc", "loc", "aud", "ps")}
+        vals["wacc"][0] += 1.5 * h
+        vals["aud"][0] += h
+        if i % 7 == 0:
+            del vals["wacc"]
+        if i % 11 == 0:
+            vals["loc"][:] = np.nan  # fully masked: absent
+        labels = {"T": int(h > 0.3), "NONE": 0}
+        base = feature_example(f"u{i % 5}", 1_600_000_000 + 60 * i, vals, labels)
+        raw = {
+            "acc": make_triaxial(rng, n=96, unit="G", scale=1.0 + 0.5 * (h > 0)),
+            "gyro": make_triaxial(rng, n=96, unit="rad/s"),
+        }
+        out.append(
+            Example(
+                user_id=base.user_id,
+                timestamp=base.timestamp,
+                sensor_data=raw,
+                precomputed_features=base.precomputed_features,
+                labels=base.labels,
+            )
+        )
+    return out
+
+
+def _components(examples, label, trivial_sensor=None):
+    comps = {}
+    for s in SENSORS:
+        exs = [ex for ex in examples if ex.has_sensor(s)]
+        y = label_vector(exs, "NONE" if s == trivial_sensor else label)
+        comps[s] = fit_single_sensor_model(s, label, feature_matrix(exs, s), y, grid_search=False)
+    return comps
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    examples = _mixed_examples()
+    return examples, _components(examples, "T", trivial_sensor="loc")
+
+
+def test_mixed_fixture_covers_raw_payloads_and_a_trivial_component(mixed):
+    examples, comps = mixed
+    assert comps["loc"].is_trivial
+    assert not comps["acc"].is_trivial
+    assert all(ex.sensor_data.get("acc") is not None for ex in examples)
+    assert "acc" not in examples[0].precomputed_features
+    complete = [ex for ex in examples if has_all_sensors(ex)]
+    assert 0 < len(complete) < len(examples)
+
+
+def test_batched_lfl_inputs_match_rowwise_oracle(mixed):
+    examples, comps = mixed
+    complete, P_oracle = _rowwise_lfl_inputs(comps, examples)
+    P = component_probability_matrix(comps, complete)
+    assert P.shape == P_oracle.shape == (len(complete), len(SENSORS))
+    assert np.max(np.abs(P - P_oracle)) <= 1e-12
+    assert np.array_equal(P > 0.5, P_oracle > 0.5)
+    assert np.all(P[:, SENSORS.index("loc")] == PROBABILITY_CLIP)
+
+
+@pytest.mark.parametrize("grid_search", [True, False])
+def test_late_fusion_learned_matches_rowwise_oracle(mixed, grid_search):
+    examples, comps = mixed
+    got = late_fusion_learned(examples, "T", comps, grid_search=grid_search, seed=5)
+    want = _rowwise_late_fusion_learned(examples, "T", comps, grid_search=grid_search, seed=5)
+    assert got.notes == want.notes
+    assert got.second_layer.cost == want.second_layer.cost
+    assert np.allclose(got.second_layer.weights, want.second_layer.weights, rtol=0, atol=1e-8)
+    assert abs(got.second_layer.intercept - want.second_layer.intercept) <= 1e-8
+
+
+def test_single_class_label_raises_degenerate(mixed):
+    examples, comps = mixed
+    with pytest.raises(DegenerateLabelError):
+        late_fusion_learned(examples, "NONE", comps)
+
+
+def test_per_example_calls_are_rows_of_the_matrix_path(mixed):
+    examples, comps = mixed
+    complete = [ex for ex in examples if has_all_sensors(ex)]
+    lfl = late_fusion_learned(complete, "T", comps, grid_search=False)
+    P = component_probability_matrix(comps, complete)
+    for i, ex in enumerate(complete[:10]):
+        probs = component_probabilities(comps, ex)
+        assert [probs[s] for s in SENSORS] == pytest.approx(P[i], abs=1e-12)
+        fv = sensor_features(ex, "acc")
+        assert predict_proba(comps["acc"], fv) == pytest.approx(
+            predict_proba_features(comps["acc"], fv.values)[0], abs=0
+        )
+        p = predict_late_fusion_learned(lfl, ex)
+        assert p == pytest.approx(float(expit(P[i] @ lfl.second_layer.weights
+                                              + lfl.second_layer.intercept)), abs=1e-12)
+
+
+def test_matrix_path_validates_dimension(mixed):
+    _, comps = mixed
+    with pytest.raises(ValueError, match="dimension"):
+        predict_proba_features(comps["acc"], np.zeros((3, FEATURE_DIMS["acc"] + 1)))
+    with pytest.raises(ValueError, match="dimension"):
+        predict_proba_features(comps["loc"], np.zeros((3, 2)))
+
+
+def test_missing_sensor_still_rejected_by_per_example_lfl(mixed):
+    examples, comps = mixed
+    lfl = late_fusion_learned(examples, "T", comps, grid_search=False)
+    no_watch = next(ex for ex in examples if not ex.has_sensor("wacc"))
+    with pytest.raises(ValueError, match="missing sensors"):
+        predict_late_fusion_learned(lfl, no_watch)
+
+
+def _small_cv_dataset(seed=4, n=400, n_users=6):
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(n):
+        user = f"u{i % n_users}"
+        h = rng.normal(size=2)
+        vals = {s: rng.normal(size=FEATURE_DIMS[s]) for s in SENSORS}
+        vals["acc"][0] += h[0]
+        vals["wacc"][0] += h[1]
+        vals["aud"][1] += h[0] - h[1]
+        if i % 5 == 0:
+            del vals["wacc"]
+        labels = {
+            "COMMON": int(h[0] + h[1] > 0),
+            "MEDIUM": int(h[0] > 0.8),
+            # positives only for one user: trivial models in the fold holding it out
+            "RARE": int(user == "u0" and h[1] > 0),
+        }
+        examples.append(feature_example(user, 1_600_000_000 + 60 * i, vals, labels))
+    return Dataset.from_examples(examples)
+
+
+def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
+    dataset = _small_cv_dataset()
+    labels = ["COMMON", "MEDIUM", "RARE"]
+    systems = list(SENSORS) + ["ef", "lfa", "lfl"]
+    partition = partition_folds({u: "x" for u in dataset.users}, k=5, seed=1)
+
+    batched = cross_validate(dataset, labels, systems, partition, seed=9)
+    monkeypatch.setattr(evaluation, "late_fusion_learned", _rowwise_late_fusion_learned)
+    rowwise = cross_validate(dataset, labels, systems, partition, seed=9)
+
+    assert any("lfl:trivial" in fl for fl in batched["lfl"]["RARE"].flags)
+    for system in systems:
+        for label in labels:
+            got, want = batched[system][label], rowwise[system][label]
+            assert got.counts == want.counts, (system, label)
+            assert got.chosen_costs == want.chosen_costs, (system, label)
+            assert got.flags == want.flags, (system, label)

@@ -111,6 +111,25 @@ def test_malformed_cell_names_column(tmp_path):
         parse_features_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+def test_infinite_cell_rejected_with_file_line_and_column(tmp_path, cell):
+    path = tmp_path / "u0.features.csv"
+    write_features_csv(path, _some_examples(3))
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[5] = cell
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError) as err:
+        parse_features_csv(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert "line 3" in message
+    assert "non-finite" in message
+    assert repr(header[5]) in message
+
+
 def test_unknown_columns_kept_as_metadata(tmp_path, caplog):
     examples = [
         feature_example(
