@@ -45,7 +45,6 @@ from .ingestion import (
     load_raw_session,
     write_features_csv,
 )
-from .kernels import USING_NUMBA
 from .model import Dataset, Example, canonical_label_name
 from .personalization import (
     evaluate_personalization,
@@ -113,22 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest_paths(paths) -> str:
+def _digest_files(root: Path, files) -> str:
+    """Digest of files under ``root``: each relative path, then its bytes."""
     h = hashlib.sha256()
-    for p in sorted(str(p) for p in paths):
-        path = Path(p)
-        h.update(path.name.encode())
-        if path.is_file():
-            h.update(path.read_bytes())
+    for rel in sorted(Path(f).relative_to(root).as_posix() for f in files):
+        h.update(rel.encode())
+        h.update((root / rel).read_bytes())
     return h.hexdigest()
 
 
 def _input_digest(command: str, config: dict) -> str:
     """Digest of the inputs a run of ``command`` with ``config`` reads."""
     if command == "extract":
-        sessions = iter_session_dirs(Path(config["input"]))
-        return _digest_paths(p / "session.json" for p in sessions)
-    return _digest_paths(Path(config["features_dir"]).glob("*.features.csv"))
+        root = Path(config["input"])
+        files = (f for s in iter_session_dirs(root) for f in s.iterdir() if f.is_file())
+        return _digest_files(root, files)
+    root = Path(config["features_dir"])
+    return _digest_files(root, root.glob("*.features.csv"))
 
 
 def _read_labels_file(path) -> list:
@@ -152,7 +152,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, extras: dict, sta
         "version": __version__,
         "command": command,
         "config": config,
-        "using_numba": USING_NUMBA,
         "started_unix": int(started),
         "duration_s": round(time.time() - started, 3),
     }
@@ -386,7 +385,14 @@ def cmd_rerun(args) -> int:
                     argv += [flag, ",".join(str(v) for v in value)]
             else:
                 argv += [flag, str(value)]
-        return main(argv)
+        # the replay writes its own manifest; keep the record of the run it reproduces
+        recorded = Path(config["out"]) / "run_manifest.json"
+        saved = recorded.read_bytes() if recorded.is_file() else None
+        try:
+            return main(argv)
+        finally:
+            if saved is not None:
+                recorded.write_bytes(saved)
 
 
 def main(argv=None) -> int:

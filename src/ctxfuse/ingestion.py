@@ -454,11 +454,18 @@ def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False):
                     vals.append(None)
                 else:
                     try:
-                        vals.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise IngestionError(
                             f"{path}: line {lineno}: malformed value {cell!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        # nan passes the monotone-time check and inf breaks the
+                        # spectral features; missing values are empty cells
+                        raise IngestionError(
+                            f"{path}: line {lineno}: non-finite value {cell!r}"
+                        )
+                    vals.append(value)
             rows.append(vals)
     return rows
 

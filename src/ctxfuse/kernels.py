@@ -1,65 +1,18 @@
-"""Hot numeric kernels with numba-JIT and pure-numpy implementations.
+"""Hot numeric kernels, in numpy.
 
 The two inner loops that dominate runtime live here:
 
 * the weighted logistic-loss terms evaluated on every optimizer step, and
-* the all-pairs direction-cosine statistics behind the watch features
-  (O(n^2) in the number of samples of a recording).
-
-Both carry a compiled (numba ``@njit``) path and a pure-numpy path. The
-numpy path is selected when numba is unavailable or when the environment
-variable ``CTXFUSE_DISABLE_NUMBA`` is set to a non-empty value, and is kept
-exactly equivalent (see tests/test_kernels.py and benchmarks/bench_kernels.py).
+* the direction-cosine statistics behind the watch features, summed over
+  every pair of samples of a recording in O(n log n) with prefix sums
+  (tests/test_kernels.py checks them against an all-pairs oracle).
 """
-
-import math
-import os
 
 import numpy as np
 from scipy.special import expit
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USING_NUMBA = _HAVE_NUMBA and not os.environ.get("CTXFUSE_DISABLE_NUMBA")
-
-
-# ---------------------------------------------------------------------------
-# Weighted logistic loss terms
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _logistic_terms_jit(z, y_signed, weights):
-    n = z.shape[0]
-    loss = 0.0
-    resid = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        m = y_signed[i] * z[i]
-        # log(1 + exp(-m)) without overflow
-        if m > 0.0:
-            loss += weights[i] * math.log1p(math.exp(-m))
-            s = math.exp(-m) / (1.0 + math.exp(-m))
-        else:
-            loss += weights[i] * (-m + math.log1p(math.exp(m)))
-            s = 1.0 / (1.0 + math.exp(m))
-        resid[i] = -weights[i] * y_signed[i] * s
-    return loss, resid
-
-
-def logistic_terms_numpy(z, y_signed, weights):
+def logistic_terms(z, y_signed, weights):
     """Loss sum and per-example residuals of the weighted logistic loss.
 
     Given linear scores ``z``, signed labels ``y_signed`` in {-1, +1} and
@@ -73,95 +26,56 @@ def logistic_terms_numpy(z, y_signed, weights):
     return loss, resid
 
 
-# ---------------------------------------------------------------------------
-# All-pairs direction-cosine statistics per time-lag bucket
-# ---------------------------------------------------------------------------
+def _first_at_lag(times, edges):
+    """``B[k, i]``: the first ``j > i`` with ``times[j] - times[i] >= edges[k]``, else ``n``.
 
-@njit(cache=True)
-def _pair_cosine_lag_stats_jit(xyz, times, edges):
-    n = xyz.shape[0]
-    n_buckets = edges.shape[0] - 1
-    sums = np.zeros(n_buckets, dtype=np.float64)
-    counts = np.zeros(n_buckets, dtype=np.int64)
-
-    norms = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        norms[i] = math.sqrt(
-            xyz[i, 0] * xyz[i, 0] + xyz[i, 1] * xyz[i, 1] + xyz[i, 2] * xyz[i, 2]
-        )
-
-    for i in range(n):
-        if norms[i] == 0.0:
-            continue
-        for j in range(i + 1, n):
-            if norms[j] == 0.0:
-                continue
-            lag = abs(times[j] - times[i])
-            b = -1
-            for k in range(n_buckets):
-                if edges[k] <= lag < edges[k + 1]:
-                    b = k
-                    break
-            if b < 0:
-                continue
-            dot = (
-                xyz[i, 0] * xyz[j, 0]
-                + xyz[i, 1] * xyz[j, 1]
-                + xyz[i, 2] * xyz[j, 2]
-            )
-            sums[b] += dot / (norms[i] * norms[j])
-            counts[b] += 1
-    return sums, counts
+    ``times`` must be sorted. The lag is the rounded difference, exactly as
+    an all-pairs loop computes it; rounding is monotone, so the predicate is
+    monotone in ``j`` and a bisection over ``(i, n]`` finds its first true
+    index. Every row is bisected at once, about ``log2(n)`` passes.
+    """
+    n = times.shape[0]
+    lo = np.broadcast_to(np.arange(1, n + 1), (edges.shape[0], n))
+    hi = np.full_like(lo, n)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) // 2
+        at_lag = times[np.minimum(mid, n - 1)] - times >= edges[:, None]
+        hi = np.where(active & at_lag, mid, hi)
+        lo = np.where(active & ~at_lag, mid + 1, lo)
+        active = lo < hi
+    return lo
 
 
-def pair_cosine_lag_stats_numpy(xyz, times, edges):
+def pair_cosine_lag_stats(xyz, times, edges):
     """Sum and count of pairwise direction cosines, bucketed by time lag.
 
-    Considers every unordered pair of samples (i < j); samples with zero
-    magnitude have no direction and are skipped. Bucket ``k`` collects pairs
-    whose absolute time lag falls in ``[edges[k], edges[k+1])``.
+    Considers every unordered pair of samples; samples with zero magnitude
+    have no direction and are skipped. Bucket ``k`` collects pairs whose
+    absolute time lag falls in ``[edges[k], edges[k+1])``. ``times`` must be
+    finite; ``edges`` increasing (the last may be ``inf``).
+
+    With the samples sorted by time and ``P`` the prefix sums of their unit
+    vectors, the pairs of sample ``i`` in bucket ``k`` are the ``j`` in
+    ``[B_k(i), B_{k+1}(i))`` (see ``_first_at_lag``), so their cosine sum is
+    ``u_i . (P[B_{k+1}(i)] - P[B_k(i)])``; counts use prefix sums of the
+    valid-sample indicator the same way.
     """
-    n = xyz.shape[0]
-    n_buckets = len(edges) - 1
+    xyz = np.asarray(xyz, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    xyz, times = xyz[order], times[order]
+
     norms = np.sqrt((xyz * xyz).sum(axis=1))
     valid = norms > 0.0
+    unit = np.zeros_like(xyz)
+    unit[valid] = xyz[valid] / norms[valid, None]
+    prefix = np.concatenate([np.zeros((1, 3)), np.cumsum(unit, axis=0)])
+    n_prefix = np.concatenate([[0], np.cumsum(valid, dtype=np.int64)])
 
-    iu, ju = np.triu_indices(n, k=1)
-    keep = valid[iu] & valid[ju]
-    iu, ju = iu[keep], ju[keep]
-
-    lags = np.abs(times[ju] - times[iu])
-    bucket = np.searchsorted(edges, lags, side="right") - 1
-    in_range = (bucket >= 0) & (bucket < n_buckets) & (lags < edges[-1])
-    iu, ju, bucket = iu[in_range], ju[in_range], bucket[in_range]
-
-    cos = (xyz[iu] * xyz[ju]).sum(axis=1) / (norms[iu] * norms[ju])
-    sums = np.zeros(n_buckets, dtype=np.float64)
-    counts = np.zeros(n_buckets, dtype=np.int64)
-    np.add.at(sums, bucket, cos)
-    np.add.at(counts, bucket, 1)
+    first = _first_at_lag(times, edges)
+    lo, hi = first[:-1], first[1:]
+    sums = (unit * (prefix[hi] - prefix[lo])).sum(axis=(1, 2))
+    counts = (n_prefix[hi] - n_prefix[lo])[:, valid].sum(axis=1)
     return sums, counts
-
-
-def _logistic_terms_via_jit(z, y_signed, weights):
-    return _logistic_terms_jit(
-        np.ascontiguousarray(z, dtype=np.float64),
-        np.ascontiguousarray(y_signed, dtype=np.float64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-    )
-
-
-def _pair_cosine_lag_stats_via_jit(xyz, times, edges):
-    return _pair_cosine_lag_stats_jit(
-        np.ascontiguousarray(xyz, dtype=np.float64),
-        np.ascontiguousarray(times, dtype=np.float64),
-        np.ascontiguousarray(edges, dtype=np.float64),
-    )
-
-
-if USING_NUMBA:
-    logistic_terms = _logistic_terms_via_jit
-    pair_cosine_lag_stats = _pair_cosine_lag_stats_via_jit
-else:
-    logistic_terms = logistic_terms_numpy
-    pair_cosine_lag_stats = pair_cosine_lag_stats_numpy

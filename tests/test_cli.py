@@ -236,3 +236,33 @@ def test_personalize_single_example_user_exits_3(tmp_path):
         "--labels", str(labels_file), "--out", str(tmp_path / "p"),
     ])
     assert code == 3
+
+
+def test_rerun_rejects_changed_sensor_file_of_extract(tmp_path, capsys):
+    bundles = _make_bundles(tmp_path / "raw")
+    out = tmp_path / "features"
+    assert main(["extract", "--input", str(bundles), "--out", str(out), "--utc-offset", "-8"]) == 0
+    first = (out / "u0.features.csv").read_bytes()
+    acc = bundles / "u0" / "session_1" / "acc.csv"
+    lines = acc.read_text().splitlines()
+    acc.write_text("\n".join(lines[: len(lines) // 2]) + "\n")  # truncate one sensor file
+    capsys.readouterr()
+    assert main(["rerun", str(out / "run_manifest.json")]) == 2
+    assert "changed" in capsys.readouterr().err
+    assert (out / "u0.features.csv").read_bytes() == first
+
+
+def test_rerun_keeps_the_recorded_manifest(tmp_path, eval_setup):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "results"
+    assert main([
+        "evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+        "--systems", "acc", "--seed", "2", "--out", str(out),
+    ]) == 0
+    manifest = out / "run_manifest.json"
+    record = json.loads(manifest.read_text())
+    record["started_unix"] = 0  # a replay could never write this time back
+    manifest.write_text(json.dumps(record, indent=2, sort_keys=True))
+    recorded = manifest.read_bytes()
+    assert main(["rerun", str(manifest)]) == 0
+    assert manifest.read_bytes() == recorded

@@ -284,6 +284,31 @@ def test_non_monotone_timestamps_rejected(tmp_path):
         load_raw_session(root, utc_offset_hours=0)
 
 
+@pytest.mark.parametrize(
+    "name, line, col, cell",
+    [
+        ("wacc.csv", 3, 0, "nan"),  # a timestamp
+        ("acc.csv", 5, 2, "inf"),  # a sample
+        ("mfcc.csv", 2, 7, "-Infinity"),
+        ("location.csv", 2, 1, "1e999"),  # a location cell
+    ],
+)
+def test_non_finite_raw_cell_rejected_with_file_and_line(tmp_path, name, line, col, cell):
+    root = _write_session(tmp_path / "s", n=8)
+    path = root / name
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[col] = cell
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError) as err:
+        load_raw_session(root, utc_offset_hours=0)
+    message = str(err.value)
+    assert str(path) in message
+    assert f"line {line}:" in message
+    assert f"non-finite value {cell!r}" in message
+
+
 def test_unknown_unit_rejected(tmp_path):
     root = _write_session(tmp_path / "s4", acc_unit="furlongs")
     with pytest.raises(IngestionError, match="acc_unit"):
