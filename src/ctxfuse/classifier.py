@@ -95,6 +95,10 @@ class SingleSensorModel:
                 raise ValueError("standardizer and model dimensions differ")
 
     @property
+    def dim(self) -> int:
+        return FEATURE_DIMS[self.sensor]
+
+    @property
     def is_trivial(self) -> bool:
         return isinstance(self.model, TrivialModel)
 
@@ -220,15 +224,17 @@ def predict_proba_matrix(model: Union[LinearModel, TrivialModel], Z: np.ndarray)
     return np.clip(p, PROBABILITY_CLIP, 1.0 - PROBABILITY_CLIP)
 
 
-def predict_proba_features(model: SingleSensorModel, X: np.ndarray) -> np.ndarray:
-    """Probabilities for raw ``(n, d)`` feature rows of the model's sensor.
+def predict_proba_features(model, X: np.ndarray) -> np.ndarray:
+    """Probabilities for raw ``(n, model.dim)`` feature rows.
 
-    The one inference path for single-sensor models: standardize (NaN
-    entries impute to the training mean), then score. A trivial model gives
-    its clipped constant for every row.
+    The one inference path for standardized models: a
+    :class:`SingleSensorModel` or an early-fusion model, whose rows are the
+    concatenated sensor features. Standardize (NaN entries impute to the
+    training mean), then score. A trivial model carries no standardizer and
+    gives its clipped constant for every row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != FEATURE_DIMS[model.sensor]:
+    if X.shape[1] != model.dim:
         raise ValueError("feature dimension mismatch")
     if model.is_trivial:
         return predict_proba_matrix(model.model, X)
@@ -315,19 +321,18 @@ def _train_at_selected_cost(Z, y, *, grid_search, fixed_cost, seed) -> tuple:
     return train_linear(Z, y, cost), notes
 
 
-def _fit_pipeline(X, y, *, grid_search, fixed_cost, seed, standardize_trivial=False) -> tuple:
+def _fit_pipeline(X, y, *, grid_search, fixed_cost, seed) -> tuple:
     """Standardize, select the cost, fit: ``(standardizer, model, notes)``.
 
     Single-class targets give a flagged trivial constant model instead of an
-    error; its standardizer is fitted only when ``standardize_trivial``.
+    error; it is never scored on features, so its standardizer is None.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y).astype(np.int64)
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
-        standardizer = fit_standardizer(X) if standardize_trivial else None
         trivial = TrivialModel(probability=0.0 if n_pos == 0 else 1.0)
-        return standardizer, trivial, ("trivial:single_class",)
+        return None, trivial, ("trivial:single_class",)
 
     standardizer = fit_standardizer(X)
     Z = standardizer.transform(X)

@@ -20,8 +20,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import extract_all_features
 from .evaluation import (
@@ -30,6 +28,7 @@ from .evaluation import (
     derive_seed,
     loo_partition,
     p99_of_average,
+    p99_of_defined,
     partition_folds,
     random_baseline_scores,
     results_table,
@@ -243,11 +242,8 @@ def cmd_evaluate(args) -> int:
             n_e, max(n_eval, 1), n_sims=100, seed=derive_seed(args.seed, "p99", label)
         )
         for metric in ("ba", "f1"):
-            vals = scores[metric]
-            p99s[metric][label] = (
-                float(np.nanpercentile(vals, 99)) if not np.isnan(vals).all() else None
-            )
-            score_arrays[metric].append(vals)
+            p99s[metric][label] = p99_of_defined(scores[metric])
+            score_arrays[metric].append(scores[metric])
     for metric in ("ba", "f1"):
         p99s[metric]["average"] = p99_of_average(score_arrays[metric])
 

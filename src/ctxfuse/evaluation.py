@@ -23,7 +23,7 @@ from .classifier import (
     predict_proba_matrix,
 )
 from .data import feature_matrix, label_vector
-from .fusion import early_fusion, late_fusion_learned
+from .fusion import early_fusion, late_fusion_average, late_fusion_learned, predict_early_fusion
 from .model import Dataset, RELEVANT, SENSORS
 
 SINGLE_SENSOR_SYSTEMS = SENSORS
@@ -243,30 +243,30 @@ def random_baseline_scores(
     return out
 
 
+def p99_of_defined(values: np.ndarray) -> Optional[float]:
+    """99th percentile of the non-NaN values; None when every value is NaN."""
+    if np.isnan(values).all():
+        return None
+    return float(np.nanpercentile(values, 99))
+
+
 def random_baseline_p99(
     n_positive: int, n_examples: int, n_sims: int = 100, seed: int = 0
 ) -> dict:
     """99th percentile of each metric over the random-classifier simulations."""
     scores = random_baseline_scores(n_positive, n_examples, n_sims, seed)
-    return {
-        name: (float(np.nanpercentile(vals, 99)) if not np.isnan(vals).all() else None)
-        for name, vals in scores.items()
-    }
+    return {name: p99_of_defined(vals) for name, vals in scores.items()}
 
 
 def p99_of_average(score_arrays: Sequence[np.ndarray]) -> Optional[float]:
     """p99 of the across-label average score, paired by simulation index."""
     stack = np.vstack(score_arrays)
     defined = ~np.isnan(stack)
-    if not defined.any():
-        return None
     sums = np.where(defined, stack, 0.0).sum(axis=0)
     counts = defined.sum(axis=0)
     means = np.full(stack.shape[1], np.nan)
     means[counts > 0] = sums[counts > 0] / counts[counts > 0]
-    if np.isnan(means).all():
-        return None
-    return float(np.nanpercentile(means, 99))
+    return p99_of_defined(means)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +305,11 @@ def _fold_models_and_counts(
     needed_sensors = set(s for s in systems if s in SENSORS)
     if {"lfa", "lfl"} & set(systems):
         needed_sensors |= set(SENSORS)
-    need_ef = "ef" in systems
-    test_sensors = needed_sensors | (set(SENSORS) if need_ef else set())
 
     sensor_train = {
         s: [ex for ex in train_examples if ex.has_sensor(s)] for s in needed_sensors
     }
-    test_X = {s: feature_matrix(pool, s) for s in test_sensors}
+    test_X = {s: feature_matrix(pool, s) for s in needed_sensors}
 
     counts = {sys: {} for sys in systems}
     flags = {lbl: [] for lbl in labels}
@@ -344,7 +342,7 @@ def _fold_models_and_counts(
             if s in SENSORS:
                 counts[s][label] = count_outcomes(y_true, sensor_probs[s] > 0.5)
 
-        if need_ef:
+        if "ef" in systems:
             ef = early_fusion(
                 train_examples,
                 label,
@@ -352,16 +350,15 @@ def _fold_models_and_counts(
                 fixed_cost=1.0,
                 seed=derive_seed(seed, fold_index, label, "ef"),
             )
-            if "trivial:single_class" in ef.notes:
+            if ef.is_trivial:
                 flags[label].append(f"fold{fold_index}:ef:trivial")
             else:
                 costs[label]["ef"] = ef.model.cost
-            Xef = np.hstack([test_X[s] for s in SENSORS])
-            p_ef = predict_proba_matrix(ef.model, ef.standardizer.transform(Xef))
-            counts["ef"][label] = count_outcomes(y_true, p_ef > 0.5)
+            counts["ef"][label] = count_outcomes(y_true, predict_early_fusion(ef, pool) > 0.5)
 
         if "lfa" in systems:
-            p_lfa = np.vstack([sensor_probs[s] for s in SENSORS]).mean(axis=0)
+            components = {s: single_models[s] for s in SENSORS}
+            p_lfa = late_fusion_average(components, pool)
             counts["lfa"][label] = count_outcomes(y_true, p_lfa > 0.5)
 
         if "lfl" in systems:

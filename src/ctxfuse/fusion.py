@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .classifier import (
     _standardizer_to_dict,
     _train_at_selected_cost,
     fit_standardizer,
-    predict_proba,
     predict_proba_features,
     predict_proba_matrix,
     single_sensor_model_from_dict,
@@ -40,7 +39,6 @@ from .data import (
     feature_matrix,
     has_all_sensors,
     label_vector,
-    sensor_features,
 )
 from .model import FEATURE_DIMS, RELEVANT, SENSORS
 
@@ -60,13 +58,21 @@ def sensor_spans(sensors=SENSORS) -> dict:
 class EarlyFusionModel:
     label: str
     sensors: tuple
-    standardizer: Standardizer
+    standardizer: Optional[Standardizer]
     model: Union[LinearModel, TrivialModel]
     notes: tuple = ()
 
     @property
     def variant(self) -> str:
         return "ef"
+
+    @property
+    def dim(self) -> int:
+        return sum(FEATURE_DIMS[s] for s in self.sensors)
+
+    @property
+    def is_trivial(self) -> bool:
+        return isinstance(self.model, TrivialModel)
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ def early_fusion(
     X = concat_feature_matrix(complete, sensors)
     y = label_vector(complete, label)
     standardizer, model, notes = _fit_pipeline(
-        X, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed, standardize_trivial=True
+        X, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
     )
     return EarlyFusionModel(
         label=label,
@@ -127,10 +133,9 @@ def early_fusion(
     )
 
 
-def predict_early_fusion(model: EarlyFusionModel, example) -> float:
-    X = concat_feature_matrix([example], model.sensors)
-    Z = model.standardizer.transform(X)
-    return float(predict_proba_matrix(model.model, Z)[0])
+def predict_early_fusion(model: EarlyFusionModel, examples: Sequence) -> np.ndarray:
+    """``(n,)`` EF probabilities; an absent sensor imputes to the training mean."""
+    return predict_proba_features(model, concat_feature_matrix(examples, model.sensors))
 
 
 def component_probability_matrix(
@@ -150,46 +155,42 @@ def component_probability_matrix(
     )
 
 
-def component_probabilities(
-    components: Mapping[str, SingleSensorModel], example
-) -> dict:
-    """Per-sensor probabilities for the sensors present on the example."""
-    out = {}
-    for sensor, model in components.items():
-        fv = sensor_features(example, sensor)
-        if fv is not None and not fv.fully_masked:
-            out[sensor] = predict_proba(model, fv)
-        elif model.is_trivial:
-            # constant models need no features
-            absent = np.full((1, FEATURE_DIMS[sensor]), np.nan)
-            out[sensor] = float(predict_proba_features(model, absent)[0])
-    return out
+def _component_presence(components: Mapping[str, SingleSensorModel], examples) -> np.ndarray:
+    """``(n, k)`` mask of the components that can score each example.
+
+    A sensor counts as present by ``Example.has_sensor``, the rule training
+    uses; a trivial component needs no features and is always present.
+    """
+    return np.array(
+        [[m.is_trivial or ex.has_sensor(s) for s, m in components.items()] for ex in examples],
+        dtype=bool,
+    ).reshape(len(examples), len(components))
+
+
+def _require_all_present(components, present: np.ndarray) -> None:
+    missing = [s for s, col in zip(components, present.T) if not col.all()]
+    if missing:
+        raise ValueError(f"missing sensors for late fusion: {sorted(missing)}")
 
 
 def late_fusion_average(
     components: Mapping[str, SingleSensorModel],
-    example,
+    examples: Sequence,
     *,
     lenient: bool = False,
-) -> tuple:
-    """Mean of the component probabilities and the >0.5 decision.
+) -> np.ndarray:
+    """``(n,)`` means of the component probabilities (decide with ``> 0.5``).
 
     Strict mode (the evaluation protocol) requires every component's sensor
-    on the example; lenient mode averages whatever is present and flags it.
+    on every example; lenient mode averages whatever is present per example.
     """
-    probs = component_probabilities(components, example)
-    if len(probs) < len(components):
-        if not lenient:
-            missing = sorted(set(components) - set(probs))
-            raise ValueError(f"missing sensors for late fusion: {missing}")
-        if not probs:
-            raise ValueError("no sensors available for lenient late fusion")
-    p = float(np.mean([probs[s] for s in components if s in probs]))
-    return p, p > 0.5
-
-
-def predict_late_fusion_average(model: LateFusionAverage, example, *, lenient=False) -> tuple:
-    return late_fusion_average(model.components, example, lenient=lenient)
+    present = _component_presence(components, examples)
+    if not lenient:
+        _require_all_present(components, present)
+    elif not present.any(axis=1).all():
+        raise ValueError("no sensors available for lenient late fusion")
+    P = np.where(present, component_probability_matrix(components, examples), 0.0)
+    return P.sum(axis=1) / present.sum(axis=1)
 
 
 def late_fusion_learned(
@@ -239,13 +240,11 @@ def late_fusion_learned(
     )
 
 
-def predict_late_fusion_learned(model: LateFusionLearned, example) -> float:
-    probs = component_probabilities(model.components, example)
-    missing = sorted(set(model.components) - set(probs))
-    if missing:
-        raise ValueError(f"missing sensors for late fusion: {missing}")
-    P = np.array([[probs[s] for s in model.components]])
-    return float(predict_proba_matrix(model.second_layer, P)[0])
+def predict_late_fusion_learned(model: LateFusionLearned, examples: Sequence) -> np.ndarray:
+    """``(n,)`` second-layer probabilities; every component's sensor must be present."""
+    _require_all_present(model.components, _component_presence(model.components, examples))
+    P = component_probability_matrix(model.components, examples)
+    return predict_proba_matrix(model.second_layer, P)
 
 
 # ---------------------------------------------------------------------------

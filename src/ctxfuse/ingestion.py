@@ -21,7 +21,6 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -166,44 +165,43 @@ FEATURE_COLUMNS = {
 for _s, _cols in FEATURE_COLUMNS.items():
     assert len(_cols) == FEATURE_DIMS[_s], _s
 
+_CANONICAL_RANK = {
+    s: {name: i for i, name in enumerate(cols)} for s, cols in FEATURE_COLUMNS.items()
+}
+
 
 class IngestionError(ValueError):
     """A structural problem in an input file; the message carries context."""
 
 
-@dataclass(frozen=True)
-class FeatureTable:
-    """A parsed feature CSV: unique header names, rectangular rows."""
-
-    header: tuple
-    rows: tuple
-
-    def __post_init__(self):
-        if len(set(self.header)) != len(self.header):
-            raise IngestionError("duplicate column names in header")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.header):
-                raise IngestionError(f"row {i + 2}: ragged row ({len(row)} cells, header has {len(self.header)})")
-
-
-def _read_table(stream, origin: str) -> FeatureTable:
+def _read_table(stream, origin: str) -> tuple:
+    """``(header, rows)`` of a CSV with unique column names and no ragged row."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise IngestionError(f"{origin}: empty file") from None
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise IngestionError(f"{origin}: line 1: duplicate column {name!r} in header")
+        seen.add(name)
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise IngestionError(
                 f"{origin}: line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
-        rows.append(tuple(row))
-    return FeatureTable(header=tuple(header), rows=tuple(rows))
+        rows.append(row)
+    return header, rows
 
 
 def _group_columns(header: Sequence[str], origin: str):
-    """Map each sensor to its column indices, validating group widths."""
+    """Map each sensor to its column indices, validating group widths.
+
+    A group whose names are exactly the canonical ones (``FEATURE_COLUMNS``)
+    is mapped by name; any other naming is mapped by position.
+    """
     groups = {s: [] for s in SENSORS}
     label_cols = []
     extra_cols = []
@@ -221,12 +219,15 @@ def _group_columns(header: Sequence[str], origin: str):
         else:
             groups[owner].append((idx, name))
 
-    # the quick-feature prefix must come before the main location block
-    groups["loc"].sort(
-        key=lambda t: (0 if t[1].startswith("location_quick_features:") else 1,)
-    )
-
     for sensor, cols in groups.items():
+        rank = _CANONICAL_RANK[sensor]
+        if len(cols) == len(rank) and all(name in rank for _, name in cols):
+            # the canonical names: map by name, whatever their order in the file
+            cols.sort(key=lambda t: rank[t[1]])
+        elif sensor == "loc":
+            # unfamiliar names map by position; the quick-feature prefix
+            # must come before the main location block
+            cols.sort(key=lambda t: 0 if t[1].startswith("location_quick_features:") else 1)
         if cols and len(cols) != FEATURE_DIMS[sensor]:
             raise IngestionError(
                 f"{origin}: sensor group {sensor!r} has {len(cols)} columns, "
@@ -270,25 +271,24 @@ def parse_features_csv(source, user_id: Optional[str] = None) -> list:
     """
     if hasattr(source, "read"):
         origin = getattr(source, "name", "<stream>")
-        table = _read_table(source, origin)
+        header, rows = _read_table(source, origin)
     else:
         path = Path(source)
         origin = str(path)
         if user_id is None:
             user_id = path.name.split(".")[0]
         with open(path, newline="", encoding="utf-8") as fh:
-            table = _read_table(fh, origin)
+            header, rows = _read_table(fh, origin)
     if user_id is None:
         raise ValueError("user_id is required when parsing a stream")
 
-    header = table.header
     if not header or header[0] != "timestamp":
         raise IngestionError(f"{origin}: first column must be 'timestamp'")
     groups, label_cols, extra_cols = _group_columns(header, origin)
 
     examples = []
     seen_ts = set()
-    for lineno, row in enumerate(table.rows, start=2):
+    for lineno, row in enumerate(rows, start=2):
         ts_cell = row[0].strip()
         try:
             ts = int(ts_cell)

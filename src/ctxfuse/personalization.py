@@ -13,10 +13,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classifier import predict_proba_matrix
-from .data import concat_feature_matrix, has_all_sensors, label_vector
+from .data import has_all_sensors, label_vector
 from .evaluation import MetricReport, compute_metrics, count_outcomes
-from .fusion import EarlyFusionModel, early_fusion
+from .fusion import EarlyFusionModel, early_fusion, predict_early_fusion
 from .model import RELEVANT, SENSORS
 
 
@@ -103,15 +102,11 @@ def evaluate_personalization(
     if not deploy:
         raise ValueError("no complete-sensor deployment examples")
 
-    X_deploy = concat_feature_matrix(deploy, SENSORS)
     adapt_complete = [ex for ex in split.adaptation if has_all_sensors(ex, SENSORS)]
 
     results = {}
     for label in labels:
-        universal = universal_models[label]
-        p_universal = predict_proba_matrix(
-            universal.model, universal.standardizer.transform(X_deploy)
-        )
+        p_universal = predict_early_fusion(universal_models[label], deploy)
         y_true = label_vector(deploy, label) > 0
         universal_score = _scored(count_outcomes(y_true, p_universal > 0.5))
 
@@ -120,13 +115,12 @@ def evaluate_personalization(
             individual = early_fusion(
                 adapt_complete, label, grid_search=True, seed=seed
             )
-        if individual is None or "trivial:single_class" in individual.notes:
+        if individual is None or individual.is_trivial:
             individual_score = _chance_score()
             p_individual = None
             p_adapted = p_universal
         else:
-            Z = individual.standardizer.transform(X_deploy)
-            p_individual = predict_proba_matrix(individual.model, Z)
+            p_individual = predict_early_fusion(individual, deploy)
             individual_score = _scored(count_outcomes(y_true, p_individual > 0.5))
             p_adapted = (p_universal + p_individual) / 2.0
 

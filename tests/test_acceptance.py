@@ -305,7 +305,7 @@ def test_criterion_8_normalization_invariants():
                                  model=TrivialModel(probability=p))
             for s, p in zip(SENSORS, probs)
         }
-        p, _ = late_fusion_average(comps, ex)
+        p = late_fusion_average(comps, [ex])[0]
         if not probs.min() - 1e-12 <= p <= probs.max() + 1e-12:
             ok = False
 

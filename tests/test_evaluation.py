@@ -10,6 +10,7 @@ from ctxfuse.evaluation import (
     cross_validate,
     loo_partition,
     p99_of_average,
+    p99_of_defined,
     partition_folds,
     random_baseline_p99,
     random_baseline_scores,
@@ -180,6 +181,15 @@ def test_p99_of_average_pairs_simulations():
     # averaging reduces spread: the average's p99 sits below the mean of p99s
     individual = [np.nanpercentile(a, 99) for a in arrays]
     assert avg <= max(individual)
+
+
+def test_p99_is_none_only_when_no_simulation_defines_the_metric():
+    p = random_baseline_p99(0, 50, seed=2)  # no positives: TPR never defined
+    assert p["tpr"] is None and p["ba"] is None
+    assert p["tnr"] is not None
+    assert p99_of_average([np.full(10, np.nan)] * 2) is None
+    vals = np.array([np.nan, 0.1, 0.7, 0.3])
+    assert p99_of_defined(vals) == float(np.nanpercentile(vals, 99))
 
 
 def test_random_baseline_validates_inputs():

@@ -25,7 +25,6 @@ from ctxfuse.fusion import (
     load_fusion_model,
     multiclass_one_vs_rest,
     predict_early_fusion,
-    predict_late_fusion_average,
     predict_late_fusion_learned,
     predict_multiclass,
     save_fusion_model,
@@ -84,7 +83,7 @@ def test_early_fusion_trains_and_predicts():
         exs.append(feature_example(ex.user_id, i, {**{s: vals[s].values for s in SENSORS}, "acc": arr}, {"T": int(i % 2)}))
     model = early_fusion(exs, "T", grid_search=False, fixed_cost=10.0)
     assert model.standardizer.dim == 175
-    probs = [predict_early_fusion(model, ex) for ex in exs]
+    probs = [predict_early_fusion(model, [ex])[0] for ex in exs]
     pred = np.array(probs) > 0.5
     y = label_vector(exs, "T") > 0
     assert (pred == y).mean() > 0.95
@@ -121,7 +120,7 @@ def test_constant_sensor_equals_dropping_it():
     sub_std = fit_standardizer(X[:, keep])
     sub_model = train_linear(sub_std.transform(X[:, keep]), y, 1.0)
 
-    p_full = np.array([predict_early_fusion(model, ex) for ex in exs])
+    p_full = np.array([predict_early_fusion(model, [ex])[0] for ex in exs])
     p_sub = predict_proba_matrix(sub_model, sub_std.transform(X[:, keep]))
     assert np.allclose(p_full, p_sub, atol=1e-6)
     # the constant block carries (numerically) zero weight
@@ -150,7 +149,7 @@ def test_linear_model_cannot_learn_feature_products():
     test, y_test = gen(400, 10_000)
 
     model = early_fusion(train, "T", grid_search=False, fixed_cost=1.0)
-    p = np.array([predict_early_fusion(model, ex) for ex in test])
+    p = np.array([predict_early_fusion(model, [ex])[0] for ex in test])
     ba_linear = compute_metrics(count_outcomes(y_test > 0, p > 0.5)).ba
 
     def augmented(exs):
@@ -181,8 +180,8 @@ def test_early_fusion_sensor_order_only_permutes_weights():
     reversed_order = tuple(reversed(SENSORS))
     backward = early_fusion(exs, "T", sensors=reversed_order,
                             grid_search=False, fixed_cost=1.0)
-    p_fwd = [predict_early_fusion(forward, ex) for ex in exs]
-    p_bwd = [predict_early_fusion(backward, ex) for ex in exs]
+    p_fwd = [predict_early_fusion(forward, [ex])[0] for ex in exs]
+    p_bwd = [predict_early_fusion(backward, [ex])[0] for ex in exs]
     assert np.allclose(p_fwd, p_bwd, atol=1e-6)
     # the acc block sits first in one model and last in the other
     spans_fwd = sensor_spans(SENSORS)["acc"]
@@ -199,27 +198,27 @@ def test_early_fusion_sensor_order_only_permutes_weights():
 # ---------------------------------------------------------------------------
 
 def test_lfa_all_half_is_negative(any_example):
-    p, decision = late_fusion_average(_make_components([0.5] * 6), any_example)
-    assert p == 0.5 and decision is False
+    p = late_fusion_average(_make_components([0.5] * 6), [any_example])[0]
+    assert p == 0.5 and not p > 0.5
 
 
 def test_lfa_arithmetic(any_example):
     comps = _make_components([0.9, 0.7, 0.5, 0.5, 0.5, 0.5])
-    p, decision = late_fusion_average(comps, any_example)
+    p = late_fusion_average(comps, [any_example])[0]
     assert np.isclose(p, 0.6, atol=1e-12)
-    assert decision is True
+    assert p > 0.5
 
 
 def test_lfa_identical_models_equal_single(any_example):
     comps = _make_components([0.73] * 6)
-    p, _ = late_fusion_average(comps, any_example)
+    p = late_fusion_average(comps, [any_example])[0]
     assert np.isclose(p, 0.73, atol=1e-12)
 
 
 def test_lfa_permutation_invariant(any_example):
     probs = [0.1, 0.9, 0.3, 0.6, 0.2, 0.8]
-    p1, _ = late_fusion_average(_make_components(probs), any_example)
-    p2, _ = late_fusion_average(_make_components(probs[::-1]), any_example)
+    p1 = late_fusion_average(_make_components(probs), [any_example])[0]
+    p2 = late_fusion_average(_make_components(probs[::-1]), [any_example])[0]
     assert np.isclose(p1, p2, atol=1e-12)
 
 
@@ -227,7 +226,7 @@ def test_lfa_output_within_component_range(any_example):
     rng = np.random.default_rng(6)
     for _ in range(25):
         probs = rng.uniform(0.01, 0.99, size=6)
-        p, _ = late_fusion_average(_make_components(probs), any_example)
+        p = late_fusion_average(_make_components(probs), [any_example])[0]
         assert probs.min() - 1e-12 <= p <= probs.max() + 1e-12
 
 
@@ -244,15 +243,15 @@ def test_lfa_strict_mode_requires_all_sensors():
         ),
     }
     with pytest.raises(ValueError, match="missing sensors"):
-        late_fusion_average(comps, partial)
-    p, _ = late_fusion_average(comps, partial, lenient=True)
+        late_fusion_average(comps, [partial])
+    p = late_fusion_average(comps, [partial], lenient=True)[0]
     assert np.isclose(p, 0.8, atol=1e-12)
 
 
 def test_trivial_component_models_make_fusion_negative(any_example):
     comps = _make_components([0.5] * 6)
-    p, decision = late_fusion_average(comps, any_example)
-    assert decision is False
+    p = late_fusion_average(comps, [any_example])[0]
+    assert not p > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,7 @@ def test_lfl_weights_informative_sensor_highest():
     lfl = late_fusion_learned(exs, "T", components, grid_search=False, fixed_cost=1.0)
     weights = lfl.sensor_weights()
     assert max(weights, key=weights.get) == "wacc"
-    p = predict_late_fusion_learned(lfl, exs[0])
+    p = predict_late_fusion_learned(lfl, [exs[0]])[0]
     assert 0.0 < p < 1.0
 
 
@@ -288,7 +287,7 @@ def test_lfl_constant_inputs_flagged_degenerate(any_example):
     lfl = late_fusion_learned(exs, "T", comps)
     assert "degenerate_inputs" in lfl.notes
     assert np.allclose(lfl.second_layer.weights, 0.0)
-    p = predict_late_fusion_learned(lfl, any_example)
+    p = predict_late_fusion_learned(lfl, [any_example])[0]
     assert not p > 0.5  # decided by the (zero) intercept: negative
 
 
@@ -433,10 +432,10 @@ def test_fusion_serialization_roundtrip(tmp_path):
     assert set(lfl2.components) == set(SENSORS)
     ex = random_full_example(rng, "u0", 999)
     assert np.isclose(
-        predict_late_fusion_learned(lfl2, ex), predict_late_fusion_learned(lfl, ex)
+        predict_late_fusion_learned(lfl2, [ex])[0], predict_late_fusion_learned(lfl, [ex])[0]
     )
 
     lfa = LateFusionAverage(label="T", components=components)
     lfa2 = fusion_model_from_dict(fusion_model_to_dict(lfa))
     assert lfa2.variant == "lfa"
-    assert predict_late_fusion_average(lfa2, ex) == predict_late_fusion_average(lfa, ex)
+    assert late_fusion_average(lfa2.components, [ex])[0] == late_fusion_average(lfa.components, [ex])[0]

@@ -1,9 +1,13 @@
+import csv
 import io
 import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctxfuse.evaluation import FoldPartition
 from ctxfuse.ingestion import (
@@ -128,6 +132,114 @@ def test_infinite_cell_rejected_with_file_line_and_column(tmp_path, cell):
     assert "line 3" in message
     assert "non-finite" in message
     assert repr(header[5]) in message
+
+
+def test_duplicate_header_names_file_and_column(tmp_path):
+    path = tmp_path / "u0.features.csv"
+    write_features_csv(path, _some_examples(2))
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    header[2] = header[1]
+    lines[0] = ",".join(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError) as err:
+        parse_features_csv(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert "duplicate column" in message
+    assert repr(header[1]) in message
+
+
+def _permute_group_columns(text, sensor, order):
+    """The table with ``sensor``'s columns (header and cells) in ``order``."""
+    rows = list(csv.reader(io.StringIO(text)))
+    idx = [rows[0].index(name) for name in FEATURE_COLUMNS[sensor]]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        cells = [row[i] for i in idx]
+        for pos, j in zip(idx, order):
+            row[pos] = cells[j]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def test_canonical_group_columns_map_by_name(tmp_path):
+    examples = _some_examples(3)
+    buf = io.StringIO()
+    write_features_csv(buf, examples)
+    order = list(range(FEATURE_DIMS["acc"]))
+    order[0], order[1] = order[1], order[0]
+    swapped = _permute_group_columns(buf.getvalue(), "acc", order)
+    assert swapped.splitlines()[0].split(",")[1] == FEATURE_COLUMNS["acc"][1]
+
+    back = parse_features_csv(io.StringIO(swapped), user_id="u0")
+    for orig, got in zip(examples, back):
+        assert np.array_equal(
+            got.precomputed_features["acc"].values, orig.precomputed_features["acc"].values
+        )
+
+    # names outside the canonical set keep their positional mapping
+    renamed = swapped.replace("raw_acc:magnitude:", "raw_acc:mag_")
+    back = parse_features_csv(io.StringIO(renamed), user_id="u0")
+    for orig, got in zip(examples, back):
+        want = orig.precomputed_features["acc"].values[order]
+        assert np.array_equal(got.precomputed_features["acc"].values, want)
+
+
+_LABEL_CODES = st.sampled_from([1, 0, None])
+
+
+@st.composite
+def _tables(draw):
+    """Examples with random present/absent sensors, masks, labels and
+    metadata, plus one sensor group and an order to permute its columns."""
+    timestamps = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    label_names = draw(st.lists(st.sampled_from(["SITTING", "WALKING", "LYING_DOWN"]), unique=True))
+    meta_names = draw(st.lists(st.sampled_from(["label_source", "device"]), unique=True))
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    examples = []
+    for ts in timestamps:
+        values = {}
+        for s in SENSORS:
+            if draw(st.booleans()):
+                v = draw(hnp.arrays(np.float64, FEATURE_DIMS[s], elements=cells))
+                v[draw(hnp.arrays(bool, FEATURE_DIMS[s]))] = np.nan
+                values[s] = v
+        labels = {name: draw(_LABEL_CODES) for name in label_names}
+        ex = feature_example("u0", ts, values, labels)
+        meta = {k: draw(st.text(alphabet="ab ,'\"0:", max_size=6)) for k in meta_names}
+        object.__setattr__(ex, "metadata", meta)
+        examples.append(ex)
+    sensor = draw(st.sampled_from(SENSORS))
+    order = draw(st.permutations(range(FEATURE_DIMS[sensor])))
+    return examples, label_names, sensor, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables())
+def test_feature_csv_round_trip_property(table):
+    examples, label_names, sensor, order = table
+    buf = io.StringIO()
+    write_features_csv(buf, examples, label_names=label_names)
+    text = buf.getvalue()
+    for variant in (text, _permute_group_columns(text, sensor, order)):
+        back = parse_features_csv(io.StringIO(variant), user_id="u0")
+        assert [ex.timestamp for ex in back] == sorted(ex.timestamp for ex in examples)
+        by_ts = {ex.timestamp: ex for ex in examples}
+        for got in back:
+            orig = by_ts[got.timestamp]
+            for s in SENSORS:
+                fv = orig.precomputed_features.get(s)
+                parsed = got.precomputed_features[s]
+                if fv is None:
+                    assert parsed.fully_masked
+                else:
+                    assert np.array_equal(parsed.values, fv.values, equal_nan=True)
+                    assert np.array_equal(parsed.missing_mask, fv.missing_mask)
+            for name in label_names:
+                assert got.label_value(name) == orig.label_value(name)
+            assert got.metadata == orig.metadata
 
 
 def test_unknown_columns_kept_as_metadata(tmp_path, caplog):
