@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -248,11 +248,6 @@ def predict_proba(model: SingleSensorModel, features: FeatureVector) -> float:
     return float(predict_proba_features(model, features.values[None, :])[0])
 
 
-def decide(probability: float) -> bool:
-    """Binary decision: relevant iff probability exceeds one half."""
-    return probability > 0.5
-
-
 def f1_binary(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """F1 with the trivial-classifier convention: no TP and no FP gives 0."""
     y_true = np.asarray(y_true).astype(bool)
@@ -279,13 +274,7 @@ def stratified_split_third(y: np.ndarray, seed: int):
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(val_idx))
 
 
-def select_cost(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    seed: int = 0,
-    grid: Sequence[float] = COST_GRID,
-) -> tuple:
+def select_cost(X: np.ndarray, y: np.ndarray, *, seed: int = 0) -> tuple:
     """Grid-search the cost on a held-out validation third.
 
     Returns ``(C, fell_back)``. Ties keep the smallest C. With fewer than
@@ -300,7 +289,7 @@ def select_cost(
 
     train_idx, val_idx = stratified_split_third(y, seed)
     best_c, best_f1 = None, -1.0
-    for c in grid:
+    for c in COST_GRID:
         model = train_linear(X[train_idx], y[train_idx], c)
         pred = predict_proba_matrix(model, X[val_idx]) > 0.5
         score = f1_binary(y[val_idx], pred)
@@ -309,19 +298,17 @@ def select_cost(
     return float(best_c), False
 
 
-def _train_at_selected_cost(Z, y, *, grid_search, fixed_cost, seed) -> tuple:
-    """``(model, notes)``: the grid-searched (or fixed) cost, then the final fit."""
+def _train_at_selected_cost(Z, y, *, cost: Optional[float], seed: int) -> tuple:
+    """``(model, notes)``: fit at ``cost``, or at the grid-searched one when None."""
     notes = ()
-    if grid_search:
+    if cost is None:
         cost, fell_back = select_cost(Z, y, seed=seed)
         if fell_back:
             notes = ("cost_fallback:C=1",)
-    else:
-        cost = float(fixed_cost)
     return train_linear(Z, y, cost), notes
 
 
-def _fit_pipeline(X, y, *, grid_search, fixed_cost, seed) -> tuple:
+def _fit_pipeline(X, y, *, cost: Optional[float], seed: int) -> tuple:
     """Standardize, select the cost, fit: ``(standardizer, model, notes)``.
 
     Single-class targets give a flagged trivial constant model instead of an
@@ -336,9 +323,7 @@ def _fit_pipeline(X, y, *, grid_search, fixed_cost, seed) -> tuple:
 
     standardizer = fit_standardizer(X)
     Z = standardizer.transform(X)
-    model, notes = _train_at_selected_cost(
-        Z, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
-    )
+    model, notes = _train_at_selected_cost(Z, y, cost=cost, seed=seed)
     return standardizer, model, notes
 
 
@@ -348,19 +333,17 @@ def fit_single_sensor_model(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    grid_search: bool = True,
-    fixed_cost: float = 1.0,
+    cost: Optional[float] = None,
     seed: int = 0,
 ) -> SingleSensorModel:
     """Full training pipeline for one (sensor, label) pair.
 
     ``X`` is the raw feature matrix with NaN marking masked entries.
-    Single-class labels yield a flagged trivial constant model instead of
-    an error so evaluation harnesses can proceed.
+    ``cost=None`` grid-searches :data:`COST_GRID` on a validation third; a
+    number fits at that C. Single-class labels yield a flagged trivial
+    constant model instead of an error so evaluation harnesses can proceed.
     """
-    standardizer, model, notes = _fit_pipeline(
-        X, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
-    )
+    standardizer, model, notes = _fit_pipeline(X, y, cost=cost, seed=seed)
     return SingleSensorModel(
         sensor=sensor, label=label, standardizer=standardizer, model=model, notes=notes
     )

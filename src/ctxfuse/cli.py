@@ -5,8 +5,10 @@ input digest, chosen costs and timing; ``ctxfuse rerun MANIFEST`` replays
 the stored config and reproduces the output files byte-identically.
 
 Exit codes: 0 success, 2 input error, 3 configuration/vocabulary error,
-4 internal invariant violation. Every flag can also be supplied through an
-environment variable named CTXFUSE_<FLAG> (dashes as underscores).
+4 internal invariant violation. Every option that takes a value can also be
+supplied through an environment variable named CTXFUSE_<FLAG> (dashes as
+underscores); it is checked exactly like the flag, which wins when both
+are given.
 """
 
 from __future__ import annotations
@@ -61,13 +63,9 @@ class ConfigError(ValueError):
     """A bad flag value, unknown label, or unknown user."""
 
 
-def _env(name: str):
-    return os.environ.get("CTXFUSE_" + name.replace("-", "_").upper())
-
-
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=int(_env("seed") or 0))
-    parser.add_argument("--out", default=_env("out"), required=_env("out") is None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,36 +77,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ext = sub.add_parser("extract", help="extract feature tables from raw session bundles")
-    p_ext.add_argument("--input", default=_env("input"), required=_env("input") is None)
+    p_ext.add_argument("--input", required=True)
     p_ext.add_argument(
         "--utc-offset",
         type=float,
-        default=None if _env("utc-offset") is None else float(_env("utc-offset")),
+        default=None,
         help="hours to add to UTC for local time-of-day (required)",
     )
     _add_common(p_ext)
 
     p_eval = sub.add_parser("evaluate", help="run cross-validation and emit result tables")
-    p_eval.add_argument("--features-dir", default=_env("features-dir"), required=_env("features-dir") is None)
-    p_eval.add_argument("--partition", default=_env("partition"))
-    p_eval.add_argument("--systems", default=_env("systems") or ",".join(ALL_SYSTEMS))
-    p_eval.add_argument("--labels", default=_env("labels"), required=_env("labels") is None)
-    p_eval.add_argument("--mode", choices=("cv5", "loo"), default=_env("mode") or "cv5")
-    p_eval.add_argument("--jobs", type=int, default=int(_env("jobs") or 1))
+    p_eval.add_argument("--features-dir", required=True)
+    p_eval.add_argument("--partition")
+    p_eval.add_argument("--systems", default=",".join(ALL_SYSTEMS))
+    p_eval.add_argument("--labels", required=True)
+    p_eval.add_argument("--mode", choices=("cv5", "loo"), default="cv5")
+    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument("--markdown", action="store_true")
     _add_common(p_eval)
 
     p_per = sub.add_parser("personalize", help="universal/individual/adapted comparison for one user")
-    p_per.add_argument("--features-dir", default=_env("features-dir"), required=_env("features-dir") is None)
-    p_per.add_argument("--user", default=_env("user"), required=_env("user") is None)
-    p_per.add_argument("--labels", default=_env("labels"), required=_env("labels") is None)
-    p_per.add_argument("--partition", default=_env("partition"))
+    p_per.add_argument("--features-dir", required=True)
+    p_per.add_argument("--user", required=True)
+    p_per.add_argument("--labels", required=True)
+    p_per.add_argument("--partition")
     p_per.add_argument("--markdown", action="store_true")
     _add_common(p_per)
 
     p_rerun = sub.add_parser("rerun", help="replay a run from its manifest")
     p_rerun.add_argument("manifest")
     return parser
+
+
+def _with_env_options(parser: argparse.ArgumentParser, argv: list) -> list:
+    """``argv`` with ``--flag=VALUE`` after the command for each set
+    ``CTXFUSE_<FLAG>`` of a value-taking option, so that argparse checks the
+    value like the flag's; a flag on the command line comes later and wins.
+    """
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not argv or argv[0] not in commands:
+        return argv
+    from_env = []
+    for action in commands[argv[0]]._actions:
+        value = os.environ.get("CTXFUSE_" + action.dest.upper())
+        if action.option_strings and action.nargs != 0 and value is not None:
+            from_env.append(f"{action.option_strings[0]}={value}")
+    return argv[:1] + from_env + argv[1:]
 
 
 def _digest_files(root: Path, files) -> str:
@@ -139,7 +153,12 @@ def _read_labels_file(path) -> list:
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            labels.append(canonical_label_name(line))
+            label = canonical_label_name(line)
+            if label in labels:
+                raise ConfigError(
+                    f"labels file {path} lists label {label!r} twice (again as {line!r})"
+                )
+            labels.append(label)
     if not labels:
         raise ConfigError(f"labels file {path} lists no labels")
     return labels
@@ -215,9 +234,15 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"label {label!r} not in dataset vocabulary")
 
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    for s in systems:
+    if not systems:
+        raise ConfigError("--systems lists no system")
+    for i, s in enumerate(systems):
         if s not in ALL_SYSTEMS:
             raise ConfigError(f"unknown system {s!r} (choose from {', '.join(ALL_SYSTEMS)})")
+        if s in systems[:i]:
+            raise ConfigError(f"--systems lists {s!r} twice")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.mode == "loo":
         partition = loo_partition(dataset.users)
@@ -307,9 +332,7 @@ def cmd_personalize(args) -> int:
 
     train_examples = dataset.examples(train_users)
     universal_models = {
-        label: early_fusion(
-            train_examples, label, grid_search=True, seed=derive_seed(args.seed, "universal", label)
-        )
+        label: early_fusion(train_examples, label, seed=derive_seed(args.seed, "universal", label))
         for label in labels
     }
 
@@ -385,23 +408,28 @@ def cmd_rerun(args) -> int:
         recorded = Path(config["out"]) / "run_manifest.json"
         saved = recorded.read_bytes() if recorded.is_file() else None
         try:
-            return main(argv)
+            # the recorded config alone: no CTXFUSE_<FLAG> value may change the replay
+            replay = build_parser().parse_args(argv)
+            return _COMMANDS[replay.command](replay)
         finally:
             if saved is not None:
                 recorded.write_bytes(saved)
 
 
+_COMMANDS = {
+    "extract": cmd_extract,
+    "evaluate": cmd_evaluate,
+    "personalize": cmd_personalize,
+    "rerun": cmd_rerun,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "extract": cmd_extract,
-        "evaluate": cmd_evaluate,
-        "personalize": cmd_personalize,
-        "rerun": cmd_rerun,
-    }
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(_with_env_options(parser, argv))
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command](args)
     except IngestionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -32,6 +32,9 @@ ALL_SYSTEMS = SINGLE_SENSOR_SYSTEMS + FUSION_SYSTEMS
 
 METRIC_NAMES = ("accuracy", "tpr", "tnr", "precision", "ba", "f1")
 
+#: The cost of every fit in leave-one-user-out mode (cv5 grid-searches it).
+LOO_COST = 1.0
+
 
 def derive_seed(*parts) -> int:
     """Deterministic 32-bit seed from a run seed and task coordinates."""
@@ -291,7 +294,7 @@ def _fold_models_and_counts(
     fold_users: Sequence[str],
     train_users: Sequence[str],
     *,
-    grid_search: bool,
+    cost: Optional[float],
     seed: int,
     fold_index: int,
 ):
@@ -327,8 +330,7 @@ def _fold_models_and_counts(
                 label,
                 feature_matrix(exs, s),
                 label_vector(exs, label),
-                grid_search=grid_search,
-                fixed_cost=1.0,
+                cost=cost,
                 seed=derive_seed(seed, fold_index, label, s),
             )
             single_models[s] = model
@@ -346,8 +348,7 @@ def _fold_models_and_counts(
             ef = early_fusion(
                 train_examples,
                 label,
-                grid_search=grid_search,
-                fixed_cost=1.0,
+                cost=cost,
                 seed=derive_seed(seed, fold_index, label, "ef"),
             )
             if ef.is_trivial:
@@ -367,8 +368,7 @@ def _fold_models_and_counts(
                     train_examples,
                     label,
                     single_models,
-                    grid_search=grid_search,
-                    fixed_cost=1.0,
+                    cost=cost,
                     seed=derive_seed(seed, fold_index, label, "lfl"),
                 )
             except DegenerateLabelError:
@@ -400,15 +400,18 @@ def cross_validate(
 ) -> dict:
     """Run the full protocol; returns {system: {label: LabelEvaluation}}.
 
-    ``mode='cv5'`` grid-searches the cost per model; ``mode='loo'`` fixes
-    C = 1. Counts are summed across folds before metrics are computed.
+    ``mode='cv5'`` grid-searches the cost per model; ``mode='loo'`` fits
+    every model at :data:`LOO_COST`. ``jobs`` threads train the folds.
+    Counts are summed across folds before metrics are computed.
     """
     for s in systems:
         if s not in ALL_SYSTEMS:
             raise ValueError(f"unknown system {s!r}")
     if mode not in ("cv5", "loo"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid_search = mode == "cv5"
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cost = None if mode == "cv5" else LOO_COST
 
     dataset_users = set(dataset.users)
     part_users = set(partition.users)
@@ -428,7 +431,7 @@ def cross_validate(
             systems,
             fold,
             train_users,
-            grid_search=grid_search,
+            cost=cost,
             seed=seed,
             fold_index=f,
         )

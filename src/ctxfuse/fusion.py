@@ -27,12 +27,10 @@ from .classifier import (
     _standardizer_from_dict,
     _standardizer_to_dict,
     _train_at_selected_cost,
-    fit_standardizer,
     predict_proba_features,
     predict_proba_matrix,
     single_sensor_model_from_dict,
     single_sensor_model_to_dict,
-    train_linear,
 )
 from .data import (
     concat_feature_matrix,
@@ -111,19 +109,19 @@ def early_fusion(
     label: str,
     *,
     sensors=SENSORS,
-    grid_search: bool = True,
-    fixed_cost: float = 1.0,
+    cost: Optional[float] = None,
     seed: int = 0,
 ) -> EarlyFusionModel:
-    """Train the EF classifier on complete-sensor examples only."""
+    """Train the EF classifier on complete-sensor examples only.
+
+    ``cost=None`` grid-searches the cost; a number fits at that C.
+    """
     complete = [ex for ex in examples if has_all_sensors(ex, sensors)]
     if not complete:
         raise ValueError("early fusion has no complete-sensor training examples")
     X = concat_feature_matrix(complete, sensors)
     y = label_vector(complete, label)
-    standardizer, model, notes = _fit_pipeline(
-        X, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
-    )
+    standardizer, model, notes = _fit_pipeline(X, y, cost=cost, seed=seed)
     return EarlyFusionModel(
         label=label,
         sensors=tuple(sensors),
@@ -198,8 +196,7 @@ def late_fusion_learned(
     label: str,
     components: Mapping[str, SingleSensorModel],
     *,
-    grid_search: bool = True,
-    fixed_cost: float = 1.0,
+    cost: Optional[float] = None,
     seed: int = 0,
 ) -> LateFusionLearned:
     """Train the LFL second layer on the component probabilities.
@@ -229,9 +226,7 @@ def late_fusion_learned(
             notes=("degenerate_inputs",),
         )
 
-    second, notes = _train_at_selected_cost(
-        P, y, grid_search=grid_search, fixed_cost=fixed_cost, seed=seed
-    )
+    second, notes = _train_at_selected_cost(P, y, cost=cost, seed=seed)
     return LateFusionLearned(
         label=label,
         components=dict(components),
@@ -254,9 +249,7 @@ def predict_late_fusion_learned(model: LateFusionLearned, examples: Sequence) ->
 @dataclass(frozen=True)
 class MulticlassModel:
     class_labels: tuple
-    sensors: tuple
-    standardizer: Standardizer
-    per_class: Mapping[str, LinearModel]
+    per_class: Mapping[str, EarlyFusionModel]
 
 
 def eligible_multiclass_examples(examples, class_labels, sensors) -> list:
@@ -276,38 +269,31 @@ def multiclass_one_vs_rest(
     class_labels: Sequence[str],
     sensors: Sequence[str] = SENSORS,
     *,
-    cost: float = 1.0,
+    cost: Optional[float] = 1.0,
 ) -> MulticlassModel:
-    """One balanced binary model per class on the chosen sensors' EF features."""
+    """One balanced EF model per class on the chosen sensors' features.
+
+    Each class's model is :func:`early_fusion` over the eligible examples,
+    whose binary target is exactly the one-hot truth of that class.
+    """
+    if len(class_labels) < 2:
+        raise ValueError("one-vs-rest needs at least two classes")
     eligible = eligible_multiclass_examples(examples, class_labels, sensors)
     pool = [ex for ex, _ in eligible]
-    truth = [cls for _, cls in eligible]
+    truth = {cls for _, cls in eligible}
     for cls in class_labels:
         if cls not in truth:
             raise ValueError(f"class {cls!r} has no training examples")
-
-    X = concat_feature_matrix(pool, sensors)
-    standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
-
-    per_class = {}
-    for cls in class_labels:
-        y = np.array([1 if t == cls else 0 for t in truth], dtype=np.int64)
-        per_class[cls] = train_linear(Z, y, cost)
     return MulticlassModel(
         class_labels=tuple(class_labels),
-        sensors=tuple(sensors),
-        standardizer=standardizer,
-        per_class=per_class,
+        per_class={cls: early_fusion(pool, cls, sensors=sensors, cost=cost) for cls in class_labels},
     )
 
 
 def predict_multiclass(model: MulticlassModel, examples) -> list:
     """Argmax of the per-class probabilities for each example."""
-    X = concat_feature_matrix(examples, model.sensors)
-    Z = model.standardizer.transform(X)
     probs = np.column_stack(
-        [predict_proba_matrix(model.per_class[c], Z) for c in model.class_labels]
+        [predict_early_fusion(model.per_class[c], examples) for c in model.class_labels]
     )
     return [model.class_labels[i] for i in probs.argmax(axis=1)]
 

@@ -112,9 +112,7 @@ def evaluate_personalization(
 
         individual = None
         if adapt_complete:
-            individual = early_fusion(
-                adapt_complete, label, grid_search=True, seed=seed
-            )
+            individual = early_fusion(adapt_complete, label, seed=seed)
         if individual is None or individual.is_trivial:
             individual_score = _chance_score()
             p_individual = None

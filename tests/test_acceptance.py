@@ -221,7 +221,7 @@ def test_criterion_6_fusion_on_complementary_sensors():
     for s in SENSORS:
         m = fit_single_sensor_model(
             s, label, feature_matrix(train, s), label_vector(train, label),
-            grid_search=True, seed=1,
+            seed=1,
         )
         singles[s] = m
         Z = m.standardizer.transform(feature_matrix(test, s))
@@ -229,7 +229,7 @@ def test_criterion_6_fusion_on_complementary_sensors():
         single_bas[s] = compute_metrics(count_outcomes(y, p_cols[s] > 0.5)).ba
     best_single = max(single_bas.values())
 
-    ef = early_fusion(train, label, grid_search=True, seed=1)
+    ef = early_fusion(train, label, seed=1)
     p_ef = predict_proba_matrix(
         ef.model, ef.standardizer.transform(concat_feature_matrix(test))
     )
@@ -238,7 +238,7 @@ def test_criterion_6_fusion_on_complementary_sensors():
     P = np.column_stack([p_cols[s] for s in SENSORS])
     ba_lfa = compute_metrics(count_outcomes(y, P.mean(axis=1) > 0.5)).ba
 
-    lfl = late_fusion_learned(train, label, singles, grid_search=True, seed=1)
+    lfl = late_fusion_learned(train, label, singles, seed=1)
     ba_lfl = compute_metrics(
         count_outcomes(y, predict_proba_matrix(lfl.second_layer, P) > 0.5)
     ).ba
@@ -319,8 +319,8 @@ def test_criterion_9_personalization_protocol():
         seed=41, n_per_background=150, n_test_user=600
     )
     universal = {
-        label: early_fusion(background, label, grid_search=False, fixed_cost=1.0),
-        "NEVER_POSITIVE": early_fusion(background, label, grid_search=False, fixed_cost=1.0),
+        label: early_fusion(background, label, cost=1.0),
+        "NEVER_POSITIVE": early_fusion(background, label, cost=1.0),
     }
     split = split_user_timeline(test_user)
     results = evaluate_personalization(

@@ -149,6 +149,20 @@ def test_rerun_reproduces_outputs(tmp_path, eval_setup):
     assert (out / "results_ba.csv").read_bytes() == first
 
 
+def test_rerun_ignores_environment_overrides(tmp_path, eval_setup, monkeypatch):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "results"
+    assert main(_evaluate_argv(features, labels_file, out, "--systems", "acc,ef")) == 0
+    first = (out / "results_ba.csv").read_bytes()
+    users = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))
+    partition = tmp_path / "two_folds.txt"
+    partition.write_text(" ".join(users[:2]) + "\n" + " ".join(users[2:]) + "\n")
+    monkeypatch.setenv("CTXFUSE_PARTITION", str(partition))
+    monkeypatch.setenv("CTXFUSE_SYSTEMS", "lfa")
+    assert main(["rerun", str(out / "run_manifest.json")]) == 0
+    assert (out / "results_ba.csv").read_bytes() == first
+
+
 def test_rerun_writes_nothing_extra_into_outputs(tmp_path, eval_setup):
     features, labels_file, _ = eval_setup
     out = tmp_path / "results"
@@ -221,6 +235,79 @@ def test_environment_variable_overrides_flags(tmp_path, eval_setup, monkeypatch)
     monkeypatch.setenv("CTXFUSE_OUT", str(out))
     assert main(["evaluate"]) == 0
     assert (out / "results_ba.csv").exists()
+
+
+def _evaluate_argv(features, labels_file, out, *extra):
+    return [
+        "evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+        "--out", str(out), *extra,
+    ]
+
+
+def test_environment_seed_gets_the_flags_type_check(tmp_path, eval_setup, monkeypatch, capsys):
+    features, labels_file, _ = eval_setup
+    argv = _evaluate_argv(features, labels_file, tmp_path / "r", "--systems", "acc")
+    with pytest.raises(SystemExit) as flag:
+        main(argv + ["--seed", "abc"])
+    flag_err = capsys.readouterr().err
+    monkeypatch.setenv("CTXFUSE_SEED", "abc")
+    with pytest.raises(SystemExit) as env:
+        main(argv)
+    env_err = capsys.readouterr().err
+    assert flag.value.code == env.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in env_err
+    assert env_err.splitlines()[-1] == flag_err.splitlines()[-1]
+
+
+def test_environment_mode_gets_the_flags_choice_check(tmp_path, eval_setup, monkeypatch, capsys):
+    features, labels_file, _ = eval_setup
+    monkeypatch.setenv("CTXFUSE_MODE", "bogus")
+    with pytest.raises(SystemExit) as exc:
+        main(_evaluate_argv(features, labels_file, tmp_path / "r", "--systems", "acc"))
+    assert exc.value.code == 2
+    assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_flag_wins_over_environment(tmp_path, eval_setup, monkeypatch):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "r"
+    monkeypatch.setenv("CTXFUSE_SEED", "7")
+    monkeypatch.setenv("CTXFUSE_SYSTEMS", "acc")
+    monkeypatch.setenv("CTXFUSE_OUT", str(tmp_path / "unused"))
+    assert main(_evaluate_argv(features, labels_file, out, "--seed", "3")) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config["seed"] == 3 and config["systems"] == ["acc"]
+    assert not (tmp_path / "unused").exists()
+
+
+def test_labels_that_canonicalize_to_one_name_exit_3(tmp_path, eval_setup, capsys):
+    features, labels_file, label = eval_setup
+    labels_file.write_text(f"{label}\n{label.lower()}\n")
+    code = main(_evaluate_argv(features, labels_file, tmp_path / "r", "--systems", "acc"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert repr(label) in err and "twice" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_duplicate_system_exits_3(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    code = main(_evaluate_argv(features, labels_file, tmp_path / "r", "--systems", "acc,lfa,acc"))
+    assert code == 3
+    assert "'acc' twice" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_below_one_exits_3(tmp_path, eval_setup, capsys, jobs):
+    features, labels_file, _ = eval_setup
+    code = main(_evaluate_argv(
+        features, labels_file, tmp_path / "r", "--systems", "acc", "--jobs", jobs
+    ))
+    assert code == 3
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_personalize_single_example_user_exits_3(tmp_path):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxfuse.evaluation import (
     FoldPartition,
@@ -72,6 +76,32 @@ def test_fold_partition_rejects_duplicates():
         FoldPartition(folds=(("a", "b"), ("b", "c")))
 
 
+@st.composite
+def _platforms_and_k(draw):
+    """A user -> platform map of at least k users, k and a seed."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 40))
+    tags = draw(st.lists(st.sampled_from(["iphone", "android", "other"]), min_size=n, max_size=n))
+    return {f"u{i:02d}": tag for i, tag in enumerate(tags)}, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_platforms_and_k())
+def test_partition_folds_properties(case):
+    platforms, k, seed = case
+    part = partition_folds(platforms, k=k, seed=seed)
+    assert len(part) == k
+    assert sorted(part.users) == sorted(platforms)  # every user in exactly one fold
+    sizes = [len(f) for f in part.folds]
+    assert max(sizes) - min(sizes) <= 1
+    for tag in set(platforms.values()):
+        n_tag = sum(1 for t in platforms.values() if t == tag)
+        for fold in part.folds:
+            in_fold = sum(1 for uid in fold if platforms[uid] == tag)
+            assert abs(in_fold - Fraction(n_tag, k)) < 1
+    assert partition_folds(platforms, k=k, seed=seed).folds == part.folds
+
+
 def test_loo_partition_is_one_user_per_fold():
     part = loo_partition(["u2", "u0", "u1"])
     assert part.folds == (("u0",), ("u1",), ("u2",))
@@ -132,6 +162,71 @@ def test_counts_match_bruteforce_tally():
                 tn += 1
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (tp, tn, fp, fn)
         assert counts.total == n
+
+
+_counts = st.builds(
+    MetricCounts,
+    tp=st.integers(0, 50),
+    tn=st.integers(0, 50),
+    fp=st.integers(0, 50),
+    fn=st.integers(0, 50),
+)
+
+
+def _exact(value, num, den):
+    """``value`` is ``num / den`` as a float, or None when ``den`` is 0."""
+    return value is None if den == 0 else value == num / den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60))
+def test_metrics_match_bruteforce_tally_property(pairs):
+    y_true = [t for t, _ in pairs]
+    y_pred = [p for _, p in pairs]
+    counts = count_outcomes(y_true, y_pred)
+    tp = sum(t and p for t, p in pairs)
+    tn = sum(not t and not p for t, p in pairs)
+    fp = sum(not t and p for t, p in pairs)
+    fn = sum(t and not p for t, p in pairs)
+    assert (counts.tp, counts.tn, counts.fp, counts.fn) == (tp, tn, fp, fn)
+    r = compute_metrics(counts)
+    assert _exact(r.accuracy, tp + tn, len(pairs))
+    assert _exact(r.tpr, tp, tp + fn)
+    assert _exact(r.tnr, tn, tn + fp)
+    assert _exact(r.precision, tp, tp + fp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts, _counts, _counts)
+def test_metric_counts_addition_is_associative_and_commutative(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + MetricCounts() == a
+    assert (a + b).total == a.total + b.total
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts)
+def test_ba_is_the_mean_of_tpr_and_tnr(counts):
+    r = compute_metrics(counts)
+    if r.tpr is None or r.tnr is None:
+        assert r.ba is None
+    else:
+        assert r.ba == (r.tpr + r.tnr) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts)
+def test_f1_follows_the_trivial_classifier_convention(counts):
+    tp, fp, fn = counts.tp, counts.fp, counts.fn
+    r = compute_metrics(counts)
+    if tp + fn == 0:
+        assert r.f1 is None  # no positives: recall and F1 are undefined
+    elif tp == 0:
+        assert r.f1 == 0.0 and not r.f1_defined
+    else:
+        assert r.f1_defined
+        assert np.isclose(r.f1, 2 * tp / (2 * tp + fp + fn), rtol=1e-12, atol=0)
 
 
 def test_summed_counts_not_mean_of_fold_scores():
@@ -303,6 +398,14 @@ def test_cross_validate_rejects_unknown_system_and_bad_partition():
     bad = FoldPartition(folds=(("nobody",),))
     with pytest.raises(ValueError, match="partition users"):
         cross_validate(dataset, [label], ["acc"], bad)
+
+
+def test_cross_validate_rejects_jobs_below_one():
+    dataset, label = complementary_sensor_dataset(n=60, n_users=3, seed=8)
+    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=0)
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            cross_validate(dataset, [label], ["acc"], part, jobs=jobs)
 
 
 def test_loo_mode_equals_per_user_folds_with_fixed_cost():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctxfuse.classifier import (
+    COST_GRID,
     LinearModel,
     SingleSensorModel,
     TrivialModel,
@@ -81,7 +82,7 @@ def test_early_fusion_trains_and_predicts():
         arr = vals["acc"].values.copy()
         arr[0] = (2 * (i % 2) - 1) + 0.1 * rng.normal()
         exs.append(feature_example(ex.user_id, i, {**{s: vals[s].values for s in SENSORS}, "acc": arr}, {"T": int(i % 2)}))
-    model = early_fusion(exs, "T", grid_search=False, fixed_cost=10.0)
+    model = early_fusion(exs, "T", cost=10.0)
     assert model.standardizer.dim == 175
     probs = [predict_early_fusion(model, [ex])[0] for ex in exs]
     pred = np.array(probs) > 0.5
@@ -110,7 +111,7 @@ def test_constant_sensor_equals_dropping_it():
         y = int(rng.random() < 0.5)
         vals["acc"][0] += 2.0 * (2 * y - 1)
         exs.append(feature_example("u0", i, vals, {"T": y}))
-    model = early_fusion(exs, "T", grid_search=False, fixed_cost=1.0)
+    model = early_fusion(exs, "T", cost=1.0)
 
     # manual training on the 149 informative dims
     X = concat_feature_matrix(exs)
@@ -148,7 +149,7 @@ def test_linear_model_cannot_learn_feature_products():
     train, y_train = gen(400, 0)
     test, y_test = gen(400, 10_000)
 
-    model = early_fusion(train, "T", grid_search=False, fixed_cost=1.0)
+    model = early_fusion(train, "T", cost=1.0)
     p = np.array([predict_early_fusion(model, [ex])[0] for ex in test])
     ba_linear = compute_metrics(count_outcomes(y_test > 0, p > 0.5)).ba
 
@@ -176,10 +177,10 @@ def test_early_fusion_sensor_order_only_permutes_weights():
         vals["aud"][3] += 1.0 * (2 * y - 1)
         exs.append(feature_example("u0", i, vals, {"T": y}))
 
-    forward = early_fusion(exs, "T", grid_search=False, fixed_cost=1.0)
+    forward = early_fusion(exs, "T", cost=1.0)
     reversed_order = tuple(reversed(SENSORS))
     backward = early_fusion(exs, "T", sensors=reversed_order,
-                            grid_search=False, fixed_cost=1.0)
+                            cost=1.0)
     p_fwd = [predict_early_fusion(forward, [ex])[0] for ex in exs]
     p_bwd = [predict_early_fusion(backward, [ex])[0] for ex in exs]
     assert np.allclose(p_fwd, p_bwd, atol=1e-6)
@@ -269,11 +270,11 @@ def test_lfl_weights_informative_sensor_highest():
         exs.append(feature_example(f"u{i%3}", i, vals, {"T": int(y[i])}))
     components = {
         s: fit_single_sensor_model(
-            s, "T", feature_matrix(exs, s), label_vector(exs, "T"), grid_search=False
+            s, "T", feature_matrix(exs, s), label_vector(exs, "T"), cost=1.0
         )
         for s in SENSORS
     }
-    lfl = late_fusion_learned(exs, "T", components, grid_search=False, fixed_cost=1.0)
+    lfl = late_fusion_learned(exs, "T", components, cost=1.0)
     weights = lfl.sensor_weights()
     assert max(weights, key=weights.get) == "wacc"
     p = predict_late_fusion_learned(lfl, [exs[0]])[0]
@@ -301,11 +302,11 @@ def test_lfl_not_worse_than_lfa_on_complementary_sensors():
     components = {
         s: fit_single_sensor_model(
             s, label, feature_matrix(train, s), label_vector(train, label),
-            grid_search=False,
+            cost=1.0,
         )
         for s in SENSORS
     }
-    lfl = late_fusion_learned(train, label, components, grid_search=False)
+    lfl = late_fusion_learned(train, label, components, cost=1.0)
 
     y = label_vector(test, label) > 0
     p_cols = {}
@@ -361,28 +362,33 @@ def test_empty_class_error_names_it():
         multiclass_one_vs_rest(exs, ("A", "B"), sensors=("acc",))
 
 
+_THREE_CLASS_MEANS = {
+    "CLASS_A": np.array([0.0, 2.0]),
+    "CLASS_B": np.array([-math.sqrt(3), -1.0]),
+    "CLASS_C": np.array([math.sqrt(3), -1.0]),
+}
+
+
+def _three_class_corpus(rng, n, base_ts):
+    """Three unit-variance Gaussian classes in the first two ``acc`` features."""
+    classes = list(_THREE_CLASS_MEANS)
+    exs, truth = [], []
+    for i in range(n):
+        cls = classes[i % 3]
+        x = _THREE_CLASS_MEANS[cls] + rng.normal(size=2)
+        vals = {"acc": np.concatenate([x, 0.1 * rng.normal(size=24)])}
+        labels = {c: int(c == cls) for c in classes}
+        exs.append(feature_example(f"u{i%5}", base_ts + i, vals, labels))
+        truth.append(cls)
+    return exs, truth
+
+
 def test_three_class_confusion_matches_generative_oracle():
     rng = np.random.default_rng(21)
-    mus = {
-        "CLASS_A": np.array([0.0, 2.0]),
-        "CLASS_B": np.array([-math.sqrt(3), -1.0]),
-        "CLASS_C": np.array([math.sqrt(3), -1.0]),
-    }
+    mus = _THREE_CLASS_MEANS
     classes = list(mus)
-
-    def gen(n, base_ts):
-        exs, truth = [], []
-        for i in range(n):
-            cls = classes[i % 3]
-            x = mus[cls] + rng.normal(size=2)
-            vals = {"acc": np.concatenate([x, 0.1 * rng.normal(size=24)])}
-            labels = {c: int(c == cls) for c in classes}
-            exs.append(feature_example(f"u{i%5}", base_ts + i, vals, labels))
-            truth.append(cls)
-        return exs, truth
-
-    train, _ = gen(9999, 0)
-    test, truth = gen(9999, 10**6)
+    train, _ = _three_class_corpus(rng, 9999, 0)
+    test, truth = _three_class_corpus(rng, 9999, 10**6)
     model = multiclass_one_vs_rest(train, classes, sensors=("acc",), cost=1.0)
     cm = confusion_matrix(truth, predict_multiclass(model, test), classes)
 
@@ -401,6 +407,85 @@ def test_three_class_confusion_matches_generative_oracle():
     assert np.allclose(cm.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _one_vs_rest_oracle(examples, class_labels, sensors, cost):
+    """The one-vs-rest fit before it went through ``early_fusion``: one
+    standardizer on the concatenated pool, then ``train_linear`` per class."""
+    eligible = eligible_multiclass_examples(examples, class_labels, sensors)
+    truth = [cls for _, cls in eligible]
+    X = concat_feature_matrix([ex for ex, _ in eligible], sensors)
+    standardizer = fit_standardizer(X)
+    Z = standardizer.transform(X)
+    per_class = {
+        cls: train_linear(Z, np.array([int(t == cls) for t in truth]), cost)
+        for cls in class_labels
+    }
+    return standardizer, per_class
+
+
+def _one_vs_rest_oracle_predict(standardizer, per_class, class_labels, examples, sensors):
+    Z = standardizer.transform(concat_feature_matrix(examples, sensors))
+    probs = np.column_stack([predict_proba_matrix(per_class[c], Z) for c in class_labels])
+    return [class_labels[i] for i in probs.argmax(axis=1)]
+
+
+def test_one_vs_rest_equals_the_shared_standardizer_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    classes = list(_THREE_CLASS_MEANS)
+    train, _ = _three_class_corpus(rng, 9999, 0)
+    test, _ = _three_class_corpus(rng, 9999, 10**6)
+    model = multiclass_one_vs_rest(train, classes, sensors=("acc",), cost=1.0)
+    standardizer, per_class = _one_vs_rest_oracle(train, classes, ("acc",), 1.0)
+    for cls in classes:
+        ef = model.per_class[cls]
+        assert ef.sensors == ("acc",) and ef.notes == ()
+        assert np.array_equal(ef.standardizer.means, standardizer.means)
+        assert np.array_equal(ef.standardizer.stds, standardizer.stds)
+        assert np.array_equal(ef.model.weights, per_class[cls].weights)
+        assert ef.model.intercept == per_class[cls].intercept
+        assert ef.model.cost == per_class[cls].cost == 1.0
+    want = _one_vs_rest_oracle_predict(standardizer, per_class, classes, test, ("acc",))
+    assert predict_multiclass(model, test) == want
+
+
+def _small_three_class_corpus(n_per_class, seed=31):
+    rng = np.random.default_rng(seed)
+    classes = list(_THREE_CLASS_MEANS)
+    exs = []
+    for cls, n in zip(classes, n_per_class):
+        for _ in range(n):
+            x = _THREE_CLASS_MEANS[cls] + rng.normal(size=2)
+            vals = {"acc": np.concatenate([x, 0.1 * rng.normal(size=24)])}
+            exs.append(
+                feature_example("u0", len(exs), vals, {c: int(c == cls) for c in classes})
+            )
+    return exs, classes
+
+
+def test_one_vs_rest_grid_search_falls_back_for_a_rare_class():
+    exs, classes = _small_three_class_corpus((20, 20, 2))
+    model = multiclass_one_vs_rest(exs, classes, sensors=("acc",), cost=None)
+    rare = model.per_class["CLASS_C"]
+    assert rare.notes == ("cost_fallback:C=1",) and rare.model.cost == 1.0
+    for cls in ("CLASS_A", "CLASS_B"):
+        assert model.per_class[cls].notes == ()
+        assert model.per_class[cls].model.cost in COST_GRID
+
+
+@pytest.mark.parametrize("n_per_class", [(3, 3, 3), (20, 20, 20)])
+def test_one_vs_rest_grid_search_picks_from_the_grid(n_per_class):
+    exs, classes = _small_three_class_corpus(n_per_class)
+    model = multiclass_one_vs_rest(exs, classes, sensors=("acc",), cost=None)
+    for cls in classes:
+        assert model.per_class[cls].notes == ()
+        assert model.per_class[cls].model.cost in COST_GRID
+
+
+def test_one_vs_rest_with_one_class_raises():
+    exs, classes = _small_three_class_corpus((10, 0, 0))
+    with pytest.raises(ValueError, match="at least two classes"):
+        multiclass_one_vs_rest(exs, classes[:1], sensors=("acc",))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -412,7 +497,7 @@ def test_fusion_serialization_roundtrip(tmp_path):
         vals = {s: rng.normal(size=FEATURE_DIMS[s]) for s in SENSORS}
         vals["acc"][0] += 2.0 * (i % 2)
         exs.append(feature_example("u0", i, vals, {"T": i % 2}))
-    ef = early_fusion(exs, "T", grid_search=False, fixed_cost=1.0)
+    ef = early_fusion(exs, "T", cost=1.0)
     save_fusion_model(ef, tmp_path / "ef.json")
     ef2 = load_fusion_model(tmp_path / "ef.json")
     assert ef2.variant == "ef"
@@ -420,11 +505,11 @@ def test_fusion_serialization_roundtrip(tmp_path):
 
     components = {
         s: fit_single_sensor_model(
-            s, "T", feature_matrix(exs, s), label_vector(exs, "T"), grid_search=False
+            s, "T", feature_matrix(exs, s), label_vector(exs, "T"), cost=1.0
         )
         for s in SENSORS
     }
-    lfl = late_fusion_learned(exs, "T", components, grid_search=False)
+    lfl = late_fusion_learned(exs, "T", components, cost=1.0)
     d = fusion_model_to_dict(lfl)
     lfl2 = fusion_model_from_dict(d)
     assert lfl2.variant == "lfl"

@@ -68,7 +68,7 @@ def _rowwise_lfl_inputs(components, examples):
 
 
 def _rowwise_late_fusion_learned(
-    examples, label, components, *, grid_search=True, fixed_cost=1.0, seed=0
+    examples, label, components, *, cost=None, seed=0
 ):
     complete, P = _rowwise_lfl_inputs(components, examples)
     if not complete:
@@ -85,12 +85,10 @@ def _rowwise_late_fusion_learned(
             notes=("degenerate_inputs",),
         )
     notes = []
-    if grid_search:
+    if cost is None:
         cost, fell_back = select_cost(P, y, seed=seed)
         if fell_back:
             notes.append("cost_fallback:C=1")
-    else:
-        cost = float(fixed_cost)
     return LateFusionLearned(
         label=label,
         components=dict(components),
@@ -136,7 +134,7 @@ def _components(examples, label, trivial_sensor=None):
     for s in SENSORS:
         exs = [ex for ex in examples if ex.has_sensor(s)]
         y = label_vector(exs, "NONE" if s == trivial_sensor else label)
-        comps[s] = fit_single_sensor_model(s, label, feature_matrix(exs, s), y, grid_search=False)
+        comps[s] = fit_single_sensor_model(s, label, feature_matrix(exs, s), y, cost=1.0)
     return comps
 
 
@@ -169,8 +167,9 @@ def test_batched_lfl_inputs_match_rowwise_oracle(mixed):
 @pytest.mark.parametrize("grid_search", [True, False])
 def test_late_fusion_learned_matches_rowwise_oracle(mixed, grid_search):
     examples, comps = mixed
-    got = late_fusion_learned(examples, "T", comps, grid_search=grid_search, seed=5)
-    want = _rowwise_late_fusion_learned(examples, "T", comps, grid_search=grid_search, seed=5)
+    cost = None if grid_search else 1.0
+    got = late_fusion_learned(examples, "T", comps, cost=cost, seed=5)
+    want = _rowwise_late_fusion_learned(examples, "T", comps, cost=cost, seed=5)
     assert got.notes == want.notes
     assert got.second_layer.cost == want.second_layer.cost
     assert np.allclose(got.second_layer.weights, want.second_layer.weights, rtol=0, atol=1e-8)
@@ -186,7 +185,7 @@ def test_single_class_label_raises_degenerate(mixed):
 def test_per_example_calls_are_rows_of_the_matrix_path(mixed):
     examples, comps = mixed
     complete = [ex for ex in examples if has_all_sensors(ex)]
-    lfl = late_fusion_learned(complete, "T", comps, grid_search=False)
+    lfl = late_fusion_learned(complete, "T", comps, cost=1.0)
     P = component_probability_matrix(comps, complete)
     for i, ex in enumerate(complete[:10]):
         probs = component_probability_matrix(comps, [ex])[0]
@@ -210,7 +209,7 @@ def test_matrix_path_validates_dimension(mixed):
 
 def test_missing_sensor_still_rejected_by_per_example_lfl(mixed):
     examples, comps = mixed
-    lfl = late_fusion_learned(examples, "T", comps, grid_search=False)
+    lfl = late_fusion_learned(examples, "T", comps, cost=1.0)
     no_watch = next(ex for ex in examples if not ex.has_sensor("wacc"))
     with pytest.raises(ValueError, match="missing sensors"):
         predict_late_fusion_learned(lfl, [no_watch])
@@ -273,7 +272,7 @@ def _inline_lfa(components, pool):
 def test_early_fusion_scores_through_the_matrix_path(mixed):
     examples, _ = mixed
     complete = [ex for ex in examples if has_all_sensors(ex)]
-    ef = early_fusion(complete, "T", grid_search=False)
+    ef = early_fusion(complete, "T", cost=1.0)
     assert ef.dim == 175 and not ef.is_trivial
     p = predict_early_fusion(ef, examples)
     assert p.shape == (len(examples),)
@@ -286,7 +285,7 @@ def test_early_fusion_scores_through_the_matrix_path(mixed):
 def test_trivial_early_fusion_model_has_no_standardizer(mixed):
     examples, _ = mixed
     complete = [ex for ex in examples if has_all_sensors(ex)]
-    ef = early_fusion(complete, "NONE", grid_search=False)
+    ef = early_fusion(complete, "NONE", cost=1.0)
     assert ef.is_trivial and ef.standardizer is None
     assert "trivial:single_class" in ef.notes
     assert np.all(predict_early_fusion(ef, examples) == PROBABILITY_CLIP)

@@ -52,7 +52,7 @@ def test_split_rejects_mixed_users():
 def drift():
     background, test_user, label = drift_user_scenario(seed=30)
     universal = {
-        label: early_fusion(background, label, grid_search=True, seed=1)
+        label: early_fusion(background, label, seed=1)
     }
     split = split_user_timeline(test_user)
     results = evaluate_personalization(universal, split, [label], seed=2)
@@ -62,8 +62,8 @@ def drift():
 def test_zero_positive_adaptation_label_reports_chance(drift):
     background, split, label, _ = drift
     universal = {
-        label: early_fusion(background, label, grid_search=True, seed=1),
-        "NEVER_SEEN": early_fusion(background, label, grid_search=True, seed=1),
+        label: early_fusion(background, label, seed=1),
+        "NEVER_SEEN": early_fusion(background, label, seed=1),
     }
     results = evaluate_personalization(universal, split, [label, "NEVER_SEEN"], seed=2)
     r = results["NEVER_SEEN"]
@@ -101,7 +101,7 @@ def test_identical_models_average_to_themselves():
     # train the "universal" model on this user's own adaptation half so both
     # models coincide; leakage checking stays out of the way when the
     # training users are not supplied
-    same = early_fusion(list(split.adaptation), label, grid_search=False, fixed_cost=1.0)
+    same = early_fusion(list(split.adaptation), label, cost=1.0)
     results = evaluate_personalization({label: same}, split, [label], seed=2)
     pr = results[label].probabilities
     assert np.allclose(pr["universal"], pr["individual"], atol=1e-9)
@@ -119,7 +119,7 @@ def test_overlapping_split_rejected():
 
 def test_universal_trained_on_test_user_rejected(drift):
     background, split, label, _ = drift
-    universal = {label: early_fusion(background, label, grid_search=False)}
+    universal = {label: early_fusion(background, label, cost=1.0)}
     with pytest.raises(AssertionError, match="trained on the test user"):
         evaluate_personalization(
             universal, split, [label], universal_train_users=["bg0", "tu"]
@@ -128,7 +128,7 @@ def test_universal_trained_on_test_user_rejected(drift):
 
 def test_no_leakage_with_proper_train_users(drift):
     background, split, label, _ = drift
-    universal = {label: early_fusion(background, label, grid_search=False)}
+    universal = {label: early_fusion(background, label, cost=1.0)}
     train_users = sorted({ex.user_id for ex in background})
     results = evaluate_personalization(
         universal, split, [label], universal_train_users=train_users
