@@ -40,6 +40,7 @@ from .evaluation import (
 from .fusion import early_fusion
 from .ingestion import (
     IngestionError,
+    fold_partition_files,
     iter_session_dirs,
     load_features_dir,
     load_fold_partition,
@@ -141,7 +142,15 @@ def _input_digest(command: str, config: dict) -> str:
         files = (f for s in iter_session_dirs(root) for f in s.iterdir() if f.is_file())
         return _digest_files(root, files)
     root = Path(config["features_dir"])
-    return _digest_files(root, root.glob("*.features.csv"))
+    digest = _digest_files(root, root.glob("*.features.csv"))
+    if config.get("partition"):
+        # a partition directory by its fold files, a partition file by its name
+        part = Path(config["partition"])
+        base = part if part.is_dir() else part.parent
+        digest = hashlib.sha256(
+            (digest + _digest_files(base, fold_partition_files(part))).encode()
+        ).hexdigest()
+    return digest
 
 
 def _read_labels_file(path) -> list:
@@ -192,7 +201,11 @@ def cmd_extract(args) -> int:
     by_user: dict = {}
     for sdir in sessions:
         example = load_raw_session(sdir, utc_offset_hours=args.utc_offset)
-        feats = extract_all_features(example)
+        try:
+            feats = extract_all_features(example)
+        except ValueError as exc:
+            # a sensor series too short for its features is bad input
+            raise IngestionError(f"{sdir}: {exc}") from None
         by_user.setdefault(example.user_id, []).append(
             Example(
                 user_id=example.user_id,

@@ -32,10 +32,17 @@ def sensor_features(example: Example, sensor: str):
 
 
 def extract_all_features(example: Example) -> dict:
-    """Feature vectors for every sensor present on the example."""
+    """Feature vectors for every sensor present on the example.
+
+    A ``ValueError`` from an extractor (a series too short for its
+    features) is raised again with the sensor named.
+    """
     out = {}
     for sensor in SENSORS:
-        fv = sensor_features(example, sensor)
+        try:
+            fv = sensor_features(example, sensor)
+        except ValueError as exc:
+            raise ValueError(f"sensor {sensor!r}: {exc}") from exc
         if fv is not None:
             out[sensor] = fv
     return out

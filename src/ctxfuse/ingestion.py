@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -415,14 +416,21 @@ def load_fold_partition(path) -> FoldPartition:
     return FoldPartition(folds=tuple(folds))
 
 
+_FOLD_FILE = re.compile(r"fold_(\d+)_test.*uuids.*\.txt$")
+
+
+def fold_partition_files(path) -> list:
+    """The files ``load_fold_partition(path)`` reads, in sorted order."""
+    path = Path(path)
+    if path.is_dir():
+        return [p for p in sorted(path.iterdir()) if _FOLD_FILE.match(p.name)]
+    return [path] if path.is_file() else []
+
+
 def _load_partition_dir(root: Path) -> FoldPartition:
-    pattern = re.compile(r"fold_(\d+)_test.*uuids.*\.txt$")
     by_fold: dict = {}
-    for p in sorted(root.iterdir()):
-        m = pattern.match(p.name)
-        if not m:
-            continue
-        idx = int(m.group(1))
+    for p in fold_partition_files(root):
+        idx = int(_FOLD_FILE.match(p.name).group(1))
         users = by_fold.setdefault(idx, [])
         users.extend(p.read_text(encoding="utf-8").split())
     if not by_fold:
@@ -435,7 +443,43 @@ def _load_partition_dir(root: Path) -> FoldPartition:
 # Raw session bundles
 # ---------------------------------------------------------------------------
 
-def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False):
+def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False) -> np.ndarray:
+    """A raw column file as a ``(rows, n_cols)`` float64 array.
+
+    The whole file is parsed by one numpy call (``_bulk_rows``). When that
+    fails, the file is read again cell by cell (``_read_cells``), which
+    either returns the array or raises the line-numbered error.
+    """
+    arr = _bulk_rows(path, n_cols)
+    return arr if arr is not None else _read_cells(path, n_cols, allow_missing_cols)
+
+
+def _bulk_rows(path: Path, n_cols: int) -> Optional[np.ndarray]:
+    """The file parsed by one ``np.loadtxt`` call, or None when the parse
+    fails (an empty file included) or its result has another width or a
+    non-finite value.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file is only a warning to numpy
+            warnings.simplefilter("error")
+            arr = np.loadtxt(
+                path, delimiter=",", dtype=np.float64, ndmin=2, comments=None, encoding="utf-8"
+            )
+    except (ValueError, Warning):
+        return None
+    if arr.shape[1] != n_cols or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _read_cells(path: Path, n_cols: int, allow_missing_cols=False) -> np.ndarray:
+    """The per-cell reader behind ``_read_numeric_rows`` and its error messages.
+
+    Lines with no cell or one blank cell are skipped; a cell is a Python
+    float literal. An allowed empty cell becomes NaN; a ``nan`` cell is
+    rejected, so NaN in the result always means an empty cell.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
@@ -451,7 +495,7 @@ def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False):
                 if cell == "":
                     if not allow_missing_cols:
                         raise IngestionError(f"{path}: line {lineno}: empty cell")
-                    vals.append(None)
+                    vals.append(np.nan)
                 else:
                     try:
                         value = float(cell)
@@ -467,14 +511,13 @@ def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False):
                         )
                     vals.append(value)
             rows.append(vals)
-    return rows
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_cols)
 
 
 def _load_triaxial(path: Path, unit: str, rate: float) -> TriaxialSeries:
-    rows = _read_numeric_rows(path, 4)
-    if not rows:
+    arr = _read_numeric_rows(path, 4)
+    if arr.shape[0] == 0:
         raise IngestionError(f"{path}: empty series")
-    arr = np.asarray(rows, dtype=np.float64)
     ts = arr[:, 0]
     if np.any(np.diff(ts) < 0):
         raise IngestionError(f"{path}: timestamps are not monotone non-decreasing")
@@ -533,7 +576,9 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     if loc_path.exists() or quick_path.exists():
         updates = []
         if loc_path.exists():
-            for vals in _read_numeric_rows(loc_path, 7, allow_missing_cols=True):
+            for row in _read_numeric_rows(loc_path, 7, allow_missing_cols=True):
+                # NaN is an empty cell; features test location fields for None
+                vals = [None if math.isnan(v) else v for v in row.tolist()]
                 if vals[0] is None:
                     raise IngestionError(f"{loc_path}: update without relative time")
                 updates.append(
@@ -550,25 +595,26 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
         quick = None
         if quick_path.exists():
             rows = _read_numeric_rows(quick_path, 6, allow_missing_cols=True)
-            if len(rows) != 1:
+            if rows.shape[0] != 1:
                 raise IngestionError(f"{quick_path}: expected a single 6-value row")
-            quick = np.array(
-                [np.nan if v is None else v for v in rows[0]], dtype=np.float64
-            )
+            quick = rows[0]
         sensor_data["loc"] = LocationSeries(updates=tuple(updates), quick_features=quick)
 
     mfcc_path = root / "mfcc.csv"
     audio_path = root / "audio.csv"
     if mfcc_path.exists():
-        rows = _read_numeric_rows(mfcc_path, 13)
         sensor_data["aud"] = AudioMfccSeries(
-            frames=np.asarray(rows, dtype=np.float64),
+            frames=_read_numeric_rows(mfcc_path, 13),
             normalization_factor=float(manifest.get("audio_normalization", 1.0)),
         )
     elif audio_path.exists():
-        rows = _read_numeric_rows(audio_path, 1)
-        wave = np.asarray(rows, dtype=np.float64).ravel()
-        sensor_data["aud"] = compute_mfcc(wave)
+        wave = _read_numeric_rows(audio_path, 1).ravel()
+        try:
+            sensor_data["aud"] = compute_mfcc(wave)
+        except ValueError as exc:
+            raise IngestionError(
+                f"{root}: sensor 'aud': {exc} ({wave.size} samples in {audio_path.name})"
+            ) from None
 
     ps_path = root / "phone_state.json"
     if ps_path.exists():

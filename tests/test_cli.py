@@ -353,3 +353,75 @@ def test_rerun_keeps_the_recorded_manifest(tmp_path, eval_setup):
     recorded = manifest.read_bytes()
     assert main(["rerun", str(manifest)]) == 0
     assert manifest.read_bytes() == recorded
+
+
+def _swap_first_users(folds):
+    """Folds with the first user of fold 0 and of fold 1 exchanged."""
+    a, b = folds[0], folds[1]
+    return [[b[0]] + a[1:], [a[0]] + b[1:]] + folds[2:]
+
+
+def test_rerun_rejects_changed_partition_file(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    users = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))
+    folds = [users[:2], users[2:]]
+    partition = tmp_path / "partition.txt"
+    partition.write_text("".join(" ".join(f) + "\n" for f in folds))
+    out = tmp_path / "results"
+    assert main(_evaluate_argv(features, labels_file, out, "--systems", "acc",
+                               "--partition", str(partition))) == 0
+    first = (out / "results_ba.csv").read_bytes()
+    assert main(["rerun", str(out / "run_manifest.json")]) == 0
+    partition.write_text("".join(" ".join(f) + "\n" for f in _swap_first_users(folds)))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "run_manifest.json")]) == 2
+    assert "changed" in capsys.readouterr().err
+    assert (out / "results_ba.csv").read_bytes() == first
+
+
+def test_rerun_rejects_changed_partition_directory(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    users = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))
+    folds = [users[:2], users[2:]]
+    part_dir = tmp_path / "cv5"
+    part_dir.mkdir()
+
+    def write_folds(folds):
+        for i, fold in enumerate(folds):
+            (part_dir / f"fold_{i}_test_android_uuids.txt").write_text("\n".join(fold) + "\n")
+
+    write_folds(folds)
+    (part_dir / "README.txt").write_text("not a fold file\n")
+    out = tmp_path / "results"
+    assert main(_evaluate_argv(features, labels_file, out, "--systems", "acc",
+                               "--partition", str(part_dir))) == 0
+    (part_dir / "README.txt").write_text("edited, still not a fold file\n")
+    assert main(["rerun", str(out / "run_manifest.json")]) == 0
+    write_folds(_swap_first_users(folds))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "run_manifest.json")]) == 2
+    assert "changed" in capsys.readouterr().err
+
+
+def test_extract_short_phone_series_is_input_error(tmp_path, capsys):
+    bundles = _make_bundles(tmp_path / "raw")
+    session = bundles / "u1" / "session_2"
+    (session / "acc.csv").write_text("0.0,0.1,0.2,0.98\n0.025,0.1,0.2,0.99\n")
+    code = main(["extract", "--input", str(bundles), "--out", str(tmp_path / "f"),
+                 "--utc-offset", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {session}: sensor 'acc': signal too short")
+    assert "internal error" not in err
+
+
+def test_extract_short_waveform_is_input_error(tmp_path, capsys):
+    bundles = _make_bundles(tmp_path / "raw")
+    session = bundles / "u0" / "session_0"
+    (session / "mfcc.csv").unlink()
+    (session / "audio.csv").write_text("\n".join(["0.01"] * 2000) + "\n")
+    code = main(["extract", "--input", str(bundles), "--out", str(tmp_path / "f"),
+                 "--utc-offset", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {session}: sensor 'aud': audio too short (2000 samples")
