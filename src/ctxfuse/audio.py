@@ -3,13 +3,14 @@
 The convention is fixed so results are reproducible: periodic Hann window,
 magnitude-squared spectrum, 40 triangular mel filters spanning 0..Nyquist
 (mel(f) = 2595 log10(1 + f/700)), natural log with a 1e-10 floor, and an
-orthonormal type-II DCT of which the first 13 coefficients are kept.
+orthonormal type-II DCT of which the first 13 coefficients are kept. The
+DCT is one product with :data:`DCT_MATRIX`, a fixed 13 x 40 matrix built at
+import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct
 
 from .model import AudioMfccSeries, FeatureVector
 
@@ -19,6 +20,23 @@ HOP_LENGTH = 1024
 N_MEL_BANDS = 40
 N_COEFFICIENTS = 13
 LOG_EPSILON = 1e-10
+
+
+def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
+    """The first ``n_out`` rows of the orthonormal type-II DCT of length ``n_in``.
+
+    Row ``k`` is ``f_k cos(pi k (2n + 1) / (2 n_in))`` with
+    ``f_0 = sqrt(1 / n_in)`` and ``f_k = sqrt(2 / n_in)`` otherwise.
+    """
+    k = np.arange(n_out)[:, None]
+    n = np.arange(n_in)[None, :]
+    basis = np.sqrt(2.0 / n_in) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
+    basis[0] /= np.sqrt(2.0)
+    return basis
+
+
+#: ``log_mel @ DCT_MATRIX.T`` gives the 13 kept cepstral coefficients
+DCT_MATRIX = _dct_matrix(N_COEFFICIENTS, N_MEL_BANDS)
 
 
 def hz_to_mel(f):
@@ -78,7 +96,7 @@ def compute_mfcc(audio, sample_rate: float = AUDIO_SAMPLE_RATE) -> AudioMfccSeri
 
     mel_energy = power @ mel_filterbank(rate=sample_rate).T
     log_mel = np.log(mel_energy + LOG_EPSILON)
-    coefficients = dct(log_mel, type=2, norm="ortho", axis=1)[:, :N_COEFFICIENTS]
+    coefficients = log_mel @ DCT_MATRIX.T
     return AudioMfccSeries(frames=coefficients, normalization_factor=peak)
 
 

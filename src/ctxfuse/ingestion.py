@@ -451,7 +451,29 @@ def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False) -> np.
     either returns the array or raises the line-numbered error.
     """
     arr = _bulk_rows(path, n_cols)
-    return arr if arr is not None else _read_cells(path, n_cols, allow_missing_cols)
+    if arr is not None:
+        return arr
+    try:
+        return _read_cells(path, n_cols, allow_missing_cols)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> IngestionError:
+    return IngestionError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def _read_json_object(path: Path) -> dict:
+    """A JSON file that holds one object; anything else names the file."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: line {exc.lineno}: malformed JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise IngestionError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _bulk_rows(path: Path, n_cols: int) -> Optional[np.ndarray]:
@@ -541,10 +563,22 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     manifest_path = root / "session.json"
     if not manifest_path.exists():
         raise IngestionError(f"{root}: session.json not found")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json_object(manifest_path)
     for key in ("user_id", "timestamp"):
         if key not in manifest:
             raise IngestionError(f"{manifest_path}: missing key {key!r}")
+    try:
+        timestamp = int(manifest["timestamp"])
+    except (TypeError, ValueError):
+        raise IngestionError(
+            f"{manifest_path}: timestamp {manifest['timestamp']!r} is not an integer"
+        ) from None
+    label_values = manifest.get("labels", {})
+    if not isinstance(label_values, dict):
+        raise IngestionError(
+            f"{manifest_path}: labels must be an object of label -> value, "
+            f"got {type(label_values).__name__}"
+        )
 
     sensor_data = {}
 
@@ -603,9 +637,15 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     mfcc_path = root / "mfcc.csv"
     audio_path = root / "audio.csv"
     if mfcc_path.exists():
+        factor = manifest.get("audio_normalization", 1.0)
+        try:
+            factor = float(factor)
+        except (TypeError, ValueError):
+            raise IngestionError(
+                f"{manifest_path}: audio_normalization {factor!r} is not a number"
+            ) from None
         sensor_data["aud"] = AudioMfccSeries(
-            frames=_read_numeric_rows(mfcc_path, 13),
-            normalization_factor=float(manifest.get("audio_normalization", 1.0)),
+            frames=_read_numeric_rows(mfcc_path, 13), normalization_factor=factor
         )
     elif audio_path.exists():
         wave = _read_numeric_rows(audio_path, 1).ravel()
@@ -618,10 +658,8 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
 
     ps_path = root / "phone_state.json"
     if ps_path.exists():
-        ps_raw = json.loads(ps_path.read_text(encoding="utf-8"))
-        hour = int(
-            (int(manifest["timestamp"]) + utc_offset_hours * 3600) // 3600 % 24
-        )
+        ps_raw = _read_json_object(ps_path)
+        hour = int((timestamp + utc_offset_hours * 3600) // 3600 % 24)
         sensor_data["ps"] = PhoneStateSnapshot(
             app_state=ps_raw.get("app_state", "missing"),
             battery_plugged=ps_raw.get("battery_plugged", "missing"),
@@ -634,12 +672,12 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
 
     labels = tuple(
         LabelAssignment(canonical_label_name(k), v)
-        for k, v in manifest.get("labels", {}).items()
+        for k, v in label_values.items()
     )
 
     example = Example(
         user_id=str(manifest["user_id"]),
-        timestamp=int(manifest["timestamp"]),
+        timestamp=timestamp,
         sensor_data=sensor_data,
         labels=labels,
     )

@@ -1,29 +1,11 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernel, in numpy.
 
-The two inner loops that dominate runtime live here:
-
-* the weighted logistic-loss terms evaluated on every optimizer step, and
-* the direction-cosine statistics behind the watch features, summed over
-  every pair of samples of a recording in O(n log n) with prefix sums
-  (tests/test_kernels.py checks them against an all-pairs oracle).
+The direction-cosine statistics behind the watch features, summed over
+every pair of samples of a recording in O(n log n) with prefix sums
+(tests/test_kernels.py checks them against an all-pairs oracle).
 """
 
 import numpy as np
-from scipy.special import expit
-
-
-def logistic_terms(z, y_signed, weights):
-    """Loss sum and per-example residuals of the weighted logistic loss.
-
-    Given linear scores ``z``, signed labels ``y_signed`` in {-1, +1} and
-    per-example weights, returns ``(loss, resid)`` with
-    ``loss = sum_i w_i * log(1 + exp(-y_i z_i))`` and
-    ``resid_i = d loss / d z_i = -w_i * y_i * sigmoid(-y_i z_i)``.
-    """
-    m = y_signed * z
-    loss = float(np.dot(weights, np.logaddexp(0.0, -m)))
-    resid = -weights * y_signed * expit(-m)
-    return loss, resid
 
 
 def _first_at_lag(times, edges):

@@ -5,6 +5,7 @@ import pytest
 
 from ctxfuse.audio import (
     AUDIO_SAMPLE_RATE,
+    DCT_MATRIX,
     FRAME_LENGTH,
     HOP_LENGTH,
     LOG_EPSILON,
@@ -20,6 +21,16 @@ from ctxfuse.model import AudioMfccSeries
 # Independent reference chain: explicit window formula, DFT by matrix
 # product (not np.fft), filterbank and DCT from their defining sums.
 # ---------------------------------------------------------------------------
+
+def _reference_dct2(v, n_out=13):
+    """The first ``n_out`` orthonormal DCT-II coefficients, from the defining sum."""
+    n_in = len(v)
+    out = np.zeros(n_out)
+    for c in range(n_out):
+        acc = sum(v[n] * math.cos(math.pi * c * (2 * n + 1) / (2 * n_in)) for n in range(n_in))
+        out[c] = (math.sqrt(1.0 / n_in) if c == 0 else math.sqrt(2.0 / n_in)) * acc
+    return out
+
 
 def _reference_mfcc(audio, rate=AUDIO_SAMPLE_RATE):
     x = np.asarray(audio, dtype=np.float64)
@@ -64,14 +75,7 @@ def _reference_mfcc(audio, rate=AUDIO_SAMPLE_RATE):
         frame = x[fr * HOP_LENGTH : fr * HOP_LENGTH + FRAME_LENGTH] * window
         spectrum = dft @ frame
         power = np.abs(spectrum) ** 2
-        logmel = np.log(filters @ power + LOG_EPSILON)
-        for c in range(13):
-            acc = sum(
-                logmel[n] * math.cos(math.pi * c * (2 * n + 1) / (2 * N_MEL_BANDS))
-                for n in range(N_MEL_BANDS)
-            )
-            scale = math.sqrt(1.0 / N_MEL_BANDS) if c == 0 else math.sqrt(2.0 / N_MEL_BANDS)
-            out[fr, c] = scale * acc
+        out[fr] = _reference_dct2(np.log(filters @ power + LOG_EPSILON))
     return out
 
 
@@ -112,11 +116,24 @@ def test_constant_signal_coefficient0_dominates():
 def test_flat_mel_spectrum_gives_zero_higher_coefficients():
     # the flat-spectrum case lives at the cepstral stage: equal energy in
     # every mel band leaves everything in coefficient 0
-    from scipy.fft import dct
-
-    flat = dct(np.full(N_MEL_BANDS, -3.7), type=2, norm="ortho")
+    flat = DCT_MATRIX @ np.full(N_MEL_BANDS, -3.7)
     assert abs(flat[0]) > 1.0
     assert np.all(np.abs(flat[1:13]) < 1e-12)
+
+
+def test_dct_matrix_matches_defining_sum_and_scipy():
+    from scipy.fft import dct
+
+    assert DCT_MATRIX.shape == (13, N_MEL_BANDS)
+    # orthonormal rows: the kept part of an orthogonal transform
+    assert np.allclose(DCT_MATRIX @ DCT_MATRIX.T, np.eye(13), rtol=0, atol=1e-12)
+    rng = np.random.default_rng(11)
+    log_mel = rng.normal(scale=5.0, size=(6, N_MEL_BANDS)) - 10.0
+    got = log_mel @ DCT_MATRIX.T
+    by_sum = np.array([_reference_dct2(row) for row in log_mel])
+    by_scipy = dct(log_mel, type=2, norm="ortho", axis=1)[:, :13]
+    assert np.allclose(got, by_sum, rtol=0, atol=1e-12)
+    assert np.allclose(got, by_scipy, rtol=0, atol=1e-12)
 
 
 def test_white_noise_matches_reference_chain():

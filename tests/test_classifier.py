@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
+import ctxfuse.classifier as classifier
 from ctxfuse.classifier import (
     COST_GRID,
     DegenerateLabelError,
@@ -42,6 +44,75 @@ def _independent_loss(params, X, y, C, balanced=True):
         # log(1 + exp(-margin)), computed stably
         total += C * a * (math.log1p(math.exp(-abs(margin))) + max(0.0, -margin))
     return total
+
+
+def _old_loss_and_gradient(params, X, ys, wts, C):
+    """The objective as the library computed it before the Newton solver."""
+    w, b = params[:-1], params[-1]
+    m = ys * (X @ w + b)
+    resid = -wts * ys * expit(-m)
+    grad = np.empty_like(params)
+    grad[:-1] = w + C * (X.T @ resid)
+    grad[-1] = C * resid.sum()
+    return 0.5 * float(w @ w) + C * float(np.dot(wts, np.logaddexp(0.0, -m))), grad
+
+
+def _lbfgs_polish_fit(X, y, C, balanced=True):
+    """The fit the Newton solver replaced, kept as its oracle: scipy's
+    L-BFGS-B from zero, then full Newton steps until the gradient norm is
+    within the tolerance. Returns ``(params, tol)``.
+    """
+    wts = balanced_weights(y) if balanced else np.ones(len(y))
+    ys = np.where(y > 0, 1.0, -1.0)
+    x0 = np.zeros(X.shape[1] + 1)
+    _, g0 = _old_loss_and_gradient(x0, X, ys, wts, C)
+    tol = 1e-6 * max(1.0, float(np.linalg.norm(g0)))
+    res = minimize(_old_loss_and_gradient, x0, args=(X, ys, wts, C), method="L-BFGS-B",
+                   jac=True, options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
+
+    params = res.x
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    reg = np.ones(params.shape[0])
+    reg[-1] = 0.0
+    loss, grad = _old_loss_and_gradient(params, X, ys, wts, C)
+    for _ in range(100):
+        if np.linalg.norm(grad) <= tol:
+            break
+        s = expit(Xa @ params)
+        H = (Xa * (C * wts * s * (1.0 - s))[:, None]).T @ Xa + np.diag(reg)
+        step = np.linalg.solve(H, grad)
+        t = 1.0
+        for _ in range(60):
+            trial = params - t * step
+            new_loss, new_grad = _old_loss_and_gradient(trial, X, ys, wts, C)
+            if new_loss <= loss - 1e-4 * t * float(grad @ step):
+                params, loss, grad = trial, new_loss, new_grad
+                break
+            t *= 0.5
+        else:
+            break
+    assert np.linalg.norm(grad) <= tol
+    return params, tol
+
+
+def _solver_problem(d, separable, n=240, seed=0):
+    """Standardized-scale rows with a 30 % positive class; ``separable``
+    drops the label noise, so large costs push the weights far out."""
+    rng = np.random.default_rng(seed + d)
+    X = rng.normal(size=(n, d))
+    s = X @ rng.normal(size=d) + (0.0 if separable else 2.0) * rng.normal(size=n)
+    return X, (s > np.quantile(s, 0.7)).astype(int)
+
+
+def _assert_same_fit(model, params, X, y, tol, balanced):
+    """Parameters within 1e-6 relative (in norm), identical training-row
+    decisions, and the model's gradient norm within ``tol``."""
+    got = np.append(model.weights, model.intercept)
+    assert np.linalg.norm(got - params) <= 1e-6 * max(1.0, np.linalg.norm(params))
+    assert np.array_equal(X @ model.weights + model.intercept > 0, X @ params[:-1] + params[-1] > 0)
+    wts = balanced_weights(y) if balanced else np.ones(len(y))
+    _, g = loss_and_gradient(got, X, np.where(y > 0, 1.0, -1.0), wts, model.cost)
+    assert np.linalg.norm(g) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +187,89 @@ def test_gradient_matches_central_differences():
             fm, _ = loss_and_gradient(params - e, X, ys, wts, C)
             num[j] = (fp - fm) / 2e-6
         assert np.linalg.norm(g - num) <= 1e-4 * max(1.0, np.linalg.norm(num))
+
+
+def test_loss_and_gradient_extreme_scores_stable():
+    # scores z = X w + b with w = 1, b = 0: the regularizer adds 0.5
+    z = np.array([-800.0, -50.0, 0.0, 50.0, 800.0])
+    ys = np.ones(5)
+    wts = np.ones(5)
+    loss, grad = loss_and_gradient(np.array([1.0, 0.0]), z[:, None], ys, wts, 1.0)
+    assert np.isfinite(loss)
+    assert np.all(np.isfinite(grad))
+    # for a large positive margin the loss term vanishes; for a large
+    # negative margin it grows linearly
+    assert np.isclose(loss - 0.5, 800.0 + 50.0 + np.log(2) + np.log1p(np.exp(-50)), atol=1e-9)
+
+
+def test_expit_matches_scipy():
+    z = np.concatenate([[-800.0, 800.0, 0.0, -0.0],
+                        np.random.default_rng(8).normal(scale=20.0, size=1000)])
+    got = classifier._expit(z)
+    assert got[0] == 0.0 and got[1] == 1.0 and got[2] == got[3] == 0.5
+    assert np.allclose(got, expit(z), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unweighted"])
+@pytest.mark.parametrize("separable", [False, True], ids=["noisy", "separable"])
+@pytest.mark.parametrize("d", [1, 46, 175])
+def test_newton_matches_lbfgs_polish_oracle(d, separable, balanced):
+    X, y = _solver_problem(d, separable)
+    for c in COST_GRID:
+        params, tol = _lbfgs_polish_fit(X, y, c, balanced)
+        _assert_same_fit(train_linear(X, y, c, balanced=balanced), params, X, y, tol, balanced)
+
+
+@pytest.mark.parametrize("separable", [False, True], ids=["noisy", "separable"])
+@pytest.mark.parametrize("d", [1, 46, 175])
+def test_warm_started_grid_matches_cold_starts(d, separable):
+    X, y = _solver_problem(d, separable, seed=1)
+    warm = None
+    for c in COST_GRID:
+        cold = train_linear(X, y, c)
+        warm = train_linear(X, y, c, warm_start=warm)
+        params, tol = _lbfgs_polish_fit(X, y, c)
+        _assert_same_fit(cold, params, X, y, tol, True)
+        _assert_same_fit(warm, np.append(cold.weights, cold.intercept), X, y, tol, True)
+
+
+def test_select_cost_warm_starts_each_grid_fit_from_the_previous(monkeypatch):
+    starts = []
+    original = classifier.train_linear
+
+    def recording(X, y, C, **kwargs):
+        starts.append(kwargs.get("warm_start"))
+        model = original(X, y, C, **kwargs)
+        starts.append(model)
+        return model
+
+    monkeypatch.setattr(classifier, "train_linear", recording)
+    X, y = _solver_problem(5, False)
+    select_cost(X, y, seed=0)
+    # (start, result) per grid cost: each fit starts from the one before
+    assert len(starts) == 2 * len(COST_GRID)
+    assert starts[0] is None
+    for i in range(1, len(COST_GRID)):
+        assert starts[2 * i] is starts[2 * i - 1]
+
+
+def test_solver_held_to_one_step_raises_naming_both_norms(monkeypatch):
+    monkeypatch.setattr(classifier, "NEWTON_MAX_STEPS", 1)
+    X, y = _solver_problem(46, False)
+    with pytest.raises(RuntimeError,
+                       match=r"gradient tolerance \(\d\.\d{3}e[+-]\d+ > \d\.\d{3}e[+-]\d+\)"):
+        train_linear(X, y, 10.0)
+
+
+def test_minimize_reports_point_gradient_and_steps():
+    X, y = _solver_problem(3, False)
+    ys = np.where(y > 0, 1.0, -1.0)
+    res = classifier.minimize(classifier._objective, np.zeros(4),
+                              args=(X, ys, balanced_weights(y), 1.0), tol=1e-6)
+    _, g = loss_and_gradient(res.x, X, ys, balanced_weights(y), 1.0)
+    assert np.array_equal(res.jac, g)
+    assert np.linalg.norm(g) <= 1e-6
+    assert 1 <= res.nit <= 20
 
 
 def test_separable_symmetric_data():

@@ -425,3 +425,49 @@ def test_extract_short_waveform_is_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {session}: sensor 'aud': audio too short (2000 samples")
+
+
+def _extract_bundle_error(tmp_path, capsys, edit):
+    """Exit code and stderr of ``extract`` after ``edit(session)`` on one bundle."""
+    bundles = _make_bundles(tmp_path / "raw")
+    session = bundles / "u1" / "session_1"
+    edit(session)
+    capsys.readouterr()
+    code = main(["extract", "--input", str(bundles), "--out", str(tmp_path / "f"),
+                 "--utc-offset", "0"])
+    return code, capsys.readouterr().err
+
+
+def _edit_manifest(**changes):
+    def edit(session):
+        manifest = json.loads((session / "session.json").read_text())
+        manifest.update(changes)
+        (session / "session.json").write_text(json.dumps(manifest))
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(
+        lambda s: (s / "session.json").write_text((s / "session.json").read_text()[:-9]),
+        "session.json: line 1: malformed JSON", id="truncated-session-json"),
+    pytest.param(_edit_manifest(timestamp="noon"),
+                 "session.json: timestamp 'noon' is not an integer", id="timestamp-noon"),
+    pytest.param(_edit_manifest(labels=["SITTING"]),
+                 "session.json: labels must be an object of label -> value, got list",
+                 id="labels-list"),
+    pytest.param(_edit_manifest(audio_normalization="loud"),
+                 "session.json: audio_normalization 'loud' is not a number",
+                 id="audio-normalization-loud"),
+    pytest.param(
+        lambda s: (s / "gyro.csv").write_bytes(b"0.0,0.1,\xff0.2,0.3\n" + (s / "gyro.csv").read_bytes()),
+        "gyro.csv: not UTF-8 text", id="gyro-0xff-byte"),
+    pytest.param(lambda s: (s / "phone_state.json").write_text('["active", "via_wifi"]'),
+                 "phone_state.json: expected a JSON object, got list", id="phone-state-list"),
+])
+def test_extract_malformed_bundle_file_is_input_error(tmp_path, capsys, edit, message):
+    code, err = _extract_bundle_error(tmp_path, capsys, edit)
+    assert code == 2, err
+    session = tmp_path / "raw" / "u1" / "session_1"
+    assert err.startswith(f"error: {session}/"), err
+    assert message in err
+    assert "internal error" not in err

@@ -7,27 +7,13 @@ ctxfuse code) and the expected feature tables from
 benchmark would count it as a failed operation.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from ctxfuse.cli import main
+from perfbench_files import perfbench_module
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _perfbench_module(name):
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-corpus = _perfbench_module("corpus")
-reference = _perfbench_module("reference")
+corpus = perfbench_module("corpus")
+reference = perfbench_module("reference")
 
 
 @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
