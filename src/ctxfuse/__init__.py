@@ -23,7 +23,6 @@ from .model import (
     validate_example,
 )
 from .features import (
-    SpectralConfig,
     axis_statistics,
     extract_location_features,
     extract_motion_features,
@@ -46,14 +45,12 @@ from .classifier import (
     Standardizer,
     fit_single_sensor_model,
     fit_standardizer,
-    predict_proba,
     predict_proba_features,
     select_cost,
     train_linear,
 )
 from .fusion import (
     EarlyFusionModel,
-    LateFusionAverage,
     LateFusionLearned,
     early_fusion,
     late_fusion_average,

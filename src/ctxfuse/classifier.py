@@ -15,13 +15,12 @@ previous cost's solution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .model import FEATURE_DIMS, FeatureVector
+from .model import FEATURE_DIMS
 
 COST_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -37,8 +36,6 @@ NEWTON_MAX_STEPS = 100
 
 PROBABILITY_CLIP = 1e-15
 
-MODEL_FORMAT_VERSION = "ctxfuse-model/1"
-
 
 class DegenerateLabelError(ValueError):
     """Raised when training data contains a single class."""
@@ -49,12 +46,11 @@ class Standardizer:
     """Column means/stds estimated on training data.
 
     Zero-variance columns store std 1 (their standardized value is 0);
-    fully-masked columns are flagged and standardize to 0 as well.
+    fully-masked columns store mean 0 and std 1 and standardize to 0 as well.
     """
 
     means: np.ndarray
     stds: np.ndarray
-    all_masked: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         Z = (np.atleast_2d(np.asarray(X, dtype=np.float64)) - self.means) / self.stds
@@ -124,7 +120,7 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
         col_stds = np.nanstd(X[:, cols], axis=0)
         col_stds[col_stds == 0.0] = 1.0
         stds[cols] = col_stds
-    return Standardizer(means=means, stds=stds, all_masked=all_masked)
+    return Standardizer(means=means, stds=stds)
 
 
 def balanced_weights(y: np.ndarray) -> np.ndarray:
@@ -300,13 +296,6 @@ def predict_proba_features(model, X: np.ndarray) -> np.ndarray:
     return predict_proba_matrix(model.model, model.standardizer.transform(X))
 
 
-def predict_proba(model: SingleSensorModel, features: FeatureVector) -> float:
-    """P(label relevant | sensor features) for a single example (one row)."""
-    if features.sensor != model.sensor:
-        raise ValueError(f"feature sensor {features.sensor!r} != model sensor {model.sensor!r}")
-    return float(predict_proba_features(model, features.values[None, :])[0])
-
-
 def f1_binary(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """F1 with the trivial-classifier convention: no TP and no FP gives 0."""
     y_true = np.asarray(y_true).astype(bool)
@@ -409,83 +398,3 @@ def fit_single_sensor_model(
     return SingleSensorModel(
         sensor=sensor, label=label, standardizer=standardizer, model=model, notes=notes
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization (versioned JSON; arrays as lists)
-# ---------------------------------------------------------------------------
-
-def _standardizer_to_dict(s: Optional[Standardizer]):
-    if s is None:
-        return None
-    return {
-        "means": s.means.tolist(),
-        "stds": s.stds.tolist(),
-        "all_masked": s.all_masked.astype(int).tolist(),
-    }
-
-
-def _standardizer_from_dict(d) -> Optional[Standardizer]:
-    if d is None:
-        return None
-    return Standardizer(
-        means=np.asarray(d["means"], dtype=np.float64),
-        stds=np.asarray(d["stds"], dtype=np.float64),
-        all_masked=np.asarray(d["all_masked"], dtype=bool),
-    )
-
-
-def _core_model_to_dict(m):
-    if isinstance(m, TrivialModel):
-        return {"kind": "trivial", "probability": m.probability}
-    return {
-        "kind": "linear",
-        "weights": m.weights.tolist(),
-        "intercept": m.intercept,
-        "cost": m.cost,
-    }
-
-
-def _core_model_from_dict(d):
-    if d["kind"] == "trivial":
-        return TrivialModel(probability=float(d["probability"]))
-    return LinearModel(
-        weights=np.asarray(d["weights"], dtype=np.float64),
-        intercept=float(d["intercept"]),
-        cost=float(d["cost"]),
-    )
-
-
-def single_sensor_model_to_dict(m: SingleSensorModel) -> dict:
-    return {
-        "format": MODEL_FORMAT_VERSION,
-        "kind": "single_sensor",
-        "sensor": m.sensor,
-        "label": m.label,
-        "dim": None if m.standardizer is None else m.standardizer.dim,
-        "standardizer": _standardizer_to_dict(m.standardizer),
-        "model": _core_model_to_dict(m.model),
-        "notes": list(m.notes),
-    }
-
-
-def single_sensor_model_from_dict(d: dict) -> SingleSensorModel:
-    if d.get("format") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {d.get('format')!r}")
-    return SingleSensorModel(
-        sensor=d["sensor"],
-        label=d["label"],
-        standardizer=_standardizer_from_dict(d["standardizer"]),
-        model=_core_model_from_dict(d["model"]),
-        notes=tuple(d.get("notes", ())),
-    )
-
-
-def save_model(model: SingleSensorModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(single_sensor_model_to_dict(model), fh)
-
-
-def load_model(path) -> SingleSensorModel:
-    with open(path, encoding="utf-8") as fh:
-        return single_sensor_model_from_dict(json.load(fh))

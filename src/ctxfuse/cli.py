@@ -238,6 +238,19 @@ def _load_dataset(features_dir) -> Dataset:
     return Dataset.from_examples(load_features_dir(root))
 
 
+def _load_partition(path, dataset: Dataset):
+    """The partition file's folds; their users must be exactly the dataset's."""
+    partition = load_fold_partition(path)
+    missing = sorted(set(dataset.users) - set(partition.users))
+    extra = sorted(set(partition.users) - set(dataset.users))
+    if missing or extra:
+        raise ConfigError(
+            f"partition {path} does not match the dataset's users "
+            f"(missing: {', '.join(missing) or 'none'}; extra: {', '.join(extra) or 'none'})"
+        )
+    return partition
+
+
 def cmd_evaluate(args) -> int:
     started = time.time()
     dataset = _load_dataset(args.features_dir)
@@ -260,7 +273,7 @@ def cmd_evaluate(args) -> int:
     if args.mode == "loo":
         partition = loo_partition(dataset.users)
     elif args.partition:
-        partition = load_fold_partition(args.partition)
+        partition = _load_partition(args.partition, dataset)
     else:
         k = min(5, len(dataset.users))
         if k < 2:
@@ -335,11 +348,9 @@ def cmd_personalize(args) -> int:
         raise ConfigError(f"user {user!r} has fewer than 2 examples")
 
     if args.partition:
-        partition = load_fold_partition(args.partition)
-        holding = [f for f in partition.folds if user in f]
-        if not holding:
-            raise ConfigError(f"user {user!r} not present in the partition")
-        train_users = [u for f in partition.folds if f is not holding[0] for u in f]
+        partition = _load_partition(args.partition, dataset)
+        (holding,) = [f for f in partition.folds if user in f]
+        train_users = [u for f in partition.folds if f is not holding for u in f]
     else:
         train_users = [u for u in dataset.users if u != user]
 

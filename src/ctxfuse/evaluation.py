@@ -47,7 +47,6 @@ class FoldPartition:
     """Disjoint user folds; platform proportions equalized at construction."""
 
     folds: tuple
-    seed: Optional[int] = None
 
     def __post_init__(self):
         folds = tuple(tuple(f) for f in self.folds)
@@ -105,7 +104,7 @@ def partition_folds(platform_by_user: Mapping[str, str], k: int = 5, seed: int =
         for f in range(k):
             folds[f].extend(groups[tag][pos : pos + counts[tag][f]])
             pos += counts[tag][f]
-    return FoldPartition(folds=tuple(tuple(sorted(f)) for f in folds), seed=seed)
+    return FoldPartition(folds=tuple(tuple(sorted(f)) for f in folds))
 
 
 def loo_partition(users: Sequence[str]) -> FoldPartition:

@@ -9,7 +9,6 @@ available data are emitted masked, never zero-filled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +31,10 @@ DIRECTION_LAG_EDGES = (0.0, 0.5, 1.0, 5.0, 10.0, np.inf)
 #: start hours of the 8 half-overlapping 6-hour time-of-day windows
 TIME_BIN_STARTS = (0, 3, 6, 9, 12, 15, 18, 21)
 
+#: lower edges (Hz) of the 5 spectral sub-bands; the last band is open-ended
+BAND_EDGES_HZ = (0.0, 0.5, 1.0, 3.0, 5.0)
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Sub-band layout and log floor for the spectral features."""
-
-    band_edges_hz: tuple = (0.0, 0.5, 1.0, 3.0, 5.0)
-    log_floor_epsilon: float = 1e-12
-
-    def __post_init__(self):
-        edges = tuple(float(e) for e in self.band_edges_hz)
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("band edges must be strictly increasing")
-        if self.log_floor_epsilon <= 0:
-            raise ValueError("log floor epsilon must be positive")
-        object.__setattr__(self, "band_edges_hz", edges)
-
-
-DEFAULT_SPECTRAL = SpectralConfig()
+LOG_FLOOR_EPSILON = 1e-12
 
 
 def magnitude_series(series: TriaxialSeries) -> np.ndarray:
@@ -59,10 +44,10 @@ def magnitude_series(series: TriaxialSeries) -> np.ndarray:
     return np.sqrt((series.samples ** 2).sum(axis=1))
 
 
-def band_energies(signal: np.ndarray, rate: float, config: SpectralConfig = DEFAULT_SPECTRAL) -> np.ndarray:
+def band_energies(signal: np.ndarray, rate: float) -> np.ndarray:
     """Signal power per frequency sub-band, after removing the mean.
 
-    Bands are half-open ``[lo, hi)`` at the configured edges; the last band
+    Bands are half-open ``[lo, hi)`` at :data:`BAND_EDGES_HZ`; the last band
     is open-ended, so the energies sum to the total power of the
     mean-removed signal (Parseval).
     """
@@ -71,8 +56,8 @@ def band_energies(signal: np.ndarray, rate: float, config: SpectralConfig = DEFA
     spec = np.fft.fft(x - x.mean())
     power = (spec.real ** 2 + spec.imag ** 2) / n
     freqs = np.abs(np.fft.fftfreq(n, d=1.0 / rate))
-    band = np.searchsorted(config.band_edges_hz[1:], freqs, side="right")
-    out = np.zeros(len(config.band_edges_hz), dtype=np.float64)
+    band = np.searchsorted(BAND_EDGES_HZ[1:], freqs, side="right")
+    out = np.zeros(len(BAND_EDGES_HZ), dtype=np.float64)
     np.add.at(out, band, power)
     return out
 
@@ -142,9 +127,7 @@ def dominant_periodicity(signal: np.ndarray, rate: float) -> tuple:
     return lag / rate, float(ac[lag])
 
 
-def scalar_series_features(
-    signal: np.ndarray, rate: float, config: SpectralConfig = DEFAULT_SPECTRAL
-) -> np.ndarray:
+def scalar_series_features(signal: np.ndarray, rate: float) -> np.ndarray:
     """The 17 statistics of a scalar (magnitude) signal, in fixed order.
 
     0 mean, 1 std, 2 third central moment, 3 fourth central moment,
@@ -170,7 +153,7 @@ def scalar_series_features(
     out[4:7] = np.percentile(x, (25, 50, 75))
     out[7] = _value_entropy(x)
     out[8] = _time_entropy(x)
-    out[9:14] = np.log(band_energies(x, rate, config) + config.log_floor_epsilon)
+    out[9:14] = np.log(band_energies(x, rate) + LOG_FLOOR_EPSILON)
     out[14] = _spectral_entropy(x)
     out[15], out[16] = dominant_periodicity(x, rate)
     return out
@@ -229,7 +212,7 @@ def extract_watch_features(series: TriaxialSeries) -> FeatureVector:
 
     per_axis = np.concatenate(
         [
-            np.log(band_energies(series.samples[:, ax], rate) + DEFAULT_SPECTRAL.log_floor_epsilon)
+            np.log(band_energies(series.samples[:, ax], rate) + LOG_FLOOR_EPSILON)
             for ax in range(3)
         ]
     )

@@ -9,7 +9,6 @@ probabilities, LFL learns a 6-input second-layer logistic model on them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -21,16 +20,10 @@ from .classifier import (
     SingleSensorModel,
     Standardizer,
     TrivialModel,
-    _core_model_from_dict,
-    _core_model_to_dict,
     _fit_pipeline,
-    _standardizer_from_dict,
-    _standardizer_to_dict,
     _train_at_selected_cost,
     predict_proba_features,
     predict_proba_matrix,
-    single_sensor_model_from_dict,
-    single_sensor_model_to_dict,
 )
 from .data import (
     concat_feature_matrix,
@@ -39,8 +32,6 @@ from .data import (
     label_vector,
 )
 from .model import FEATURE_DIMS, RELEVANT, SENSORS
-
-FUSION_FORMAT_VERSION = "ctxfuse-fusion/1"
 
 
 def sensor_spans(sensors=SENSORS) -> dict:
@@ -61,10 +52,6 @@ class EarlyFusionModel:
     notes: tuple = ()
 
     @property
-    def variant(self) -> str:
-        return "ef"
-
-    @property
     def dim(self) -> int:
         return sum(FEATURE_DIMS[s] for s in self.sensors)
 
@@ -74,34 +61,17 @@ class EarlyFusionModel:
 
 
 @dataclass(frozen=True)
-class LateFusionAverage:
-    label: str
-    components: Mapping[str, SingleSensorModel]
-
-    @property
-    def variant(self) -> str:
-        return "lfa"
-
-
-@dataclass(frozen=True)
 class LateFusionLearned:
     label: str
     components: Mapping[str, SingleSensorModel]
     second_layer: Union[LinearModel, TrivialModel]
     notes: tuple = ()
 
-    @property
-    def variant(self) -> str:
-        return "lfl"
-
     def sensor_weights(self) -> dict:
         """The learned per-sensor weights of the second layer (for reporting)."""
         if isinstance(self.second_layer, TrivialModel):
             return {s: 0.0 for s in self.components}
         return dict(zip(self.components, self.second_layer.weights))
-
-
-FusionModel = Union[EarlyFusionModel, LateFusionAverage, LateFusionLearned]
 
 
 def early_fusion(
@@ -296,68 +266,3 @@ def predict_multiclass(model: MulticlassModel, examples) -> list:
         [predict_early_fusion(model.per_class[c], examples) for c in model.class_labels]
     )
     return [model.class_labels[i] for i in probs.argmax(axis=1)]
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def fusion_model_to_dict(model: FusionModel) -> dict:
-    base = {"format": FUSION_FORMAT_VERSION, "variant": model.variant, "label": model.label}
-    if isinstance(model, EarlyFusionModel):
-        base.update(
-            sensors=list(model.sensors),
-            standardizer=_standardizer_to_dict(model.standardizer),
-            model=_core_model_to_dict(model.model),
-            notes=list(model.notes),
-        )
-    elif isinstance(model, LateFusionAverage):
-        base["components"] = {
-            s: single_sensor_model_to_dict(m) for s, m in model.components.items()
-        }
-    else:
-        base.update(
-            components={
-                s: single_sensor_model_to_dict(m) for s, m in model.components.items()
-            },
-            second_layer=_core_model_to_dict(model.second_layer),
-            notes=list(model.notes),
-        )
-    return base
-
-
-def fusion_model_from_dict(d: dict) -> FusionModel:
-    if d.get("format") != FUSION_FORMAT_VERSION:
-        raise ValueError(f"unsupported fusion format {d.get('format')!r}")
-    variant = d["variant"]
-    if variant == "ef":
-        return EarlyFusionModel(
-            label=d["label"],
-            sensors=tuple(d["sensors"]),
-            standardizer=_standardizer_from_dict(d["standardizer"]),
-            model=_core_model_from_dict(d["model"]),
-            notes=tuple(d.get("notes", ())),
-        )
-    components = {
-        s: single_sensor_model_from_dict(md) for s, md in d["components"].items()
-    }
-    if variant == "lfa":
-        return LateFusionAverage(label=d["label"], components=components)
-    if variant == "lfl":
-        return LateFusionLearned(
-            label=d["label"],
-            components=components,
-            second_layer=_core_model_from_dict(d["second_layer"]),
-            notes=tuple(d.get("notes", ())),
-        )
-    raise ValueError(f"unknown fusion variant {variant!r}")
-
-
-def save_fusion_model(model: FusionModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fusion_model_to_dict(model), fh)
-
-
-def load_fusion_model(path) -> FusionModel:
-    with open(path, encoding="utf-8") as fh:
-        return fusion_model_from_dict(json.load(fh))

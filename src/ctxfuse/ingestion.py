@@ -413,7 +413,14 @@ def load_fold_partition(path) -> FoldPartition:
                 folds.append(tuple(users))
     if not folds:
         raise IngestionError(f"{path}: no folds found")
-    return FoldPartition(folds=tuple(folds))
+    return _fold_partition(folds, path)
+
+
+def _fold_partition(folds, path) -> FoldPartition:
+    try:
+        return FoldPartition(folds=tuple(folds))
+    except ValueError as exc:  # a user listed twice
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 _FOLD_FILE = re.compile(r"fold_(\d+)_test.*uuids.*\.txt$")
@@ -436,7 +443,7 @@ def _load_partition_dir(root: Path) -> FoldPartition:
     if not by_fold:
         raise IngestionError(f"{root}: no fold_<i>_test*uuids*.txt files found")
     folds = [tuple(sorted(set(by_fold[i]))) for i in sorted(by_fold)]
-    return FoldPartition(folds=tuple(folds))
+    return _fold_partition(folds, root)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +574,13 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     for key in ("user_id", "timestamp"):
         if key not in manifest:
             raise IngestionError(f"{manifest_path}: missing key {key!r}")
+    # the id names the user's feature table, read back up to its first dot
+    user_id = manifest["user_id"]
+    if not isinstance(user_id, str) or not user_id or any(c in user_id for c in "/\\."):
+        raise IngestionError(
+            f"{manifest_path}: user_id {user_id!r} is not a non-empty string "
+            "free of '/', '\\' and '.'"
+        )
     try:
         timestamp = int(manifest["timestamp"])
     except (TypeError, ValueError):
@@ -676,7 +690,7 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     )
 
     example = Example(
-        user_id=str(manifest["user_id"]),
+        user_id=user_id,
         timestamp=timestamp,
         sensor_data=sensor_data,
         labels=labels,

@@ -18,8 +18,6 @@ SENSORS = ("acc", "gyro", "wacc", "loc", "aud", "ps")
 
 FEATURE_DIMS = {"acc": 26, "gyro": 26, "wacc": 46, "loc": 17, "aud": 26, "ps": 34}
 
-EF_DIM = sum(FEATURE_DIMS[s] for s in SENSORS)  # 175
-
 RELEVANT = "relevant"
 NOT_RELEVANT = "not_relevant"
 MISSING = "missing"
@@ -305,8 +303,8 @@ def validate_example(example: Example) -> list:
                 )
             if aud.frames.shape[0] < 1:
                 out.append("aud: at least one frame required")
-            if aud.normalization_factor <= 0:
-                out.append("aud: normalization_factor must be positive")
+            if not 0 < aud.normalization_factor < np.inf:  # NaN fails too
+                out.append("aud: normalization_factor must be finite and positive")
 
     ps = example.sensor_data.get("ps")
     if ps is not None:

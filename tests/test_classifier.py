@@ -10,22 +10,16 @@ from ctxfuse.classifier import (
     COST_GRID,
     DegenerateLabelError,
     LinearModel,
-    SingleSensorModel,
-    TrivialModel,
     balanced_weights,
     f1_binary,
     fit_single_sensor_model,
     fit_standardizer,
-    load_model,
     loss_and_gradient,
-    predict_proba,
     predict_proba_matrix,
-    save_model,
     select_cost,
     stratified_split_third,
     train_linear,
 )
-from ctxfuse.model import FeatureVector
 
 
 def _independent_loss(params, X, y, C, balanced=True):
@@ -144,7 +138,6 @@ def test_standardized_training_matrix_has_unit_statistics():
 def test_fully_masked_column_flagged_and_imputed():
     X = np.array([[1.0, np.nan], [2.0, np.nan], [3.0, np.nan]])
     s = fit_standardizer(X)
-    assert s.all_masked[1]
     assert s.means[1] == 0.0 and s.stds[1] == 1.0
     Z = s.transform(X)
     assert np.all(Z[:, 1] == 0.0)
@@ -389,19 +382,6 @@ def test_probability_monotone_in_score():
     assert np.all(np.diff(ps) > 0)
 
 
-def test_predict_proba_checks_sensor_and_dimension():
-    std = fit_standardizer(np.zeros((2, 17)) + np.arange(17))
-    model = SingleSensorModel(
-        sensor="loc",
-        label="X",
-        standardizer=std,
-        model=LinearModel(weights=np.zeros(17), intercept=0.0, cost=1.0),
-    )
-    fv = FeatureVector.from_values("aud", np.zeros(26))
-    with pytest.raises(ValueError, match="sensor"):
-        predict_proba(model, fv)
-
-
 # ---------------------------------------------------------------------------
 # cost selection
 # ---------------------------------------------------------------------------
@@ -473,7 +453,7 @@ def test_selection_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# pipeline + serialization
+# pipeline
 # ---------------------------------------------------------------------------
 
 def test_single_class_pipeline_gives_trivial_model():
@@ -482,30 +462,3 @@ def test_single_class_pipeline_gives_trivial_model():
     assert m.is_trivial
     assert m.model.probability == 0.0
     assert "trivial:single_class" in m.notes
-
-
-def test_model_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(40, 26))
-    y = (X[:, 0] > 0).astype(int)
-    model = fit_single_sensor_model("acc", "WALKING", X, y, seed=4)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.sensor == "acc" and loaded.label == "WALKING"
-    assert np.array_equal(loaded.model.weights, model.model.weights)
-    assert loaded.model.intercept == model.model.intercept
-    assert loaded.model.cost == model.model.cost
-    assert np.array_equal(loaded.standardizer.means, model.standardizer.means)
-    fv = FeatureVector.from_values("acc", rng.normal(size=26))
-    assert predict_proba(loaded, fv) == predict_proba(model, fv)
-
-
-def test_trivial_model_roundtrip(tmp_path):
-    m = SingleSensorModel(
-        sensor="aud", label="X", standardizer=None,
-        model=TrivialModel(probability=1.0), notes=("trivial:single_class",),
-    )
-    save_model(m, tmp_path / "t.json")
-    loaded = load_model(tmp_path / "t.json")
-    assert loaded.is_trivial and loaded.model.probability == 1.0

@@ -455,6 +455,15 @@ def _edit_manifest(**changes):
     pytest.param(_edit_manifest(labels=["SITTING"]),
                  "session.json: labels must be an object of label -> value, got list",
                  id="labels-list"),
+    pytest.param(_edit_manifest(user_id=None),
+                 "session.json: user_id None is not a non-empty string", id="user-id-null"),
+    pytest.param(_edit_manifest(user_id="../escape"),
+                 "session.json: user_id '../escape' is not", id="user-id-dot-dot-slash"),
+    pytest.param(_edit_manifest(user_id="a.b"), "session.json: user_id 'a.b' is not", id="user-id-dot"),
+    pytest.param(_edit_manifest(user_id=""), "session.json: user_id '' is not", id="user-id-empty"),
+    pytest.param(_edit_manifest(user_id="a\\b"), "session.json: user_id 'a\\\\b' is not",
+                 id="user-id-backslash"),
+    pytest.param(_edit_manifest(user_id=7), "session.json: user_id 7 is not", id="user-id-number"),
     pytest.param(_edit_manifest(audio_normalization="loud"),
                  "session.json: audio_normalization 'loud' is not a number",
                  id="audio-normalization-loud"),
@@ -471,3 +480,38 @@ def test_extract_malformed_bundle_file_is_input_error(tmp_path, capsys, edit, me
     assert err.startswith(f"error: {session}/"), err
     assert message in err
     assert "internal error" not in err
+    assert not list(tmp_path.rglob("*.features.csv"))
+
+
+def _partition_argv(command, features, labels_file, out, partition, user):
+    argv = [command, "--features-dir", str(features), "--labels", str(labels_file),
+            "--partition", str(partition), "--out", str(out)]
+    return argv + (["--user", user] if command == "personalize" else ["--systems", "acc"])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "personalize"])
+def test_partition_listing_a_user_twice_is_input_error(tmp_path, eval_setup, capsys, command):
+    features, labels_file, _ = eval_setup
+    users = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))
+    partition = tmp_path / "partition.txt"
+    partition.write_text(f"{users[0]} {users[1]}\n{users[2]} {users[3]} {users[1]}\n")
+    out = tmp_path / "out"
+    code = main(_partition_argv(command, features, labels_file, out, partition, users[0]))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {partition}: user {users[1]!r} appears in two folds"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "personalize"])
+def test_partition_users_differing_from_dataset_exit_3(tmp_path, eval_setup, capsys, command):
+    features, labels_file, _ = eval_setup
+    users = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))
+    partition = tmp_path / "partition.txt"
+    partition.write_text(f"{users[0]} {users[1]}\n{users[2]} ghost\n")
+    out = tmp_path / "out"
+    code = main(_partition_argv(command, features, labels_file, out, partition, users[0]))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"missing: {users[3]}; extra: ghost" in err
+    assert not out.exists()

@@ -16,19 +16,14 @@ from ctxfuse.classifier import (
 from ctxfuse.data import concat_feature_matrix, feature_matrix, label_vector
 from ctxfuse.evaluation import confusion_matrix, count_outcomes, compute_metrics
 from ctxfuse.fusion import (
-    LateFusionAverage,
     early_fusion,
     eligible_multiclass_examples,
-    fusion_model_from_dict,
-    fusion_model_to_dict,
     late_fusion_average,
     late_fusion_learned,
-    load_fusion_model,
     multiclass_one_vs_rest,
     predict_early_fusion,
     predict_late_fusion_learned,
     predict_multiclass,
-    save_fusion_model,
     sensor_spans,
 )
 from ctxfuse.model import FEATURE_DIMS, SENSORS
@@ -484,43 +479,3 @@ def test_one_vs_rest_with_one_class_raises():
     exs, classes = _small_three_class_corpus((10, 0, 0))
     with pytest.raises(ValueError, match="at least two classes"):
         multiclass_one_vs_rest(exs, classes[:1], sensors=("acc",))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_fusion_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(14)
-    exs = []
-    for i in range(40):
-        vals = {s: rng.normal(size=FEATURE_DIMS[s]) for s in SENSORS}
-        vals["acc"][0] += 2.0 * (i % 2)
-        exs.append(feature_example("u0", i, vals, {"T": i % 2}))
-    ef = early_fusion(exs, "T", cost=1.0)
-    save_fusion_model(ef, tmp_path / "ef.json")
-    ef2 = load_fusion_model(tmp_path / "ef.json")
-    assert ef2.variant == "ef"
-    assert np.array_equal(ef2.model.weights, ef.model.weights)
-
-    components = {
-        s: fit_single_sensor_model(
-            s, "T", feature_matrix(exs, s), label_vector(exs, "T"), cost=1.0
-        )
-        for s in SENSORS
-    }
-    lfl = late_fusion_learned(exs, "T", components, cost=1.0)
-    d = fusion_model_to_dict(lfl)
-    lfl2 = fusion_model_from_dict(d)
-    assert lfl2.variant == "lfl"
-    assert np.array_equal(lfl2.second_layer.weights, lfl.second_layer.weights)
-    assert set(lfl2.components) == set(SENSORS)
-    ex = random_full_example(rng, "u0", 999)
-    assert np.isclose(
-        predict_late_fusion_learned(lfl2, [ex])[0], predict_late_fusion_learned(lfl, [ex])[0]
-    )
-
-    lfa = LateFusionAverage(label="T", components=components)
-    lfa2 = fusion_model_from_dict(fusion_model_to_dict(lfa))
-    assert lfa2.variant == "lfa"
-    assert late_fusion_average(lfa2.components, [ex])[0] == late_fusion_average(lfa.components, [ex])[0]

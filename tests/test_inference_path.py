@@ -18,7 +18,6 @@ from ctxfuse.classifier import (
     DegenerateLabelError,
     LinearModel,
     fit_single_sensor_model,
-    predict_proba,
     predict_proba_features,
     predict_proba_matrix,
     select_cost,
@@ -36,8 +35,6 @@ from ctxfuse.fusion import (
     LateFusionLearned,
     component_probability_matrix,
     early_fusion,
-    fusion_model_from_dict,
-    fusion_model_to_dict,
     late_fusion_average,
     late_fusion_learned,
     predict_early_fusion,
@@ -190,10 +187,6 @@ def test_per_example_calls_are_rows_of_the_matrix_path(mixed):
     for i, ex in enumerate(complete[:10]):
         probs = component_probability_matrix(comps, [ex])[0]
         assert list(probs) == pytest.approx(P[i], abs=1e-12)
-        fv = sensor_features(ex, "acc")
-        assert predict_proba(comps["acc"], fv) == pytest.approx(
-            predict_proba_features(comps["acc"], fv.values)[0], abs=0
-        )
         p = predict_late_fusion_learned(lfl, [ex])[0]
         assert p == pytest.approx(float(expit(P[i] @ lfl.second_layer.weights
                                               + lfl.second_layer.intercept)), abs=1e-12)
@@ -289,9 +282,6 @@ def test_trivial_early_fusion_model_has_no_standardizer(mixed):
     assert ef.is_trivial and ef.standardizer is None
     assert "trivial:single_class" in ef.notes
     assert np.all(predict_early_fusion(ef, examples) == PROBABILITY_CLIP)
-    back = fusion_model_from_dict(fusion_model_to_dict(ef))
-    assert back.standardizer is None
-    assert np.array_equal(predict_early_fusion(back, examples), predict_early_fusion(ef, examples))
 
 
 def test_late_fusion_average_matches_per_example_means(mixed):

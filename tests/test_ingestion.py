@@ -440,3 +440,15 @@ def test_hour_of_day_uses_utc_offset(tmp_path):
     ex_sd = load_raw_session(root, utc_offset_hours=-8)
     assert ex_utc.sensor_data["ps"].hour_of_day == 12
     assert ex_sd.sensor_data["ps"].hour_of_day == 4
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_audio_normalization_rejected(tmp_path, factor):
+    root = _write_session(tmp_path / "s7")
+    manifest = json.loads((root / "session.json").read_text())
+    manifest["audio_normalization"] = factor
+    text = json.dumps(manifest)  # the bare NaN / Infinity tokens Python's json reads
+    assert "NaN" in text or "Infinity" in text
+    (root / "session.json").write_text(text)
+    with pytest.raises(IngestionError, match="normalization_factor must be finite and positive"):
+        load_raw_session(root, utc_offset_hours=0)
