@@ -53,8 +53,9 @@ class Standardizer:
     stds: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        Z = (np.atleast_2d(np.asarray(X, dtype=np.float64)) - self.means) / self.stds
-        return np.nan_to_num(Z, nan=0.0, posinf=0.0, neginf=0.0)
+        Z = np.atleast_2d(np.asarray(X, dtype=np.float64)) - self.means
+        Z /= self.stds  # in place: one temporary of X's size, not three
+        return np.nan_to_num(Z, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
     @property
     def dim(self) -> int:
@@ -141,32 +142,37 @@ def _expit(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _objective(params, X, y_signed, example_weights, C):
+def _with_intercept_column(X: np.ndarray) -> np.ndarray:
+    """``X`` with a column of ones appended: the intercept's column."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def _objective(params, Xa, y_signed, example_weights, C):
     """Loss, gradient and Hessian of the training objective at packed
-    parameters (weights..., intercept).
+    parameters (weights..., intercept), on rows ``Xa`` whose last column is
+    the intercept's column of ones (:func:`_with_intercept_column`).
 
     The Hessian comes back as a function of no arguments, so a line search
     pays for it only at the point it accepts. With margins ``m = y z`` and
     ``e = exp(-|m|)``, the loss terms are ``log1p(e) + max(-m, 0)``,
     ``sigmoid(-m)`` is ``e / (1 + e)`` or ``1 / (1 + e)`` and the curvature
     ``sigmoid(m) sigmoid(-m)`` is ``e / (1 + e)^2``: finite at every score.
+    With ``Xs`` the rows scaled by the square roots of their curvatures, the
+    Hessian is the one symmetric product ``Xs.T @ Xs`` plus 1 on the weight
+    diagonal (the intercept is unregularized).
     """
-    w, b = params[:-1], params[-1]
-    m = y_signed * (X @ w + b)
+    w = params[:-1]
+    m = y_signed * (Xa @ params)
     e = np.exp(-np.abs(m))
     loss = 0.5 * float(w @ w) + C * float(example_weights @ (np.log1p(e) + np.maximum(-m, 0.0)))
     resid = -C * example_weights * y_signed * np.where(m >= 0, e, 1.0) / (1.0 + e)
-    grad = np.empty_like(params)
-    grad[:-1] = w + X.T @ resid
-    grad[-1] = resid.sum()
+    grad = Xa.T @ resid
+    grad[:-1] += w
 
     def hessian():
-        p = w.shape[0]
-        d = C * example_weights * e / (1.0 + e) ** 2
-        H = np.empty((p + 1, p + 1))
-        H[:p, :p] = (X.T * d) @ X + np.eye(p)
-        H[:p, p] = H[p, :p] = X.T @ d
-        H[p, p] = d.sum()  # the intercept is unregularized
+        Xs = Xa * np.sqrt(C * example_weights * e / (1.0 + e) ** 2)[:, None]
+        H = Xs.T @ Xs
+        H[np.diag_indices(w.shape[0])] += 1.0
         return H
 
     return loss, grad, hessian
@@ -174,7 +180,8 @@ def _objective(params, X, y_signed, example_weights, C):
 
 def loss_and_gradient(params, X, y_signed, example_weights, C):
     """Objective and gradient at packed parameters (weights..., intercept)."""
-    loss, grad, _ = _objective(params, X, y_signed, example_weights, C)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    loss, grad, _ = _objective(params, _with_intercept_column(X), y_signed, example_weights, C)
     return loss, grad
 
 
@@ -254,7 +261,7 @@ def train_linear(
         raise DegenerateLabelError("degenerate label: a single class is present")
     wts = balanced_weights(y) if balanced else np.ones(y.shape[0])
 
-    args = (X, np.where(y > 0, 1.0, -1.0), wts, C)
+    args = (_with_intercept_column(X), np.where(y > 0, 1.0, -1.0), wts, C)
     zero = np.zeros(X.shape[1] + 1)
     _, g0, _ = _objective(zero, *args)
     tol = GRADIENT_TOLERANCE * max(1.0, float(np.linalg.norm(g0)))
@@ -359,23 +366,45 @@ def _train_at_selected_cost(Z, y, *, cost: Optional[float], seed: int) -> tuple:
     return train_linear(Z, y, cost), notes
 
 
-def _fit_pipeline(X, y, *, cost: Optional[float], seed: int) -> tuple:
-    """Standardize, select the cost, fit: ``(standardizer, model, notes)``.
+def _standardized(X) -> tuple:
+    """``(standardizer, Z)``: a standardizer fit on the raw rows ``X`` and
+    ``X`` standardized by it.
 
+    A standardizer does not depend on the label, so callers that fit several
+    labels on the same rows call this once and share the result. Fewer than 2
+    rows can only carry one class, whose model is trivial and scored without
+    features: no standardizer, and ``Z`` is ``X``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[0] < 2:
+        return None, X
+    standardizer = fit_standardizer(X)
+    return standardizer, standardizer.transform(X)
+
+
+def _fit_standardized(standardizer, Z, y, *, cost: Optional[float], seed: int) -> tuple:
+    """Select the cost and fit on rows ``Z`` that ``standardizer`` produced:
+    ``(standardizer, model, notes)``.
+
+    The one array-level fit of single-sensor and early-fusion models.
     Single-class targets give a flagged trivial constant model instead of an
     error; it is never scored on features, so its standardizer is None.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y).astype(np.int64)
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
         trivial = TrivialModel(probability=0.0 if n_pos == 0 else 1.0)
         return None, trivial, ("trivial:single_class",)
-
-    standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
     model, notes = _train_at_selected_cost(Z, y, cost=cost, seed=seed)
     return standardizer, model, notes
+
+
+def _fit_single_sensor(sensor, label, standardizer, Z, y, *, cost, seed) -> SingleSensorModel:
+    """:func:`fit_single_sensor_model` on rows already standardized by ``standardizer``."""
+    standardizer, model, notes = _fit_standardized(standardizer, Z, y, cost=cost, seed=seed)
+    return SingleSensorModel(
+        sensor=sensor, label=label, standardizer=standardizer, model=model, notes=notes
+    )
 
 
 def fit_single_sensor_model(
@@ -394,7 +423,4 @@ def fit_single_sensor_model(
     number fits at that C. Single-class labels yield a flagged trivial
     constant model instead of an error so evaluation harnesses can proceed.
     """
-    standardizer, model, notes = _fit_pipeline(X, y, cost=cost, seed=seed)
-    return SingleSensorModel(
-        sensor=sensor, label=label, standardizer=standardizer, model=model, notes=notes
-    )
+    return _fit_single_sensor(sensor, label, *_standardized(X), y, cost=cost, seed=seed)

@@ -1,6 +1,9 @@
-"""Bridges between example objects and the numeric matrices models consume."""
+"""Bridges between example objects and the numeric arrays models consume."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -48,22 +51,6 @@ def extract_all_features(example: Example) -> dict:
     return out
 
 
-def feature_matrix(examples, sensor: str) -> np.ndarray:
-    """Stack one sensor's features; absent sensors become all-NaN rows."""
-    d = FEATURE_DIMS[sensor]
-    X = np.full((len(examples), d), np.nan)
-    for i, ex in enumerate(examples):
-        fv = sensor_features(ex, sensor)
-        if fv is not None:
-            X[i] = fv.values
-    return X
-
-
-def concat_feature_matrix(examples, sensors=SENSORS) -> np.ndarray:
-    """Concatenation of per-sensor features in canonical sensor order."""
-    return np.hstack([feature_matrix(examples, s) for s in sensors])
-
-
 def label_vector(examples, label: str) -> np.ndarray:
     """Binary target: 1 where the label is relevant, else 0.
 
@@ -74,6 +61,57 @@ def label_vector(examples, label: str) -> np.ndarray:
         [1 if ex.label_value(label) == RELEVANT else 0 for ex in examples],
         dtype=np.int64,
     )
+
+
+@dataclass(frozen=True)
+class FeatureStore:
+    """The numeric columns of a fixed list of examples; row i is example i.
+
+    Built in one pass over the examples and then read by index arrays only:
+
+    * ``features[s]``: sensor ``s``'s ``(n, d)`` feature matrix, NaN where
+      the sensor is absent or a cell is masked;
+    * ``present[s]``: ``(n,)`` presence mask, :meth:`Example.has_sensor`;
+    * ``relevant[label]``: :func:`label_vector` of each requested label;
+    * ``users``: each row's user id.
+    """
+
+    users: np.ndarray
+    features: Mapping[str, np.ndarray]
+    present: Mapping[str, np.ndarray]
+    relevant: Mapping[str, np.ndarray]
+
+    @classmethod
+    def from_examples(cls, examples, *, sensors=SENSORS, labels=()) -> "FeatureStore":
+        n = len(examples)
+        columns = {s: np.full((n, FEATURE_DIMS[s]), np.nan) for s in sensors}
+        present = {s: np.zeros(n, dtype=bool) for s in sensors}
+        for i, ex in enumerate(examples):
+            for s in sensors:
+                present[s][i] = ex.has_sensor(s)
+                fv = sensor_features(ex, s)
+                if fv is not None:
+                    columns[s][i] = fv.values
+        return cls(
+            users=np.array([ex.user_id for ex in examples], dtype=str),
+            features=columns,
+            present=present,
+            relevant={label: label_vector(examples, label) for label in labels},
+        )
+
+    def rows(self, users) -> np.ndarray:
+        """Indices of the rows of ``users``, in store order."""
+        return np.flatnonzero(np.isin(self.users, list(users)))
+
+    def complete(self, sensors=SENSORS) -> np.ndarray:
+        """``(n,)`` mask of the rows where every one of ``sensors`` is present."""
+        return np.logical_and.reduce([self.present[s] for s in sensors])
+
+    def matrix(self, sensors, rows=None) -> np.ndarray:
+        """The sensors' feature columns side by side, in the order given
+        (early fusion's layout), for ``rows`` or for every row."""
+        return np.hstack([self.features[s] if rows is None else self.features[s][rows]
+                          for s in sensors])
 
 
 def has_all_sensors(example: Example, sensors=SENSORS) -> bool:

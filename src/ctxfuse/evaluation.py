@@ -18,13 +18,18 @@ import numpy as np
 
 from .classifier import (
     DegenerateLabelError,
-    fit_single_sensor_model,
-    predict_proba_features,
+    _fit_single_sensor,
+    _standardized,
     predict_proba_matrix,
 )
-from .data import feature_matrix, label_vector
-from .fusion import early_fusion, late_fusion_average, late_fusion_learned, predict_early_fusion
-from .model import Dataset, RELEVANT, SENSORS
+from .data import FeatureStore
+from .fusion import (
+    _average_probabilities,
+    _component_presence,
+    _fit_early_fusion,
+    _fit_late_fusion,
+)
+from .model import Dataset, SENSORS
 
 SINGLE_SENSOR_SYSTEMS = SENSORS
 FUSION_SYSTEMS = ("ef", "lfa", "lfl")
@@ -50,12 +55,16 @@ class FoldPartition:
 
     def __post_init__(self):
         folds = tuple(tuple(f) for f in self.folds)
-        seen = set()
-        for f in folds:
+        fold_of = {}
+        for i, f in enumerate(folds):
             for uid in f:
-                if uid in seen:
-                    raise ValueError(f"user {uid!r} appears in two folds")
-                seen.add(uid)
+                if fold_of.get(uid) == i:
+                    raise ValueError(f"user {uid!r} is listed twice in fold {i}")
+                if uid in fold_of:
+                    raise ValueError(
+                        f"user {uid!r} appears in two folds ({fold_of[uid]} and {i})"
+                    )
+                fold_of[uid] = i
         object.__setattr__(self, "folds", folds)
 
     @property
@@ -286,8 +295,14 @@ class LabelEvaluation:
     chosen_costs: dict = field(default_factory=dict)
 
 
-def _fold_models_and_counts(
-    dataset: Dataset,
+def _held_out_pool(store: FeatureStore, fold_users) -> np.ndarray:
+    """The rows a fold scores: its held-out users' minutes with all six sensors."""
+    rows = store.rows(fold_users)
+    return rows[store.complete()[rows]]
+
+
+def _fold_counts(
+    store: FeatureStore,
     labels: Sequence[str],
     systems: Sequence[str],
     fold_users: Sequence[str],
@@ -297,56 +312,76 @@ def _fold_models_and_counts(
     seed: int,
     fold_index: int,
 ):
-    """Train every requested system on the training users and count outcomes
-    on the core-sensor examples of the held-out users."""
-    train_examples = dataset.examples(train_users)
-    pool = Dataset.from_examples(dataset.examples(fold_users)).core_subset().examples()
-    if not pool:
+    """Train every requested system on the training users' rows and count
+    outcomes on the held-out pool (:func:`_held_out_pool`).
+
+    A standardizer does not depend on the label. Each sensor's is fit on
+    the training rows where that sensor is present, EF's on the rows with
+    all six; each is fit once and, with the rows it standardizes, serves
+    every label. One sensor's (or EF's) matrices are alive at a time. LFA
+    averages the sensor probabilities already computed for the pool.
+    """
+    pool = _held_out_pool(store, fold_users)
+    if not pool.size:
         return {}, {}, {}
+    train = store.rows(train_users)
+    complete = train[store.complete()[train]]  # the EF and LFL training rows
+    for system, kind in (("ef", "early"), ("lfl", "late")):
+        if system in systems and not complete.size:
+            raise ValueError(f"{kind} fusion has no complete-sensor training examples")
+
+    def standardize(standardizer, X):
+        return X if standardizer is None else standardizer.transform(X)
 
     needed_sensors = set(s for s in systems if s in SENSORS)
     if {"lfa", "lfl"} & set(systems):
         needed_sensors |= set(SENSORS)
 
-    sensor_train = {
-        s: [ex for ex in train_examples if ex.has_sensor(s)] for s in needed_sensors
-    }
-    test_X = {s: feature_matrix(pool, s) for s in needed_sensors}
-
     counts = {sys: {} for sys in systems}
     flags = {lbl: [] for lbl in labels}
     costs = {lbl: {} for lbl in labels}
+    y_true = {label: store.relevant[label][pool] > 0 for label in labels}
 
-    for label in labels:
-        y_true = label_vector(pool, label) > 0
-
-        sensor_probs = {}
-        single_models = {}
-        for s in sorted(needed_sensors):
-            exs = sensor_train[s]
-            model = fit_single_sensor_model(
+    single_models = {label: {} for label in labels}
+    sensor_probs = {label: {} for label in labels}
+    lfl_inputs = {label: [] for label in labels}  # columns in single_models order
+    for s in sorted(needed_sensors):
+        rows = train[store.present[s][train]]
+        standardizer, Z = _standardized(store.features[s][rows])
+        Z_pool = standardize(standardizer, store.features[s][pool])
+        if "lfl" in systems:  # the second layer's training rows
+            Z_complete = Z[np.searchsorted(rows, complete)]
+        for label in labels:
+            model = _fit_single_sensor(
                 s,
                 label,
-                feature_matrix(exs, s),
-                label_vector(exs, label),
+                standardizer,
+                Z,
+                store.relevant[label][rows],
                 cost=cost,
                 seed=derive_seed(seed, fold_index, label, s),
             )
-            single_models[s] = model
+            single_models[label][s] = model
             if model.is_trivial:
                 flags[label].append(f"fold{fold_index}:{s}:trivial")
             else:
                 costs[label][s] = model.model.cost
-            sensor_probs[s] = predict_proba_features(model, test_X[s])
+            sensor_probs[label][s] = predict_proba_matrix(model.model, Z_pool)
+            if s in systems:
+                counts[s][label] = count_outcomes(y_true[label], sensor_probs[label][s] > 0.5)
+            if "lfl" in systems:
+                lfl_inputs[label].append(predict_proba_matrix(model.model, Z_complete))
 
-        for s in systems:
-            if s in SENSORS:
-                counts[s][label] = count_outcomes(y_true, sensor_probs[s] > 0.5)
-
-        if "ef" in systems:
-            ef = early_fusion(
-                train_examples,
+    if "ef" in systems:
+        standardizer, Z = _standardized(store.matrix(SENSORS, complete))
+        Z_pool = standardize(standardizer, store.matrix(SENSORS, pool))
+        for label in labels:
+            ef = _fit_early_fusion(
                 label,
+                SENSORS,
+                standardizer,
+                Z,
+                store.relevant[label][complete],
                 cost=cost,
                 seed=derive_seed(seed, fold_index, label, "ef"),
             )
@@ -354,19 +389,23 @@ def _fold_models_and_counts(
                 flags[label].append(f"fold{fold_index}:ef:trivial")
             else:
                 costs[label]["ef"] = ef.model.cost
-            counts["ef"][label] = count_outcomes(y_true, predict_early_fusion(ef, pool) > 0.5)
+            counts["ef"][label] = count_outcomes(y_true[label], predict_proba_matrix(ef.model, Z_pool) > 0.5)
 
+    for label in labels:
+        probs = sensor_probs[label]
         if "lfa" in systems:
-            components = {s: single_models[s] for s in SENSORS}
-            p_lfa = late_fusion_average(components, pool)
-            counts["lfa"][label] = count_outcomes(y_true, p_lfa > 0.5)
+            components = {s: single_models[label][s] for s in SENSORS}
+            present = _component_presence(components, {s: store.present[s][pool] for s in SENSORS})
+            p_lfa = _average_probabilities(components, np.column_stack([probs[s] for s in SENSORS]), present)
+            counts["lfa"][label] = count_outcomes(y_true[label], p_lfa > 0.5)
 
         if "lfl" in systems:
             try:
-                lfl = late_fusion_learned(
-                    train_examples,
+                lfl = _fit_late_fusion(
                     label,
-                    single_models,
+                    single_models[label],
+                    np.column_stack(lfl_inputs[label]),
+                    store.relevant[label][complete],
                     cost=cost,
                     seed=derive_seed(seed, fold_index, label, "lfl"),
                 )
@@ -380,9 +419,9 @@ def _fold_models_and_counts(
                     flags[label].append(f"fold{fold_index}:lfl:degenerate_inputs")
                 else:
                     costs[label]["lfl"] = lfl.second_layer.cost
-                P = np.vstack([sensor_probs[s] for s in SENSORS]).T
+                P = np.vstack([probs[s] for s in SENSORS]).T
                 p_lfl = predict_proba_matrix(lfl.second_layer, P)
-            counts["lfl"][label] = count_outcomes(y_true, p_lfl > 0.5)
+            counts["lfl"][label] = count_outcomes(y_true[label], p_lfl > 0.5)
 
     return counts, flags, costs
 
@@ -417,6 +456,7 @@ def cross_validate(
     if part_users != dataset_users:
         raise ValueError("partition users do not match dataset users")
 
+    store = FeatureStore.from_examples(dataset.examples(), labels=labels)
     tasks = []
     for f, fold in enumerate(partition.folds):
         train_users = sorted(dataset_users - set(fold))
@@ -424,8 +464,8 @@ def cross_validate(
 
     def run(task):
         f, fold, train_users = task
-        return _fold_models_and_counts(
-            dataset,
+        return _fold_counts(
+            store,
             labels,
             systems,
             fold,
@@ -441,17 +481,12 @@ def cross_validate(
     else:
         results = [run(t) for t in tasks]
 
-    core = dataset.core_subset()
-    pool_examples = core.examples()
-
+    core = store.complete()
     out = {sys: {} for sys in systems}
     for label in labels:
-        n_e = sum(1 for ex in pool_examples if ex.label_value(label) == RELEVANT)
-        n_s = sum(
-            1
-            for uid in core.users
-            if any(ex.label_value(label) == RELEVANT for ex in core.examples_by_user[uid])
-        )
+        core_relevant = core & (store.relevant[label] > 0)
+        n_e = int(core_relevant.sum())
+        n_s = len(set(store.users[core_relevant]))
         flags = tuple(fl for counts, fold_flags, _ in results for fl in fold_flags.get(label, ()))
         chosen = {}
         for f, (_, _, fold_costs) in enumerate(results):

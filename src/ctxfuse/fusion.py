@@ -20,17 +20,13 @@ from .classifier import (
     SingleSensorModel,
     Standardizer,
     TrivialModel,
-    _fit_pipeline,
+    _fit_standardized,
+    _standardized,
     _train_at_selected_cost,
     predict_proba_features,
     predict_proba_matrix,
 )
-from .data import (
-    concat_feature_matrix,
-    feature_matrix,
-    has_all_sensors,
-    label_vector,
-)
+from .data import FeatureStore, has_all_sensors
 from .model import FEATURE_DIMS, RELEVANT, SENSORS
 
 
@@ -74,6 +70,18 @@ class LateFusionLearned:
         return dict(zip(self.components, self.second_layer.weights))
 
 
+def _fit_early_fusion(label, sensors, standardizer, Z, y, *, cost, seed) -> EarlyFusionModel:
+    """The EF fit on complete-sensor rows already standardized by ``standardizer``."""
+    standardizer, model, notes = _fit_standardized(standardizer, Z, y, cost=cost, seed=seed)
+    return EarlyFusionModel(
+        label=label,
+        sensors=tuple(sensors),
+        standardizer=standardizer,
+        model=model,
+        notes=notes,
+    )
+
+
 def early_fusion(
     examples: Sequence,
     label: str,
@@ -86,24 +94,28 @@ def early_fusion(
 
     ``cost=None`` grid-searches the cost; a number fits at that C.
     """
-    complete = [ex for ex in examples if has_all_sensors(ex, sensors)]
-    if not complete:
+    store = FeatureStore.from_examples(examples, sensors=sensors, labels=(label,))
+    rows = np.flatnonzero(store.complete(sensors))
+    if not rows.size:
         raise ValueError("early fusion has no complete-sensor training examples")
-    X = concat_feature_matrix(complete, sensors)
-    y = label_vector(complete, label)
-    standardizer, model, notes = _fit_pipeline(X, y, cost=cost, seed=seed)
-    return EarlyFusionModel(
-        label=label,
-        sensors=tuple(sensors),
-        standardizer=standardizer,
-        model=model,
-        notes=notes,
+    standardizer, Z = _standardized(store.matrix(sensors, rows))
+    return _fit_early_fusion(
+        label, sensors, standardizer, Z, store.relevant[label][rows], cost=cost, seed=seed
     )
 
 
 def predict_early_fusion(model: EarlyFusionModel, examples: Sequence) -> np.ndarray:
     """``(n,)`` EF probabilities; an absent sensor imputes to the training mean."""
-    return predict_proba_features(model, concat_feature_matrix(examples, model.sensors))
+    store = FeatureStore.from_examples(examples, sensors=model.sensors)
+    return predict_proba_features(model, store.matrix(model.sensors))
+
+
+def _component_probabilities(components: Mapping[str, SingleSensorModel], features) -> np.ndarray:
+    """``(n, k)`` probabilities of the k components on raw per-sensor rows
+    ``features[sensor]``, one matrix call per sensor, in the components' order."""
+    return np.column_stack(
+        [predict_proba_features(model, features[sensor]) for sensor, model in components.items()]
+    )
 
 
 def component_probability_matrix(
@@ -115,30 +127,34 @@ def component_probability_matrix(
     gives an all-NaN row, which standardizes to the training mean; callers
     that must not score absent sensors check presence first.
     """
-    return np.column_stack(
-        [
-            predict_proba_features(model, feature_matrix(examples, sensor))
-            for sensor, model in components.items()
-        ]
-    )
+    store = FeatureStore.from_examples(examples, sensors=list(components))
+    return _component_probabilities(components, store.features)
 
 
-def _component_presence(components: Mapping[str, SingleSensorModel], examples) -> np.ndarray:
-    """``(n, k)`` mask of the components that can score each example.
+def _component_presence(components: Mapping[str, SingleSensorModel], present) -> np.ndarray:
+    """``(n, k)`` mask of the components that can score each row.
 
-    A sensor counts as present by ``Example.has_sensor``, the rule training
-    uses; a trivial component needs no features and is always present.
+    ``present[sensor]`` is the rows' presence of that sensor
+    (``Example.has_sensor``, the rule training uses); a trivial component
+    needs no features and is always present.
     """
-    return np.array(
-        [[m.is_trivial or ex.has_sensor(s) for s, m in components.items()] for ex in examples],
-        dtype=bool,
-    ).reshape(len(examples), len(components))
+    return np.column_stack([m.is_trivial | present[s] for s, m in components.items()])
 
 
 def _require_all_present(components, present: np.ndarray) -> None:
     missing = [s for s, col in zip(components, present.T) if not col.all()]
     if missing:
         raise ValueError(f"missing sensors for late fusion: {sorted(missing)}")
+
+
+def _average_probabilities(components, P: np.ndarray, present: np.ndarray, *, lenient: bool = False):
+    """``(n,)`` means of the component probabilities ``P`` over the present
+    components; strict mode first requires every component on every row."""
+    if not lenient:
+        _require_all_present(components, present)
+    elif not present.any(axis=1).all():
+        raise ValueError("no sensors available for lenient late fusion")
+    return np.where(present, P, 0.0).sum(axis=1) / present.sum(axis=1)
 
 
 def late_fusion_average(
@@ -152,40 +168,23 @@ def late_fusion_average(
     Strict mode (the evaluation protocol) requires every component's sensor
     on every example; lenient mode averages whatever is present per example.
     """
-    present = _component_presence(components, examples)
-    if not lenient:
-        _require_all_present(components, present)
-    elif not present.any(axis=1).all():
-        raise ValueError("no sensors available for lenient late fusion")
-    P = np.where(present, component_probability_matrix(components, examples), 0.0)
-    return P.sum(axis=1) / present.sum(axis=1)
+    store = FeatureStore.from_examples(examples, sensors=list(components))
+    P = _component_probabilities(components, store.features)
+    return _average_probabilities(
+        components, P, _component_presence(components, store.present), lenient=lenient
+    )
 
 
-def late_fusion_learned(
-    examples: Sequence,
-    label: str,
-    components: Mapping[str, SingleSensorModel],
-    *,
-    cost: Optional[float] = None,
-    seed: int = 0,
-) -> LateFusionLearned:
-    """Train the LFL second layer on the component probabilities.
+def _fit_late_fusion(label, components, P, y, *, cost, seed) -> LateFusionLearned:
+    """The LFL second-layer fit on the components' probabilities ``P`` (one
+    column per component, in the components' order) of complete-sensor rows.
 
-    Inputs are the raw probabilities (not logits), so the learned weights
-    read directly as how much each sensor is listened to. The second layer
-    uses the same balanced-weight and cost-selection pipeline as any
-    classifier but no standardization.
+    Raises :class:`DegenerateLabelError` when ``y`` holds a single class.
     """
-    complete = [ex for ex in examples if has_all_sensors(ex, list(components))]
-    if not complete:
-        raise ValueError("late fusion has no complete-sensor training examples")
-    y = label_vector(complete, label)
-
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
         raise DegenerateLabelError("degenerate label: a single class is present")
 
-    P = component_probability_matrix(components, complete)
     if np.all(P == P[0:1, :]):
         # constant inputs carry no signal; the balanced intercept-only
         # optimum is 0, deciding negative everywhere
@@ -205,10 +204,34 @@ def late_fusion_learned(
     )
 
 
+def late_fusion_learned(
+    examples: Sequence,
+    label: str,
+    components: Mapping[str, SingleSensorModel],
+    *,
+    cost: Optional[float] = None,
+    seed: int = 0,
+) -> LateFusionLearned:
+    """Train the LFL second layer on the component probabilities.
+
+    Inputs are the raw probabilities (not logits), so the learned weights
+    read directly as how much each sensor is listened to. The second layer
+    uses the same balanced-weight and cost-selection pipeline as any
+    classifier but no standardization.
+    """
+    store = FeatureStore.from_examples(examples, sensors=list(components), labels=(label,))
+    rows = np.flatnonzero(store.complete(components))
+    if not rows.size:
+        raise ValueError("late fusion has no complete-sensor training examples")
+    P = _component_probabilities(components, {s: store.features[s][rows] for s in components})
+    return _fit_late_fusion(label, components, P, store.relevant[label][rows], cost=cost, seed=seed)
+
+
 def predict_late_fusion_learned(model: LateFusionLearned, examples: Sequence) -> np.ndarray:
     """``(n,)`` second-layer probabilities; every component's sensor must be present."""
-    _require_all_present(model.components, _component_presence(model.components, examples))
-    P = component_probability_matrix(model.components, examples)
+    store = FeatureStore.from_examples(examples, sensors=list(model.components))
+    _require_all_present(model.components, _component_presence(model.components, store.present))
+    P = _component_probabilities(model.components, store.features)
     return predict_proba_matrix(model.second_layer, P)
 
 
@@ -244,7 +267,8 @@ def multiclass_one_vs_rest(
     """One balanced EF model per class on the chosen sensors' features.
 
     Each class's model is :func:`early_fusion` over the eligible examples,
-    whose binary target is exactly the one-hot truth of that class.
+    whose binary target is exactly the one-hot truth of that class. The
+    standardizer does not depend on the class: one is fit and shared.
     """
     if len(class_labels) < 2:
         raise ValueError("one-vs-rest needs at least two classes")
@@ -254,15 +278,22 @@ def multiclass_one_vs_rest(
     for cls in class_labels:
         if cls not in truth:
             raise ValueError(f"class {cls!r} has no training examples")
+    store = FeatureStore.from_examples(pool, sensors=sensors, labels=class_labels)
+    standardizer, Z = _standardized(store.matrix(sensors))
     return MulticlassModel(
         class_labels=tuple(class_labels),
-        per_class={cls: early_fusion(pool, cls, sensors=sensors, cost=cost) for cls in class_labels},
+        per_class={
+            cls: _fit_early_fusion(cls, sensors, standardizer, Z, store.relevant[cls], cost=cost, seed=0)
+            for cls in class_labels
+        },
     )
 
 
 def predict_multiclass(model: MulticlassModel, examples) -> list:
     """Argmax of the per-class probabilities for each example."""
+    sensors = model.per_class[model.class_labels[0]].sensors
+    X = FeatureStore.from_examples(examples, sensors=sensors).matrix(sensors)
     probs = np.column_stack(
-        [predict_early_fusion(model.per_class[c], examples) for c in model.class_labels]
+        [predict_proba_features(model.per_class[c], X) for c in model.class_labels]
     )
     return [model.class_labels[i] for i in probs.argmax(axis=1)]

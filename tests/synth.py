@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ctxfuse.data import sensor_features
 from ctxfuse.model import (
     Dataset,
     Example,
@@ -36,6 +37,23 @@ def feature_example(user_id, timestamp, values_by_sensor, labels=None):
         precomputed_features=feats,
         labels=label_tuple(labels or {}),
     )
+
+
+def feature_matrix(examples, sensor):
+    """One sensor's features stacked example by example, all-NaN rows where
+    absent: the per-example assembly ``FeatureStore`` replaced, kept as an
+    oracle."""
+    X = np.full((len(examples), FEATURE_DIMS[sensor]), np.nan)
+    for i, ex in enumerate(examples):
+        fv = sensor_features(ex, sensor)
+        if fv is not None:
+            X[i] = fv.values
+    return X
+
+
+def concat_feature_matrix(examples, sensors=SENSORS):
+    """The sensors' :func:`feature_matrix` side by side (the EF layout)."""
+    return np.hstack([feature_matrix(examples, s) for s in sensors])
 
 
 def random_full_example(rng, user_id, timestamp, labels=None):

@@ -21,7 +21,7 @@ from ctxfuse.classifier import (
     predict_proba_matrix,
     train_linear,
 )
-from ctxfuse.data import concat_feature_matrix, feature_matrix, label_vector
+from ctxfuse.data import label_vector
 from ctxfuse.evaluation import (
     MetricCounts,
     compute_metrics,
@@ -50,8 +50,10 @@ from ctxfuse.model import (
 from ctxfuse.personalization import evaluate_personalization, split_user_timeline
 from synth import (
     complementary_sensor_dataset,
+    concat_feature_matrix,
     drift_user_scenario,
     feature_example,
+    feature_matrix,
     make_triaxial,
 )
 

@@ -257,12 +257,47 @@ def test_solver_held_to_one_step_raises_naming_both_norms(monkeypatch):
 def test_minimize_reports_point_gradient_and_steps():
     X, y = _solver_problem(3, False)
     ys = np.where(y > 0, 1.0, -1.0)
+    Xa = classifier._with_intercept_column(X)
     res = classifier.minimize(classifier._objective, np.zeros(4),
-                              args=(X, ys, balanced_weights(y), 1.0), tol=1e-6)
+                              args=(Xa, ys, balanced_weights(y), 1.0), tol=1e-6)
     _, g = loss_and_gradient(res.x, X, ys, balanced_weights(y), 1.0)
     assert np.array_equal(res.jac, g)
     assert np.linalg.norm(g) <= 1e-6
     assert 1 <= res.nit <= 20
+
+
+def _block_hessian(params, X, ys, wts, C):
+    """The Hessian as separate weight, cross and intercept blocks, from the
+    unaugmented rows (the formula the symmetric product replaced)."""
+    w, b = params[:-1], params[-1]
+    m = ys * (X @ w + b)
+    e = np.exp(-np.abs(m))
+    d = C * wts * e / (1.0 + e) ** 2
+    p = w.shape[0]
+    H = np.empty((p + 1, p + 1))
+    H[:p, :p] = (X.T * d) @ X + np.eye(p)
+    H[:p, p] = H[p, :p] = X.T @ d
+    H[p, p] = d.sum()
+    return H
+
+
+@pytest.mark.parametrize("rows", ["n<d+1", "n>d+1"])
+@pytest.mark.parametrize("d", [1, 46, 175])
+def test_symmetric_product_hessian_matches_block_formula(d, rows):
+    rng = np.random.default_rng(d)
+    n = max(1, d // 2) if rows == "n<d+1" else 3 * d + 10
+    X = rng.normal(size=(n, d))
+    ys = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    wts = rng.uniform(0.5, 2.0, size=n)
+    params = rng.normal(scale=0.3, size=d + 1)
+    for C in (0.01, 1.0, 100.0):
+        _, _, hessian = classifier._objective(
+            params, classifier._with_intercept_column(X), ys, wts, C)
+        H = hessian()
+        want = _block_hessian(params, X, ys, wts, C)
+        assert H.shape == (d + 1, d + 1)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_separable_symmetric_data():

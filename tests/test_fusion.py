@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ctxfuse.classifier as classifier
 from ctxfuse.classifier import (
     COST_GRID,
     LinearModel,
@@ -13,7 +14,7 @@ from ctxfuse.classifier import (
     predict_proba_matrix,
     train_linear,
 )
-from ctxfuse.data import concat_feature_matrix, feature_matrix, label_vector
+from ctxfuse.data import label_vector
 from ctxfuse.evaluation import confusion_matrix, count_outcomes, compute_metrics
 from ctxfuse.fusion import (
     early_fusion,
@@ -27,7 +28,13 @@ from ctxfuse.fusion import (
     sensor_spans,
 )
 from ctxfuse.model import FEATURE_DIMS, SENSORS
-from synth import complementary_sensor_dataset, feature_example, random_full_example
+from synth import (
+    complementary_sensor_dataset,
+    concat_feature_matrix,
+    feature_example,
+    feature_matrix,
+    random_full_example,
+)
 
 
 def _constant_prob_model(sensor, p):
@@ -440,6 +447,31 @@ def test_one_vs_rest_equals_the_shared_standardizer_oracle_bit_for_bit():
         assert ef.model.cost == per_class[cls].cost == 1.0
     want = _one_vs_rest_oracle_predict(standardizer, per_class, classes, test, ("acc",))
     assert predict_multiclass(model, test) == want
+
+
+@pytest.mark.parametrize("cost", [1.0, None], ids=["fixed", "grid"])
+def test_one_vs_rest_shares_one_standardizer_and_equals_per_class_early_fusion(monkeypatch, cost):
+    rng = np.random.default_rng(22)
+    classes = list(_THREE_CLASS_MEANS)
+    train, _ = _three_class_corpus(rng, 600, 0)
+    test, _ = _three_class_corpus(rng, 300, 10**6)
+    # the oracle: one early_fusion per class on the eligible pool, each
+    # fitting its own standardizer
+    pool = [ex for ex, _ in eligible_multiclass_examples(train, classes, ("acc",))]
+    oracle = {cls: early_fusion(pool, cls, sensors=("acc",), cost=cost) for cls in classes}
+
+    fits = []
+    monkeypatch.setattr(classifier, "fit_standardizer",
+                        lambda X, fit=classifier.fit_standardizer: fits.append(1) or fit(X))
+    model = multiclass_one_vs_rest(train, classes, sensors=("acc",), cost=cost)
+    assert len(fits) == 1
+
+    for cls in classes:
+        got, want = model.per_class[cls], oracle[cls]
+        assert got.notes == want.notes and got.model.cost == want.model.cost
+        assert np.array_equal(predict_early_fusion(got, test), predict_early_fusion(want, test))
+    probs = np.column_stack([predict_early_fusion(oracle[c], test) for c in classes])
+    assert predict_multiclass(model, test) == [classes[i] for i in probs.argmax(axis=1)]
 
 
 def _small_three_class_corpus(n_per_class, seed=31):

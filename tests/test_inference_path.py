@@ -23,13 +23,7 @@ from ctxfuse.classifier import (
     select_cost,
     train_linear,
 )
-from ctxfuse.data import (
-    concat_feature_matrix,
-    feature_matrix,
-    has_all_sensors,
-    label_vector,
-    sensor_features,
-)
+from ctxfuse.data import has_all_sensors, label_vector, sensor_features
 from ctxfuse.evaluation import MetricCounts, count_outcomes, cross_validate, partition_folds
 from ctxfuse.fusion import (
     LateFusionLearned,
@@ -41,7 +35,7 @@ from ctxfuse.fusion import (
     predict_late_fusion_learned,
 )
 from ctxfuse.model import FEATURE_DIMS, SENSORS, Dataset, Example
-from synth import feature_example, make_triaxial
+from synth import concat_feature_matrix, feature_example, feature_matrix, make_triaxial
 
 
 def _rowwise_probability(model, example, sensor):
@@ -230,6 +224,20 @@ def _small_cv_dataset(seed=4, n=400, n_users=6):
     return Dataset.from_examples(examples)
 
 
+def _follow_folds(monkeypatch):
+    """Wrap ``evaluation._fold_counts`` so the returned dict names the held-out
+    and training users of the fold being trained (folds run one at a time)."""
+    current = {}
+    fold_counts = evaluation._fold_counts
+
+    def following(store, labels, systems, fold_users, train_users, **kwargs):
+        current.update(fold_users=fold_users, train_users=train_users)
+        return fold_counts(store, labels, systems, fold_users, train_users, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_fold_counts", following)
+    return current
+
+
 def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
     dataset = _small_cv_dataset()
     labels = ["COMMON", "MEDIUM", "RARE"]
@@ -237,7 +245,14 @@ def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
     partition = partition_folds({u: "x" for u in dataset.users}, k=5, seed=1)
 
     batched = cross_validate(dataset, labels, systems, partition, seed=9)
-    monkeypatch.setattr(evaluation, "late_fusion_learned", _rowwise_late_fusion_learned)
+    fold = _follow_folds(monkeypatch)
+
+    def rowwise_lfl(label, components, P, y, *, cost, seed):
+        # drop the fold's column inputs; rebuild them row by row from its training examples
+        train_examples = dataset.examples(fold["train_users"])
+        return _rowwise_late_fusion_learned(train_examples, label, components, cost=cost, seed=seed)
+
+    monkeypatch.setattr(evaluation, "_fit_late_fusion", rowwise_lfl)
     rowwise = cross_validate(dataset, labels, systems, partition, seed=9)
 
     assert any("lfl:trivial" in fl for fl in batched["lfl"]["RARE"].flags)
@@ -310,26 +325,26 @@ def captured_cv():
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
     partition = partition_folds({u: "x" for u in dataset.users}, k=5, seed=1)
     captured = {"ef": [], "lfl": []}
+    fit_ef, fit_lfl = evaluation._fit_early_fusion, evaluation._fit_late_fusion
 
-    def held_out(train_examples):
-        train_users = {ex.user_id for ex in train_examples}
-        fold = [u for u in dataset.users if u not in train_users]
-        return Dataset.from_examples(dataset.examples(fold)).core_subset().examples()
+    def held_out():
+        return Dataset.from_examples(dataset.examples(fold["fold_users"])).core_subset().examples()
 
-    def capture_ef(examples, label, **kwargs):
-        model = early_fusion(examples, label, **kwargs)
-        captured["ef"].append((held_out(examples), label, model))
+    def capture_ef(label, *args, **kwargs):
+        model = fit_ef(label, *args, **kwargs)
+        captured["ef"].append((held_out(), label, model))
         return model
 
-    def capture_lfl(examples, label, components, **kwargs):
-        entry = [held_out(examples), label, dict(components), None]
+    def capture_lfl(label, components, *args, **kwargs):
+        entry = [held_out(), label, dict(components), None]
         captured["lfl"].append(entry)
-        entry[3] = late_fusion_learned(examples, label, components, **kwargs)
+        entry[3] = fit_lfl(label, components, *args, **kwargs)
         return entry[3]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(evaluation, "early_fusion", capture_ef)
-        monkeypatch.setattr(evaluation, "late_fusion_learned", capture_lfl)
+        fold = _follow_folds(monkeypatch)
+        monkeypatch.setattr(evaluation, "_fit_early_fusion", capture_ef)
+        monkeypatch.setattr(evaluation, "_fit_late_fusion", capture_lfl)
         results = cross_validate(dataset, labels, systems, partition, seed=9)
     assert len(captured["ef"]) == len(captured["lfl"]) == 5 * len(labels)
     return labels, results, captured

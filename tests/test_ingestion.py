@@ -304,6 +304,14 @@ def test_duplicated_user_across_folds_rejected(tmp_path):
         load_fold_partition(path)
 
 
+def test_user_listed_twice_in_one_fold_named_as_such(tmp_path):
+    path = tmp_path / "folds.txt"
+    path.write_text("u0 u0\nu1\n")
+    with pytest.raises(ValueError) as caught:
+        load_fold_partition(path)
+    assert str(caught.value) == f"{path}: user 'u0' is listed twice in fold 0"
+
+
 def test_partition_directory_layout(tmp_path):
     d = tmp_path / "cv_folds"
     d.mkdir()

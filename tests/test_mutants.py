@@ -18,7 +18,6 @@ import ctxfuse.personalization as personalization
 import test_evaluate_golden
 import test_evaluation
 import test_personalization
-from ctxfuse.model import Dataset
 
 
 def _golden_fails(tmp_path, monkeypatch, capsys) -> str:
@@ -29,18 +28,18 @@ def _golden_fails(tmp_path, monkeypatch, capsys) -> str:
 
 
 def test_held_out_user_leaking_into_training_fails_golden(tmp_path, monkeypatch, capsys):
-    fold_run = evaluation._fold_models_and_counts
+    fold_run = evaluation._fold_counts
 
-    def leaky(dataset, labels, systems, fold_users, train_users, **kwargs):
-        return fold_run(dataset, labels, systems, fold_users, [*train_users, fold_users[0]], **kwargs)
+    def leaky(store, labels, systems, fold_users, train_users, **kwargs):
+        return fold_run(store, labels, systems, fold_users, [*train_users, fold_users[0]], **kwargs)
 
-    monkeypatch.setattr(evaluation, "_fold_models_and_counts", leaky)
+    monkeypatch.setattr(evaluation, "_fold_counts", leaky)
     assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)
 
 
 def test_ba_averaged_per_fold_fails_golden(tmp_path, monkeypatch, capsys):
     fold_counts = []
-    fold_run = evaluation._fold_models_and_counts
+    fold_run = evaluation._fold_counts
     cross_validate = cli.cross_validate
 
     def recording(*args, **kwargs):
@@ -59,18 +58,14 @@ def test_ba_averaged_per_fold_fails_golden(tmp_path, monkeypatch, capsys):
                 by_label[label] = replace(ev, report=replace(ev.report, ba=ba))
         return out
 
-    monkeypatch.setattr(evaluation, "_fold_models_and_counts", recording)
+    monkeypatch.setattr(evaluation, "_fold_counts", recording)
     monkeypatch.setattr(cli, "cross_validate", per_fold_mean)
     assert "'ba'" in _golden_fails(tmp_path, monkeypatch, capsys)
 
 
 def test_scoring_minutes_that_lack_a_sensor_fails_golden(tmp_path, monkeypatch, capsys):
-    class EveryMinute(Dataset):
-        def core_subset(self):
-            return self
-
-    # only the held-out pool of each fold is built through this name
-    monkeypatch.setattr(evaluation, "Dataset", EveryMinute)
+    # every minute of the held-out users, not only those with all six sensors
+    monkeypatch.setattr(evaluation, "_held_out_pool", lambda store, users: store.rows(users))
     assert "missing sensors" in _golden_fails(tmp_path, monkeypatch, capsys)
 
 
