@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .model import (
     AudioMfccSeries,
-    Dataset,
     Example,
     FEATURE_DIMS,
     FeatureVector,
@@ -22,6 +21,7 @@ from .model import (
     canonical_label_name,
     validate_example,
 )
+from .data import FeatureStore
 from .features import (
     axis_statistics,
     extract_location_features,
@@ -67,8 +67,4 @@ from .evaluation import (
     partition_folds,
     random_baseline_p99,
 )
-from .personalization import (
-    PersonalizationSplit,
-    evaluate_personalization,
-    split_user_timeline,
-)
+from .personalization import personalize, split_user_timeline

@@ -23,9 +23,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .data import extract_all_features
+from .data import FeatureStore, extract_all_features
 from .evaluation import (
     ALL_SYSTEMS,
+    InsufficientDataError,
     cross_validate,
     derive_seed,
     loo_partition,
@@ -37,22 +38,17 @@ from .evaluation import (
     table_to_csv,
     table_to_markdown,
 )
-from .fusion import early_fusion
 from .ingestion import (
     IngestionError,
     fold_partition_files,
     iter_session_dirs,
-    load_features_dir,
+    load_feature_tables,
     load_fold_partition,
     load_raw_session,
     write_features_csv,
 )
-from .model import Dataset, Example, canonical_label_name
-from .personalization import (
-    evaluate_personalization,
-    personalization_table,
-    split_user_timeline,
-)
+from .model import Example, canonical_label_name
+from .personalization import personalization_table, personalize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -231,18 +227,26 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(features_dir) -> Dataset:
-    root = Path(features_dir)
+def _load_store(args) -> tuple:
+    """``(store, labels)``: ``--features-dir`` as one store, with the
+    relevant-vector of each ``--labels`` label that some table row carries."""
+    root = Path(args.features_dir)
     if not root.is_dir():
         raise IngestionError(f"features directory {root} not readable")
-    return Dataset.from_examples(load_features_dir(root))
+    tables = load_feature_tables(root)
+    labels = _read_labels_file(args.labels)
+    vocabulary = {label for t in tables if len(t.timestamps) for label in t.labels}
+    for label in labels:
+        if label not in vocabulary:
+            raise ConfigError(f"label {label!r} not in dataset vocabulary")
+    return FeatureStore.from_tables(tables, labels=labels), labels
 
 
-def _load_partition(path, dataset: Dataset):
-    """The partition file's folds; their users must be exactly the dataset's."""
+def _load_partition(path, users):
+    """The partition file's folds; their users must be exactly ``users``."""
     partition = load_fold_partition(path)
-    missing = sorted(set(dataset.users) - set(partition.users))
-    extra = sorted(set(partition.users) - set(dataset.users))
+    missing = sorted(set(users) - set(partition.users))
+    extra = sorted(set(partition.users) - set(users))
     if missing or extra:
         raise ConfigError(
             f"partition {path} does not match the dataset's users "
@@ -253,11 +257,8 @@ def _load_partition(path, dataset: Dataset):
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    dataset = _load_dataset(args.features_dir)
-    labels = _read_labels_file(args.labels)
-    for label in labels:
-        if label not in dataset.label_vocabulary:
-            raise ConfigError(f"label {label!r} not in dataset vocabulary")
+    store, labels = _load_store(args)
+    users = store.user_ids()
 
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     if not systems:
@@ -271,20 +272,20 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.mode == "loo":
-        partition = loo_partition(dataset.users)
+        partition = loo_partition(users)
     elif args.partition:
-        partition = _load_partition(args.partition, dataset)
+        partition = _load_partition(args.partition, users)
     else:
-        k = min(5, len(dataset.users))
+        k = min(5, len(users))
         if k < 2:
             raise ConfigError("cross-validation needs at least 2 users")
-        partition = partition_folds({u: "unknown" for u in dataset.users}, k=k, seed=args.seed)
+        partition = partition_folds({u: "unknown" for u in users}, k=k, seed=args.seed)
 
     evaluations = cross_validate(
-        dataset, labels, systems, partition, mode=args.mode, seed=args.seed, jobs=args.jobs
+        store, labels, systems, partition, mode=args.mode, seed=args.seed, jobs=args.jobs
     )
 
-    n_eval = len(dataset.core_subset())
+    n_eval = int(store.complete().sum())
     p99s = {"ba": {}, "f1": {}}
     score_arrays = {"ba": [], "f1": []}
     for label in labels:
@@ -334,40 +335,23 @@ def cmd_evaluate(args) -> int:
 
 def cmd_personalize(args) -> int:
     started = time.time()
-    dataset = _load_dataset(args.features_dir)
-    labels = _read_labels_file(args.labels)
-    for label in labels:
-        if label not in dataset.label_vocabulary:
-            raise ConfigError(f"label {label!r} not in dataset vocabulary")
+    store, labels = _load_store(args)
+    users = store.user_ids()
 
     user = args.user
-    if user not in dataset.examples_by_user:
+    if user not in users:
         raise ConfigError(f"unknown user {user!r}")
-    user_examples = dataset.examples_by_user[user]
-    if len(user_examples) < 2:
+    if len(store.rows([user])) < 2:
         raise ConfigError(f"user {user!r} has fewer than 2 examples")
 
     if args.partition:
-        partition = _load_partition(args.partition, dataset)
+        partition = _load_partition(args.partition, users)
         (holding,) = [f for f in partition.folds if user in f]
         train_users = [u for f in partition.folds if f is not holding for u in f]
     else:
-        train_users = [u for u in dataset.users if u != user]
+        train_users = [u for u in users if u != user]
 
-    train_examples = dataset.examples(train_users)
-    universal_models = {
-        label: early_fusion(train_examples, label, seed=derive_seed(args.seed, "universal", label))
-        for label in labels
-    }
-
-    split = split_user_timeline(user_examples)
-    results = evaluate_personalization(
-        universal_models,
-        split,
-        labels,
-        seed=derive_seed(args.seed, "individual", user),
-        universal_train_users=train_users,
-    )
+    results = personalize(store, user, labels, train_users, seed=args.seed)
 
     rows = personalization_table(results, labels)
     out_dir = Path(args.out)
@@ -454,7 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_with_env_options(parser, argv))
     try:
         return _COMMANDS[args.command](args)
-    except IngestionError as exc:
+    except (IngestionError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as exc:

@@ -65,18 +65,19 @@ def label_vector(examples, label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureStore:
-    """The numeric columns of a fixed list of examples; row i is example i.
+    """The numeric columns of a fixed list of minutes; row i is minute i.
 
-    Built in one pass over the examples and then read by index arrays only:
+    Built in one pass and then read by index arrays only:
 
     * ``features[s]``: sensor ``s``'s ``(n, d)`` feature matrix, NaN where
       the sensor is absent or a cell is masked;
     * ``present[s]``: ``(n,)`` presence mask, :meth:`Example.has_sensor`;
     * ``relevant[label]``: :func:`label_vector` of each requested label;
-    * ``users``: each row's user id.
+    * ``users`` and ``timestamps``: each row's user id and minute.
     """
 
     users: np.ndarray
+    timestamps: np.ndarray
     features: Mapping[str, np.ndarray]
     present: Mapping[str, np.ndarray]
     relevant: Mapping[str, np.ndarray]
@@ -94,10 +95,39 @@ class FeatureStore:
                     columns[s][i] = fv.values
         return cls(
             users=np.array([ex.user_id for ex in examples], dtype=str),
+            timestamps=np.array([ex.timestamp for ex in examples], dtype=np.int64),
             features=columns,
             present=present,
             relevant={label: label_vector(examples, label) for label in labels},
         )
+
+    @classmethod
+    def from_tables(cls, tables, *, labels=()) -> "FeatureStore":
+        """The store of ``ingestion.FeatureTable``s, rows by user id, then by
+        timestamp. A sensor is present on a row unless all its cells are NaN
+        (a group the table lacks is all NaN): :meth:`Example.has_sensor`'s
+        rule for precomputed features."""
+        tables = sorted((t for t in tables if len(t.timestamps)), key=lambda t: t.user_id)
+        sizes = [len(t.timestamps) for t in tables]
+        columns = {s: np.full((sum(sizes), FEATURE_DIMS[s]), np.nan) for s in SENSORS}
+        relevant = {label: np.zeros(sum(sizes), dtype=np.int64) for label in labels}
+        for table, stop in zip(tables, np.cumsum(sizes)):
+            rows = slice(stop - len(table.timestamps), stop)
+            for s, block in table.features.items():
+                columns[s][rows] = block
+            for label in set(labels) & set(table.labels):
+                relevant[label][rows] = table.labels[label] == 1
+        return cls(
+            users=np.repeat(np.array([t.user_id for t in tables], dtype=str), sizes),
+            timestamps=np.concatenate([np.zeros(0, np.int64)] + [t.timestamps for t in tables]),
+            features=columns,
+            present={s: ~np.isnan(X).all(axis=1) for s, X in columns.items()},
+            relevant=relevant,
+        )
+
+    def user_ids(self) -> list:
+        """The distinct user ids, sorted."""
+        return np.unique(self.users).tolist()
 
     def rows(self, users) -> np.ndarray:
         """Indices of the rows of ``users``, in store order."""

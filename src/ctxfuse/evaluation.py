@@ -29,7 +29,7 @@ from .fusion import (
     _fit_early_fusion,
     _fit_late_fusion,
 )
-from .model import Dataset, SENSORS
+from .model import SENSORS
 
 SINGLE_SENSOR_SYSTEMS = SENSORS
 FUSION_SYSTEMS = ("ef", "lfa", "lfl")
@@ -284,6 +284,10 @@ def p99_of_average(score_arrays: Sequence[np.ndarray]) -> Optional[float]:
 # Cross-validation harness
 # ---------------------------------------------------------------------------
 
+class InsufficientDataError(ValueError):
+    """The data cannot support a requested fit; the message names where."""
+
+
 @dataclass
 class LabelEvaluation:
     label: str
@@ -328,7 +332,10 @@ def _fold_counts(
     complete = train[store.complete()[train]]  # the EF and LFL training rows
     for system, kind in (("ef", "early"), ("lfl", "late")):
         if system in systems and not complete.size:
-            raise ValueError(f"{kind} fusion has no complete-sensor training examples")
+            raise InsufficientDataError(
+                f"fold {fold_index} (held-out users {', '.join(fold_users)}): "
+                f"{kind} fusion has no complete-sensor training examples"
+            )
 
     def standardize(standardizer, X):
         return X if standardizer is None else standardizer.transform(X)
@@ -427,7 +434,7 @@ def _fold_counts(
 
 
 def cross_validate(
-    dataset: Dataset,
+    store: FeatureStore,
     labels: Sequence[str],
     systems: Sequence[str],
     partition: FoldPartition,
@@ -436,7 +443,8 @@ def cross_validate(
     seed: int = 0,
     jobs: int = 1,
 ) -> dict:
-    """Run the full protocol; returns {system: {label: LabelEvaluation}}.
+    """Run the full protocol on ``store``, which holds every label's
+    relevant-vector; returns {system: {label: LabelEvaluation}}.
 
     ``mode='cv5'`` grid-searches the cost per model; ``mode='loo'`` fits
     every model at :data:`LOO_COST`. ``jobs`` threads train the folds.
@@ -451,35 +459,20 @@ def cross_validate(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cost = None if mode == "cv5" else LOO_COST
 
-    dataset_users = set(dataset.users)
-    part_users = set(partition.users)
-    if part_users != dataset_users:
+    users = store.user_ids()
+    if set(partition.users) != set(users):
         raise ValueError("partition users do not match dataset users")
 
-    store = FeatureStore.from_examples(dataset.examples(), labels=labels)
-    tasks = []
-    for f, fold in enumerate(partition.folds):
-        train_users = sorted(dataset_users - set(fold))
-        tasks.append((f, fold, train_users))
-
-    def run(task):
-        f, fold, train_users = task
-        return _fold_counts(
-            store,
-            labels,
-            systems,
-            fold,
-            train_users,
-            cost=cost,
-            seed=seed,
-            fold_index=f,
-        )
+    def run(f):
+        fold = partition.folds[f]
+        train_users = [u for u in users if u not in fold]
+        return _fold_counts(store, labels, systems, fold, train_users, cost=cost, seed=seed, fold_index=f)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
+            results = list(pool.map(run, range(len(partition))))
     else:
-        results = [run(t) for t in tasks]
+        results = [run(f) for f in range(len(partition))]
 
     core = store.complete()
     out = {sys: {} for sys in systems}

@@ -22,8 +22,9 @@ import logging
 import math
 import re
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -206,9 +207,14 @@ def _group_columns(header: Sequence[str], origin: str):
     groups = {s: [] for s in SENSORS}
     label_cols = []
     extra_cols = []
+    label_column_of = {}
     for idx, name in enumerate(header[1:], start=1):
         if name.startswith(LABEL_COLUMN_PREFIX):
-            label_cols.append((idx, canonical_label_name(name[len(LABEL_COLUMN_PREFIX):])))
+            label = canonical_label_name(name[len(LABEL_COLUMN_PREFIX):])
+            if label_column_of.setdefault(label, name) != name:
+                raise IngestionError(f"{origin}: line 1: label columns {label_column_of[label]!r} "
+                                     f"and {name!r} both canonicalize to {label!r}")
+            label_cols.append((idx, label))
             continue
         owner = None
         for sensor, prefixes in SENSOR_COLUMN_PREFIXES.items():
@@ -263,12 +269,31 @@ def _parse_cell(cell: str, origin: str, lineno: int, colname: str) -> float:
     return value
 
 
-def parse_features_csv(source, user_id: Optional[str] = None) -> list:
-    """Parse one user's feature table into examples with precomputed features.
+@dataclass(frozen=True)
+class FeatureTable:
+    """One user's feature table as columns, rows sorted by timestamp:
+    ``(n,)`` int64 timestamps; an ``(n, d)`` matrix per sensor group in the
+    header, NaN for an empty cell; an ``(n,)`` int8 column per canonical
+    label name in header order, 1 relevant, 0 not, -1 unreported; and the
+    raw cells of each unknown column."""
 
-    ``source`` is a path or a text stream. The user id defaults to the file
-    name up to the first dot. Sensors whose group is absent from the header
-    produce no feature vector; empty cells become mask bits.
+    user_id: str
+    timestamps: np.ndarray
+    features: Mapping[str, np.ndarray]
+    labels: Mapping[str, np.ndarray]
+    metadata: Mapping[str, list]
+
+
+_LABEL_CODES = {"": -1, "1": 1, "1.0": 1, "0": 0, "0.0": 0}
+
+_LABEL_VALUES = {1: RELEVANT, 0: NOT_RELEVANT, -1: MISSING}
+
+
+def read_features_table(source, user_id: Optional[str] = None) -> FeatureTable:
+    """Parse one user's feature table into columns, cell by cell.
+
+    ``source`` is a path or a text stream; the user id defaults to the file
+    name up to the first dot. A group absent from the header has no matrix.
     """
     if hasattr(source, "read"):
         origin = getattr(source, "name", "<stream>")
@@ -286,10 +311,15 @@ def parse_features_csv(source, user_id: Optional[str] = None) -> list:
     if not header or header[0] != "timestamp":
         raise IngestionError(f"{origin}: first column must be 'timestamp'")
     groups, label_cols, extra_cols = _group_columns(header, origin)
+    # every feature cell of a row in one pass, group by group in SENSORS order
+    cells = [col for cols in groups.values() for col in cols]
 
-    examples = []
+    n = len(rows)
+    timestamps = np.empty(n, dtype=np.int64)
+    values = np.empty((n, len(cells)))
+    labels = np.empty((len(label_cols), n), dtype=np.int8)
     seen_ts = set()
-    for lineno, row in enumerate(rows, start=2):
+    for r, (lineno, row) in enumerate(enumerate(rows, start=2)):
         ts_cell = row[0].strip()
         try:
             ts = int(ts_cell)
@@ -297,45 +327,57 @@ def parse_features_csv(source, user_id: Optional[str] = None) -> list:
             raise IngestionError(
                 f"{origin}: line {lineno}: timestamp {ts_cell!r} is not an integer"
             ) from None
+        if not -2**63 <= ts < 2**63:
+            raise IngestionError(f"{origin}: line {lineno}: timestamp {ts} is out of range")
         if ts in seen_ts:
             raise IngestionError(f"{origin}: line {lineno}: duplicate timestamp {ts}")
         seen_ts.add(ts)
-
-        feats = {}
-        for sensor, cols in groups.items():
-            if not cols:
-                continue
-            vals = np.array(
-                [_parse_cell(row[i], origin, lineno, name) for i, name in cols]
-            )
-            feats[sensor] = FeatureVector.from_values(sensor, vals)
-
-        labels = []
-        for idx, lname in label_cols:
+        timestamps[r] = ts
+        values[r] = [_parse_cell(row[i], origin, lineno, name) for i, name in cells]
+        for k, (idx, _) in enumerate(label_cols):
             cell = row[idx].strip()
-            if cell == "":
-                labels.append(LabelAssignment(lname, MISSING))
-            elif cell in ("1", "1.0"):
-                labels.append(LabelAssignment(lname, RELEVANT))
-            elif cell in ("0", "0.0"):
-                labels.append(LabelAssignment(lname, NOT_RELEVANT))
-            else:
+            if cell not in _LABEL_CODES:
                 raise IngestionError(
                     f"{origin}: line {lineno}: label cell must be 0, 1 or empty, got {cell!r}"
                 )
+            labels[k, r] = _LABEL_CODES[cell]
 
-        metadata = {name: row[idx] for idx, name in extra_cols}
-        examples.append(
-            Example(
-                user_id=user_id,
-                timestamp=ts,
-                precomputed_features=feats,
-                labels=tuple(labels),
-                metadata=metadata,
-            )
+    order = np.argsort(timestamps, kind="stable")
+    values = values[order]
+    values[np.isnan(values)] = np.nan  # one NaN bit pattern, whatever the cell spelled
+    features, start = {}, 0
+    for sensor, cols in groups.items():
+        if cols:
+            features[sensor] = values[:, start:start + len(cols)]
+            start += len(cols)
+    return FeatureTable(
+        user_id=user_id,
+        timestamps=timestamps[order],
+        features=features,
+        labels={name: labels[k, order] for k, (_, name) in enumerate(label_cols)},
+        metadata={name: [rows[i][idx] for i in order] for idx, name in extra_cols},
+    )
+
+
+def parse_features_csv(source, user_id: Optional[str] = None) -> list:
+    """One user's feature table (:func:`read_features_table`) as examples
+    with precomputed features."""
+    table = read_features_table(source, user_id)
+    return [
+        Example(
+            user_id=table.user_id,
+            timestamp=ts,
+            precomputed_features={
+                s: FeatureVector.from_values(s, m[i]) for s, m in table.features.items()
+            },
+            labels=tuple(
+                LabelAssignment(name, _LABEL_VALUES[int(col[i])])
+                for name, col in table.labels.items()
+            ),
+            metadata={name: cells[i] for name, cells in table.metadata.items()},
         )
-    examples.sort(key=lambda ex: ex.timestamp)
-    return examples
+        for i, ts in enumerate(table.timestamps.tolist())
+    ]
 
 
 def write_features_csv(target, examples: Sequence[Example], label_names=None) -> None:
@@ -377,16 +419,22 @@ def write_features_csv(target, examples: Sequence[Example], label_names=None) ->
             render(fh)
 
 
-def load_features_dir(root) -> list:
-    """All per-user feature tables under a directory, in deterministic order."""
+def load_feature_tables(root) -> list:
+    """Every per-user feature table under a directory, sorted by file name.
+
+    The user id is the file name up to its first dot; two tables that give
+    the same id are an error naming both files.
+    """
     root = Path(root)
     files = sorted(root.glob("*.features.csv"))
     if not files:
         raise IngestionError(f"{root}: no *.features.csv files found")
-    examples = []
-    for path in files:
-        examples.extend(parse_features_csv(path))
-    return examples
+    for a, b in zip(files, files[1:]):  # one user's tables sort next to each other
+        if a.name.split(".")[0] == b.name.split(".")[0]:
+            raise IngestionError(
+                f"{a} and {b} are both tables of user {a.name.split('.')[0]!r}; keep one table per user"
+            )
+    return [read_features_table(path) for path in files]
 
 
 # ---------------------------------------------------------------------------

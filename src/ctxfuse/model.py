@@ -1,4 +1,4 @@
-"""Domain types for recordings, examples, labels, and datasets.
+"""Domain types for recordings, examples and labels.
 
 One example is one recorded minute: an optional raw payload and/or a
 precomputed feature vector per sensor, plus a set of label assignments.
@@ -209,53 +209,6 @@ class Example:
         for la in updates:
             by_name[la.label_name] = la
         return replace(self, labels=tuple(by_name.values()))
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Examples grouped by user, with the label vocabulary of the collection."""
-
-    examples_by_user: Mapping[str, tuple]
-    label_vocabulary: tuple
-
-    @classmethod
-    def from_examples(cls, examples: Sequence[Example], label_vocabulary=None) -> "Dataset":
-        grouped: dict = {}
-        for ex in examples:
-            grouped.setdefault(ex.user_id, []).append(ex)
-        by_user = {
-            uid: tuple(sorted(grouped[uid], key=lambda e: e.timestamp))
-            for uid in sorted(grouped)
-        }
-        if label_vocabulary is None:
-            vocab = sorted({la.label_name for ex in examples for la in ex.labels})
-        else:
-            vocab = list(label_vocabulary)
-        return cls(examples_by_user=by_user, label_vocabulary=tuple(vocab))
-
-    @property
-    def users(self) -> tuple:
-        return tuple(self.examples_by_user)
-
-    def examples(self, users=None):
-        """Iterate deterministically: by user id, then by timestamp."""
-        pool = self.users if users is None else sorted(users)
-        out = []
-        for uid in pool:
-            out.extend(self.examples_by_user.get(uid, ()))
-        return out
-
-    def core_subset(self) -> "Dataset":
-        """Restrict to examples with all six core sensors present (idempotent)."""
-        kept = [
-            ex
-            for ex in self.examples()
-            if all(ex.has_sensor(s) for s in SENSORS)
-        ]
-        return Dataset.from_examples(kept, label_vocabulary=self.label_vocabulary)
-
-    def __len__(self):
-        return sum(len(v) for v in self.examples_by_user.values())
 
 
 def validate_example(example: Example) -> list:

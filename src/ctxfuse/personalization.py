@@ -9,21 +9,21 @@ averages the universal and individual probabilities (late-fusion style).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import has_all_sensors, label_vector
-from .evaluation import MetricReport, compute_metrics, count_outcomes
-from .fusion import EarlyFusionModel, early_fusion, predict_early_fusion
-from .model import RELEVANT, SENSORS
-
-
-@dataclass(frozen=True)
-class PersonalizationSplit:
-    user_id: str
-    adaptation: tuple  # first half by timestamp
-    deployment: tuple  # second half
+from .classifier import _standardized, predict_proba_matrix
+from .data import FeatureStore
+from .evaluation import (
+    InsufficientDataError,
+    MetricReport,
+    compute_metrics,
+    count_outcomes,
+    derive_seed,
+)
+from .fusion import _fit_early_fusion
+from .model import SENSORS
 
 
 @dataclass(frozen=True)
@@ -46,100 +46,94 @@ class PersonalizationResult:
     probabilities: Optional[dict] = None
 
 
-def split_user_timeline(user_examples: Sequence) -> PersonalizationSplit:
-    """Sort by timestamp (stable) and give the first ceil(n/2) to adaptation."""
-    if len(user_examples) < 2:
+def split_user_timeline(store: FeatureStore, user: str) -> tuple:
+    """``(adaptation, deployment)``: the user's store rows sorted by
+    timestamp (stable), the first ceil(n/2) of them to adaptation."""
+    rows = store.rows([user])
+    if len(rows) < 2:
         raise ValueError("need at least 2 examples to split a user timeline")
-    users = {ex.user_id for ex in user_examples}
-    if len(users) != 1:
-        raise ValueError("examples belong to more than one user")
-    ordered = sorted(user_examples, key=lambda ex: ex.timestamp)
+    ordered = rows[np.argsort(store.timestamps[rows], kind="stable")]
     cut = (len(ordered) + 1) // 2
-    return PersonalizationSplit(
-        user_id=ordered[0].user_id,
-        adaptation=tuple(ordered[:cut]),
-        deployment=tuple(ordered[cut:]),
-    )
+    return ordered[:cut], ordered[cut:]
 
 
-def _chance_score() -> ModelScore:
-    # the convention for a trivial individual classifier
-    return ModelScore(ba=0.5, f1=0.0, report=None, trivial=True)
-
-
-def _scored(counts) -> ModelScore:
-    report = compute_metrics(counts)
+def _scored(y_true, p) -> ModelScore:
+    report = compute_metrics(count_outcomes(y_true, p > 0.5))
     return ModelScore(ba=report.ba, f1=report.f1, report=report)
 
 
-def evaluate_personalization(
-    universal_models: Mapping[str, EarlyFusionModel],
-    split: PersonalizationSplit,
-    labels: Sequence[str],
-    *,
-    seed: int = 0,
-    universal_train_users: Optional[Sequence[str]] = None,
-) -> dict:
-    """Score universal, individual, and adapted models on the deployment half.
+def _early_fusion_probabilities(store, rows, labels, seeds, X_deploy) -> dict:
+    """``{label: (model, p)}``: an EF model fit on ``rows`` per label, all
+    sharing one standardizer, and its probabilities on ``X_deploy``."""
+    standardizer, Z = _standardized(store.matrix(SENSORS, rows))
+    Z_deploy = X_deploy if standardizer is None else standardizer.transform(X_deploy)
+    out = {}
+    for label in labels:
+        model = _fit_early_fusion(
+            label, SENSORS, standardizer, Z, store.relevant[label][rows], cost=None, seed=seeds(label)
+        )
+        out[label] = model, predict_proba_matrix(model.model, Z_deploy)
+    return out
 
-    ``universal_models`` maps each label to an early-fusion model trained on
-    other users. The individual model is an early-fusion classifier fit on
-    the adaptation half with the usual pipeline; when its training data has
-    a single class it is trivial and reported at chance level (BA 0.5,
-    F1 0), and the adapted model falls back to the universal probabilities
-    alone. Leakage is asserted: deployment examples are disjoint from
-    adaptation and, when the universal training users are supplied, from
-    those users.
+
+def personalize(
+    store: FeatureStore, user: str, labels: Sequence[str], train_users: Sequence[str], *, seed: int = 0
+) -> dict:
+    """Score universal, individual, and adapted models on the user's deployment half.
+
+    Per label, the universal model is early fusion fit on the complete-sensor
+    rows of ``train_users``, the individual model on those of the user's
+    adaptation half (:func:`split_user_timeline`); both grid-search the cost
+    with seeds derived from ``seed``. A trivial individual model (a single
+    class, or no row) is reported at chance level (BA 0.5, F1 0) and the
+    adapted model is then the universal one alone. Leakage is asserted: the
+    halves are disjoint, and the user is not one of ``train_users``.
     """
-    adapt_ids = {(ex.user_id, ex.timestamp) for ex in split.adaptation}
-    deploy_ids = {(ex.user_id, ex.timestamp) for ex in split.deployment}
-    if adapt_ids & deploy_ids:
+    adaptation, deployment = split_user_timeline(store, user)
+    if np.intersect1d(store.timestamps[adaptation], store.timestamps[deployment]).size:
         raise AssertionError("adaptation and deployment examples overlap")
-    if universal_train_users is not None and split.user_id in set(universal_train_users):
+    if user in set(train_users):
         raise AssertionError("universal model was trained on the test user")
 
-    deploy = [ex for ex in split.deployment if has_all_sensors(ex, SENSORS)]
-    if not deploy:
-        raise ValueError("no complete-sensor deployment examples")
+    complete = store.complete()
+    train = store.rows(train_users)
+    train = train[complete[train]]
+    if not train.size:
+        raise InsufficientDataError(
+            f"user {user!r}: the universal model's training users have no complete-sensor minute"
+        )
+    deploy = deployment[complete[deployment]]
+    if not deploy.size:
+        raise InsufficientDataError(f"user {user!r}: no complete-sensor deployment examples")
+    adapt = adaptation[complete[adaptation]]
 
-    adapt_complete = [ex for ex in split.adaptation if has_all_sensors(ex, SENSORS)]
+    X_deploy = store.matrix(SENSORS, deploy)
+    universal = _early_fusion_probabilities(
+        store, train, labels, lambda label: derive_seed(seed, "universal", label), X_deploy
+    )
+    individual = _early_fusion_probabilities(
+        store, adapt, labels, lambda label: derive_seed(seed, "individual", user), X_deploy
+    ) if adapt.size else {}
 
     results = {}
     for label in labels:
-        p_universal = predict_early_fusion(universal_models[label], deploy)
-        y_true = label_vector(deploy, label) > 0
-        universal_score = _scored(count_outcomes(y_true, p_universal > 0.5))
-
-        individual = None
-        if adapt_complete:
-            individual = early_fusion(adapt_complete, label, seed=seed)
-        if individual is None or individual.is_trivial:
-            individual_score = _chance_score()
-            p_individual = None
-            p_adapted = p_universal
+        y_true = store.relevant[label][deploy] > 0
+        _, p_universal = universal[label]
+        model, p_individual = individual.get(label, (None, None))
+        if model is None or model.is_trivial:
+            # the convention for a trivial individual classifier
+            individual_score = ModelScore(ba=0.5, f1=0.0, report=None, trivial=True)
+            p_individual, p_adapted = None, p_universal
         else:
-            p_individual = predict_early_fusion(individual, deploy)
-            individual_score = _scored(count_outcomes(y_true, p_individual > 0.5))
+            individual_score = _scored(y_true, p_individual)
             p_adapted = (p_universal + p_individual) / 2.0
-
-        adapted_score = _scored(count_outcomes(y_true, p_adapted > 0.5))
-
-        n_pos = sum(
-            1
-            for ex in list(split.adaptation) + list(split.deployment)
-            if ex.label_value(label) == RELEVANT
-        )
         results[label] = PersonalizationResult(
             label=label,
-            universal=universal_score,
+            universal=_scored(y_true, p_universal),
             individual=individual_score,
-            adapted=adapted_score,
-            n_user_positives=n_pos,
-            probabilities={
-                "universal": p_universal,
-                "individual": p_individual,
-                "adapted": p_adapted,
-            },
+            adapted=_scored(y_true, p_adapted),
+            n_user_positives=int(store.relevant[label][store.rows([user])].sum()),
+            probabilities={"universal": p_universal, "individual": p_individual, "adapted": p_adapted},
         )
     return results
 

@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from ctxfuse.data import sensor_features
+from ctxfuse.data import has_all_sensors, sensor_features
 from ctxfuse.model import (
-    Dataset,
     Example,
     FEATURE_DIMS,
     FeatureVector,
@@ -37,6 +36,32 @@ def feature_example(user_id, timestamp, values_by_sensor, labels=None):
         precomputed_features=feats,
         labels=label_tuple(labels or {}),
     )
+
+
+def ordered(examples, users=None):
+    """The examples of ``users`` (of everyone by default) by user id, then
+    timestamp: the row order of a feature store built from tables."""
+    keep = None if users is None else set(users)
+    return sorted(
+        (ex for ex in examples if keep is None or ex.user_id in keep),
+        key=lambda ex: (ex.user_id, ex.timestamp),
+    )
+
+
+def user_ids(examples):
+    return sorted({ex.user_id for ex in examples})
+
+
+def core_examples(examples):
+    """The examples with all six sensors: the minutes the protocol scores."""
+    return [ex for ex in examples if has_all_sensors(ex)]
+
+
+def by_user(examples):
+    out = {}
+    for ex in examples:
+        out.setdefault(ex.user_id, []).append(ex)
+    return out
 
 
 def feature_matrix(examples, sensor):
@@ -117,6 +142,7 @@ def complementary_sensor_dataset(
     The target is y = 1[h1 + h2 > 0] with h1 visible (noisily) only in the
     first informative sensor's first feature and h2 only in the second's.
     Either sensor alone supports partial accuracy; together they determine y.
+    Returns (examples in :func:`ordered` order, label).
     """
     rng = np.random.default_rng(seed)
     h1 = rng.normal(size=n)
@@ -135,4 +161,4 @@ def complementary_sensor_dataset(
         examples.append(
             feature_example(user, 1_600_000_000 + i * 60, vals, {label: int(y[i])})
         )
-    return Dataset.from_examples(examples), label
+    return ordered(examples), label

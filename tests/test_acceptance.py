@@ -21,7 +21,7 @@ from ctxfuse.classifier import (
     predict_proba_matrix,
     train_linear,
 )
-from ctxfuse.data import label_vector
+from ctxfuse.data import FeatureStore, label_vector
 from ctxfuse.evaluation import (
     MetricCounts,
     compute_metrics,
@@ -38,16 +38,15 @@ from ctxfuse.features import (
     time_bin_indicators,
 )
 from ctxfuse.fusion import early_fusion, late_fusion_average, late_fusion_learned
-from ctxfuse.ingestion import load_features_dir, load_fold_partition
+from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import (
-    Dataset,
     LocationSeries,
     LocationUpdate,
     PhoneStateSnapshot,
     PHONE_STATE_VALUES,
     SENSORS,
 )
-from ctxfuse.personalization import evaluate_personalization, split_user_timeline
+from ctxfuse.personalization import personalize, split_user_timeline
 from synth import (
     complementary_sensor_dataset,
     concat_feature_matrix,
@@ -55,6 +54,8 @@ from synth import (
     feature_example,
     feature_matrix,
     make_triaxial,
+    ordered,
+    user_ids,
 )
 
 
@@ -214,9 +215,9 @@ def test_criterion_5_random_baseline_p99():
 
 def test_criterion_6_fusion_on_complementary_sensors():
     start = time.time()
-    dataset, label = complementary_sensor_dataset(n=5000, n_users=10, seed=60)
-    train_users, test_users = dataset.users[:5], dataset.users[5:]
-    train, test = dataset.examples(train_users), dataset.examples(test_users)
+    examples, label = complementary_sensor_dataset(n=5000, n_users=10, seed=60)
+    users = user_ids(examples)
+    train, test = ordered(examples, users[:5]), ordered(examples, users[5:])
     y = label_vector(test, label) > 0
 
     singles, p_cols, single_bas = {}, {}, {}
@@ -320,15 +321,9 @@ def test_criterion_9_personalization_protocol():
     background, test_user, label = drift_user_scenario(
         seed=41, n_per_background=150, n_test_user=600
     )
-    universal = {
-        label: early_fusion(background, label, cost=1.0),
-        "NEVER_POSITIVE": early_fusion(background, label, cost=1.0),
-    }
-    split = split_user_timeline(test_user)
-    results = evaluate_personalization(
-        universal, split, [label, "NEVER_POSITIVE"], seed=2,
-        universal_train_users=sorted({ex.user_id for ex in background}),
-    )
+    labels = [label, "NEVER_POSITIVE"]
+    store = FeatureStore.from_examples(ordered(background + test_user), labels=labels)
+    results = personalize(store, "tu", labels, user_ids(background), seed=2)
 
     chance = results["NEVER_POSITIVE"]
     ok = chance.individual.trivial and chance.individual.ba == 0.5 and chance.individual.f1 == 0.0
@@ -337,8 +332,9 @@ def test_criterion_9_personalization_protocol():
     ok = ok and pr["individual"] is not None
     ok = ok and np.array_equal(pr["adapted"], (pr["universal"] + pr["individual"]) / 2.0)
 
-    adapt_ids = {(ex.user_id, ex.timestamp) for ex in split.adaptation}
-    deploy_ids = {(ex.user_id, ex.timestamp) for ex in split.deployment}
+    adaptation, deployment = split_user_timeline(store, "tu")
+    adapt_ids = {(store.users[i], store.timestamps[i]) for i in adaptation}
+    deploy_ids = {(store.users[i], store.timestamps[i]) for i in deployment}
     train_ids = {(ex.user_id, ex.timestamp) for ex in background}
     ok = ok and not (deploy_ids & adapt_ids) and not (deploy_ids & train_ids)
 
@@ -361,11 +357,11 @@ def test_criterion_10_dataset_reproduction():
         for line in open(labels_path, encoding="utf-8")
         if line.strip() and not line.startswith("#")
     ]
-    dataset = Dataset.from_examples(load_features_dir(features_dir))
+    store = FeatureStore.from_tables(load_feature_tables(features_dir), labels=labels)
     partition = load_fold_partition(partition_path)
 
     out = cross_validate(
-        dataset, labels, ["ef", "lfa", "lfl"], partition, mode="cv5", seed=0,
+        store, labels, ["ef", "lfa", "lfl"], partition, mode="cv5", seed=0,
         jobs=int(os.environ.get("CTXFUSE_JOBS", "1")),
     )
     averages = {

@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ctxfuse.classifier as classifier
+import ctxfuse.cli as cli
 from ctxfuse.cli import main
-from ctxfuse.ingestion import write_features_csv
-from synth import complementary_sensor_dataset, drift_user_scenario
+from ctxfuse.ingestion import load_fold_partition, write_features_csv
+from ctxfuse.model import FEATURE_DIMS, SENSORS, Example, FeatureVector
+from perfbench_files import perfbench_module
+from synth import by_user, complementary_sensor_dataset, drift_user_scenario, feature_example
 
 from test_ingestion import _write_session
 
@@ -29,9 +35,8 @@ def _features_dir_from(examples_by_user, root):
 
 @pytest.fixture()
 def eval_setup(tmp_path):
-    dataset, label = complementary_sensor_dataset(n=240, n_users=4, seed=50)
-    by_user = {u: dataset.examples_by_user[u] for u in dataset.users}
-    features = _features_dir_from(by_user, tmp_path / "features")
+    examples, label = complementary_sensor_dataset(n=240, n_users=4, seed=50)
+    features = _features_dir_from(by_user(examples), tmp_path / "features")
     labels_file = tmp_path / "labels.txt"
     labels_file.write_text(f"{label}\n")
     return features, labels_file, label
@@ -197,10 +202,7 @@ def test_personalize_end_to_end(tmp_path):
     background, test_user, label = drift_user_scenario(
         seed=41, n_per_background=120, n_test_user=400
     )
-    by_user = {}
-    for ex in background + test_user:
-        by_user.setdefault(ex.user_id, []).append(ex)
-    features = _features_dir_from(by_user, tmp_path / "features")
+    features = _features_dir_from(by_user(background + test_user), tmp_path / "features")
     labels_file = tmp_path / "labels.txt"
     labels_file.write_text(f"{label}\n")
 
@@ -311,11 +313,11 @@ def test_jobs_below_one_exits_3(tmp_path, eval_setup, capsys, jobs):
 
 
 def test_personalize_single_example_user_exits_3(tmp_path):
-    dataset, label = complementary_sensor_dataset(n=61, n_users=61, seed=51)
+    examples, label = complementary_sensor_dataset(n=61, n_users=61, seed=51)
     # user u60 gets exactly one example
-    by_user = {u: dataset.examples_by_user[u] for u in dataset.users}
-    assert len(by_user["u60"]) == 1
-    features = _features_dir_from(by_user, tmp_path / "features")
+    tables = by_user(examples)
+    assert len(tables["u60"]) == 1
+    features = _features_dir_from(tables, tmp_path / "features")
     labels_file = tmp_path / "labels.txt"
     labels_file.write_text(f"{label}\n")
     code = main([
@@ -515,3 +517,200 @@ def test_partition_users_differing_from_dataset_exit_3(tmp_path, eval_setup, cap
     assert code == 3, err
     assert f"missing: {users[3]}; extra: ghost" in err
     assert not out.exists()
+
+
+def test_two_tables_of_one_user_exit_2(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    table = sorted(features.glob("*.features.csv"))[0]
+    copy = features / f"{table.name.split('.')[0]}.copy.features.csv"
+    copy.write_bytes(table.read_bytes())
+    out = tmp_path / "out"
+    code = main(["evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+                 "--systems", "acc", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(table) in err and str(copy) in err
+    assert not out.exists()
+
+
+def _fusion_tables(root, *, watchless=(), watchless_second_half=()):
+    """Three users of 12 all-sensor minutes with a both-class label ``T``;
+    ``watchless`` users never wear the watch, ``watchless_second_half``
+    users take it off halfway."""
+    rng = np.random.default_rng(52)
+    tables = {}
+    for user in ("u0", "u1", "u2"):
+        tables[user] = []
+        for i in range(12):
+            vals = {s: rng.normal(size=FEATURE_DIMS[s]) for s in SENSORS}
+            if user in watchless or (user in watchless_second_half and i >= 6):
+                del vals["wacc"]
+            tables[user].append(feature_example(user, 1_600_000_000 + 60 * i, vals, {"T": i % 2}))
+    features = _features_dir_from(tables, root / "features")
+    labels_file = root / "labels.txt"
+    labels_file.write_text("T\n")
+    return features, labels_file
+
+
+def test_ef_fold_without_complete_training_minute_exits_2(tmp_path, capsys):
+    features, labels_file = _fusion_tables(tmp_path, watchless=("u1", "u2"))
+    partition = tmp_path / "partition.txt"
+    partition.write_text("u0\nu1 u2\n")
+    out = tmp_path / "out"
+    code = main(["evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+                 "--partition", str(partition), "--systems", "ef", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == ("error: fold 0 (held-out users u0): early fusion has no "
+                   "complete-sensor training examples\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("watchless, watchless_second_half, message", [
+    ((), ("u0",), "no complete-sensor deployment examples"),
+    (("u1", "u2"), (), "the universal model's training users have no complete-sensor minute"),
+])
+def test_personalize_without_complete_minute_exits_2(
+    tmp_path, capsys, watchless, watchless_second_half, message
+):
+    features, labels_file = _fusion_tables(
+        tmp_path, watchless=watchless, watchless_second_half=watchless_second_half
+    )
+    out = tmp_path / "out"
+    code = main(["personalize", "--features-dir", str(features), "--labels", str(labels_file),
+                 "--user", "u0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"error: user 'u0': {message}\n"
+    assert not out.exists()
+
+
+def _spy_on_representations(monkeypatch):
+    """Lists that fill with the name of every ``Example`` and
+    ``FeatureVector`` built, and with one entry per standardizer fit."""
+    built, standardizers = [], []
+    for cls in (Example, FeatureVector):
+        post_init = cls.__post_init__
+
+        def counting(self, post_init=post_init):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    fit_standardizer = classifier.fit_standardizer
+    monkeypatch.setattr(classifier, "fit_standardizer",
+                        lambda X: standardizers.append(1) or fit_standardizer(X))
+    return built, standardizers
+
+
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory):
+    corpus = perfbench_module("corpus")
+    root, info = corpus.materialize(
+        corpus.WORKLOADS["cv5-fusion"], 0, False, tmp_path_factory.mktemp("inputs")
+    )
+    return root, info
+
+
+def test_evaluate_and_personalize_hold_one_representation(tmp_path, golden_corpus, monkeypatch, capsys):
+    root, info = golden_corpus
+    common = ["--features-dir", str(root / "features"), "--labels", str(root / "labels.txt"),
+              "--partition", str(root / "partition.txt")]
+    built, standardizers = _spy_on_representations(monkeypatch)
+    assert main(["evaluate", *common, "--out", str(tmp_path / "e")]) == 0, capsys.readouterr().err
+    folds = len(load_fold_partition(root / "partition.txt"))
+    assert built == []
+    assert len(standardizers) == folds * (len(SENSORS) + 1)
+
+    assert len(info["labels"]) == 3
+    standardizers.clear()
+    code = main(["personalize", *common, "--user", "user06", "--out", str(tmp_path / "p")])
+    assert code == 0, capsys.readouterr().err
+    assert built == []
+    assert len(standardizers) <= 2
+
+
+def _evaluate_outputs(tmp_path, monkeypatch, features, labels_file, partition, systems, name):
+    """``(counts, chosen costs, results CSVs)`` of one ``evaluate`` run."""
+    captured = {}
+    cross_validate = cli.cross_validate
+
+    def capturing(*args, **kwargs):
+        captured["result"] = cross_validate(*args, **kwargs)
+        return captured["result"]
+
+    monkeypatch.setattr(cli, "cross_validate", capturing)
+    out = tmp_path / name
+    assert main(["evaluate", "--features-dir", str(features), "--labels", str(labels_file),
+                 "--partition", str(partition), "--systems", ",".join(systems),
+                 "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "cross_validate", cross_validate)
+    counts = {(s, label): ev.counts for s, by_label in captured["result"].items()
+              for label, ev in by_label.items()}
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    csvs = {m: (out / f"results_{m}.csv").read_text(encoding="utf-8") for m in ("ba", "f1")}
+    return counts, manifest["chosen_costs"], csvs
+
+
+@pytest.fixture()
+def tiny_corpus(tmp_path):
+    corpus = perfbench_module("corpus")
+    root, info = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, True, tmp_path / "inputs")
+    return root, list(corpus.ALL_SYSTEMS)
+
+
+def test_shuffled_table_rows_change_nothing(tmp_path, tiny_corpus, monkeypatch):
+    root, systems = tiny_corpus
+    args = (root / "features", root / "labels.txt", root / "partition.txt", systems)
+    want = _evaluate_outputs(tmp_path, monkeypatch, *args, "original")
+    rng = np.random.default_rng(0)
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    for table in sorted((root / "features").glob("*.features.csv")):
+        header, *rows = table.read_text(encoding="utf-8").splitlines()
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        (shuffled / table.name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    got = _evaluate_outputs(tmp_path, monkeypatch, shuffled, *args[1:], "shuffled")
+    assert got == want
+
+
+def test_order_preserving_user_rename_changes_nothing(tmp_path, tiny_corpus, monkeypatch):
+    root, systems = tiny_corpus
+    args = (root / "features", root / "labels.txt", root / "partition.txt", systems)
+    want = _evaluate_outputs(tmp_path, monkeypatch, *args, "original")
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    for table in (root / "features").glob("*.features.csv"):
+        (renamed / table.name.replace("user", "subject_")).write_bytes(table.read_bytes())
+    partition = tmp_path / "partition.txt"
+    partition.write_text((root / "partition.txt").read_text().replace("user", "subject_"))
+    got = _evaluate_outputs(tmp_path, monkeypatch, renamed, root / "labels.txt", partition,
+                            systems, "renamed")
+    assert got == want
+
+
+def test_single_system_run_gives_the_same_cells(tmp_path, tiny_corpus, monkeypatch):
+    root, systems = tiny_corpus
+    args = (root / "features", root / "labels.txt", root / "partition.txt")
+    all_counts, all_costs, all_csvs = _evaluate_outputs(tmp_path, monkeypatch, *args, systems, "all")
+    counts, costs, csvs = _evaluate_outputs(tmp_path, monkeypatch, *args, ["acc"], "acc")
+    assert counts == {key: c for key, c in all_counts.items() if key[0] == "acc"}
+    assert costs == {label: {k: c for k, c in by_fold.items() if k.endswith(":acc")}
+                     for label, by_fold in all_costs.items()}
+    for metric, text in csvs.items():
+        # label, n_e, n_s, p99 and acc: the first five columns of every row
+        assert [row.split(",")[:5] for row in text.splitlines()] == [
+            row.split(",")[:5] for row in all_csvs[metric].splitlines()
+        ]
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    examples, _ = complementary_sensor_dataset(n=300, n_users=6, seed=53, label="SITTING")
+    _features_dir_from(by_user(examples), tmp_path / "features")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(0.0 <= float(v) <= 1.0 for v in printed)

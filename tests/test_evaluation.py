@@ -22,8 +22,8 @@ from ctxfuse.evaluation import (
     table_to_csv,
     table_to_markdown,
 )
-from ctxfuse.model import Dataset
-from synth import complementary_sensor_dataset, random_full_example
+from ctxfuse.data import FeatureStore
+from synth import complementary_sensor_dataset, core_examples, random_full_example, user_ids
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +324,21 @@ def test_confusion_empty_class_row_is_nan():
 # cross-validation harness
 # ---------------------------------------------------------------------------
 
+def _store(**kwargs):
+    examples, label = complementary_sensor_dataset(**kwargs)
+    return FeatureStore.from_examples(examples, labels=[label]), label
+
+
 def test_cross_validation_on_separable_synthetic():
-    dataset, label = complementary_sensor_dataset(n=600, n_users=6, seed=6)
-    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=0)
-    out = cross_validate(dataset, [label], ["acc", "ef", "lfa", "lfl"], part, seed=0)
+    examples, label = complementary_sensor_dataset(n=600, n_users=6, seed=6)
+    part = partition_folds({u: "p" for u in user_ids(examples)}, k=3, seed=0)
+    store = FeatureStore.from_examples(examples, labels=[label])
+    out = cross_validate(store, [label], ["acc", "ef", "lfa", "lfl"], part, seed=0)
     ev = out["ef"][label]
     assert ev.report.ba is not None and ev.report.ba > 0.8
     assert ev.counts.total == 600
     assert ev.n_examples == sum(
-        1 for ex in dataset.examples() if ex.label_value(label) == "relevant"
+        1 for ex in examples if ex.label_value(label) == "relevant"
     )
     assert ev.n_subjects == 6
 
@@ -345,9 +351,9 @@ def test_label_missing_from_a_fold_flags_trivial():
         # only user u0 ever reports the label
         y = 1 if (user == "u0" and i % 2 == 0) else 0
         examples.append(random_full_example(rng, user, i, labels={"RARE": y}))
-    dataset = Dataset.from_examples(examples)
+    store = FeatureStore.from_examples(examples, labels=["RARE"])
     part = FoldPartition(folds=(("u0",), ("u1",), ("u2",)))
-    out = cross_validate(dataset, ["RARE"], ["acc"], part, seed=0)
+    out = cross_validate(store, ["RARE"], ["acc"], part, seed=0)
     ev = out["acc"]["RARE"]
     # the fold holding out u1/u2 trains fine; the fold holding out u0 cannot
     assert any("trivial" in f for f in ev.flags)
@@ -372,46 +378,64 @@ def test_heterogeneous_sensor_availability():
             type(ex)(user_id=ex.user_id, timestamp=ex.timestamp,
                      precomputed_features=feats, labels=ex.labels)
         )
-    dataset = Dataset.from_examples(examples)
-    core_n = len(dataset.core_subset())
+    core_n = len(core_examples(examples))
     assert 0 < core_n < 360
 
-    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=1)
-    out = cross_validate(dataset, ["T"], ["wacc", "lfa"], part, seed=0)
+    part = partition_folds({u: "p" for u in user_ids(examples)}, k=3, seed=1)
+    out = cross_validate(FeatureStore.from_examples(examples, labels=["T"]), ["T"], ["wacc", "lfa"], part, seed=0)
     # only complete-sensor minutes are scored
     assert out["wacc"]["T"].counts.total == core_n
     assert out["lfa"]["T"].counts.total == core_n
 
 
+def test_n_s_counts_users_with_a_relevant_all_six_sensor_minute():
+    # u2 reports the label only on minutes without the watch: its minutes
+    # are never scored, so it is not one of the label's subjects
+    rng = np.random.default_rng(14)
+    examples = []
+    for i in range(90):
+        user = f"u{i % 3}"
+        ex = random_full_example(rng, user, i, labels={"T": int(i % 2 == 0)})
+        if user == "u2" and i % 2 == 0:
+            feats = {s: fv for s, fv in ex.precomputed_features.items() if s != "wacc"}
+            ex = type(ex)(user_id=user, timestamp=i, precomputed_features=feats, labels=ex.labels)
+        examples.append(ex)
+    store = FeatureStore.from_examples(examples, labels=["T"])
+    part = FoldPartition(folds=(("u0",), ("u1",), ("u2",)))
+    ev = cross_validate(store, ["T"], ["acc"], part, mode="loo", seed=0)["acc"]["T"]
+    assert ev.n_subjects == 2
+    assert ev.n_examples == 30
+
+
 def test_cross_validate_early_fusion_alone():
-    dataset, label = complementary_sensor_dataset(n=150, n_users=3, seed=12)
-    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=0)
-    out = cross_validate(dataset, [label], ["ef"], part, seed=0)
+    store, label = _store(n=150, n_users=3, seed=12)
+    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
+    out = cross_validate(store, [label], ["ef"], part, seed=0)
     assert out["ef"][label].counts.total == 150
 
 
 def test_cross_validate_rejects_unknown_system_and_bad_partition():
-    dataset, label = complementary_sensor_dataset(n=60, n_users=3, seed=8)
-    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=0)
+    store, label = _store(n=60, n_users=3, seed=8)
+    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
     with pytest.raises(ValueError, match="unknown system"):
-        cross_validate(dataset, [label], ["svm"], part)
+        cross_validate(store, [label], ["svm"], part)
     bad = FoldPartition(folds=(("nobody",),))
     with pytest.raises(ValueError, match="partition users"):
-        cross_validate(dataset, [label], ["acc"], bad)
+        cross_validate(store, [label], ["acc"], bad)
 
 
 def test_cross_validate_rejects_jobs_below_one():
-    dataset, label = complementary_sensor_dataset(n=60, n_users=3, seed=8)
-    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=0)
+    store, label = _store(n=60, n_users=3, seed=8)
+    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            cross_validate(dataset, [label], ["acc"], part, jobs=jobs)
+            cross_validate(store, [label], ["acc"], part, jobs=jobs)
 
 
 def test_loo_mode_equals_per_user_folds_with_fixed_cost():
-    dataset, label = complementary_sensor_dataset(n=120, n_users=4, seed=9)
-    part = loo_partition(dataset.users)
-    out = cross_validate(dataset, [label], ["acc"], part, mode="loo", seed=0)
+    store, label = _store(n=120, n_users=4, seed=9)
+    part = loo_partition(store.user_ids())
+    out = cross_validate(store, [label], ["acc"], part, mode="loo", seed=0)
     ev = out["acc"][label]
     assert ev.counts.total == 120
     # fixed C=1 everywhere, nothing grid-searched
@@ -419,10 +443,10 @@ def test_loo_mode_equals_per_user_folds_with_fixed_cost():
 
 
 def test_jobs_do_not_change_results():
-    dataset, label = complementary_sensor_dataset(n=300, n_users=6, seed=10)
-    part = partition_folds({u: "p" for u in dataset.users}, k=3, seed=0)
-    out1 = cross_validate(dataset, [label], ["acc", "lfa"], part, seed=5, jobs=1)
-    out2 = cross_validate(dataset, [label], ["acc", "lfa"], part, seed=5, jobs=3)
+    store, label = _store(n=300, n_users=6, seed=10)
+    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
+    out1 = cross_validate(store, [label], ["acc", "lfa"], part, seed=5, jobs=1)
+    out2 = cross_validate(store, [label], ["acc", "lfa"], part, seed=5, jobs=3)
     for sys_name in ("acc", "lfa"):
         c1, c2 = out1[sys_name][label].counts, out2[sys_name][label].counts
         assert (c1.tp, c1.tn, c1.fp, c1.fn) == (c2.tp, c2.tn, c2.fp, c2.fn)
@@ -433,9 +457,9 @@ def test_jobs_do_not_change_results():
 # ---------------------------------------------------------------------------
 
 def _tiny_results():
-    dataset, label = complementary_sensor_dataset(n=200, n_users=4, seed=11)
-    part = partition_folds({u: "p" for u in dataset.users}, k=2, seed=0)
-    evaluations = cross_validate(dataset, [label], ["acc", "lfa"], part, seed=0)
+    store, label = _store(n=200, n_users=4, seed=11)
+    part = partition_folds({u: "p" for u in store.user_ids()}, k=2, seed=0)
+    evaluations = cross_validate(store, [label], ["acc", "lfa"], part, seed=0)
     return evaluations, [label]
 
 

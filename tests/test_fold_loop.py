@@ -6,10 +6,9 @@ feature matrix per label and fits one standardizer per model. It is a test
 oracle only. ``cross_validate`` must give the same counts, flags and chosen
 costs with either fold loop, in both modes and with threads. The work-count
 guard holds the fold loop to one standardizer per (fold, sensor) plus one
-for EF, and to one presence check per (example, sensor).
+for EF, and a store built from feature tables to no presence check on an
+example.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from ctxfuse.classifier import (
     predict_proba_features,
     predict_proba_matrix,
 )
-from ctxfuse.cli import _load_dataset, _read_labels_file
+from ctxfuse.cli import _read_labels_file
 from ctxfuse.data import FeatureStore, label_vector
 from ctxfuse.evaluation import (
     FoldPartition,
@@ -32,17 +31,25 @@ from ctxfuse.evaluation import (
     loo_partition,
 )
 from ctxfuse.fusion import early_fusion, late_fusion_average, late_fusion_learned, predict_early_fusion
-from ctxfuse.ingestion import load_fold_partition
-from ctxfuse.model import FEATURE_DIMS, SENSORS, Dataset, Example
+from ctxfuse.ingestion import load_feature_tables, load_fold_partition
+from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
 from perfbench_files import perfbench_module
-from synth import concat_feature_matrix, feature_example, feature_matrix, make_triaxial
+from synth import (
+    core_examples,
+    concat_feature_matrix,
+    feature_example,
+    feature_matrix,
+    make_triaxial,
+    ordered,
+    user_ids,
+)
 
 SYSTEMS = list(SENSORS) + ["ef", "lfa", "lfl"]
 
 
-def _per_example_fold(dataset, labels, systems, fold_users, train_users, *, cost, seed, fold_index):
-    train_examples = dataset.examples(train_users)
-    pool = Dataset.from_examples(dataset.examples(fold_users)).core_subset().examples()
+def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cost, seed, fold_index):
+    train_examples = ordered(examples, train_users)
+    pool = core_examples(ordered(examples, fold_users))
     if not pool:
         return {}, {}, {}
 
@@ -164,7 +171,7 @@ def _mixed_dataset(seed=7):
                 ex = Example(user_id=user, timestamp=ex.timestamp, sensor_data=raw,
                              precomputed_features=feats, labels=ex.labels)
             examples.append(ex)
-    return Dataset.from_examples(examples)
+    return ordered(examples)
 
 
 def _flat_complete_dataset(seed=8):
@@ -185,7 +192,7 @@ def _flat_complete_dataset(seed=8):
                 vals["acc"][0] += 2 * h
                 y = int(h > 0)
             examples.append(feature_example(f"u{u}", 1_600_000_000 + 60 * i, vals, {"T": y}))
-    return Dataset.from_examples(examples)
+    return ordered(examples)
 
 
 CASES = {
@@ -202,7 +209,7 @@ def case(request):
     return request.param, make(), labels, partition
 
 
-def _run(dataset, labels, partition, mode, jobs=1, oracle=False):
+def _run(examples, labels, partition, mode, jobs=1, oracle=False):
     """``cross_validate`` and the cost-grid fallbacks it took; with
     ``oracle``, every fold runs through ``_per_example_fold``."""
     fallbacks = []
@@ -214,24 +221,25 @@ def _run(dataset, labels, partition, mode, jobs=1, oracle=False):
         return result
 
     def per_example(store, *args, **kwargs):
-        return _per_example_fold(dataset, *args, **kwargs)
+        return _per_example_fold(examples, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifier, "select_cost", recording)
         if oracle:
             mp.setattr(evaluation, "_fold_counts", per_example)
-        out = cross_validate(dataset, labels, SYSTEMS, partition, mode=mode, seed=3, jobs=jobs)
+        store = FeatureStore.from_examples(examples, labels=labels)
+        out = cross_validate(store, labels, SYSTEMS, partition, mode=mode, seed=3, jobs=jobs)
     return out, any(fallbacks)
 
 
 @pytest.mark.parametrize("mode", ["cv5", "loo"])
 def test_columnar_fold_loop_matches_per_example_oracle(case, mode):
-    name, dataset, labels, partition = case
+    name, examples, labels, partition = case
     if mode == "loo":
-        partition = loo_partition(dataset.users)
-    want, oracle_fell_back = _run(dataset, labels, partition, mode, oracle=True)
-    got, fell_back = _run(dataset, labels, partition, mode)
-    threaded, _ = _run(dataset, labels, partition, mode, jobs=2)
+        partition = loo_partition(user_ids(examples))
+    want, oracle_fell_back = _run(examples, labels, partition, mode, oracle=True)
+    got, fell_back = _run(examples, labels, partition, mode)
+    threaded, _ = _run(examples, labels, partition, mode, jobs=2)
 
     for system in SYSTEMS:
         for label in labels:
@@ -253,14 +261,13 @@ def test_columnar_fold_loop_matches_per_example_oracle(case, mode):
     assert any(fl.endswith(":lfl:trivial") for fl in flags["PARTIAL"])
     assert not any(fl.endswith(":acc:trivial") for fl in flags["PARTIAL"])
     assert mode == "loo" or fell_back  # loo fits at a fixed cost: no grid
-    store = FeatureStore.from_examples(dataset.examples())
+    store = FeatureStore.from_examples(examples)
     assert not evaluation._held_out_pool(store, ["u5"]).size
-    assert all(ex.sensor_data.get("acc") is not None for ex in dataset.examples(["u1"]))
+    assert all(ex.sensor_data.get("acc") is not None for ex in ordered(examples, ["u1"]))
 
 
 def test_feature_store_matches_per_example_assembly():
-    dataset = _mixed_dataset()
-    examples = dataset.examples()
+    examples = _mixed_dataset()
     labels = ["COMMON", "FEW"]
     store = FeatureStore.from_examples(examples, labels=labels)
     for s in SENSORS:
@@ -269,34 +276,28 @@ def test_feature_store_matches_per_example_assembly():
     for label in labels:
         assert np.array_equal(store.relevant[label], label_vector(examples, label))
     assert store.complete().tolist() == [all(ex.has_sensor(s) for s in SENSORS) for ex in examples]
+    assert store.timestamps.tolist() == [ex.timestamp for ex in examples]
     rows = store.rows(["u4", "u1"])
-    assert [examples[i] for i in rows] == dataset.examples(["u1", "u4"])
+    assert [examples[i] for i in rows] == ordered(examples, ["u1", "u4"])
     assert np.array_equal(store.matrix(SENSORS, rows),
-                          concat_feature_matrix(dataset.examples(["u1", "u4"])), equal_nan=True)
+                          concat_feature_matrix(ordered(examples, ["u1", "u4"])), equal_nan=True)
 
 
 def test_fold_loop_work_counts_on_golden_corpus(tmp_path, monkeypatch):
     corpus = perfbench_module("corpus")
     root, info = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, True, tmp_path / "inputs")
-    dataset = _load_dataset(root / "features")
     labels = _read_labels_file(root / "labels.txt")
+    store = FeatureStore.from_tables(load_feature_tables(root / "features"), labels=labels)
     partition = load_fold_partition(root / "partition.txt")
 
     standardizers = []
     fit_standardizer = classifier.fit_standardizer
     monkeypatch.setattr(classifier, "fit_standardizer",
                         lambda X: standardizers.append(1) or fit_standardizer(X))
-    presence = Counter()
-    has_sensor = Example.has_sensor
-
-    def counting(self, sensor):
-        presence[id(self), sensor] += 1
-        return has_sensor(self, sensor)
-
-    monkeypatch.setattr(Example, "has_sensor", counting)
-    out = cross_validate(dataset, labels, list(corpus.ALL_SYSTEMS), partition)
+    presence = []
+    monkeypatch.setattr(Example, "has_sensor", lambda self, sensor: presence.append(sensor))
+    out = cross_validate(store, labels, list(corpus.ALL_SYSTEMS), partition)
 
     assert len(out["lfl"]) == len(labels)
     assert len(standardizers) == len(partition) * (len(SENSORS) + 1)
-    assert presence and max(presence.values()) == 1
-    assert len(presence) <= len(dataset) * len(SENSORS)
+    assert presence == []

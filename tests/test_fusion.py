@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ctxfuse.classifier as classifier
+import ctxfuse.fusion as fusion
 from ctxfuse.classifier import (
     COST_GRID,
     LinearModel,
@@ -33,7 +34,9 @@ from synth import (
     concat_feature_matrix,
     feature_example,
     feature_matrix,
+    ordered,
     random_full_example,
+    user_ids,
 )
 
 
@@ -295,11 +298,10 @@ def test_lfl_constant_inputs_flagged_degenerate(any_example):
 
 
 def test_lfl_not_worse_than_lfa_on_complementary_sensors():
-    dataset, label = complementary_sensor_dataset(n=1200, n_users=6, seed=10)
-    train_users = dataset.users[:3]
-    test_users = dataset.users[3:]
-    train = dataset.examples(train_users)
-    test = dataset.examples(test_users)
+    examples, label = complementary_sensor_dataset(n=1200, n_users=6, seed=10)
+    users = user_ids(examples)
+    train = ordered(examples, users[:3])
+    test = ordered(examples, users[3:])
 
     components = {
         s: fit_single_sensor_model(
@@ -511,3 +513,14 @@ def test_one_vs_rest_with_one_class_raises():
     exs, classes = _small_three_class_corpus((10, 0, 0))
     with pytest.raises(ValueError, match="at least two classes"):
         multiclass_one_vs_rest(exs, classes[:1], sensors=("acc",))
+
+
+def test_nearly_constant_second_layer_inputs_still_train():
+    # inputs that vary by less than 1e-3 are not constant: the second layer
+    # learns from them instead of deciding negative everywhere
+    rng = np.random.default_rng(3)
+    P = 0.5 + 4e-4 * rng.random((200, 6))
+    y = (P[:, 0] > 0.5 + 2e-4).astype(int)
+    lfl = fusion._fit_late_fusion("T", dict.fromkeys(SENSORS), P, y, cost=None, seed=0)
+    assert "degenerate_inputs" not in lfl.notes
+    assert lfl.second_layer.weights[0] > 0

@@ -34,8 +34,17 @@ from ctxfuse.fusion import (
     predict_early_fusion,
     predict_late_fusion_learned,
 )
-from ctxfuse.model import FEATURE_DIMS, SENSORS, Dataset, Example
-from synth import concat_feature_matrix, feature_example, feature_matrix, make_triaxial
+from ctxfuse.data import FeatureStore
+from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
+from synth import (
+    core_examples,
+    concat_feature_matrix,
+    feature_example,
+    feature_matrix,
+    make_triaxial,
+    ordered,
+    user_ids,
+)
 
 
 def _rowwise_probability(model, example, sensor):
@@ -221,7 +230,7 @@ def _small_cv_dataset(seed=4, n=400, n_users=6):
             "RARE": int(user == "u0" and h[1] > 0),
         }
         examples.append(feature_example(user, 1_600_000_000 + 60 * i, vals, labels))
-    return Dataset.from_examples(examples)
+    return ordered(examples)
 
 
 def _follow_folds(monkeypatch):
@@ -239,21 +248,22 @@ def _follow_folds(monkeypatch):
 
 
 def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
-    dataset = _small_cv_dataset()
+    examples = _small_cv_dataset()
     labels = ["COMMON", "MEDIUM", "RARE"]
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
-    partition = partition_folds({u: "x" for u in dataset.users}, k=5, seed=1)
+    partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
+    store = FeatureStore.from_examples(examples, labels=labels)
 
-    batched = cross_validate(dataset, labels, systems, partition, seed=9)
+    batched = cross_validate(store, labels, systems, partition, seed=9)
     fold = _follow_folds(monkeypatch)
 
     def rowwise_lfl(label, components, P, y, *, cost, seed):
         # drop the fold's column inputs; rebuild them row by row from its training examples
-        train_examples = dataset.examples(fold["train_users"])
+        train_examples = ordered(examples, fold["train_users"])
         return _rowwise_late_fusion_learned(train_examples, label, components, cost=cost, seed=seed)
 
     monkeypatch.setattr(evaluation, "_fit_late_fusion", rowwise_lfl)
-    rowwise = cross_validate(dataset, labels, systems, partition, seed=9)
+    rowwise = cross_validate(store, labels, systems, partition, seed=9)
 
     assert any("lfl:trivial" in fl for fl in batched["lfl"]["RARE"].flags)
     for system in systems:
@@ -320,15 +330,15 @@ def test_late_fusion_average_matches_per_example_means(mixed):
 def captured_cv():
     """``cross_validate`` on the small corpus, with the held-out pool and the
     EF and LFL fold models (``None`` for a degenerate LFL) of every call."""
-    dataset = _small_cv_dataset()
+    examples = _small_cv_dataset()
     labels = ["COMMON", "MEDIUM", "RARE"]
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
-    partition = partition_folds({u: "x" for u in dataset.users}, k=5, seed=1)
+    partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
     captured = {"ef": [], "lfl": []}
     fit_ef, fit_lfl = evaluation._fit_early_fusion, evaluation._fit_late_fusion
 
     def held_out():
-        return Dataset.from_examples(dataset.examples(fold["fold_users"])).core_subset().examples()
+        return core_examples(ordered(examples, fold["fold_users"]))
 
     def capture_ef(label, *args, **kwargs):
         model = fit_ef(label, *args, **kwargs)
@@ -345,7 +355,8 @@ def captured_cv():
         fold = _follow_folds(monkeypatch)
         monkeypatch.setattr(evaluation, "_fit_early_fusion", capture_ef)
         monkeypatch.setattr(evaluation, "_fit_late_fusion", capture_lfl)
-        results = cross_validate(dataset, labels, systems, partition, seed=9)
+        store = FeatureStore.from_examples(examples, labels=labels)
+        results = cross_validate(store, labels, systems, partition, seed=9)
     assert len(captured["ef"]) == len(captured["lfl"]) == 5 * len(labels)
     return labels, results, captured
 

@@ -9,18 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ctxfuse.ingestion as ingestion
+from ctxfuse.data import FeatureStore
 from ctxfuse.evaluation import FoldPartition
 from ctxfuse.ingestion import (
     FEATURE_COLUMNS,
     IngestionError,
+    load_feature_tables,
     load_fold_partition,
     load_raw_session,
     parse_features_csv,
+    read_features_table,
     save_fold_partition,
     write_features_csv,
 )
 from ctxfuse.model import FEATURE_DIMS, MISSING, RELEVANT, SENSORS
-from synth import feature_example, random_full_example
+from perfbench_files import perfbench_module
+from synth import feature_example, ordered, random_full_example
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +274,124 @@ def test_label_names_canonicalized(tmp_path):
     path.write_text("timestamp,label:Lying down\n60,1\n")
     back = parse_features_csv(path)
     assert back[0].label_value("LYING_DOWN") == RELEVANT
+
+
+def test_label_columns_that_canonicalize_to_one_name_rejected(tmp_path):
+    path = tmp_path / "u0.features.csv"
+    path.write_text("timestamp,label:A,label:a\n60,1,0\n")
+    with pytest.raises(IngestionError) as err:
+        parse_features_csv(path)
+    assert str(err.value) == (
+        f"{path}: line 1: label columns 'label:A' and 'label:a' both canonicalize to 'A'"
+    )
+
+
+def test_timestamp_outside_int64_rejected_with_line(tmp_path):
+    path = tmp_path / "u0.features.csv"
+    path.write_text(f"timestamp,label:A\n60,1\n{2**63},0\n")
+    with pytest.raises(IngestionError, match="line 3: timestamp 9223372036854775808 is out of range"):
+        parse_features_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the feature store built from tables
+# ---------------------------------------------------------------------------
+
+def _assert_same_store(got, want):
+    """Bit-identical columns, NaN positions included, in the same row order."""
+    assert got.users.dtype == want.users.dtype
+    assert got.users.tolist() == want.users.tolist()
+    assert got.timestamps.dtype == want.timestamps.dtype
+    assert got.timestamps.tolist() == want.timestamps.tolist()
+    assert list(got.features) == list(want.features) == list(SENSORS)
+    for s in SENSORS:
+        assert got.features[s].shape == want.features[s].shape, s
+        assert got.features[s].tobytes() == want.features[s].tobytes(), s
+        assert got.present[s].tolist() == want.present[s].tolist(), s
+    assert list(got.relevant) == list(want.relevant)
+    for label, col in want.relevant.items():
+        assert got.relevant[label].dtype == col.dtype, label
+        assert got.relevant[label].tolist() == col.tolist(), label
+
+
+def _stores(sources, labels):
+    """The store built from the tables' columns, and the one built from
+    ``parse_features_csv``'s examples in user-then-timestamp order.
+    ``sources`` yields ``(make_source, user_id)``; a source is read once."""
+    tables, examples = [], []
+    for make_source, user in sources:
+        tables.append(read_features_table(make_source(), user))
+        examples.extend(parse_features_csv(make_source(), user))
+    return (FeatureStore.from_tables(tables, labels=labels),
+            FeatureStore.from_examples(ordered(examples), labels=labels))
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+def test_store_from_tables_matches_store_from_examples_on_golden_corpus(tmp_path, tiny):
+    corpus = perfbench_module("corpus")
+    root, info = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, tiny, tmp_path / "inputs")
+    paths = sorted((root / "features").glob("*.features.csv"))
+    got, want = _stores([(lambda p=p: p, None) for p in paths], info["labels"])
+    _assert_same_store(got, want)
+    assert got.complete().sum() > 0 and not got.complete().all()
+    assert not got.present["wacc"].all()
+
+
+def _without_group(text, sensor):
+    """The table with ``sensor``'s columns removed from header and rows."""
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [i for i, name in enumerate(rows[0])
+            if not name.startswith(ingestion.SENSOR_COLUMN_PREFIXES[sensor])]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([[row[i] for i in keep] for row in rows])
+    return out.getvalue()
+
+
+@st.composite
+def _directories(draw):
+    """Up to three users' tables (``_tables``), some without a sensor
+    group, one table's rows shuffled."""
+    users = draw(st.lists(st.sampled_from(["u0", "u1", "u2"]), min_size=1, max_size=3, unique=True))
+    texts, labels = {}, set()
+    for user in users:
+        examples, label_names, _, _ = draw(_tables())
+        buf = io.StringIO()
+        write_features_csv(buf, examples, label_names=label_names)
+        text = buf.getvalue()
+        for sensor in draw(st.lists(st.sampled_from(SENSORS), unique=True, max_size=3)):
+            text = _without_group(text, sensor)
+        header, *rows = text.splitlines()
+        rows = draw(st.permutations(rows))
+        texts[user] = "\n".join([header, *rows]) + "\n"
+        labels.update(label_names)
+    return texts, sorted(labels) + ["NEVER_REPORTED"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_directories())
+def test_store_from_tables_matches_store_from_examples_property(directory):
+    texts, labels = directory
+    sources = [(lambda t=text: io.StringIO(t), user) for user, text in texts.items()]
+    got, want = _stores(sources, labels)
+    _assert_same_store(got, want)
+
+
+def test_store_from_tables_keeps_one_nan_bit_pattern():
+    # "-nan" parses to a NaN with the sign bit set; the example path stores
+    # numpy's NaN, and so must the table path
+    cols = FEATURE_COLUMNS["aud"]
+    cells = ["-nan", "NaN", ""] + ["1.5"] * (len(cols) - 3)
+    text = ",".join(["timestamp", *cols]) + "\n" + ",".join(["60", *cells]) + "\n"
+    got, want = _stores([(lambda: io.StringIO(text), "u0")], [])
+    _assert_same_store(got, want)
+
+
+def test_store_from_tables_of_header_only_tables_is_empty(tmp_path):
+    path = tmp_path / "u0.features.csv"
+    path.write_text("timestamp,label:A\n")
+    store = FeatureStore.from_tables(load_feature_tables(tmp_path), labels=["A"])
+    _assert_same_store(store, FeatureStore.from_examples([], labels=["A"]))
+    assert store.user_ids() == []
 
 
 # ---------------------------------------------------------------------------

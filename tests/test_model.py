@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from ctxfuse.data import FeatureStore
 from ctxfuse.model import (
     AudioMfccSeries,
-    Dataset,
     Example,
     FEATURE_DIMS,
     FeatureVector,
@@ -93,20 +93,16 @@ def test_masked_entries_become_nan():
     assert fv.values[0] == 1.0
 
 
-def test_core_subset_filters_and_is_idempotent():
+def test_store_complete_keeps_the_minutes_with_all_six_sensors():
     rng = np.random.default_rng(1)
     full = [random_full_example(rng, "u0", t) for t in range(3)]
     partial = [
         feature_example("u1", t, {"acc": rng.normal(size=26)}) for t in range(2)
     ]
-    ds = Dataset.from_examples(full + partial)
-    core = ds.core_subset()
-    assert len(core) == 3
-    assert set(core.users) == {"u0"}
-    again = core.core_subset()
-    assert [ex.timestamp for ex in again.examples()] == [
-        ex.timestamp for ex in core.examples()
-    ]
+    store = FeatureStore.from_examples(full + partial)
+    core = store.complete()
+    assert core.tolist() == [True, True, True, False, False]
+    assert set(store.users[core]) == {"u0"}
 
 
 def test_fully_masked_features_do_not_count_as_available():

@@ -2,10 +2,15 @@
 
 Every test applies one mutant with ``monkeypatch`` and asserts that the
 golden comparison of ``test_evaluate_golden.py`` (the seed-0 ``cv5-fusion``
-corpus against the stored reference cells) or a named invariant test fails
-under it. A mutant that no check catches marks a blind spot of the suite.
+corpus against the stored reference cells), the personalize reference of
+``test_personalization.py`` or a named invariant test fails under it. A
+mutant that no check catches marks a blind spot of the suite. Mutants of
+one line inside a function are made by :func:`_mutate`, which recompiles
+the function's source with that line edited.
 """
 
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +19,24 @@ import pytest
 import ctxfuse.classifier as classifier
 import ctxfuse.cli as cli
 import ctxfuse.evaluation as evaluation
+import ctxfuse.fusion as fusion
 import ctxfuse.personalization as personalization
 import test_evaluate_golden
 import test_evaluation
+import test_fusion
 import test_personalization
+
+
+def _mutate(monkeypatch, module, name, old, new, *importers):
+    """Replace ``module.name`` (and its binding in each of ``importers``) by
+    the function compiled from its source with the one occurrence of
+    ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} is not one line of {name}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    for owner in (module, *importers):
+        monkeypatch.setattr(owner, name, namespace[name])
 
 
 def _golden_fails(tmp_path, monkeypatch, capsys) -> str:
@@ -107,14 +126,11 @@ def test_p99_over_undefined_simulations_fails_p99_test(monkeypatch):
 
 
 def test_deployment_minute_in_adaptation_half_fails_split_test(monkeypatch):
-    def overlapping(user_examples):
-        ordered = sorted(user_examples, key=lambda ex: ex.timestamp)
-        cut = (len(ordered) + 1) // 2
-        return personalization.PersonalizationSplit(
-            user_id=ordered[0].user_id,
-            adaptation=tuple(ordered[: cut + 1]),
-            deployment=tuple(ordered[cut:]),
-        )
+    split = personalization.split_user_timeline
+
+    def overlapping(store, user):
+        adaptation, deployment = split(store, user)
+        return np.append(adaptation, deployment[0]), deployment
 
     monkeypatch.setattr(personalization, "split_user_timeline", overlapping)
     monkeypatch.setattr(test_personalization, "split_user_timeline", overlapping)
@@ -122,6 +138,54 @@ def test_deployment_minute_in_adaptation_half_fails_split_test(monkeypatch):
         test_personalization.test_split_four_examples()
     # the library's own leakage check refuses such a split as well
     with pytest.raises(AssertionError, match="overlap"):
-        personalization.evaluate_personalization(
-            {}, overlapping(test_personalization._user_examples(4)), []
-        )
+        personalization.personalize(test_personalization._user_store(4), "u0", [], [])
+
+
+def _reference_fails(tmp_path, capsys) -> str:
+    """The failure message of the personalize reference test under the current mutant."""
+    with pytest.raises(AssertionError) as caught:
+        test_personalization.test_personalize_matches_reference(tmp_path, capsys)
+    return str(caught.value)
+
+
+def test_universal_model_trained_on_the_test_user_fails_reference(tmp_path, monkeypatch, capsys):
+    _mutate(monkeypatch, personalization, "personalize",
+            "train = store.rows(train_users)\n", "train = store.rows([*train_users, user])\n", cli)
+    _reference_fails(tmp_path, capsys)
+
+
+def test_adapted_model_on_universal_probabilities_alone_fails_reference(tmp_path, monkeypatch, capsys):
+    _mutate(monkeypatch, personalization, "personalize",
+            "p_adapted = (p_universal + p_individual) / 2.0", "p_adapted = p_universal", cli)
+    _reference_fails(tmp_path, capsys)
+
+
+def test_individual_model_trained_on_the_deployment_half_fails_reference(tmp_path, monkeypatch, capsys):
+    _mutate(monkeypatch, personalization, "personalize",
+            "adapt = adaptation[complete[adaptation]]",
+            "adapt = deployment[complete[deployment]]", cli)
+    _reference_fails(tmp_path, capsys)
+
+
+def test_scoring_deployment_minutes_that_lack_a_sensor_fails_reference(tmp_path, monkeypatch, capsys):
+    _mutate(monkeypatch, personalization, "personalize",
+            "deploy = deployment[complete[deployment]]",
+            "deploy = deployment", cli)
+    _reference_fails(tmp_path, capsys)
+
+
+def test_n_s_over_every_relevant_minute_fails_n_s_test(monkeypatch):
+    # on the benchmark corpora every user with a relevant minute also has a
+    # relevant all-six-sensor minute, so the golden comparison cannot see it
+    _mutate(monkeypatch, evaluation, "cross_validate",
+            "n_s = len(set(store.users[core_relevant]))",
+            "n_s = len(set(store.users[store.relevant[label] > 0]))", test_evaluation)
+    with pytest.raises(AssertionError):
+        test_evaluation.test_n_s_counts_users_with_a_relevant_all_six_sensor_minute()
+
+
+def test_lfl_constant_input_check_with_a_tolerance_fails_lfl_test(monkeypatch):
+    _mutate(monkeypatch, fusion, "_fit_late_fusion",
+            "if np.all(P == P[0:1, :]):", "if np.all(np.abs(P - P[0:1, :]) < 1e-3):", evaluation)
+    with pytest.raises(AssertionError):
+        test_fusion.test_nearly_constant_second_layer_inputs_still_train()
