@@ -11,7 +11,6 @@ from .model import (
     AudioMfccSeries,
     Example,
     FEATURE_DIMS,
-    FeatureVector,
     LabelAssignment,
     LocationSeries,
     LocationUpdate,

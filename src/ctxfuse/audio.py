@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AudioMfccSeries, FeatureVector
+from .model import AudioMfccSeries
 
 AUDIO_SAMPLE_RATE = 22_050
 FRAME_LENGTH = 2048
@@ -100,10 +100,9 @@ def compute_mfcc(audio, sample_rate: float = AUDIO_SAMPLE_RATE) -> AudioMfccSeri
     return AudioMfccSeries(frames=coefficients, normalization_factor=peak)
 
 
-def extract_audio_features(mfcc: AudioMfccSeries) -> FeatureVector:
+def extract_audio_features(mfcc: AudioMfccSeries) -> np.ndarray:
     """Mean then standard deviation of each of the 13 coefficients (26 total)."""
     frames = mfcc.frames
     if frames.shape[0] < 1 or frames.shape[1] != 13:
         raise ValueError("need at least one 13-coefficient frame")
-    values = np.concatenate([frames.mean(axis=0), frames.std(axis=0)])
-    return FeatureVector(sensor="aud", values=values, missing_mask=np.zeros(26, dtype=bool))
+    return np.concatenate([frames.mean(axis=0), frames.std(axis=0)])

@@ -46,7 +46,7 @@ class Standardizer:
     """Column means/stds estimated on training data.
 
     Zero-variance columns store std 1 (their standardized value is 0);
-    fully-masked columns store mean 0 and std 1 and standardize to 0 as well.
+    all-NaN columns store mean 0 and std 1 and standardize to 0 as well.
     """
 
     means: np.ndarray
@@ -108,7 +108,7 @@ class SingleSensorModel:
 
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:
-    """Column statistics over unmasked (non-NaN) entries; population std."""
+    """Column statistics over the non-NaN entries; population std."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] < 2:
         raise ValueError("standardizer needs at least 2 rows")
@@ -418,7 +418,7 @@ def fit_single_sensor_model(
 ) -> SingleSensorModel:
     """Full training pipeline for one (sensor, label) pair.
 
-    ``X`` is the raw feature matrix with NaN marking masked entries.
+    ``X`` is the raw feature matrix with NaN marking missing entries.
     ``cost=None`` grid-searches :data:`COST_GRID` on a validation third; a
     number fits at that C. Single-class labels yield a flagged trivial
     constant model instead of an error so evaluation harnesses can proceed.

@@ -40,6 +40,7 @@ from .evaluation import (
 )
 from .ingestion import (
     IngestionError,
+    _read_json_object,
     fold_partition_files,
     iter_session_dirs,
     load_feature_tables,
@@ -257,6 +258,11 @@ def _load_partition(path, users):
 
 def cmd_evaluate(args) -> int:
     started = time.time()
+    if args.mode == "loo" and args.partition:
+        raise ConfigError(
+            f"--mode loo holds out one user per fold and takes no --partition "
+            f"(got --partition {args.partition})"
+        )
     store, labels = _load_store(args)
     users = store.user_ids()
 
@@ -378,14 +384,24 @@ def cmd_personalize(args) -> int:
     return EXIT_OK
 
 
-def cmd_rerun(args) -> int:
+def _read_manifest(path) -> tuple:
+    """``(manifest, command, config)`` of a run manifest; a file that is not
+    one is an input error naming it."""
     try:
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = _read_json_object(Path(path))
     except OSError as exc:
-        raise IngestionError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    command = manifest["command"]
-    config = manifest["config"]
+        raise IngestionError(f"cannot read manifest {path}: {exc}") from exc
+    command, config = manifest.get("command"), manifest.get("config")
+    if command not in ("extract", "evaluate", "personalize") or not isinstance(config, dict):
+        raise IngestionError(
+            f"{path}: not a run manifest: needs \"command\" (extract, evaluate or "
+            f"personalize) and a \"config\" object, got command {command!r}"
+        )
+    return manifest, command, config
+
+
+def cmd_rerun(args) -> int:
+    manifest, command, config = _read_manifest(args.manifest)
     recorded = manifest.get("input_digest")
     current = _input_digest(command, config)
     if recorded != current:

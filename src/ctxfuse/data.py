@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -70,8 +70,9 @@ class FeatureStore:
     Built in one pass and then read by index arrays only:
 
     * ``features[s]``: sensor ``s``'s ``(n, d)`` feature matrix, NaN where
-      the sensor is absent or a cell is masked;
-    * ``present[s]``: ``(n,)`` presence mask, :meth:`Example.has_sensor`;
+      the sensor is absent or a cell is missing;
+    * ``present[s]``: ``(n,)`` presence mask, derived from ``features[s]``:
+      a sensor is present on a row unless all its cells are NaN;
     * ``relevant[label]``: :func:`label_vector` of each requested label;
     * ``users`` and ``timestamps``: each row's user id and minute.
     """
@@ -79,34 +80,34 @@ class FeatureStore:
     users: np.ndarray
     timestamps: np.ndarray
     features: Mapping[str, np.ndarray]
-    present: Mapping[str, np.ndarray]
     relevant: Mapping[str, np.ndarray]
+    present: Mapping[str, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "present", {s: ~np.isnan(X).all(axis=1) for s, X in self.features.items()}
+        )
 
     @classmethod
     def from_examples(cls, examples, *, sensors=SENSORS, labels=()) -> "FeatureStore":
         n = len(examples)
         columns = {s: np.full((n, FEATURE_DIMS[s]), np.nan) for s in sensors}
-        present = {s: np.zeros(n, dtype=bool) for s in sensors}
         for i, ex in enumerate(examples):
             for s in sensors:
-                present[s][i] = ex.has_sensor(s)
                 fv = sensor_features(ex, s)
                 if fv is not None:
-                    columns[s][i] = fv.values
+                    columns[s][i] = fv
         return cls(
             users=np.array([ex.user_id for ex in examples], dtype=str),
             timestamps=np.array([ex.timestamp for ex in examples], dtype=np.int64),
             features=columns,
-            present=present,
             relevant={label: label_vector(examples, label) for label in labels},
         )
 
     @classmethod
     def from_tables(cls, tables, *, labels=()) -> "FeatureStore":
         """The store of ``ingestion.FeatureTable``s, rows by user id, then by
-        timestamp. A sensor is present on a row unless all its cells are NaN
-        (a group the table lacks is all NaN): :meth:`Example.has_sensor`'s
-        rule for precomputed features."""
+        timestamp; a group a table lacks is all NaN on its rows."""
         tables = sorted((t for t in tables if len(t.timestamps)), key=lambda t: t.user_id)
         sizes = [len(t.timestamps) for t in tables]
         columns = {s: np.full((sum(sizes), FEATURE_DIMS[s]), np.nan) for s in SENSORS}
@@ -121,7 +122,6 @@ class FeatureStore:
             users=np.repeat(np.array([t.user_id for t in tables], dtype=str), sizes),
             timestamps=np.concatenate([np.zeros(0, np.int64)] + [t.timestamps for t in tables]),
             features=columns,
-            present={s: ~np.isnan(X).all(axis=1) for s, X in columns.items()},
             relevant=relevant,
         )
 

@@ -1,9 +1,10 @@
 """Per-sensor feature vectors from raw recordings.
 
-Each extractor returns a fixed-dimension :class:`~ctxfuse.model.FeatureVector`
-(26 for phone motion sensors, 46 for the watch, 17 for location, 26 for
-audio, 34 for phone state). Features that cannot be computed from the
-available data are emitted masked, never zero-filled.
+Each extractor returns a fixed-length float64 array (26 for phone motion
+sensors, 46 for the watch, 17 for location, 26 for audio, 34 for phone
+state). Features that cannot be computed from the available data are NaN,
+never zero-filled. No extractor returns an all-NaN vector for a finite
+payload, so a sensor with a payload is present on its minute.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .kernels import pair_cosine_lag_stats
 from .model import (
-    FeatureVector,
     LocationSeries,
     PhoneStateSnapshot,
     PHONE_STATE_VALUES,
@@ -187,24 +187,23 @@ def axis_statistics(series: TriaxialSeries) -> np.ndarray:
     return out
 
 
-def extract_motion_features(series: TriaxialSeries, sensor: str = "acc") -> FeatureVector:
+def extract_motion_features(series: TriaxialSeries, sensor: str = "acc") -> np.ndarray:
     """The 26 phone-motion features: magnitude statistics + axis statistics."""
     if sensor not in ("acc", "gyro"):
         raise ValueError("motion features apply to the phone acc/gyro sensors")
     mag = magnitude_series(series)
-    values = np.concatenate(
+    return np.concatenate(
         [scalar_series_features(mag, series.nominal_rate), axis_statistics(series)]
     )
-    return FeatureVector(sensor=sensor, values=values, missing_mask=np.zeros(26, dtype=bool))
 
 
-def extract_watch_features(series: TriaxialSeries) -> FeatureVector:
+def extract_watch_features(series: TriaxialSeries) -> np.ndarray:
     """The 46 watch-accelerometer features.
 
     The 26 base motion features, then log sub-band energies of each axis
     (x, y, z; 5 each), then the mean direction cosine between sample pairs
     in the five time-lag buckets (0-0.5 s, 0.5-1 s, 1-5 s, 5-10 s, >10 s).
-    Lag buckets with no pairs are emitted masked.
+    Lag buckets with no pairs are NaN.
     """
     mag = magnitude_series(series)
     rate = series.nominal_rate
@@ -225,10 +224,7 @@ def extract_watch_features(series: TriaxialSeries) -> FeatureVector:
     filled = counts > 0
     direction[filled] = sums[filled] / counts[filled]
 
-    values = np.concatenate([base, per_axis, direction])
-    return FeatureVector(
-        sensor="wacc", values=values, missing_mask=np.isnan(values)
-    )
+    return np.concatenate([base, per_axis, direction])
 
 
 def haversine_m(lat1, lon1, lat2, lon2) -> float:
@@ -258,14 +254,15 @@ def _quick_location_features(updates) -> np.ndarray:
     return out
 
 
-def extract_location_features(series: LocationSeries) -> FeatureVector:
+def extract_location_features(series: LocationSeries) -> np.ndarray:
     """The 17 location features, based on relative coordinates only.
 
     Order: the 6 quick features (std lat, std lon, change lat, change lon,
     mean |dlat/dt|, mean |dlon/dt|), number of updates, log latitude range,
     log longitude range, min/max altitude, min/max speed, best (lowest)
     vertical and horizontal accuracy, diameter in meters, log diameter.
-    Entries not derivable from the transmitted data are masked.
+    Entries not derivable from the transmitted data are NaN; the number of
+    updates is always set.
     """
     ups = series.updates
     values = np.full(17, np.nan)
@@ -308,7 +305,7 @@ def extract_location_features(series: LocationSeries) -> FeatureVector:
         values[15] = diameter
         values[16] = math.log(diameter + LOG_RANGE_EPSILON)
 
-    return FeatureVector(sensor="loc", values=values, missing_mask=np.isnan(values))
+    return values
 
 
 def time_bin_indicators(hour_of_day: int) -> np.ndarray:
@@ -322,7 +319,7 @@ def time_bin_indicators(hour_of_day: int) -> np.ndarray:
     return out
 
 
-def extract_phone_state_features(ps: PhoneStateSnapshot) -> FeatureVector:
+def extract_phone_state_features(ps: PhoneStateSnapshot) -> np.ndarray:
     """One-hot phone-state properties (26) plus time-of-day bins (8).
 
     Each property contributes one indicator per possible value plus one for
@@ -337,5 +334,4 @@ def extract_phone_state_features(ps: PhoneStateSnapshot) -> FeatureVector:
         onehot[allowed.index(value)] = 1.0
         parts.append(onehot)
     parts.append(time_bin_indicators(ps.hour_of_day))
-    values = np.concatenate(parts)
-    return FeatureVector(sensor="ps", values=values, missing_mask=np.zeros(34, dtype=bool))
+    return np.concatenate(parts)

@@ -135,7 +135,7 @@ def _component_presence(components: Mapping[str, SingleSensorModel], present) ->
     """``(n, k)`` mask of the components that can score each row.
 
     ``present[sensor]`` is the rows' presence of that sensor
-    (``Example.has_sensor``, the rule training uses); a trivial component
+    (``FeatureStore.present``, the rule training uses); a trivial component
     needs no features and is always present.
     """
     return np.column_stack([m.is_trivial | present[s] for s, m in components.items()])

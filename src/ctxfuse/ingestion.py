@@ -10,8 +10,8 @@ Three formats, all versioned by convention and documented in the README:
 * raw session bundles: one directory per recorded minute with per-sensor
   column files and a ``session.json`` manifest.
 
-Parsing never coerces silently: empty cells become mask bits, malformed
-cells become errors with line numbers.
+Parsing never coerces silently: empty cells become NaN, malformed cells
+become errors with line numbers.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .model import (
     AudioMfccSeries,
     Example,
     FEATURE_DIMS,
-    FeatureVector,
     LabelAssignment,
     LocationSeries,
     LocationUpdate,
@@ -367,9 +366,7 @@ def parse_features_csv(source, user_id: Optional[str] = None) -> list:
         Example(
             user_id=table.user_id,
             timestamp=ts,
-            precomputed_features={
-                s: FeatureVector.from_values(s, m[i]) for s, m in table.features.items()
-            },
+            precomputed_features={s: m[i] for s, m in table.features.items()},
             labels=tuple(
                 LabelAssignment(name, _LABEL_VALUES[int(col[i])])
                 for name, col in table.labels.items()
@@ -381,7 +378,8 @@ def parse_features_csv(source, user_id: Optional[str] = None) -> list:
 
 
 def write_features_csv(target, examples: Sequence[Example], label_names=None) -> None:
-    """Write examples as a canonical feature table (inverse of the parser)."""
+    """Write examples as a canonical feature table (inverse of the parser);
+    a NaN feature cell is written empty."""
     if label_names is None:
         label_names = sorted({la.label_name for ex in examples for la in ex.labels})
     meta_names = sorted({k for ex in examples for k in ex.metadata})
@@ -402,10 +400,7 @@ def write_features_csv(target, examples: Sequence[Example], label_names=None) ->
                 if fv is None:
                     row += [""] * FEATURE_DIMS[sensor]
                 else:
-                    row += [
-                        "" if m else repr(float(v))
-                        for v, m in zip(fv.values, fv.missing_mask)
-                    ]
+                    row += ["" if math.isnan(v) else repr(v) for v in fv.tolist()]
             for name in label_names:
                 v = ex.label_value(name)
                 row.append("" if v == MISSING else ("1" if v == RELEVANT else "0"))
@@ -453,12 +448,13 @@ def load_fold_partition(path) -> FoldPartition:
     path = Path(path)
     if path.is_dir():
         return _load_partition_dir(path)
-    folds = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            users = line.split()
-            if users:
-                folds.append(tuple(users))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IngestionError(f"cannot read partition {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    folds = [tuple(line.split()) for line in text.split("\n") if line.split()]
     if not folds:
         raise IngestionError(f"{path}: no folds found")
     return _fold_partition(folds, path)

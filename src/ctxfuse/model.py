@@ -1,7 +1,8 @@
 """Domain types for recordings, examples and labels.
 
 One example is one recorded minute: an optional raw payload and/or a
-precomputed feature vector per sensor, plus a set of label assignments.
+precomputed feature vector per sensor (a float64 array, NaN for each
+missing cell), plus a set of label assignments.
 All types are immutable after construction and safe to share across
 workers; operations that "modify" labels return new objects.
 """
@@ -135,58 +136,21 @@ class LabelAssignment:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Fixed-dimension per-sensor feature vector with a missingness mask.
-
-    Masked entries hold NaN and must be imputed (the standardizer does so)
-    before any model consumes them.
-    """
-
-    sensor: str
-    values: np.ndarray
-    missing_mask: np.ndarray
-
-    def __post_init__(self):
-        if self.sensor not in FEATURE_DIMS:
-            raise ValueError(f"unknown sensor {self.sensor!r}")
-        vals = np.array(self.values, dtype=np.float64)
-        mask = np.array(self.missing_mask, dtype=bool)
-        d = FEATURE_DIMS[self.sensor]
-        if vals.shape != (d,):
-            raise ValueError(
-                f"{self.sensor} feature vector must have length {d}, got {vals.shape}"
-            )
-        if mask.shape != (d,):
-            raise ValueError("missing_mask length must match values")
-        vals[mask] = np.nan
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "missing_mask", mask)
-
-    @classmethod
-    def from_values(cls, sensor: str, values) -> "FeatureVector":
-        """Build a vector whose mask marks the NaN entries of ``values``."""
-        vals = np.asarray(values, dtype=np.float64)
-        return cls(sensor=sensor, values=vals, missing_mask=np.isnan(vals))
-
-    @property
-    def fully_masked(self) -> bool:
-        return bool(self.missing_mask.all())
-
-
-@dataclass(frozen=True)
 class Example:
     """One labeled minute of recorded behavior."""
 
     user_id: str
     timestamp: int
     sensor_data: Mapping[str, object] = field(default_factory=dict)
-    precomputed_features: Mapping[str, FeatureVector] = field(default_factory=dict)
+    precomputed_features: Mapping[str, np.ndarray] = field(default_factory=dict)
     labels: tuple = ()
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "sensor_data", dict(self.sensor_data))
-        object.__setattr__(self, "precomputed_features", dict(self.precomputed_features))
+        object.__setattr__(self, "precomputed_features", {
+            s: np.asarray(v, dtype=np.float64) for s, v in self.precomputed_features.items()
+        })
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
@@ -195,7 +159,7 @@ class Example:
         if self.sensor_data.get(sensor) is not None:
             return True
         fv = self.precomputed_features.get(sensor)
-        return fv is not None and not fv.fully_masked
+        return fv is not None and not np.isnan(fv).all()
 
     def label_value(self, label_name: str) -> str:
         for la in self.labels:
@@ -274,10 +238,10 @@ def validate_example(example: Example) -> list:
     for sensor, fv in example.precomputed_features.items():
         if sensor not in FEATURE_DIMS:
             out.append(f"features: unknown sensor {sensor!r}")
-        elif fv.values.shape != (FEATURE_DIMS[sensor],):
+        elif fv.shape != (FEATURE_DIMS[sensor],):
             out.append(
-                f"features: {sensor} has length {fv.values.shape[0]}, "
-                f"expected {FEATURE_DIMS[sensor]}"
+                f"features: {sensor} has shape {fv.shape}, "
+                f"expected ({FEATURE_DIMS[sensor]},)"
             )
 
     names = [la.label_name for la in example.labels]

@@ -144,7 +144,7 @@ def personalization_table(results: dict, labels: Sequence[str], min_examples: in
     positive examples for the user."""
     header = [
         "label",
-        "n_user_examples",
+        "n_user_positives",
         "universal_ba",
         "individual_ba",
         "adapted_ba",

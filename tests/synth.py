@@ -6,7 +6,6 @@ from ctxfuse.data import has_all_sensors, sensor_features
 from ctxfuse.model import (
     Example,
     FEATURE_DIMS,
-    FeatureVector,
     LabelAssignment,
     MISSING,
     NOT_RELEVANT,
@@ -26,14 +25,10 @@ def label_tuple(mapping):
 
 def feature_example(user_id, timestamp, values_by_sensor, labels=None):
     """Example carrying precomputed feature vectors and optional labels."""
-    feats = {
-        s: FeatureVector.from_values(s, np.asarray(v, dtype=float))
-        for s, v in values_by_sensor.items()
-    }
     return Example(
         user_id=user_id,
         timestamp=timestamp,
-        precomputed_features=feats,
+        precomputed_features=values_by_sensor,
         labels=label_tuple(labels or {}),
     )
 
@@ -72,7 +67,7 @@ def feature_matrix(examples, sensor):
     for i, ex in enumerate(examples):
         fv = sensor_features(ex, sensor)
         if fv is not None:
-            X[i] = fv.values
+            X[i] = fv
     return X
 
 

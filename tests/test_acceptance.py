@@ -100,9 +100,9 @@ def test_criterion_1_dimension_contract():
             "aud": extract_audio_features(compute_mfcc(audio)),
             "ps": extract_phone_state_features(ps),
         }
-        assert [len(dims[s].values) for s in SENSORS] == [26, 26, 46, 17, 26, 34]
+        assert [len(dims[s]) for s in SENSORS] == [26, 26, 46, 17, 26, 34]
 
-        ex = feature_example("u0", i, {s: dims[s].values for s in SENSORS})
+        ex = feature_example("u0", i, {s: dims[s] for s in SENSORS})
         assert concat_feature_matrix([ex]).shape == (1, 175)
         checked += 1
     elapsed = time.time() - start
@@ -293,7 +293,7 @@ def test_criterion_8_normalization_invariants():
         sizes = [len(v) for v in PHONE_STATE_VALUES.values()]
         pos = 0
         for size in sizes:
-            if fv.values[pos : pos + size].sum() != 1.0:
+            if fv[pos : pos + size].sum() != 1.0:
                 ok = False
             pos += size
 

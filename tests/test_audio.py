@@ -156,14 +156,14 @@ def test_filterbank_shape_and_coverage():
 def test_audio_features_single_frame():
     frame = np.arange(13, dtype=float)
     fv = extract_audio_features(AudioMfccSeries(frames=frame[None, :]))
-    assert np.array_equal(fv.values[:13], frame)
-    assert np.array_equal(fv.values[13:], np.zeros(13))
+    assert np.array_equal(fv[:13], frame)
+    assert np.array_equal(fv[13:], np.zeros(13))
 
 
 def test_audio_features_length_26():
     rng = np.random.default_rng(4)
     fv = extract_audio_features(AudioMfccSeries(frames=rng.normal(size=(7, 13))))
-    assert fv.values.shape == (26,)
+    assert fv.shape == (26,)
 
 
 def test_audio_features_hand_computed():
@@ -175,7 +175,7 @@ def test_audio_features_hand_computed():
         ]
     )
     fv = extract_audio_features(AudioMfccSeries(frames=frames))
-    assert fv.values[0] == 3.0  # mean of 1,3,5
-    assert np.isclose(fv.values[13], math.sqrt(8.0 / 3.0))  # population std
-    assert np.isclose(fv.values[1], 1.0)
-    assert np.isclose(fv.values[14], math.sqrt(2.0 / 3.0))
+    assert fv[0] == 3.0  # mean of 1,3,5
+    assert np.isclose(fv[13], math.sqrt(8.0 / 3.0))  # population std
+    assert np.isclose(fv[1], 1.0)
+    assert np.isclose(fv[14], math.sqrt(2.0 / 3.0))

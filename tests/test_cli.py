@@ -8,7 +8,7 @@ import ctxfuse.classifier as classifier
 import ctxfuse.cli as cli
 from ctxfuse.cli import main
 from ctxfuse.ingestion import load_fold_partition, write_features_csv
-from ctxfuse.model import FEATURE_DIMS, SENSORS, Example, FeatureVector
+from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
 from perfbench_files import perfbench_module
 from synth import by_user, complementary_sensor_dataset, drift_user_scenario, feature_example
 
@@ -213,7 +213,7 @@ def test_personalize_end_to_end(tmp_path):
     ])
     assert code == 0
     lines = (out / "personalization.csv").read_text().splitlines()
-    assert lines[0].startswith("label,n_user_examples,universal_ba")
+    assert lines[0].startswith("label,n_user_positives,universal_ba")
     assert lines[1].startswith(label)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "tu" not in manifest["universal_train_users"]
@@ -519,6 +519,51 @@ def test_partition_users_differing_from_dataset_exit_3(tmp_path, eval_setup, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "error: cannot read partition {}: "),
+    (b"u0 \xff\n", "error: {}: not UTF-8 text"),
+], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("command", ["evaluate", "personalize"])
+def test_unreadable_partition_file_is_input_error(tmp_path, eval_setup, capsys, command,
+                                                  content, message):
+    features, labels_file, _ = eval_setup
+    user = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))[0]
+    partition = tmp_path / "partition.txt"
+    if content is not None:
+        partition.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(_partition_argv(command, features, labels_file, out, partition, user))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(message.format(partition)), err
+    assert not out.exists()
+
+
+def test_loo_with_a_partition_exits_3(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "out"
+    code = main(_evaluate_argv(features, labels_file, out, "--systems", "acc", "--mode", "loo",
+                               "--partition", str(tmp_path / "no_such_partition.txt")))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "--mode loo" in err and "--partition" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"command": "evaluate", "config": {', "line 1: malformed JSON"),
+    ("{}", "not a run manifest"),
+    ("[1]", "expected a JSON object, got list"),
+], ids=["truncated", "empty-object", "list"])
+def test_rerun_of_a_file_that_is_not_a_manifest_exits_2(tmp_path, capsys, text, message):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    code = main(["rerun", str(manifest)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {manifest}: ") and message in err, err
+
+
 def test_two_tables_of_one_user_exit_2(tmp_path, eval_setup, capsys):
     features, labels_file, _ = eval_setup
     table = sorted(features.glob("*.features.csv"))[0]
@@ -586,17 +631,16 @@ def test_personalize_without_complete_minute_exits_2(
 
 
 def _spy_on_representations(monkeypatch):
-    """Lists that fill with the name of every ``Example`` and
-    ``FeatureVector`` built, and with one entry per standardizer fit."""
+    """Lists that fill with the name of every ``Example`` built, and with
+    one entry per standardizer fit."""
     built, standardizers = [], []
-    for cls in (Example, FeatureVector):
-        post_init = cls.__post_init__
+    post_init = Example.__post_init__
 
-        def counting(self, post_init=post_init):
-            built.append(type(self).__name__)
-            post_init(self)
+    def counting(self):
+        built.append(type(self).__name__)
+        post_init(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(Example, "__post_init__", counting)
     fit_standardizer = classifier.fit_standardizer
     monkeypatch.setattr(classifier, "fit_standardizer",
                         lambda X: standardizers.append(1) or fit_standardizer(X))
@@ -702,6 +746,29 @@ def test_single_system_run_gives_the_same_cells(tmp_path, tiny_corpus, monkeypat
         assert [row.split(",")[:5] for row in text.splitlines()] == [
             row.split(",")[:5] for row in all_csvs[metric].splitlines()
         ]
+
+
+def test_reversed_labels_file_reorders_only_the_label_rows(tmp_path, tiny_corpus, monkeypatch):
+    root, systems = tiny_corpus
+    labels = (root / "labels.txt").read_text(encoding="utf-8").split()
+    assert len(labels) >= 2
+    reversed_file = tmp_path / "reversed.txt"
+    reversed_file.write_text("\n".join(labels[::-1]) + "\n", encoding="utf-8")
+    args = (root / "features", root / "partition.txt", systems)
+    counts, costs, csvs = _evaluate_outputs(tmp_path, monkeypatch, args[0], root / "labels.txt",
+                                            *args[1:], "original")
+    got_counts, got_costs, got_csvs = _evaluate_outputs(tmp_path, monkeypatch, args[0],
+                                                        reversed_file, *args[1:], "reversed")
+    assert got_counts == counts
+    assert got_costs == costs
+    for metric, text in csvs.items():
+        header, *rows = text.splitlines()
+        got_header, *got_rows = got_csvs[metric].splitlines()
+        assert got_header == header
+        # label rows (with n_e, n_s and p99) come in the file's order, then the average rows
+        assert got_rows[:len(labels)] == rows[:len(labels)][::-1]
+        assert [row.split(",")[0] for row in rows[:len(labels)]] == labels
+        assert got_rows[len(labels):] == rows[len(labels):]
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):

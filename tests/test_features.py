@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ctxfuse.data import FeatureStore, sensor_features
 from ctxfuse.features import (
     DIRECTION_LAG_EDGES,
     axis_statistics,
@@ -18,9 +19,13 @@ from ctxfuse.features import (
     time_bin_indicators,
 )
 from ctxfuse.model import (
+    AudioMfccSeries,
+    Example,
+    FEATURE_DIMS,
     LocationSeries,
     LocationUpdate,
     PhoneStateSnapshot,
+    SENSORS,
     TriaxialSeries,
 )
 from synth import make_triaxial
@@ -223,15 +228,15 @@ def test_axis_statistics_population_std():
 def test_motion_feature_length_is_26():
     rng = np.random.default_rng(8)
     fv = extract_motion_features(make_triaxial(rng, n=200), "acc")
-    assert fv.values.shape == (26,)
-    assert not fv.missing_mask.any()
+    assert fv.shape == (26,)
+    assert not np.isnan(fv).any()
 
 
 def test_motion_constant_unit_vector_head():
     s = _series(np.tile([0.0, 0.0, 1.0], (64, 1)))
     fv = extract_motion_features(s, "acc")
-    assert fv.values[0] == 1.0
-    assert fv.values[1] == 0.0
+    assert fv[0] == 1.0
+    assert fv[1] == 0.0
 
 
 def test_motion_is_composition_of_suboracles():
@@ -241,8 +246,7 @@ def test_motion_is_composition_of_suboracles():
     expected = np.concatenate(
         [scalar_series_features(magnitude_series(s), s.nominal_rate), axis_statistics(s)]
     )
-    assert np.array_equal(fv.values, expected)
-    assert fv.sensor == "gyro"
+    assert np.array_equal(fv, expected)
 
 
 def test_motion_rejects_other_sensors():
@@ -280,7 +284,7 @@ def _direction_bucket_oracle(series):
 def test_watch_feature_length_is_46():
     rng = np.random.default_rng(15)
     fv = extract_watch_features(make_triaxial(rng, n=300, rate=25.0, unit="milli-G"))
-    assert fv.values.shape == (46,)
+    assert fv.shape == (46,)
 
 
 def test_watch_constant_direction_gives_unit_cosines():
@@ -288,8 +292,8 @@ def test_watch_constant_direction_gives_unit_cosines():
     mags = 1.0 + np.linspace(0, 3, 500)[:, None]
     samples = np.tile([0.0, 0.0, 1.0], (500, 1)) * mags
     fv = extract_watch_features(TriaxialSeries(ts, samples, "milli-G", 25.0))
-    assert np.allclose(fv.values[41:46], 1.0)
-    assert not fv.missing_mask[41:46].any()
+    assert np.allclose(fv[41:46], 1.0)
+    assert not np.isnan(fv[41:46]).any()
 
 
 def test_watch_alternating_direction_matches_pair_enumeration():
@@ -300,7 +304,7 @@ def test_watch_alternating_direction_matches_pair_enumeration():
     series = TriaxialSeries(ts, samples, "milli-G", 25.0)
     fv = extract_watch_features(series)
     oracle = _direction_bucket_oracle(series)
-    got = fv.values[41:46]
+    got = fv[41:46]
     assert np.allclose(got[~np.isnan(oracle)], oracle[~np.isnan(oracle)], atol=1e-12)
     assert np.array_equal(np.isnan(got), np.isnan(oracle))
 
@@ -311,15 +315,15 @@ def test_watch_random_directions_match_pair_enumeration():
     fv = extract_watch_features(series)
     oracle = _direction_bucket_oracle(series)
     mask = np.isnan(oracle)
-    assert np.allclose(fv.values[41:46][~mask], oracle[~mask], atol=1e-9)
+    assert np.allclose(fv[41:46][~mask], oracle[~mask], atol=1e-9)
 
 
 def test_watch_short_series_masks_empty_lag_buckets():
     rng = np.random.default_rng(17)
     series = make_triaxial(rng, n=10, rate=25.0, unit="milli-G")  # 0.36 s span
     fv = extract_watch_features(series)
-    assert not fv.missing_mask[41]
-    assert fv.missing_mask[42:46].all()
+    assert not np.isnan(fv[41])
+    assert np.isnan(fv[42:46]).all()
 
 
 def test_watch_direction_features_scale_invariant():
@@ -328,8 +332,8 @@ def test_watch_direction_features_scale_invariant():
     scaled = TriaxialSeries(
         series.relative_timestamps, series.samples * 5.0, "milli-G", 25.0
     )
-    a = extract_watch_features(series).values
-    b = extract_watch_features(scaled).values
+    a = extract_watch_features(series)
+    b = extract_watch_features(scaled)
     assert np.allclose(a[41:46], b[41:46], atol=1e-12, equal_nan=True)
     # inter-axis correlations are scale invariant too
     assert np.allclose(a[23:26], b[23:26], atol=1e-12)
@@ -344,9 +348,9 @@ def test_single_update_location():
         updates=(LocationUpdate(0.0, latitude=32.88, longitude=-117.23),)
     )
     fv = extract_location_features(series)
-    assert fv.values[6] == 1.0  # number of updates
-    assert fv.values[15] == 0.0  # diameter of a single point
-    assert not fv.missing_mask[7]  # ranges computable (zero range)
+    assert fv[6] == 1.0  # number of updates
+    assert fv[15] == 0.0  # diameter of a single point
+    assert not np.isnan(fv[7])  # ranges computable (zero range)
 
 
 def _haversine_oracle(lat1, lon1, lat2, lon2):
@@ -365,8 +369,8 @@ def test_equator_latitude_step_diameter():
         )
     )
     fv = extract_location_features(series)
-    assert abs(fv.values[15] - 111.0) <= 2.0
-    assert np.isclose(fv.values[15], _haversine_oracle(0.0, 0.0, 0.001, 0.0), atol=0.5)
+    assert abs(fv[15] - 111.0) <= 2.0
+    assert np.isclose(fv[15], _haversine_oracle(0.0, 0.0, 0.001, 0.0), atol=0.5)
 
 
 def test_haversine_agrees_with_independent_formula():
@@ -391,20 +395,20 @@ def test_hidden_coordinates_mask_only_coordinate_features():
         quick_features=quick,
     )
     fv = extract_location_features(series)
-    assert np.array_equal(fv.values[0:6], quick)
-    assert fv.values[6] == 2.0
-    assert fv.missing_mask[7] and fv.missing_mask[8]  # lat/lon ranges
-    assert (fv.values[9], fv.values[10]) == (100.0, 104.0)
-    assert (fv.values[11], fv.values[12]) == (0.5, 1.5)
-    assert fv.values[13] == 6.0 and fv.values[14] == 12.0
-    assert fv.missing_mask[15] and fv.missing_mask[16]  # diameter
+    assert np.array_equal(fv[0:6], quick)
+    assert fv[6] == 2.0
+    assert np.isnan(fv[7]) and np.isnan(fv[8])  # lat/lon ranges
+    assert (fv[9], fv[10]) == (100.0, 104.0)
+    assert (fv[11], fv[12]) == (0.5, 1.5)
+    assert fv[13] == 6.0 and fv[14] == 12.0
+    assert np.isnan(fv[15]) and np.isnan(fv[16])  # diameter
 
 
 def test_empty_location_series_masks_everything_but_count():
     fv = extract_location_features(LocationSeries())
-    assert fv.values[6] == 0.0
-    assert fv.missing_mask[:6].all()
-    assert fv.missing_mask[7:].all()
+    assert fv[6] == 0.0
+    assert np.isnan(fv[:6]).all()
+    assert np.isnan(fv[7:]).all()
 
 
 def test_quick_features_computed_per_second_from_raw():
@@ -415,10 +419,10 @@ def test_quick_features_computed_per_second_from_raw():
         )
     )
     fv = extract_location_features(series)
-    assert np.isclose(fv.values[0], np.std([10.0, 10.2]))
-    assert np.isclose(fv.values[2], 0.2)
-    assert np.isclose(fv.values[4], 0.2 / 2.0)  # |dlat/dt| per second
-    assert np.isclose(fv.values[5], 0.1 / 2.0)
+    assert np.isclose(fv[0], np.std([10.0, 10.2]))
+    assert np.isclose(fv[2], 0.2)
+    assert np.isclose(fv[4], 0.2 / 2.0)  # |dlat/dt| per second
+    assert np.isclose(fv[5], 0.1 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +432,14 @@ def test_quick_features_computed_per_second_from_raw():
 def test_phone_state_hour4_active_app():
     ps = PhoneStateSnapshot(app_state="active", hour_of_day=4)
     fv = extract_phone_state_features(ps)
-    assert fv.values.shape == (34,)
-    bins = fv.values[26:]
+    assert fv.shape == (34,)
+    bins = fv[26:]
     assert np.array_equal(np.nonzero(bins)[0], [0, 1])  # midnight-6am, 3am-9am
     # exactly one indicator per property group
     group_sizes = (4, 4, 7, 3, 4, 4)
     start = 0
     for size in group_sizes:
-        assert fv.values[start : start + size].sum() == 1.0
+        assert fv[start : start + size].sum() == 1.0
         start += size
 
 
@@ -455,9 +459,40 @@ def test_all_properties_present_gives_eight_ones():
         hour_of_day=13,
     )
     fv = extract_phone_state_features(ps)
-    assert fv.values.sum() == 8.0
+    assert fv.sum() == 8.0
 
 
 def test_invalid_phone_state_value_rejected():
     with pytest.raises(ValueError, match="app_state"):
         extract_phone_state_features(PhoneStateSnapshot(app_state="launched"))
+
+
+# ---------------------------------------------------------------------------
+# presence: a payload always yields a vector that is not all NaN
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fill", ["zeros", "random"])
+def test_every_extractor_on_a_minimal_payload_is_not_all_nan(fill):
+    # a raw payload makes its sensor present (Example.has_sensor), and the
+    # feature store calls a sensor present unless its vector is all NaN:
+    # the two rules agree only while no extractor returns an all-NaN vector
+    rng = np.random.default_rng(17)
+
+    def samples(n, width):
+        return np.zeros((n, width)) if fill == "zeros" else rng.normal(size=(n, width))
+
+    payloads = {
+        "acc": _series(samples(8, 3)),
+        "gyro": _series(samples(8, 3), unit="rad/s"),
+        "wacc": _series(samples(8, 3), rate=25.0, unit="milli-G"),
+        "loc": LocationSeries(),  # no update and no quick features
+        "aud": AudioMfccSeries(frames=samples(1, 13)),
+        "ps": PhoneStateSnapshot(),
+    }
+    example = Example("u0", 0, sensor_data=payloads)
+    store = FeatureStore.from_examples([example])
+    for sensor in SENSORS:
+        fv = sensor_features(example, sensor)
+        assert fv.shape == (FEATURE_DIMS[sensor],), sensor
+        assert not np.isnan(fv).all(), sensor
+        assert store.present[sensor].tolist() == [example.has_sensor(sensor)] == [True], sensor

@@ -75,7 +75,7 @@ def test_concatenation_dimension_and_order():
     ex = random_full_example(rng, "u0", 0)
     X = concat_feature_matrix([ex])
     assert X.shape == (1, 175)
-    assert np.array_equal(X[0, 26:52], ex.precomputed_features["gyro"].values)
+    assert np.array_equal(X[0, 26:52], ex.precomputed_features["gyro"])
 
 
 def test_early_fusion_trains_and_predicts():
@@ -84,9 +84,9 @@ def test_early_fusion_trains_and_predicts():
     for i in range(80):
         ex = random_full_example(rng, f"u{i%4}", i, labels={"T": int(i % 2)})
         vals = dict(ex.precomputed_features)
-        arr = vals["acc"].values.copy()
+        arr = vals["acc"].copy()
         arr[0] = (2 * (i % 2) - 1) + 0.1 * rng.normal()
-        exs.append(feature_example(ex.user_id, i, {**{s: vals[s].values for s in SENSORS}, "acc": arr}, {"T": int(i % 2)}))
+        exs.append(feature_example(ex.user_id, i, {**{s: vals[s] for s in SENSORS}, "acc": arr}, {"T": int(i % 2)}))
     model = early_fusion(exs, "T", cost=10.0)
     assert model.standardizer.dim == 175
     probs = [predict_early_fusion(model, [ex])[0] for ex in exs]

@@ -51,8 +51,8 @@ def _rowwise_probability(model, example, sensor):
     fv = sensor_features(example, sensor)
     if model.is_trivial:
         p = model.model.probability
-    elif fv is not None and not fv.fully_masked:
-        z = model.standardizer.transform(fv.values[None, :])
+    elif fv is not None and not np.isnan(fv).all():
+        z = model.standardizer.transform(fv[None, :])
         p = expit(z[0] @ model.model.weights + model.model.intercept)
     else:
         raise KeyError(sensor)

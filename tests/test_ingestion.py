@@ -54,9 +54,7 @@ def test_feature_csv_roundtrip_bit_identical(tmp_path):
         assert back.timestamp == orig.timestamp
         for s in SENSORS:
             assert np.array_equal(
-                back.precomputed_features[s].values,
-                orig.precomputed_features[s].values,
-                equal_nan=True,
+                back.precomputed_features[s], orig.precomputed_features[s], equal_nan=True
             )
         assert back.label_value("SITTING") == orig.label_value("SITTING")
         assert back.label_value("WALKING") == MISSING
@@ -74,11 +72,14 @@ def test_masked_cells_round_trip(tmp_path):
     ex = feature_example("u0", 60, vals, {"SITTING": 1})
     path = tmp_path / "u0.features.csv"
     write_features_csv(path, [ex])
+    header, row = path.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells[FEATURE_COLUMNS["loc"][3]] == "" and "nan" not in row
     back = parse_features_csv(path)[0]
-    assert back.precomputed_features["acc"].fully_masked
+    assert np.isnan(back.precomputed_features["acc"]).all()
     assert not back.has_sensor("acc")
-    assert back.precomputed_features["loc"].missing_mask[3]
-    assert not back.precomputed_features["loc"].missing_mask[4]
+    assert np.isnan(back.precomputed_features["loc"][3])
+    assert not np.isnan(back.precomputed_features["loc"][4])
 
 
 def test_header_group_widths_enforced():
@@ -181,15 +182,15 @@ def test_canonical_group_columns_map_by_name(tmp_path):
     back = parse_features_csv(io.StringIO(swapped), user_id="u0")
     for orig, got in zip(examples, back):
         assert np.array_equal(
-            got.precomputed_features["acc"].values, orig.precomputed_features["acc"].values
+            got.precomputed_features["acc"], orig.precomputed_features["acc"]
         )
 
     # names outside the canonical set keep their positional mapping
     renamed = swapped.replace("raw_acc:magnitude:", "raw_acc:mag_")
     back = parse_features_csv(io.StringIO(renamed), user_id="u0")
     for orig, got in zip(examples, back):
-        want = orig.precomputed_features["acc"].values[order]
-        assert np.array_equal(got.precomputed_features["acc"].values, want)
+        want = orig.precomputed_features["acc"][order]
+        assert np.array_equal(got.precomputed_features["acc"], want)
 
 
 _LABEL_CODES = st.sampled_from([1, 0, None])
@@ -238,10 +239,9 @@ def test_feature_csv_round_trip_property(table):
                 fv = orig.precomputed_features.get(s)
                 parsed = got.precomputed_features[s]
                 if fv is None:
-                    assert parsed.fully_masked
+                    assert np.isnan(parsed).all()
                 else:
-                    assert np.array_equal(parsed.values, fv.values, equal_nan=True)
-                    assert np.array_equal(parsed.missing_mask, fv.missing_mask)
+                    assert np.array_equal(parsed, fv, equal_nan=True)
             for name in label_names:
                 assert got.label_value(name) == orig.label_value(name)
             assert got.metadata == orig.metadata
@@ -502,7 +502,7 @@ def test_session_bundle_loads_and_extracts_everything(tmp_path):
     from ctxfuse.data import extract_all_features
 
     feats = extract_all_features(ex)
-    assert {s: len(feats[s].values) for s in SENSORS} == FEATURE_DIMS
+    assert {s: len(feats[s]) for s in SENSORS} == FEATURE_DIMS
 
 
 def test_android_acceleration_converted_to_g(tmp_path):

@@ -6,7 +6,6 @@ from ctxfuse.model import (
     AudioMfccSeries,
     Example,
     FEATURE_DIMS,
-    FeatureVector,
     LabelAssignment,
     PhoneStateSnapshot,
     SENSORS,
@@ -80,17 +79,10 @@ def test_feature_dims_are_the_published_counts():
 @pytest.mark.parametrize("sensor", SENSORS)
 def test_feature_vector_rejects_wrong_length(sensor):
     d = FEATURE_DIMS[sensor]
-    FeatureVector(sensor, np.zeros(d), np.zeros(d, dtype=bool))
-    with pytest.raises(ValueError):
-        FeatureVector(sensor, np.zeros(d + 1), np.zeros(d + 1, dtype=bool))
-
-
-def test_masked_entries_become_nan():
-    mask = np.zeros(17, dtype=bool)
-    mask[3] = True
-    fv = FeatureVector("loc", np.ones(17), mask)
-    assert np.isnan(fv.values[3])
-    assert fv.values[0] == 1.0
+    assert validate_example(Example("u0", 0, precomputed_features={sensor: np.zeros(d)})) == []
+    for bad in (np.zeros(d + 1), np.zeros((1, d))):
+        violations = validate_example(Example("u0", 0, precomputed_features={sensor: bad}))
+        assert violations == [f"features: {sensor} has shape {bad.shape}, expected ({d},)"]
 
 
 def test_store_complete_keeps_the_minutes_with_all_six_sensors():
@@ -106,9 +98,13 @@ def test_store_complete_keeps_the_minutes_with_all_six_sensors():
 
 
 def test_fully_masked_features_do_not_count_as_available():
-    fv = FeatureVector("acc", np.full(26, np.nan), np.ones(26, dtype=bool))
-    ex = Example("u0", 0, precomputed_features={"acc": fv})
+    one_cell = np.full(26, np.nan)
+    one_cell[5] = 0.0
+    ex = Example("u0", 0, precomputed_features={"acc": np.full(26, np.nan), "gyro": one_cell})
     assert not ex.has_sensor("acc")
+    assert ex.has_sensor("gyro")
+    store = FeatureStore.from_examples([ex])
+    assert [bool(store.present[s][0]) for s in ("acc", "gyro", "wacc")] == [False, True, False]
 
 
 def test_canonical_label_names():
