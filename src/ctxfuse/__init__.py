@@ -40,7 +40,7 @@ from .labels import (
 )
 from .classifier import (
     LinearModel,
-    SingleSensorModel,
+    SensorModel,
     Standardizer,
     fit_single_sensor_model,
     fit_standardizer,
@@ -49,7 +49,6 @@ from .classifier import (
     train_linear,
 )
 from .fusion import (
-    EarlyFusionModel,
     LateFusionLearned,
     early_fusion,
     late_fusion_average,

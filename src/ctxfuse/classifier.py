@@ -86,9 +86,13 @@ class TrivialModel:
 
 
 @dataclass(frozen=True)
-class SingleSensorModel:
-    sensor: str
+class SensorModel:
+    """One label's standardized model on the concatenated features of
+    ``sensors``: a single-sensor model is the one-sensor case, an
+    early-fusion model the six-sensor one."""
+
     label: str
+    sensors: tuple
     standardizer: Optional[Standardizer]
     model: Union[LinearModel, TrivialModel]
     notes: tuple = ()
@@ -100,7 +104,7 @@ class SingleSensorModel:
 
     @property
     def dim(self) -> int:
-        return FEATURE_DIMS[self.sensor]
+        return sum(FEATURE_DIMS[s] for s in self.sensors)
 
     @property
     def is_trivial(self) -> bool:
@@ -289,9 +293,8 @@ def predict_proba_matrix(model: Union[LinearModel, TrivialModel], Z: np.ndarray)
 def predict_proba_features(model, X: np.ndarray) -> np.ndarray:
     """Probabilities for raw ``(n, model.dim)`` feature rows.
 
-    The one inference path for standardized models: a
-    :class:`SingleSensorModel` or an early-fusion model, whose rows are the
-    concatenated sensor features. Standardize (NaN entries impute to the
+    The one inference path for a :class:`SensorModel`, whose rows are its
+    sensors' features side by side. Standardize (NaN entries impute to the
     training mean), then score. A trivial model carries no standardizer and
     gives its clipped constant for every row.
     """
@@ -382,29 +385,23 @@ def _standardized(X) -> tuple:
     return standardizer, standardizer.transform(X)
 
 
-def _fit_standardized(standardizer, Z, y, *, cost: Optional[float], seed: int) -> tuple:
-    """Select the cost and fit on rows ``Z`` that ``standardizer`` produced:
-    ``(standardizer, model, notes)``.
+def _fit_standardized(
+    label, sensors: tuple, standardizer, Z, y, *, cost: Optional[float], seed: int
+) -> SensorModel:
+    """Select the cost and fit ``label``'s model on rows ``Z`` that
+    ``standardizer`` produced from the features of ``sensors``.
 
-    The one array-level fit of single-sensor and early-fusion models.
-    Single-class targets give a flagged trivial constant model instead of an
-    error; it is never scored on features, so its standardizer is None.
+    The one array-level fit of standardized models. Single-class targets
+    give a flagged trivial constant model instead of an error; it is never
+    scored on features, so its standardizer is None.
     """
     y = np.asarray(y).astype(np.int64)
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
         trivial = TrivialModel(probability=0.0 if n_pos == 0 else 1.0)
-        return None, trivial, ("trivial:single_class",)
+        return SensorModel(label, sensors, None, trivial, ("trivial:single_class",))
     model, notes = _train_at_selected_cost(Z, y, cost=cost, seed=seed)
-    return standardizer, model, notes
-
-
-def _fit_single_sensor(sensor, label, standardizer, Z, y, *, cost, seed) -> SingleSensorModel:
-    """:func:`fit_single_sensor_model` on rows already standardized by ``standardizer``."""
-    standardizer, model, notes = _fit_standardized(standardizer, Z, y, cost=cost, seed=seed)
-    return SingleSensorModel(
-        sensor=sensor, label=label, standardizer=standardizer, model=model, notes=notes
-    )
+    return SensorModel(label, sensors, standardizer, model, notes)
 
 
 def fit_single_sensor_model(
@@ -415,7 +412,7 @@ def fit_single_sensor_model(
     *,
     cost: Optional[float] = None,
     seed: int = 0,
-) -> SingleSensorModel:
+) -> SensorModel:
     """Full training pipeline for one (sensor, label) pair.
 
     ``X`` is the raw feature matrix with NaN marking missing entries.
@@ -423,4 +420,4 @@ def fit_single_sensor_model(
     number fits at that C. Single-class labels yield a flagged trivial
     constant model instead of an error so evaluation harnesses can proceed.
     """
-    return _fit_single_sensor(sensor, label, *_standardized(X), y, cost=cost, seed=seed)
+    return _fit_standardized(label, (sensor,), *_standardized(X), y, cost=cost, seed=seed)

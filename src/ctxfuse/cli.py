@@ -386,7 +386,8 @@ def cmd_personalize(args) -> int:
 
 def _read_manifest(path) -> tuple:
     """``(manifest, command, config)`` of a run manifest; a file that is not
-    one is an input error naming it."""
+    one, or whose config lacks a path the replay reads, is an input error
+    naming it."""
     try:
         manifest = _read_json_object(Path(path))
     except OSError as exc:
@@ -397,6 +398,13 @@ def _read_manifest(path) -> tuple:
             f"{path}: not a run manifest: needs \"command\" (extract, evaluate or "
             f"personalize) and a \"config\" object, got command {command!r}"
         )
+    paths = ("input" if command == "extract" else "features_dir", "out")
+    if config.get("partition") is not None:
+        paths += ("partition",)
+    for key in paths:
+        if not isinstance(config.get(key), str):
+            got = repr(config[key]) if key in config else "nothing"
+            raise IngestionError(f"{path}: config {key!r} must be a path string, got {got}")
     return manifest, command, config
 
 

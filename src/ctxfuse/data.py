@@ -11,8 +11,8 @@ from . import audio, features
 from .model import Example, FEATURE_DIMS, RELEVANT, SENSORS
 
 _EXTRACTORS = {
-    "acc": lambda payload: features.extract_motion_features(payload, "acc"),
-    "gyro": lambda payload: features.extract_motion_features(payload, "gyro"),
+    "acc": features.extract_motion_features,
+    "gyro": features.extract_motion_features,
     "wacc": features.extract_watch_features,
     "loc": features.extract_location_features,
     "aud": audio.extract_audio_features,
@@ -142,7 +142,3 @@ class FeatureStore:
         (early fusion's layout), for ``rows`` or for every row."""
         return np.hstack([self.features[s] if rows is None else self.features[s][rows]
                           for s in sensors])
-
-
-def has_all_sensors(example: Example, sensors=SENSORS) -> bool:
-    return all(example.has_sensor(s) for s in sensors)

@@ -16,19 +16,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classifier import (
-    DegenerateLabelError,
-    _fit_single_sensor,
-    _standardized,
-    predict_proba_matrix,
-)
+from .classifier import DegenerateLabelError, predict_proba_matrix
 from .data import FeatureStore
-from .fusion import (
-    _average_probabilities,
-    _component_presence,
-    _fit_early_fusion,
-    _fit_late_fusion,
-)
+from .fusion import _average_probabilities, _component_presence, _fit_late_fusion, fit_labels
 from .model import SENSORS
 
 SINGLE_SENSOR_SYSTEMS = SENSORS
@@ -319,11 +309,11 @@ def _fold_counts(
     """Train every requested system on the training users' rows and count
     outcomes on the held-out pool (:func:`_held_out_pool`).
 
-    A standardizer does not depend on the label. Each sensor's is fit on
-    the training rows where that sensor is present, EF's on the rows with
-    all six; each is fit once and, with the rows it standardizes, serves
-    every label. One sensor's (or EF's) matrices are alive at a time. LFA
-    averages the sensor probabilities already computed for the pool.
+    Each system's models come from one :func:`~ctxfuse.fusion.fit_labels`
+    call, which fits one standardizer for every label: a sensor's on the
+    training rows where that sensor is present, EF's on the rows with all
+    six. One system's matrices are alive at a time. LFA averages the sensor
+    probabilities already computed for the pool.
     """
     pool = _held_out_pool(store, fold_users)
     if not pool.size:
@@ -337,9 +327,6 @@ def _fold_counts(
                 f"{kind} fusion has no complete-sensor training examples"
             )
 
-    def standardize(standardizer, X):
-        return X if standardizer is None else standardizer.transform(X)
-
     needed_sensors = set(s for s in systems if s in SENSORS)
     if {"lfa", "lfl"} & set(systems):
         needed_sensors |= set(SENSORS)
@@ -349,54 +336,36 @@ def _fold_counts(
     costs = {lbl: {} for lbl in labels}
     y_true = {label: store.relevant[label][pool] > 0 for label in labels}
 
+    def fit(system, sensors, rows, score_rows):
+        """:func:`fit_labels` for one system, recording each label's trivial
+        flag or chosen cost and, for a requested system, its pool counts
+        (the first of ``score_rows`` is the pool)."""
+        fits = fit_labels(
+            store, sensors, rows, labels, cost=cost, score_rows=score_rows,
+            seeds=lambda label: derive_seed(seed, fold_index, label, system),
+        )
+        for label, (model, p_pool, *_) in fits.items():
+            if model.is_trivial:
+                flags[label].append(f"fold{fold_index}:{system}:trivial")
+            else:
+                costs[label][system] = model.model.cost
+            if system in systems:
+                counts[system][label] = count_outcomes(y_true[label], p_pool > 0.5)
+        return fits
+
     single_models = {label: {} for label in labels}
     sensor_probs = {label: {} for label in labels}
     lfl_inputs = {label: [] for label in labels}  # columns in single_models order
+    score_rows = (pool, complete) if "lfl" in systems else (pool,)
     for s in sorted(needed_sensors):
-        rows = train[store.present[s][train]]
-        standardizer, Z = _standardized(store.features[s][rows])
-        Z_pool = standardize(standardizer, store.features[s][pool])
-        if "lfl" in systems:  # the second layer's training rows
-            Z_complete = Z[np.searchsorted(rows, complete)]
-        for label in labels:
-            model = _fit_single_sensor(
-                s,
-                label,
-                standardizer,
-                Z,
-                store.relevant[label][rows],
-                cost=cost,
-                seed=derive_seed(seed, fold_index, label, s),
-            )
+        fits = fit(s, (s,), train[store.present[s][train]], score_rows)
+        for label, (model, p_pool, *p_complete) in fits.items():
             single_models[label][s] = model
-            if model.is_trivial:
-                flags[label].append(f"fold{fold_index}:{s}:trivial")
-            else:
-                costs[label][s] = model.model.cost
-            sensor_probs[label][s] = predict_proba_matrix(model.model, Z_pool)
-            if s in systems:
-                counts[s][label] = count_outcomes(y_true[label], sensor_probs[label][s] > 0.5)
-            if "lfl" in systems:
-                lfl_inputs[label].append(predict_proba_matrix(model.model, Z_complete))
+            sensor_probs[label][s] = p_pool
+            lfl_inputs[label] += p_complete
 
     if "ef" in systems:
-        standardizer, Z = _standardized(store.matrix(SENSORS, complete))
-        Z_pool = standardize(standardizer, store.matrix(SENSORS, pool))
-        for label in labels:
-            ef = _fit_early_fusion(
-                label,
-                SENSORS,
-                standardizer,
-                Z,
-                store.relevant[label][complete],
-                cost=cost,
-                seed=derive_seed(seed, fold_index, label, "ef"),
-            )
-            if ef.is_trivial:
-                flags[label].append(f"fold{fold_index}:ef:trivial")
-            else:
-                costs[label]["ef"] = ef.model.cost
-            counts["ef"][label] = count_outcomes(y_true[label], predict_proba_matrix(ef.model, Z_pool) > 0.5)
+        fit("ef", SENSORS, complete, (pool,))
 
     for label in labels:
         probs = sensor_probs[label]

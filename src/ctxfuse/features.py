@@ -187,10 +187,9 @@ def axis_statistics(series: TriaxialSeries) -> np.ndarray:
     return out
 
 
-def extract_motion_features(series: TriaxialSeries, sensor: str = "acc") -> np.ndarray:
-    """The 26 phone-motion features: magnitude statistics + axis statistics."""
-    if sensor not in ("acc", "gyro"):
-        raise ValueError("motion features apply to the phone acc/gyro sensors")
+def extract_motion_features(series: TriaxialSeries) -> np.ndarray:
+    """The 26 phone-motion (acc or gyro) features: magnitude statistics +
+    axis statistics."""
     mag = magnitude_series(series)
     return np.concatenate(
         [scalar_series_features(mag, series.nominal_rate), axis_statistics(series)]

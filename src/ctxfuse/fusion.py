@@ -17,8 +17,7 @@ import numpy as np
 from .classifier import (
     DegenerateLabelError,
     LinearModel,
-    SingleSensorModel,
-    Standardizer,
+    SensorModel,
     TrivialModel,
     _fit_standardized,
     _standardized,
@@ -26,8 +25,8 @@ from .classifier import (
     predict_proba_features,
     predict_proba_matrix,
 )
-from .data import FeatureStore, has_all_sensors
-from .model import FEATURE_DIMS, RELEVANT, SENSORS
+from .data import FeatureStore
+from .model import FEATURE_DIMS, SENSORS
 
 
 def sensor_spans(sensors=SENSORS) -> dict:
@@ -39,27 +38,34 @@ def sensor_spans(sensors=SENSORS) -> dict:
     return spans
 
 
-@dataclass(frozen=True)
-class EarlyFusionModel:
-    label: str
-    sensors: tuple
-    standardizer: Optional[Standardizer]
-    model: Union[LinearModel, TrivialModel]
-    notes: tuple = ()
+def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score_rows=()) -> dict:
+    """Fit every label's :class:`SensorModel` on the ``sensors`` features
+    of the store's ``rows``: ``{label: (model, *probabilities)}``, one
+    ``(len(r),)`` probability array per index array ``r`` of ``score_rows``.
 
-    @property
-    def dim(self) -> int:
-        return sum(FEATURE_DIMS[s] for s in self.sensors)
-
-    @property
-    def is_trivial(self) -> bool:
-        return isinstance(self.model, TrivialModel)
+    The one fit step of single-sensor, early-fusion, personalization and
+    one-vs-rest models. A standardizer does not depend on the label: one is
+    fit on ``rows`` and shared by every label, whose model is fit with seed
+    ``seeds(label)`` at ``cost`` (grid-searched when None).
+    """
+    sensors = tuple(sensors)
+    standardizer, Z = _standardized(store.matrix(sensors, rows))
+    scored = [store.matrix(sensors, r) for r in score_rows]
+    if standardizer is not None:
+        scored = [standardizer.transform(X) for X in scored]
+    fits = {}
+    for label in labels:
+        model = _fit_standardized(
+            label, sensors, standardizer, Z, store.relevant[label][rows], cost=cost, seed=seeds(label)
+        )
+        fits[label] = (model, *(predict_proba_matrix(model.model, X) for X in scored))
+    return fits
 
 
 @dataclass(frozen=True)
 class LateFusionLearned:
     label: str
-    components: Mapping[str, SingleSensorModel]
+    components: Mapping[str, SensorModel]
     second_layer: Union[LinearModel, TrivialModel]
     notes: tuple = ()
 
@@ -70,18 +76,6 @@ class LateFusionLearned:
         return dict(zip(self.components, self.second_layer.weights))
 
 
-def _fit_early_fusion(label, sensors, standardizer, Z, y, *, cost, seed) -> EarlyFusionModel:
-    """The EF fit on complete-sensor rows already standardized by ``standardizer``."""
-    standardizer, model, notes = _fit_standardized(standardizer, Z, y, cost=cost, seed=seed)
-    return EarlyFusionModel(
-        label=label,
-        sensors=tuple(sensors),
-        standardizer=standardizer,
-        model=model,
-        notes=notes,
-    )
-
-
 def early_fusion(
     examples: Sequence,
     label: str,
@@ -89,7 +83,7 @@ def early_fusion(
     sensors=SENSORS,
     cost: Optional[float] = None,
     seed: int = 0,
-) -> EarlyFusionModel:
+) -> SensorModel:
     """Train the EF classifier on complete-sensor examples only.
 
     ``cost=None`` grid-searches the cost; a number fits at that C.
@@ -98,19 +92,17 @@ def early_fusion(
     rows = np.flatnonzero(store.complete(sensors))
     if not rows.size:
         raise ValueError("early fusion has no complete-sensor training examples")
-    standardizer, Z = _standardized(store.matrix(sensors, rows))
-    return _fit_early_fusion(
-        label, sensors, standardizer, Z, store.relevant[label][rows], cost=cost, seed=seed
-    )
+    (model,) = fit_labels(store, sensors, rows, (label,), cost=cost, seeds=lambda _: seed)[label]
+    return model
 
 
-def predict_early_fusion(model: EarlyFusionModel, examples: Sequence) -> np.ndarray:
+def predict_early_fusion(model: SensorModel, examples: Sequence) -> np.ndarray:
     """``(n,)`` EF probabilities; an absent sensor imputes to the training mean."""
     store = FeatureStore.from_examples(examples, sensors=model.sensors)
     return predict_proba_features(model, store.matrix(model.sensors))
 
 
-def _component_probabilities(components: Mapping[str, SingleSensorModel], features) -> np.ndarray:
+def _component_probabilities(components: Mapping[str, SensorModel], features) -> np.ndarray:
     """``(n, k)`` probabilities of the k components on raw per-sensor rows
     ``features[sensor]``, one matrix call per sensor, in the components' order."""
     return np.column_stack(
@@ -119,7 +111,7 @@ def _component_probabilities(components: Mapping[str, SingleSensorModel], featur
 
 
 def component_probability_matrix(
-    components: Mapping[str, SingleSensorModel], examples: Sequence
+    components: Mapping[str, SensorModel], examples: Sequence
 ) -> np.ndarray:
     """``(n, k)`` probabilities of the k components, one matrix call per sensor.
 
@@ -131,7 +123,7 @@ def component_probability_matrix(
     return _component_probabilities(components, store.features)
 
 
-def _component_presence(components: Mapping[str, SingleSensorModel], present) -> np.ndarray:
+def _component_presence(components: Mapping[str, SensorModel], present) -> np.ndarray:
     """``(n, k)`` mask of the components that can score each row.
 
     ``present[sensor]`` is the rows' presence of that sensor
@@ -158,7 +150,7 @@ def _average_probabilities(components, P: np.ndarray, present: np.ndarray, *, le
 
 
 def late_fusion_average(
-    components: Mapping[str, SingleSensorModel],
+    components: Mapping[str, SensorModel],
     examples: Sequence,
     *,
     lenient: bool = False,
@@ -207,7 +199,7 @@ def _fit_late_fusion(label, components, P, y, *, cost, seed) -> LateFusionLearne
 def late_fusion_learned(
     examples: Sequence,
     label: str,
-    components: Mapping[str, SingleSensorModel],
+    components: Mapping[str, SensorModel],
     *,
     cost: Optional[float] = None,
     seed: int = 0,
@@ -242,19 +234,7 @@ def predict_late_fusion_learned(model: LateFusionLearned, examples: Sequence) ->
 @dataclass(frozen=True)
 class MulticlassModel:
     class_labels: tuple
-    per_class: Mapping[str, EarlyFusionModel]
-
-
-def eligible_multiclass_examples(examples, class_labels, sensors) -> list:
-    """Examples annotated with exactly one of the class labels and all sensors."""
-    out = []
-    for ex in examples:
-        if not has_all_sensors(ex, sensors):
-            continue
-        relevant = [l for l in class_labels if ex.label_value(l) == RELEVANT]
-        if len(relevant) == 1:
-            out.append((ex, relevant[0]))
-    return out
+    per_class: Mapping[str, SensorModel]
 
 
 def multiclass_one_vs_rest(
@@ -266,26 +246,23 @@ def multiclass_one_vs_rest(
 ) -> MulticlassModel:
     """One balanced EF model per class on the chosen sensors' features.
 
-    Each class's model is :func:`early_fusion` over the eligible examples,
-    whose binary target is exactly the one-hot truth of that class. The
-    standardizer does not depend on the class: one is fit and shared.
+    The models train on the examples with every one of ``sensors`` present
+    and exactly one class relevant, so each class's binary target is the
+    one-hot truth of that class; they share one standardizer
+    (:func:`fit_labels`).
     """
     if len(class_labels) < 2:
         raise ValueError("one-vs-rest needs at least two classes")
-    eligible = eligible_multiclass_examples(examples, class_labels, sensors)
-    pool = [ex for ex, _ in eligible]
-    truth = {cls for _, cls in eligible}
+    store = FeatureStore.from_examples(examples, sensors=sensors, labels=class_labels)
+    one_class = np.sum([store.relevant[cls] for cls in class_labels], axis=0) == 1
+    rows = np.flatnonzero(store.complete(sensors) & one_class)
     for cls in class_labels:
-        if cls not in truth:
+        if not store.relevant[cls][rows].any():
             raise ValueError(f"class {cls!r} has no training examples")
-    store = FeatureStore.from_examples(pool, sensors=sensors, labels=class_labels)
-    standardizer, Z = _standardized(store.matrix(sensors))
+    fits = fit_labels(store, sensors, rows, class_labels, cost=cost, seeds=lambda _: 0)
     return MulticlassModel(
         class_labels=tuple(class_labels),
-        per_class={
-            cls: _fit_early_fusion(cls, sensors, standardizer, Z, store.relevant[cls], cost=cost, seed=0)
-            for cls in class_labels
-        },
+        per_class={cls: model for cls, (model,) in fits.items()},
     )
 
 

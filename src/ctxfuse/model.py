@@ -154,13 +154,6 @@ class Example:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
-    def has_sensor(self, sensor: str) -> bool:
-        """True when the sensor contributed usable data to this minute."""
-        if self.sensor_data.get(sensor) is not None:
-            return True
-        fv = self.precomputed_features.get(sensor)
-        return fv is not None and not np.isnan(fv).all()
-
     def label_value(self, label_name: str) -> str:
         for la in self.labels:
             if la.label_name == label_name:

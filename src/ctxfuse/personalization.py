@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifier import _standardized, predict_proba_matrix
 from .data import FeatureStore
 from .evaluation import (
     InsufficientDataError,
@@ -22,7 +21,7 @@ from .evaluation import (
     count_outcomes,
     derive_seed,
 )
-from .fusion import _fit_early_fusion
+from .fusion import fit_labels
 from .model import SENSORS
 
 
@@ -62,20 +61,6 @@ def _scored(y_true, p) -> ModelScore:
     return ModelScore(ba=report.ba, f1=report.f1, report=report)
 
 
-def _early_fusion_probabilities(store, rows, labels, seeds, X_deploy) -> dict:
-    """``{label: (model, p)}``: an EF model fit on ``rows`` per label, all
-    sharing one standardizer, and its probabilities on ``X_deploy``."""
-    standardizer, Z = _standardized(store.matrix(SENSORS, rows))
-    Z_deploy = X_deploy if standardizer is None else standardizer.transform(X_deploy)
-    out = {}
-    for label in labels:
-        model = _fit_early_fusion(
-            label, SENSORS, standardizer, Z, store.relevant[label][rows], cost=None, seed=seeds(label)
-        )
-        out[label] = model, predict_proba_matrix(model.model, Z_deploy)
-    return out
-
-
 def personalize(
     store: FeatureStore, user: str, labels: Sequence[str], train_users: Sequence[str], *, seed: int = 0
 ) -> dict:
@@ -107,12 +92,13 @@ def personalize(
         raise InsufficientDataError(f"user {user!r}: no complete-sensor deployment examples")
     adapt = adaptation[complete[adaptation]]
 
-    X_deploy = store.matrix(SENSORS, deploy)
-    universal = _early_fusion_probabilities(
-        store, train, labels, lambda label: derive_seed(seed, "universal", label), X_deploy
+    universal = fit_labels(
+        store, SENSORS, train, labels, cost=None, score_rows=(deploy,),
+        seeds=lambda label: derive_seed(seed, "universal", label),
     )
-    individual = _early_fusion_probabilities(
-        store, adapt, labels, lambda label: derive_seed(seed, "individual", user), X_deploy
+    individual = fit_labels(
+        store, SENSORS, adapt, labels, cost=None, score_rows=(deploy,),
+        seeds=lambda label: derive_seed(seed, "individual", user),
     ) if adapt.size else {}
 
     results = {}

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ctxfuse.data import has_all_sensors, sensor_features
+from ctxfuse.data import sensor_features
 from ctxfuse.model import (
     Example,
     FEATURE_DIMS,
@@ -47,9 +47,20 @@ def user_ids(examples):
     return sorted({ex.user_id for ex in examples})
 
 
+def has_sensors(example, sensors=SENSORS):
+    """True when every one of ``sensors`` is present on the example: its
+    feature vector exists and is not all NaN (the feature store's rule,
+    restated per example)."""
+    for sensor in sensors:
+        fv = sensor_features(example, sensor)
+        if fv is None or np.isnan(fv).all():
+            return False
+    return True
+
+
 def core_examples(examples):
     """The examples with all six sensors: the minutes the protocol scores."""
-    return [ex for ex in examples if has_all_sensors(ex)]
+    return [ex for ex in examples if has_sensors(ex)]
 
 
 def by_user(examples):

@@ -93,8 +93,8 @@ def test_criterion_1_dimension_contract():
         )
 
         dims = {
-            "acc": extract_motion_features(motion, "acc"),
-            "gyro": extract_motion_features(motion, "gyro"),
+            "acc": extract_motion_features(motion),
+            "gyro": extract_motion_features(motion),
             "wacc": extract_watch_features(watch),
             "loc": extract_location_features(LocationSeries(updates=updates)),
             "aud": extract_audio_features(compute_mfcc(audio)),
@@ -297,15 +297,15 @@ def test_criterion_8_normalization_invariants():
                 ok = False
             pos += size
 
-    from ctxfuse.classifier import SingleSensorModel, TrivialModel
+    from ctxfuse.classifier import SensorModel, TrivialModel
 
     ex = feature_example("u0", 0, {s: rng.normal(size=d) for s, d in
                                    zip(SENSORS, (26, 26, 46, 17, 26, 34))})
     for _ in range(200):
         probs = rng.uniform(0.001, 0.999, size=6)
         comps = {
-            s: SingleSensorModel(sensor=s, label="L", standardizer=None,
-                                 model=TrivialModel(probability=p))
+            s: SensorModel(label="L", sensors=(s,), standardizer=None,
+                           model=TrivialModel(probability=p))
             for s, p in zip(SENSORS, probs)
         }
         p = late_fusion_average(comps, [ex])[0]

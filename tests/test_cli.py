@@ -564,6 +564,44 @@ def test_rerun_of_a_file_that_is_not_a_manifest_exits_2(tmp_path, capsys, text, 
     assert err.startswith(f"error: {manifest}: ") and message in err, err
 
 
+def _without(key):
+    def edit(config):
+        del config[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, key, got", [
+    (lambda config: config.clear(), "features_dir", "nothing"),
+    (lambda config: config.update(features_dir=5), "features_dir", "5"),
+    (_without("out"), "out", "nothing"),
+    (lambda config: config.update(partition=7), "partition", "7"),
+], ids=["empty-config", "features-dir-not-a-string", "no-out", "partition-not-a-string"])
+def test_rerun_of_a_manifest_with_a_bad_config_path_exits_2(tmp_path, eval_setup, capsys,
+                                                            edit, key, got):
+    features, labels_file, _ = eval_setup
+    out = tmp_path / "out"
+    assert main(_evaluate_argv(features, labels_file, out, "--systems", "acc")) == 0
+    manifest = out / "run_manifest.json"
+    record = json.loads(manifest.read_text(encoding="utf-8"))
+    edit(record["config"])
+    manifest.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["rerun", str(manifest)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {manifest}: config {key!r} must be a path string, got {got}"), err
+
+
+def test_rerun_of_an_extract_manifest_without_input_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(json.dumps({"command": "extract", "config": {"out": str(tmp_path)}}),
+                        encoding="utf-8")
+    code = main(["rerun", str(manifest)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {manifest}: config 'input' must be a path string, got nothing"), err
+
+
 def test_two_tables_of_one_user_exit_2(tmp_path, eval_setup, capsys):
     features, labels_file, _ = eval_setup
     table = sorted(features.glob("*.features.csv"))[0]

@@ -227,14 +227,14 @@ def test_axis_statistics_population_std():
 
 def test_motion_feature_length_is_26():
     rng = np.random.default_rng(8)
-    fv = extract_motion_features(make_triaxial(rng, n=200), "acc")
+    fv = extract_motion_features(make_triaxial(rng, n=200))
     assert fv.shape == (26,)
     assert not np.isnan(fv).any()
 
 
 def test_motion_constant_unit_vector_head():
     s = _series(np.tile([0.0, 0.0, 1.0], (64, 1)))
-    fv = extract_motion_features(s, "acc")
+    fv = extract_motion_features(s)
     assert fv[0] == 1.0
     assert fv[1] == 0.0
 
@@ -242,17 +242,11 @@ def test_motion_constant_unit_vector_head():
 def test_motion_is_composition_of_suboracles():
     rng = np.random.default_rng(9)
     s = make_triaxial(rng, n=128)
-    fv = extract_motion_features(s, "gyro")
+    fv = extract_motion_features(s)
     expected = np.concatenate(
         [scalar_series_features(magnitude_series(s), s.nominal_rate), axis_statistics(s)]
     )
     assert np.array_equal(fv, expected)
-
-
-def test_motion_rejects_other_sensors():
-    rng = np.random.default_rng(10)
-    with pytest.raises(ValueError):
-        extract_motion_features(make_triaxial(rng), "wacc")
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +467,9 @@ def test_invalid_phone_state_value_rejected():
 
 @pytest.mark.parametrize("fill", ["zeros", "random"])
 def test_every_extractor_on_a_minimal_payload_is_not_all_nan(fill):
-    # a raw payload makes its sensor present (Example.has_sensor), and the
-    # feature store calls a sensor present unless its vector is all NaN:
-    # the two rules agree only while no extractor returns an all-NaN vector
+    # a raw payload must make its sensor present, and the feature store calls
+    # a sensor present unless its vector is all NaN: so no extractor may
+    # return an all-NaN vector
     rng = np.random.default_rng(17)
 
     def samples(n, width):
@@ -495,4 +489,4 @@ def test_every_extractor_on_a_minimal_payload_is_not_all_nan(fill):
         fv = sensor_features(example, sensor)
         assert fv.shape == (FEATURE_DIMS[sensor],), sensor
         assert not np.isnan(fv).all(), sensor
-        assert store.present[sensor].tolist() == [example.has_sensor(sensor)] == [True], sensor
+        assert store.present[sensor].tolist() == [True], sensor

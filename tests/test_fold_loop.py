@@ -6,7 +6,7 @@ feature matrix per label and fits one standardizer per model. It is a test
 oracle only. ``cross_validate`` must give the same counts, flags and chosen
 costs with either fold loop, in both modes and with threads. The work-count
 guard holds the fold loop to one standardizer per (fold, sensor) plus one
-for EF, and a store built from feature tables to no presence check on an
+for EF, and a store built from feature tables to no feature lookup on an
 example.
 """
 
@@ -14,12 +14,19 @@ import numpy as np
 import pytest
 
 import ctxfuse.classifier as classifier
+import ctxfuse.data as data
 import ctxfuse.evaluation as evaluation
 from ctxfuse.classifier import (
+    PROBABILITY_CLIP,
     DegenerateLabelError,
+    SensorModel,
+    TrivialModel,
     fit_single_sensor_model,
+    fit_standardizer,
     predict_proba_features,
     predict_proba_matrix,
+    select_cost,
+    train_linear,
 )
 from ctxfuse.cli import _read_labels_file
 from ctxfuse.data import FeatureStore, label_vector
@@ -30,7 +37,13 @@ from ctxfuse.evaluation import (
     derive_seed,
     loo_partition,
 )
-from ctxfuse.fusion import early_fusion, late_fusion_average, late_fusion_learned, predict_early_fusion
+from ctxfuse.fusion import (
+    early_fusion,
+    fit_labels,
+    late_fusion_average,
+    late_fusion_learned,
+    predict_early_fusion,
+)
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
 from perfbench_files import perfbench_module
@@ -39,6 +52,7 @@ from synth import (
     concat_feature_matrix,
     feature_example,
     feature_matrix,
+    has_sensors,
     make_triaxial,
     ordered,
     user_ids,
@@ -58,7 +72,7 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
         needed_sensors |= set(SENSORS)
 
     sensor_train = {
-        s: [ex for ex in train_examples if ex.has_sensor(s)] for s in needed_sensors
+        s: [ex for ex in train_examples if has_sensors(ex, (s,))] for s in needed_sensors
     }
     test_X = {s: feature_matrix(pool, s) for s in needed_sensors}
 
@@ -272,10 +286,10 @@ def test_feature_store_matches_per_example_assembly():
     store = FeatureStore.from_examples(examples, labels=labels)
     for s in SENSORS:
         assert np.array_equal(store.features[s], feature_matrix(examples, s), equal_nan=True)
-        assert store.present[s].tolist() == [ex.has_sensor(s) for ex in examples]
+        assert store.present[s].tolist() == [has_sensors(ex, (s,)) for ex in examples]
     for label in labels:
         assert np.array_equal(store.relevant[label], label_vector(examples, label))
-    assert store.complete().tolist() == [all(ex.has_sensor(s) for s in SENSORS) for ex in examples]
+    assert store.complete().tolist() == [has_sensors(ex) for ex in examples]
     assert store.timestamps.tolist() == [ex.timestamp for ex in examples]
     rows = store.rows(["u4", "u1"])
     assert [examples[i] for i in rows] == ordered(examples, ["u1", "u4"])
@@ -294,10 +308,90 @@ def test_fold_loop_work_counts_on_golden_corpus(tmp_path, monkeypatch):
     fit_standardizer = classifier.fit_standardizer
     monkeypatch.setattr(classifier, "fit_standardizer",
                         lambda X: standardizers.append(1) or fit_standardizer(X))
-    presence = []
-    monkeypatch.setattr(Example, "has_sensor", lambda self, sensor: presence.append(sensor))
+    lookups = []
+    monkeypatch.setattr(data, "sensor_features", lambda ex, sensor: lookups.append(sensor))
     out = cross_validate(store, labels, list(corpus.ALL_SYSTEMS), partition)
 
     assert len(out["lfl"]) == len(labels)
     assert len(standardizers) == len(partition) * (len(SENSORS) + 1)
-    assert presence == []
+    assert lookups == []
+
+
+MIXED_LABELS = ["COMMON", "NONE", "FEW", "PARTIAL"]
+
+
+def _fit_alone(label, sensors, X, y, *, cost, seed) -> SensorModel:
+    """One label's model fit on its own from the public primitives: its own
+    standardizer, the cost grid (or ``cost``), ``train_linear``; a single
+    class gives the trivial model, which has no standardizer."""
+    n_pos = int(y.sum())
+    if n_pos in (0, len(y)):
+        return SensorModel(label, sensors, None, TrivialModel(float(n_pos > 0)), ("trivial:single_class",))
+    standardizer = fit_standardizer(X)
+    Z = standardizer.transform(X)
+    notes = ()
+    if cost is None:
+        cost, fell_back = select_cost(Z, y, seed=seed)
+        notes = ("cost_fallback:C=1",) if fell_back else ()
+    return SensorModel(label, sensors, standardizer, train_linear(Z, y, cost), notes)
+
+
+def _assert_same_model(got: SensorModel, want: SensorModel):
+    assert (got.label, got.sensors, got.notes) == (want.label, want.sensors, want.notes)
+    assert (got.standardizer is None) == (want.standardizer is None)
+    if got.standardizer is not None:
+        assert got.standardizer.means.tobytes() == want.standardizer.means.tobytes()
+        assert got.standardizer.stds.tobytes() == want.standardizer.stds.tobytes()
+    assert type(got.model) is type(want.model)
+    if isinstance(want.model, TrivialModel):
+        assert got.model == want.model
+    else:
+        assert got.model.weights.tobytes() == want.model.weights.tobytes()
+        assert (got.model.intercept, got.model.cost) == (want.model.intercept, want.model.cost)
+
+
+@pytest.mark.parametrize("cost", [None, 1.0], ids=["grid", "fixed"])
+@pytest.mark.parametrize("sensors", [("acc",), ("loc",), SENSORS], ids=["acc", "loc", "ef"])
+def test_fit_labels_equals_a_fit_per_label_alone(sensors, cost):
+    store = FeatureStore.from_examples(_mixed_dataset(), labels=MIXED_LABELS)
+    train = store.rows(["u0", "u1", "u2", "u5"])
+    rows = train[store.complete(sensors)[train]]
+    score_rows = (store.rows(["u3"]), store.rows(["u4"]))
+
+    def seeds(label):
+        return derive_seed(1, label)
+
+    fits = fit_labels(store, sensors, rows, MIXED_LABELS, cost=cost, seeds=seeds, score_rows=score_rows)
+    assert list(fits) == MIXED_LABELS
+    for label, (model, *probs) in fits.items():
+        X, y = store.matrix(sensors, rows), store.relevant[label][rows]
+        want = _fit_alone(label, sensors, X, y, cost=cost, seed=seeds(label))
+        _assert_same_model(model, want)
+        if len(sensors) == 1:
+            _assert_same_model(model, fit_single_sensor_model(sensors[0], label, X, y, cost=cost, seed=seeds(label)))
+        assert len(probs) == len(score_rows)
+        for r, p in zip(score_rows, probs):
+            assert p.tobytes() == predict_proba_features(want, store.matrix(sensors, r)).tobytes()
+
+    # the cases the mixed dataset reaches: a trivial label, a grid fallback
+    # (grid only) and, without location, a label with one class
+    assert fits["NONE"][0].is_trivial
+    assert fits["PARTIAL"][0].is_trivial == ("loc" in sensors)
+    assert (fits["FEW"][0].notes == ("cost_fallback:C=1",)) == (cost is None)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_fit_labels_on_fewer_than_two_rows_is_trivial(n_rows):
+    store = FeatureStore.from_examples(_mixed_dataset(), labels=MIXED_LABELS)
+    rows = store.rows(["u0"])
+    rows = rows[store.relevant["FEW"][rows] == 1][:n_rows]  # a relevant FEW minute
+    scored = store.rows(["u3"])
+    fits = fit_labels(store, ("acc",), rows, ["FEW", "NONE"], cost=None, seeds=lambda _: 0,
+                      score_rows=(scored,))
+    for label, (model, p) in fits.items():
+        X, y = store.features["acc"][rows], store.relevant[label][rows]
+        _assert_same_model(model, fit_single_sensor_model("acc", label, X, y))
+        assert model.is_trivial and model.standardizer is None
+        positive = label == "FEW" and n_rows == 1
+        assert np.all(p == (1.0 - PROBABILITY_CLIP if positive else PROBABILITY_CLIP))
+        assert p.shape == scored.shape

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import ctxfuse.fusion as fusion
 from ctxfuse.classifier import (
     COST_GRID,
     LinearModel,
-    SingleSensorModel,
+    SensorModel,
     TrivialModel,
     fit_single_sensor_model,
     fit_standardizer,
@@ -19,7 +20,6 @@ from ctxfuse.data import label_vector
 from ctxfuse.evaluation import confusion_matrix, count_outcomes, compute_metrics
 from ctxfuse.fusion import (
     early_fusion,
-    eligible_multiclass_examples,
     late_fusion_average,
     late_fusion_learned,
     multiclass_one_vs_rest,
@@ -28,12 +28,13 @@ from ctxfuse.fusion import (
     predict_multiclass,
     sensor_spans,
 )
-from ctxfuse.model import FEATURE_DIMS, SENSORS
+from ctxfuse.model import FEATURE_DIMS, RELEVANT, SENSORS, PhoneStateSnapshot
 from synth import (
     complementary_sensor_dataset,
     concat_feature_matrix,
     feature_example,
     feature_matrix,
+    has_sensors,
     ordered,
     random_full_example,
     user_ids,
@@ -41,8 +42,8 @@ from synth import (
 
 
 def _constant_prob_model(sensor, p):
-    return SingleSensorModel(
-        sensor=sensor, label="L", standardizer=None, model=TrivialModel(probability=p)
+    return SensorModel(
+        label="L", sensors=(sensor,), standardizer=None, model=TrivialModel(probability=p)
     )
 
 
@@ -241,9 +242,9 @@ def test_lfa_strict_mode_requires_all_sensors():
     partial = feature_example("u0", 0, {"acc": rng.normal(size=26)})
     comps = {
         "acc": _constant_prob_model("acc", 0.8),
-        "aud": SingleSensorModel(
-            sensor="aud",
+        "aud": SensorModel(
             label="L",
+            sensors=("aud",),
             standardizer=fit_standardizer(rng.normal(size=(3, 26))),
             model=LinearModel(weights=np.zeros(26), intercept=2.0, cost=1.0),
         ),
@@ -347,13 +348,47 @@ def test_two_separable_classes_no_confusion():
     assert np.allclose(cm, np.eye(2))
 
 
-def test_examples_with_two_subset_labels_excluded():
+def _eligible(examples, class_labels, sensors):
+    """``(example, class)`` for the examples with every one of ``sensors``
+    and exactly one class relevant: the one-vs-rest training rows, restated
+    example by example."""
+    out = []
+    for ex in examples:
+        relevant = [cls for cls in class_labels if ex.label_value(cls) == RELEVANT]
+        if has_sensors(ex, sensors) and len(relevant) == 1:
+            out.append((ex, relevant[0]))
+    return out
+
+
+def test_examples_with_two_subset_labels_excluded(monkeypatch):
     rng = np.random.default_rng(12)
-    ok = feature_example("u0", 0, {"acc": rng.normal(size=26)}, {"A": 1, "B": 0})
-    both = feature_example("u0", 1, {"acc": rng.normal(size=26)}, {"A": 1, "B": 1})
-    neither = feature_example("u0", 2, {"acc": rng.normal(size=26)}, {"A": 0, "B": 0})
-    eligible = eligible_multiclass_examples([ok, both, neither], ("A", "B"), ("acc",))
-    assert [ex.timestamp for ex, _ in eligible] == [0]
+
+    def vals():
+        return {"acc": rng.normal(size=26), "ps": rng.normal(size=34)}
+
+    examples = [
+        feature_example("u0", 0, vals(), {"A": 1, "B": 0}),
+        feature_example("u0", 1, vals(), {"A": 1, "B": 1}),  # both classes
+        feature_example("u0", 2, vals(), {"A": 0, "B": 0}),  # neither
+        feature_example("u0", 3, vals(), {"A": 0, "B": 1}),
+        feature_example("u0", 4, {"acc": rng.normal(size=26)}, {"A": 0, "B": 1}),  # no ps
+    ]
+    # a phone-state payload with an all-NaN precomputed vector: the vector
+    # wins, so ps is absent
+    nan_ps = examples[0].precomputed_features | {"ps": np.full(34, np.nan)}
+    examples.append(replace(examples[0], timestamp=5, precomputed_features=nan_ps,
+                            sensor_data={"ps": PhoneStateSnapshot()}))
+    trained = []
+    fit = fusion.fit_labels
+
+    def recording(store, sensors, rows, *args, **kwargs):
+        trained.append(store.timestamps[rows].tolist())
+        return fit(store, sensors, rows, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "fit_labels", recording)
+    fusion.multiclass_one_vs_rest(examples, ("A", "B"), ("acc", "ps"))
+    assert trained == [[0, 3]]
+    assert [ex.timestamp for ex, _ in _eligible(examples, ("A", "B"), ("acc", "ps"))] == [0, 3]
 
 
 def test_empty_class_error_names_it():
@@ -414,7 +449,7 @@ def test_three_class_confusion_matches_generative_oracle():
 def _one_vs_rest_oracle(examples, class_labels, sensors, cost):
     """The one-vs-rest fit before it went through ``early_fusion``: one
     standardizer on the concatenated pool, then ``train_linear`` per class."""
-    eligible = eligible_multiclass_examples(examples, class_labels, sensors)
+    eligible = _eligible(examples, class_labels, sensors)
     truth = [cls for _, cls in eligible]
     X = concat_feature_matrix([ex for ex, _ in eligible], sensors)
     standardizer = fit_standardizer(X)
@@ -459,7 +494,7 @@ def test_one_vs_rest_shares_one_standardizer_and_equals_per_class_early_fusion(m
     test, _ = _three_class_corpus(rng, 300, 10**6)
     # the oracle: one early_fusion per class on the eligible pool, each
     # fitting its own standardizer
-    pool = [ex for ex, _ in eligible_multiclass_examples(train, classes, ("acc",))]
+    pool = [ex for ex, _ in _eligible(train, classes, ("acc",))]
     oracle = {cls: early_fusion(pool, cls, sensors=("acc",), cost=cost) for cls in classes}
 
     fits = []

@@ -23,7 +23,7 @@ from ctxfuse.classifier import (
     select_cost,
     train_linear,
 )
-from ctxfuse.data import has_all_sensors, label_vector, sensor_features
+from ctxfuse.data import label_vector, sensor_features
 from ctxfuse.evaluation import MetricCounts, count_outcomes, cross_validate, partition_folds
 from ctxfuse.fusion import (
     LateFusionLearned,
@@ -41,6 +41,7 @@ from synth import (
     concat_feature_matrix,
     feature_example,
     feature_matrix,
+    has_sensors,
     make_triaxial,
     ordered,
     user_ids,
@@ -60,7 +61,7 @@ def _rowwise_probability(model, example, sensor):
 
 
 def _rowwise_lfl_inputs(components, examples):
-    complete = [ex for ex in examples if has_all_sensors(ex, list(components))]
+    complete = [ex for ex in examples if has_sensors(ex, components)]
     P = np.array(
         [[_rowwise_probability(components[s], ex, s) for s in components] for ex in complete]
     )
@@ -132,7 +133,7 @@ def _mixed_examples(seed=0, n=150):
 def _components(examples, label, trivial_sensor=None):
     comps = {}
     for s in SENSORS:
-        exs = [ex for ex in examples if ex.has_sensor(s)]
+        exs = [ex for ex in examples if has_sensors(ex, (s,))]
         y = label_vector(exs, "NONE" if s == trivial_sensor else label)
         comps[s] = fit_single_sensor_model(s, label, feature_matrix(exs, s), y, cost=1.0)
     return comps
@@ -150,7 +151,7 @@ def test_mixed_fixture_covers_raw_payloads_and_a_trivial_component(mixed):
     assert not comps["acc"].is_trivial
     assert all(ex.sensor_data.get("acc") is not None for ex in examples)
     assert "acc" not in examples[0].precomputed_features
-    complete = [ex for ex in examples if has_all_sensors(ex)]
+    complete = [ex for ex in examples if has_sensors(ex)]
     assert 0 < len(complete) < len(examples)
 
 
@@ -184,7 +185,7 @@ def test_single_class_label_raises_degenerate(mixed):
 
 def test_per_example_calls_are_rows_of_the_matrix_path(mixed):
     examples, comps = mixed
-    complete = [ex for ex in examples if has_all_sensors(ex)]
+    complete = [ex for ex in examples if has_sensors(ex)]
     lfl = late_fusion_learned(complete, "T", comps, cost=1.0)
     P = component_probability_matrix(comps, complete)
     for i, ex in enumerate(complete[:10]):
@@ -206,7 +207,7 @@ def test_matrix_path_validates_dimension(mixed):
 def test_missing_sensor_still_rejected_by_per_example_lfl(mixed):
     examples, comps = mixed
     lfl = late_fusion_learned(examples, "T", comps, cost=1.0)
-    no_watch = next(ex for ex in examples if not ex.has_sensor("wacc"))
+    no_watch = next(ex for ex in examples if not has_sensors(ex, ("wacc",)))
     with pytest.raises(ValueError, match="missing sensors"):
         predict_late_fusion_learned(lfl, [no_watch])
 
@@ -289,7 +290,7 @@ def _inline_lfa(components, pool):
 
 def test_early_fusion_scores_through_the_matrix_path(mixed):
     examples, _ = mixed
-    complete = [ex for ex in examples if has_all_sensors(ex)]
+    complete = [ex for ex in examples if has_sensors(ex)]
     ef = early_fusion(complete, "T", cost=1.0)
     assert ef.dim == 175 and not ef.is_trivial
     p = predict_early_fusion(ef, examples)
@@ -302,7 +303,7 @@ def test_early_fusion_scores_through_the_matrix_path(mixed):
 
 def test_trivial_early_fusion_model_has_no_standardizer(mixed):
     examples, _ = mixed
-    complete = [ex for ex in examples if has_all_sensors(ex)]
+    complete = [ex for ex in examples if has_sensors(ex)]
     ef = early_fusion(complete, "NONE", cost=1.0)
     assert ef.is_trivial and ef.standardizer is None
     assert "trivial:single_class" in ef.notes
@@ -311,7 +312,7 @@ def test_trivial_early_fusion_model_has_no_standardizer(mixed):
 
 def test_late_fusion_average_matches_per_example_means(mixed):
     examples, comps = mixed
-    complete = [ex for ex in examples if has_all_sensors(ex)]
+    complete = [ex for ex in examples if has_sensors(ex)]
     assert np.array_equal(
         late_fusion_average(comps, complete), _inline_lfa(comps, complete)
     )
@@ -321,7 +322,7 @@ def test_late_fusion_average_matches_per_example_means(mixed):
     p = late_fusion_average(comps, examples, lenient=True)
     for i, ex in enumerate(examples):
         # loc is trivial: it counts as present without features
-        present = [s for s in SENSORS if s == "loc" or ex.has_sensor(s)]
+        present = [s for s in SENSORS if s == "loc" or has_sensors(ex, (s,))]
         want = np.mean([_rowwise_probability(comps[s], ex, s) for s in present])
         assert p[i] == pytest.approx(want, abs=1e-12)
 
@@ -335,15 +336,16 @@ def captured_cv():
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
     partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
     captured = {"ef": [], "lfl": []}
-    fit_ef, fit_lfl = evaluation._fit_early_fusion, evaluation._fit_late_fusion
+    fit_labels, fit_lfl = evaluation.fit_labels, evaluation._fit_late_fusion
 
     def held_out():
         return core_examples(ordered(examples, fold["fold_users"]))
 
-    def capture_ef(label, *args, **kwargs):
-        model = fit_ef(label, *args, **kwargs)
-        captured["ef"].append((held_out(), label, model))
-        return model
+    def capture_ef(store, sensors, *args, **kwargs):
+        fits = fit_labels(store, sensors, *args, **kwargs)
+        if tuple(sensors) == SENSORS:  # the EF fit; the others are single-sensor
+            captured["ef"] += [(held_out(), label, model) for label, (model, *_) in fits.items()]
+        return fits
 
     def capture_lfl(label, components, *args, **kwargs):
         entry = [held_out(), label, dict(components), None]
@@ -353,7 +355,7 @@ def captured_cv():
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         fold = _follow_folds(monkeypatch)
-        monkeypatch.setattr(evaluation, "_fit_early_fusion", capture_ef)
+        monkeypatch.setattr(evaluation, "fit_labels", capture_ef)
         monkeypatch.setattr(evaluation, "_fit_late_fusion", capture_lfl)
         store = FeatureStore.from_examples(examples, labels=labels)
         results = cross_validate(store, labels, systems, partition, seed=9)

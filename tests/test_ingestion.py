@@ -25,7 +25,7 @@ from ctxfuse.ingestion import (
 )
 from ctxfuse.model import FEATURE_DIMS, MISSING, RELEVANT, SENSORS
 from perfbench_files import perfbench_module
-from synth import feature_example, ordered, random_full_example
+from synth import feature_example, has_sensors, ordered, random_full_example
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_masked_cells_round_trip(tmp_path):
     assert cells[FEATURE_COLUMNS["loc"][3]] == "" and "nan" not in row
     back = parse_features_csv(path)[0]
     assert np.isnan(back.precomputed_features["acc"]).all()
-    assert not back.has_sensor("acc")
+    assert not has_sensors(back, ("acc",))
     assert np.isnan(back.precomputed_features["loc"][3])
     assert not np.isnan(back.precomputed_features["loc"][4])
 
@@ -518,7 +518,7 @@ def test_missing_location_file_is_absent_sensor(tmp_path):
     root = _write_session(tmp_path / "s2", with_loc=False)
     ex = load_raw_session(root, utc_offset_hours=0)
     assert "loc" not in ex.sensor_data
-    assert not ex.has_sensor("loc")
+    assert not has_sensors(ex, ("loc",))
 
 
 def test_non_monotone_timestamps_rejected(tmp_path):

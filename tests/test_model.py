@@ -13,7 +13,7 @@ from ctxfuse.model import (
     canonical_label_name,
     validate_example,
 )
-from synth import feature_example, random_full_example
+from synth import feature_example, has_sensors, random_full_example
 
 
 def _well_formed_example():
@@ -101,8 +101,8 @@ def test_fully_masked_features_do_not_count_as_available():
     one_cell = np.full(26, np.nan)
     one_cell[5] = 0.0
     ex = Example("u0", 0, precomputed_features={"acc": np.full(26, np.nan), "gyro": one_cell})
-    assert not ex.has_sensor("acc")
-    assert ex.has_sensor("gyro")
+    assert not has_sensors(ex, ("acc",))
+    assert has_sensors(ex, ("gyro",))
     store = FeatureStore.from_examples([ex])
     assert [bool(store.present[s][0]) for s in ("acc", "gyro", "wacc")] == [False, True, False]
 

@@ -189,3 +189,14 @@ def test_lfl_constant_input_check_with_a_tolerance_fails_lfl_test(monkeypatch):
             "if np.all(P == P[0:1, :]):", "if np.all(np.abs(P - P[0:1, :]) < 1e-3):", evaluation)
     with pytest.raises(AssertionError):
         test_fusion.test_nearly_constant_second_layer_inputs_still_train()
+
+
+def test_standardizer_fit_on_the_scored_rows_too_fails_golden(tmp_path, monkeypatch, capsys):
+    # the held-out rows leak into every model through the standardizer's
+    # means and stds; the models still train on the training rows alone
+    _mutate(monkeypatch, fusion, "fit_labels",
+            "standardizer, Z = _standardized(store.matrix(sensors, rows))",
+            "standardizer, Z = _standardized(store.matrix(sensors, np.concatenate([rows, *score_rows])))\n"
+            "    Z = Z[: len(rows)]",
+            evaluation, personalization)
+    assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)

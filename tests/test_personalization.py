@@ -19,7 +19,7 @@ import pytest
 import ctxfuse.cli as cli
 import ctxfuse.personalization as personalization
 from ctxfuse.cli import _read_labels_file
-from ctxfuse.data import FeatureStore, has_all_sensors, label_vector
+from ctxfuse.data import FeatureStore, label_vector
 from ctxfuse.evaluation import compute_metrics, count_outcomes, derive_seed
 from ctxfuse.fusion import early_fusion, predict_early_fusion
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition, parse_features_csv
@@ -32,7 +32,7 @@ from ctxfuse.personalization import (
     split_user_timeline,
 )
 from perfbench_files import perfbench_module
-from synth import drift_user_scenario, ordered, random_full_example, user_ids
+from synth import drift_user_scenario, has_sensors, ordered, random_full_example, user_ids
 
 REFERENCE = Path(__file__).parent / "reference" / "personalization-cv5-fusion-0.json"
 
@@ -55,10 +55,10 @@ def _scored(counts):
 
 
 def _per_example_personalization(universal_models, adaptation, deployment, labels, *, seed):
-    deploy = [ex for ex in deployment if has_all_sensors(ex, SENSORS)]
+    deploy = [ex for ex in deployment if has_sensors(ex)]
     if not deploy:
         raise ValueError("no complete-sensor deployment examples")
-    adapt_complete = [ex for ex in adaptation if has_all_sensors(ex, SENSORS)]
+    adapt_complete = [ex for ex in adaptation if has_sensors(ex)]
 
     results = {}
     for label in labels:
@@ -239,13 +239,13 @@ def test_universal_trained_on_test_user_rejected(drift):
 def test_no_leakage_with_proper_train_users(drift, monkeypatch):
     store, train_users, label, _ = drift
     fitted_users = []
-    fit = personalization._early_fusion_probabilities
+    fit = personalization.fit_labels
 
-    def recording(store, rows, *args):
+    def recording(store, sensors, rows, *args, **kwargs):
         fitted_users.append(set(store.users[rows].tolist()))
-        return fit(store, rows, *args)
+        return fit(store, sensors, rows, *args, **kwargs)
 
-    monkeypatch.setattr(personalization, "_early_fusion_probabilities", recording)
+    monkeypatch.setattr(personalization, "fit_labels", recording)
     results = personalize(store, "tu", [label], train_users)
     assert label in results
     assert fitted_users == [set(train_users), {"tu"}]  # universal, then individual

@@ -1,8 +1,11 @@
 """Static checks on the package source.
 
-Every name a module imports must be used in that module. A deletion that
-leaves an import behind fails here instead of lingering. The package
-``__init__`` is exempt: its imports are the public API it re-exports.
+Every name a module imports must be used in that module, and every private
+(``_``-prefixed) top-level function, class or constant must be read by some
+module of the package. A deletion or refactor that leaves an import or a
+private helper behind fails here instead of lingering. The package
+``__init__`` is exempt from the import check: its imports are the public
+API it re-exports.
 """
 
 import ast
@@ -44,3 +47,43 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict:
+    """``{name: line}`` of the private top-level functions, classes and
+    constants that ``source`` defines."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out.update((n, node.lineno) for n in names if n.startswith("_") and not n.startswith("__"))
+    return out
+
+
+def names_read(source: str) -> set:
+    """Every name ``source`` reads, bare (``_f``) or as an attribute (``m._f``)."""
+    tree = ast.parse(source)
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = "_A = 1\n_B: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n__all__ = []\n"
+    defined = private_definitions(source)
+    assert defined == {"_A": 1, "_B": 2, "_f": 3, "_C": 5}
+    assert sorted(set(defined) - names_read(source)) == ["_B", "_C", "_f"]
+    assert "_f" in names_read("import m\nm._f()\n")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_top_level_name_is_read(path):
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    defined = private_definitions(path.read_text(encoding="utf-8"))
+    assert sorted((line, name) for name, line in defined.items() if name not in read) == []
