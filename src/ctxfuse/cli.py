@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,6 +41,7 @@ from .evaluation import (
 )
 from .ingestion import (
     IngestionError,
+    _not_utf8,
     _read_json_object,
     fold_partition_files,
     iter_session_dirs,
@@ -155,6 +157,8 @@ def _read_labels_file(path) -> list:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IngestionError(f"cannot read labels file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     labels = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -188,6 +192,8 @@ def cmd_extract(args) -> int:
     started = time.time()
     if args.utc_offset is None:
         raise ConfigError("--utc-offset is required (local time-of-day must be reproducible)")
+    if not math.isfinite(args.utc_offset):
+        raise ConfigError(f"--utc-offset must be a finite number of hours, got {args.utc_offset}")
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         raise IngestionError(f"input directory {input_dir} not readable")
@@ -229,8 +235,10 @@ def cmd_extract(args) -> int:
 
 
 def _load_store(args) -> tuple:
-    """``(store, labels)``: ``--features-dir`` as one store, with the
-    relevant-vector of each ``--labels`` label that some table row carries."""
+    """``(store, labels, positional)``: ``--features-dir`` as one store, with
+    the relevant-vector of each ``--labels`` label that some table row
+    carries, and ``{user: [sensor, ...]}`` for each table whose sensor groups
+    were mapped by position (their column names not the canonical ones)."""
     root = Path(args.features_dir)
     if not root.is_dir():
         raise IngestionError(f"features directory {root} not readable")
@@ -240,7 +248,8 @@ def _load_store(args) -> tuple:
     for label in labels:
         if label not in vocabulary:
             raise ConfigError(f"label {label!r} not in dataset vocabulary")
-    return FeatureStore.from_tables(tables, labels=labels), labels
+    positional = {t.user_id: list(t.positional) for t in tables if t.positional}
+    return FeatureStore.from_tables(tables, labels=labels), labels, positional
 
 
 def _load_partition(path, users):
@@ -263,7 +272,7 @@ def cmd_evaluate(args) -> int:
             f"--mode loo holds out one user per fold and takes no --partition "
             f"(got --partition {args.partition})"
         )
-    store, labels = _load_store(args)
+    store, labels, positional = _load_store(args)
     users = store.user_ids()
 
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
@@ -332,6 +341,7 @@ def cmd_evaluate(args) -> int:
         "partition_folds": [list(f) for f in partition.folds],
         "chosen_costs": chosen_costs,
         "n_core_examples": n_eval,
+        "positional_columns": positional,
     }
     _write_manifest(out_dir, "evaluate", config, extras, started)
     for metric in ("ba", "f1"):
@@ -341,7 +351,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_personalize(args) -> int:
     started = time.time()
-    store, labels = _load_store(args)
+    store, labels, positional = _load_store(args)
     users = store.user_ids()
 
     user = args.user
@@ -378,6 +388,7 @@ def cmd_personalize(args) -> int:
     extras = {
         "input_digest": _input_digest("personalize", config),
         "universal_train_users": sorted(train_users),
+        "positional_columns": positional,
     }
     _write_manifest(out_dir, "personalize", config, extras, started)
     print(f"wrote {out_dir / 'personalization.csv'}")

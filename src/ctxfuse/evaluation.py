@@ -18,7 +18,7 @@ import numpy as np
 
 from .classifier import DegenerateLabelError, predict_proba_matrix
 from .data import FeatureStore
-from .fusion import _average_probabilities, _component_presence, _fit_late_fusion, fit_labels
+from .fusion import fit_labels, late_fusion_average, late_fusion_learned
 from .model import SENSORS
 
 SINGLE_SENSOR_SYSTEMS = SENSORS
@@ -312,8 +312,10 @@ def _fold_counts(
     Each system's models come from one :func:`~ctxfuse.fusion.fit_labels`
     call, which fits one standardizer for every label: a sensor's on the
     training rows where that sensor is present, EF's on the rows with all
-    six. One system's matrices are alive at a time. LFA averages the sensor
-    probabilities already computed for the pool.
+    six. One system's matrices are alive at a time. LFA and the LFL second
+    layer are the library's :func:`~ctxfuse.fusion.late_fusion_average` on
+    the pool and :func:`~ctxfuse.fusion.late_fusion_learned` on the rows
+    with all six.
     """
     pool = _held_out_pool(store, fold_users)
     if not pool.size:
@@ -336,15 +338,15 @@ def _fold_counts(
     costs = {lbl: {} for lbl in labels}
     y_true = {label: store.relevant[label][pool] > 0 for label in labels}
 
-    def fit(system, sensors, rows, score_rows):
-        """:func:`fit_labels` for one system, recording each label's trivial
-        flag or chosen cost and, for a requested system, its pool counts
-        (the first of ``score_rows`` is the pool)."""
+    def fit(system, sensors, rows):
+        """:func:`fit_labels` for one system, scoring the pool and recording
+        each label's trivial flag or chosen cost and, for a requested
+        system, its pool counts."""
         fits = fit_labels(
-            store, sensors, rows, labels, cost=cost, score_rows=score_rows,
+            store, sensors, rows, labels, cost=cost, score_rows=(pool,),
             seeds=lambda label: derive_seed(seed, fold_index, label, system),
         )
-        for label, (model, p_pool, *_) in fits.items():
+        for label, (model, p_pool) in fits.items():
             if model.is_trivial:
                 flags[label].append(f"fold{fold_index}:{system}:trivial")
             else:
@@ -355,36 +357,24 @@ def _fold_counts(
 
     single_models = {label: {} for label in labels}
     sensor_probs = {label: {} for label in labels}
-    lfl_inputs = {label: [] for label in labels}  # columns in single_models order
-    score_rows = (pool, complete) if "lfl" in systems else (pool,)
     for s in sorted(needed_sensors):
-        fits = fit(s, (s,), train[store.present[s][train]], score_rows)
-        for label, (model, p_pool, *p_complete) in fits.items():
+        for label, (model, p_pool) in fit(s, (s,), train[store.present[s][train]]).items():
             single_models[label][s] = model
             sensor_probs[label][s] = p_pool
-            lfl_inputs[label] += p_complete
 
     if "ef" in systems:
-        fit("ef", SENSORS, complete, (pool,))
+        fit("ef", SENSORS, complete)
 
     for label in labels:
         probs = sensor_probs[label]
         if "lfa" in systems:
-            components = {s: single_models[label][s] for s in SENSORS}
-            present = _component_presence(components, {s: store.present[s][pool] for s in SENSORS})
-            p_lfa = _average_probabilities(components, np.column_stack([probs[s] for s in SENSORS]), present)
+            p_lfa = late_fusion_average({s: single_models[label][s] for s in SENSORS}, store, pool)
             counts["lfa"][label] = count_outcomes(y_true[label], p_lfa > 0.5)
 
         if "lfl" in systems:
             try:
-                lfl = _fit_late_fusion(
-                    label,
-                    single_models[label],
-                    np.column_stack(lfl_inputs[label]),
-                    store.relevant[label][complete],
-                    cost=cost,
-                    seed=derive_seed(seed, fold_index, label, "lfl"),
-                )
+                lfl = late_fusion_learned(store, complete, label, single_models[label], cost=cost,
+                                          seed=derive_seed(seed, fold_index, label, "lfl"))
             except DegenerateLabelError:
                 # no positive (or no negative) training example in this fold:
                 # contribute an always-negative classifier

@@ -5,6 +5,10 @@ Early fusion (EF) trains one linear model on the 175-dim standardized
 concatenation and can only learn from examples with all sensors present.
 Late fusion reuses the six single-sensor models: LFA averages their
 probabilities, LFL learns a 6-input second-layer logistic model on them.
+
+Every function reads a :class:`~ctxfuse.data.FeatureStore` at an index
+array ``rows`` of its rows; ``cross_validate`` calls the same functions on
+each fold's rows.
 """
 
 from __future__ import annotations
@@ -76,61 +80,37 @@ class LateFusionLearned:
         return dict(zip(self.components, self.second_layer.weights))
 
 
-def early_fusion(
-    examples: Sequence,
-    label: str,
-    *,
-    sensors=SENSORS,
-    cost: Optional[float] = None,
-    seed: int = 0,
-) -> SensorModel:
-    """Train the EF classifier on complete-sensor examples only.
+def early_fusion(store: FeatureStore, rows, label: str, *, sensors=SENSORS,
+                 cost: Optional[float] = None, seed: int = 0) -> SensorModel:
+    """Train the EF classifier on the complete-sensor rows among ``rows``.
 
     ``cost=None`` grid-searches the cost; a number fits at that C.
     """
-    store = FeatureStore.from_examples(examples, sensors=sensors, labels=(label,))
-    rows = np.flatnonzero(store.complete(sensors))
+    rows = rows[store.complete(sensors)[rows]]
     if not rows.size:
         raise ValueError("early fusion has no complete-sensor training examples")
     (model,) = fit_labels(store, sensors, rows, (label,), cost=cost, seeds=lambda _: seed)[label]
     return model
 
 
-def predict_early_fusion(model: SensorModel, examples: Sequence) -> np.ndarray:
-    """``(n,)`` EF probabilities; an absent sensor imputes to the training mean."""
-    store = FeatureStore.from_examples(examples, sensors=model.sensors)
-    return predict_proba_features(model, store.matrix(model.sensors))
+def component_probabilities(components: Mapping[str, SensorModel], store: FeatureStore, rows) -> np.ndarray:
+    """``(len(rows), k)`` probabilities of the k components, one matrix call
+    per sensor, in the components' order.
 
-
-def _component_probabilities(components: Mapping[str, SensorModel], features) -> np.ndarray:
-    """``(n, k)`` probabilities of the k components on raw per-sensor rows
-    ``features[sensor]``, one matrix call per sensor, in the components' order."""
+    A sensor absent from a row gives an all-NaN row, which standardizes to
+    the training mean; callers that must not score absent sensors check
+    presence first.
+    """
     return np.column_stack(
-        [predict_proba_features(model, features[sensor]) for sensor, model in components.items()]
+        [predict_proba_features(model, store.features[s][rows]) for s, model in components.items()]
     )
 
 
-def component_probability_matrix(
-    components: Mapping[str, SensorModel], examples: Sequence
-) -> np.ndarray:
-    """``(n, k)`` probabilities of the k components, one matrix call per sensor.
-
-    Column order is the components' order. A sensor absent from an example
-    gives an all-NaN row, which standardizes to the training mean; callers
-    that must not score absent sensors check presence first.
-    """
-    store = FeatureStore.from_examples(examples, sensors=list(components))
-    return _component_probabilities(components, store.features)
-
-
-def _component_presence(components: Mapping[str, SensorModel], present) -> np.ndarray:
-    """``(n, k)`` mask of the components that can score each row.
-
-    ``present[sensor]`` is the rows' presence of that sensor
-    (``FeatureStore.present``, the rule training uses); a trivial component
-    needs no features and is always present.
-    """
-    return np.column_stack([m.is_trivial | present[s] for s, m in components.items()])
+def _component_presence(components: Mapping[str, SensorModel], store: FeatureStore, rows) -> np.ndarray:
+    """``(len(rows), k)`` mask of the components that can score each row:
+    the store's presence of the component's sensor (the rule training uses);
+    a trivial component needs no features and is always present."""
+    return np.column_stack([m.is_trivial | store.present[s][rows] for s, m in components.items()])
 
 
 def _require_all_present(components, present: np.ndarray) -> None:
@@ -139,32 +119,20 @@ def _require_all_present(components, present: np.ndarray) -> None:
         raise ValueError(f"missing sensors for late fusion: {sorted(missing)}")
 
 
-def _average_probabilities(components, P: np.ndarray, present: np.ndarray, *, lenient: bool = False):
-    """``(n,)`` means of the component probabilities ``P`` over the present
-    components; strict mode first requires every component on every row."""
+def late_fusion_average(components: Mapping[str, SensorModel], store: FeatureStore, rows,
+                        *, lenient: bool = False) -> np.ndarray:
+    """``(len(rows),)`` means of the component probabilities (decide with ``> 0.5``).
+
+    Strict mode (the evaluation protocol) requires every component's sensor
+    on every row; lenient mode averages whatever is present per row.
+    """
+    present = _component_presence(components, store, rows)
     if not lenient:
         _require_all_present(components, present)
     elif not present.any(axis=1).all():
         raise ValueError("no sensors available for lenient late fusion")
+    P = component_probabilities(components, store, rows)
     return np.where(present, P, 0.0).sum(axis=1) / present.sum(axis=1)
-
-
-def late_fusion_average(
-    components: Mapping[str, SensorModel],
-    examples: Sequence,
-    *,
-    lenient: bool = False,
-) -> np.ndarray:
-    """``(n,)`` means of the component probabilities (decide with ``> 0.5``).
-
-    Strict mode (the evaluation protocol) requires every component's sensor
-    on every example; lenient mode averages whatever is present per example.
-    """
-    store = FeatureStore.from_examples(examples, sensors=list(components))
-    P = _component_probabilities(components, store.features)
-    return _average_probabilities(
-        components, P, _component_presence(components, store.present), lenient=lenient
-    )
 
 
 def _fit_late_fusion(label, components, P, y, *, cost, seed) -> LateFusionLearned:
@@ -196,35 +164,27 @@ def _fit_late_fusion(label, components, P, y, *, cost, seed) -> LateFusionLearne
     )
 
 
-def late_fusion_learned(
-    examples: Sequence,
-    label: str,
-    components: Mapping[str, SensorModel],
-    *,
-    cost: Optional[float] = None,
-    seed: int = 0,
-) -> LateFusionLearned:
-    """Train the LFL second layer on the component probabilities.
+def late_fusion_learned(store: FeatureStore, rows, label: str, components: Mapping[str, SensorModel],
+                        *, cost: Optional[float] = None, seed: int = 0) -> LateFusionLearned:
+    """Train the LFL second layer on the component probabilities of the
+    complete-sensor rows among ``rows``.
 
     Inputs are the raw probabilities (not logits), so the learned weights
     read directly as how much each sensor is listened to. The second layer
     uses the same balanced-weight and cost-selection pipeline as any
     classifier but no standardization.
     """
-    store = FeatureStore.from_examples(examples, sensors=list(components), labels=(label,))
-    rows = np.flatnonzero(store.complete(components))
+    rows = rows[store.complete(components)[rows]]
     if not rows.size:
         raise ValueError("late fusion has no complete-sensor training examples")
-    P = _component_probabilities(components, {s: store.features[s][rows] for s in components})
+    P = component_probabilities(components, store, rows)
     return _fit_late_fusion(label, components, P, store.relevant[label][rows], cost=cost, seed=seed)
 
 
-def predict_late_fusion_learned(model: LateFusionLearned, examples: Sequence) -> np.ndarray:
-    """``(n,)`` second-layer probabilities; every component's sensor must be present."""
-    store = FeatureStore.from_examples(examples, sensors=list(model.components))
-    _require_all_present(model.components, _component_presence(model.components, store.present))
-    P = _component_probabilities(model.components, store.features)
-    return predict_proba_matrix(model.second_layer, P)
+def predict_late_fusion_learned(model: LateFusionLearned, store: FeatureStore, rows) -> np.ndarray:
+    """``(len(rows),)`` second-layer probabilities; every component's sensor must be present."""
+    _require_all_present(model.components, _component_presence(model.components, store, rows))
+    return predict_proba_matrix(model.second_layer, component_probabilities(model.components, store, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +197,19 @@ class MulticlassModel:
     per_class: Mapping[str, SensorModel]
 
 
-def multiclass_one_vs_rest(
-    examples: Sequence,
-    class_labels: Sequence[str],
-    sensors: Sequence[str] = SENSORS,
-    *,
-    cost: Optional[float] = 1.0,
-) -> MulticlassModel:
+def multiclass_one_vs_rest(store: FeatureStore, rows, class_labels: Sequence[str],
+                           sensors=SENSORS, *, cost: Optional[float] = 1.0) -> MulticlassModel:
     """One balanced EF model per class on the chosen sensors' features.
 
-    The models train on the examples with every one of ``sensors`` present
-    and exactly one class relevant, so each class's binary target is the
-    one-hot truth of that class; they share one standardizer
-    (:func:`fit_labels`).
+    The models train on the rows among ``rows`` with every one of
+    ``sensors`` present and exactly one class relevant, so each class's
+    binary target is the one-hot truth of that class; they share one
+    standardizer (:func:`fit_labels`).
     """
     if len(class_labels) < 2:
         raise ValueError("one-vs-rest needs at least two classes")
-    store = FeatureStore.from_examples(examples, sensors=sensors, labels=class_labels)
-    one_class = np.sum([store.relevant[cls] for cls in class_labels], axis=0) == 1
-    rows = np.flatnonzero(store.complete(sensors) & one_class)
+    one_class = np.sum([store.relevant[cls][rows] for cls in class_labels], axis=0) == 1
+    rows = rows[store.complete(sensors)[rows] & one_class]
     for cls in class_labels:
         if not store.relevant[cls][rows].any():
             raise ValueError(f"class {cls!r} has no training examples")
@@ -266,10 +220,9 @@ def multiclass_one_vs_rest(
     )
 
 
-def predict_multiclass(model: MulticlassModel, examples) -> list:
-    """Argmax of the per-class probabilities for each example."""
-    sensors = model.per_class[model.class_labels[0]].sensors
-    X = FeatureStore.from_examples(examples, sensors=sensors).matrix(sensors)
+def predict_multiclass(model: MulticlassModel, store: FeatureStore, rows) -> list:
+    """Argmax of the per-class probabilities for each row."""
+    X = store.matrix(model.per_class[model.class_labels[0]].sensors, rows)
     probs = np.column_stack(
         [predict_proba_features(model.per_class[c], X) for c in model.class_labels]
     )

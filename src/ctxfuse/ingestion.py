@@ -201,7 +201,8 @@ def _group_columns(header: Sequence[str], origin: str):
     """Map each sensor to its column indices, validating group widths.
 
     A group whose names are exactly the canonical ones (``FEATURE_COLUMNS``)
-    is mapped by name; any other naming is mapped by position.
+    is mapped by name; any other naming is mapped by position, and the
+    sensor is listed in the returned ``positional``.
     """
     groups = {s: [] for s in SENSORS}
     label_cols = []
@@ -225,15 +226,18 @@ def _group_columns(header: Sequence[str], origin: str):
         else:
             groups[owner].append((idx, name))
 
+    positional = []
     for sensor, cols in groups.items():
         rank = _CANONICAL_RANK[sensor]
         if len(cols) == len(rank) and all(name in rank for _, name in cols):
             # the canonical names: map by name, whatever their order in the file
             cols.sort(key=lambda t: rank[t[1]])
-        elif sensor == "loc":
-            # unfamiliar names map by position; the quick-feature prefix
-            # must come before the main location block
-            cols.sort(key=lambda t: 0 if t[1].startswith("location_quick_features:") else 1)
+        elif cols:
+            positional.append(sensor)
+            if sensor == "loc":
+                # unfamiliar names map by position; the quick-feature prefix
+                # must come before the main location block
+                cols.sort(key=lambda t: 0 if t[1].startswith("location_quick_features:") else 1)
         if cols and len(cols) != FEATURE_DIMS[sensor]:
             raise IngestionError(
                 f"{origin}: sensor group {sensor!r} has {len(cols)} columns, "
@@ -246,7 +250,7 @@ def _group_columns(header: Sequence[str], origin: str):
             len(extra_cols),
             ", ".join(sorted({n.split(":")[0] for _, n in extra_cols})),
         )
-    return groups, label_cols, extra_cols
+    return groups, label_cols, extra_cols, tuple(positional)
 
 
 def _parse_cell(cell: str, origin: str, lineno: int, colname: str) -> float:
@@ -273,14 +277,16 @@ class FeatureTable:
     """One user's feature table as columns, rows sorted by timestamp:
     ``(n,)`` int64 timestamps; an ``(n, d)`` matrix per sensor group in the
     header, NaN for an empty cell; an ``(n,)`` int8 column per canonical
-    label name in header order, 1 relevant, 0 not, -1 unreported; and the
-    raw cells of each unknown column."""
+    label name in header order, 1 relevant, 0 not, -1 unreported; the raw
+    cells of each unknown column; and the sensor groups whose columns were
+    mapped by position, their names not being the canonical ones."""
 
     user_id: str
     timestamps: np.ndarray
     features: Mapping[str, np.ndarray]
     labels: Mapping[str, np.ndarray]
     metadata: Mapping[str, list]
+    positional: tuple = ()
 
 
 _LABEL_CODES = {"": -1, "1": 1, "1.0": 1, "0": 0, "0.0": 0}
@@ -302,14 +308,19 @@ def read_features_table(source, user_id: Optional[str] = None) -> FeatureTable:
         origin = str(path)
         if user_id is None:
             user_id = path.name.split(".")[0]
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, rows = _read_table(fh, origin)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, rows = _read_table(fh, origin)
+        except OSError as exc:
+            raise IngestionError(f"cannot read feature table {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     if user_id is None:
         raise ValueError("user_id is required when parsing a stream")
 
     if not header or header[0] != "timestamp":
         raise IngestionError(f"{origin}: first column must be 'timestamp'")
-    groups, label_cols, extra_cols = _group_columns(header, origin)
+    groups, label_cols, extra_cols, positional = _group_columns(header, origin)
     # every feature cell of a row in one pass, group by group in SENSORS order
     cells = [col for cols in groups.values() for col in cols]
 
@@ -355,6 +366,7 @@ def read_features_table(source, user_id: Optional[str] = None) -> FeatureTable:
         features=features,
         labels={name: labels[k, order] for k, (_, name) in enumerate(label_cols)},
         metadata={name: [rows[i][idx] for i in order] for idx, name in extra_cols},
+        positional=positional,
     )
 
 
@@ -471,10 +483,11 @@ _FOLD_FILE = re.compile(r"fold_(\d+)_test.*uuids.*\.txt$")
 
 
 def fold_partition_files(path) -> list:
-    """The files ``load_fold_partition(path)`` reads, in sorted order."""
+    """The files ``load_fold_partition(path)`` reads, in sorted order: in a
+    directory, the regular files named like fold files."""
     path = Path(path)
     if path.is_dir():
-        return [p for p in sorted(path.iterdir()) if _FOLD_FILE.match(p.name)]
+        return [p for p in sorted(path.iterdir()) if _FOLD_FILE.match(p.name) and p.is_file()]
     return [path] if path.is_file() else []
 
 
@@ -483,7 +496,12 @@ def _load_partition_dir(root: Path) -> FoldPartition:
     for p in fold_partition_files(root):
         idx = int(_FOLD_FILE.match(p.name).group(1))
         users = by_fold.setdefault(idx, [])
-        users.extend(p.read_text(encoding="utf-8").split())
+        try:
+            users.extend(p.read_text(encoding="utf-8").split())
+        except OSError as exc:
+            raise IngestionError(f"cannot read partition file {p}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(p, exc) from None
     if not by_fold:
         raise IngestionError(f"{root}: no fold_<i>_test*uuids*.txt files found")
     folds = [tuple(sorted(set(by_fold[i]))) for i in sorted(by_fold)]

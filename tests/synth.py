@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ctxfuse.data import sensor_features
+from ctxfuse.data import FeatureStore, sensor_features
 from ctxfuse.model import (
     Example,
     FEATURE_DIMS,
@@ -41,6 +41,13 @@ def ordered(examples, users=None):
         (ex for ex in examples if keep is None or ex.user_id in keep),
         key=lambda ex: (ex.user_id, ex.timestamp),
     )
+
+
+def store_of(examples, labels=()):
+    """``(store, rows)``: the feature store of the examples, row i being
+    example i, with the relevant-vector of each of ``labels``, and the index
+    array of all its rows (the arguments the fusion functions take)."""
+    return FeatureStore.from_examples(examples, labels=labels), np.arange(len(examples))
 
 
 def user_ids(examples):

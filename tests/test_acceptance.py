@@ -55,6 +55,7 @@ from synth import (
     feature_matrix,
     make_triaxial,
     ordered,
+    store_of,
     user_ids,
 )
 
@@ -232,7 +233,8 @@ def test_criterion_6_fusion_on_complementary_sensors():
         single_bas[s] = compute_metrics(count_outcomes(y, p_cols[s] > 0.5)).ba
     best_single = max(single_bas.values())
 
-    ef = early_fusion(train, label, seed=1)
+    train_store = store_of(train, [label])
+    ef = early_fusion(*train_store, label, seed=1)
     p_ef = predict_proba_matrix(
         ef.model, ef.standardizer.transform(concat_feature_matrix(test))
     )
@@ -241,7 +243,7 @@ def test_criterion_6_fusion_on_complementary_sensors():
     P = np.column_stack([p_cols[s] for s in SENSORS])
     ba_lfa = compute_metrics(count_outcomes(y, P.mean(axis=1) > 0.5)).ba
 
-    lfl = late_fusion_learned(train, label, singles, seed=1)
+    lfl = late_fusion_learned(*train_store, label, singles, seed=1)
     ba_lfl = compute_metrics(
         count_outcomes(y, predict_proba_matrix(lfl.second_layer, P) > 0.5)
     ).ba
@@ -299,8 +301,8 @@ def test_criterion_8_normalization_invariants():
 
     from ctxfuse.classifier import SensorModel, TrivialModel
 
-    ex = feature_example("u0", 0, {s: rng.normal(size=d) for s, d in
-                                   zip(SENSORS, (26, 26, 46, 17, 26, 34))})
+    store, rows = store_of([feature_example("u0", 0, {s: rng.normal(size=d) for s, d in
+                                                     zip(SENSORS, (26, 26, 46, 17, 26, 34))})])
     for _ in range(200):
         probs = rng.uniform(0.001, 0.999, size=6)
         comps = {
@@ -308,7 +310,7 @@ def test_criterion_8_normalization_invariants():
                            model=TrivialModel(probability=p))
             for s, p in zip(SENSORS, probs)
         }
-        p = late_fusion_average(comps, [ex])[0]
+        p = late_fusion_average(comps, store, rows)[0]
         if not probs.min() - 1e-12 <= p <= probs.max() + 1e-12:
             ok = False
 

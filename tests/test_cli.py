@@ -539,6 +539,114 @@ def test_unreadable_partition_file_is_input_error(tmp_path, eval_setup, capsys, 
     assert not out.exists()
 
 
+def _input_error(argv, capsys, message, out):
+    """Run ``argv``: exit 2, the error starting with ``message``, no outputs."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(message), err
+    assert not out.exists()
+
+
+def test_labels_file_that_is_not_utf8_is_input_error(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    labels_file.write_bytes(b"SITTING\n\xff\n")
+    out = tmp_path / "out"
+    _input_error(_evaluate_argv(features, labels_file, out, "--systems", "acc"), capsys,
+                 f"error: {labels_file}: not UTF-8 text", out)
+
+
+def _partition_dir(tmp_path, eval_setup):
+    """A partition directory of two fold files over the setup's users."""
+    users = sorted(p.name.split(".")[0] for p in eval_setup[0].glob("*.features.csv"))
+    part_dir = tmp_path / "cv5"
+    part_dir.mkdir()
+    for i, fold in enumerate((users[:2], users[2:])):
+        (part_dir / f"fold_{i}_test_uuids.txt").write_text("\n".join(fold) + "\n")
+    return part_dir
+
+
+def test_fold_file_that_is_not_utf8_is_input_error(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    part_dir = _partition_dir(tmp_path, eval_setup)
+    fold_file = part_dir / "fold_1_test_uuids.txt"
+    fold_file.write_bytes(b"u0 \xff\n")
+    out = tmp_path / "out"
+    _input_error(_evaluate_argv(features, labels_file, out, "--systems", "acc", "--partition", str(part_dir)),
+                 capsys, f"error: {fold_file}: not UTF-8 text", out)
+
+
+def test_directory_named_like_a_fold_file_is_not_read(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    lone = tmp_path / "lone"
+    (lone / "fold_0_test_uuids.txt").mkdir(parents=True)
+    out = tmp_path / "out"
+    _input_error(_evaluate_argv(features, labels_file, out, "--systems", "acc", "--partition", str(lone)),
+                 capsys, f"error: {lone}: no fold_<i>_test*uuids*.txt files found", out)
+
+    # beside the fold files it is skipped, by the run and by the input digest
+    part_dir = _partition_dir(tmp_path, eval_setup)
+    (part_dir / "fold_2_test_uuids.txt").mkdir()
+    argv = _evaluate_argv(features, labels_file, out, "--systems", "acc", "--partition", str(part_dir))
+    assert main(argv) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["partition_folds"] == [
+        sorted(p.read_text().split()) for p in sorted(part_dir.glob("fold_[01]_*"))]
+    assert main(["rerun", str(out / "run_manifest.json")]) == 0
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_feature_table_is_input_error(tmp_path, eval_setup, capsys, kind):
+    features, labels_file, _ = eval_setup
+    if kind == "not-utf8":
+        table = sorted(features.glob("*.features.csv"))[1]
+        table.write_bytes(table.read_bytes().replace(b"\n", b"\n\xff", 1))
+        message = f"error: {table}: not UTF-8 text"
+    else:
+        table = features / "u9.features.csv"
+        table.mkdir()
+        message = f"error: cannot read feature table {table}: "
+    out = tmp_path / "out"
+    _input_error(_evaluate_argv(features, labels_file, out, "--systems", "acc"), capsys, message, out)
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_extract_non_finite_utc_offset_exits_3(tmp_path, capsys, offset):
+    bundles = _make_bundles(tmp_path / "raw")
+    out = tmp_path / "o"
+    code = main(["extract", "--input", str(bundles), "--out", str(out), f"--utc-offset={offset}"])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("error: --utc-offset must be a finite number of hours"), err
+    assert not out.exists()
+
+
+def test_positional_column_mapping_is_recorded_in_the_manifest(tmp_path, eval_setup, capsys):
+    features, labels_file, _ = eval_setup
+    users = sorted(p.name.split(".")[0] for p in features.glob("*.features.csv"))
+    runs = {}
+    for name in ("canonical", "renamed"):
+        if name == "renamed":
+            table = features / f"{users[1]}.features.csv"
+            text = table.read_text()
+            header, rest = text.split("\n", 1)
+            table.write_text(header.replace("location:", "location:v2_") + "\n" + rest)
+        outs = {"evaluate": tmp_path / name / "evaluate", "personalize": tmp_path / name / "personalize"}
+        assert main(_evaluate_argv(features, labels_file, outs["evaluate"], "--systems", "acc,loc,lfa")) == 0
+        assert main(["personalize", "--features-dir", str(features), "--labels", str(labels_file),
+                     "--user", users[0], "--out", str(outs["personalize"])]) == 0
+        runs[name] = outs
+    capsys.readouterr()
+
+    for command, out in runs["renamed"].items():
+        canonical = runs["canonical"][command]
+        want = {users[1]: ["loc"]}
+        assert json.loads((out / "run_manifest.json").read_text())["positional_columns"] == want
+        assert json.loads((canonical / "run_manifest.json").read_text())["positional_columns"] == {}
+        # the renamed columns are in canonical order: the results do not move
+        for csv_file in sorted(p.name for p in canonical.glob("*.csv")):
+            assert (out / csv_file).read_bytes() == (canonical / csv_file).read_bytes()
+
+
 def test_loo_with_a_partition_exits_3(tmp_path, eval_setup, capsys):
     features, labels_file, _ = eval_setup
     out = tmp_path / "out"

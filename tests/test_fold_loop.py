@@ -2,12 +2,13 @@
 
 ``_per_example_fold`` is ``evaluation._fold_models_and_counts`` as it was
 before the feature store: it selects examples one by one, rebuilds every
-feature matrix per label and fits one standardizer per model. It is a test
-oracle only. ``cross_validate`` must give the same counts, flags and chosen
-costs with either fold loop, in both modes and with threads. The work-count
-guard holds the fold loop to one standardizer per (fold, sensor) plus one
-for EF, and a store built from feature tables to no feature lookup on an
-example.
+feature matrix per label and fits one standardizer per model; the fusion
+functions run on stores it builds from the fold's training examples and
+held-out pool. It is a test oracle only. ``cross_validate`` must give the
+same counts, flags and chosen costs with either fold loop, in both modes
+and with threads. The work-count guard holds the fold loop to one
+standardizer per (fold, sensor) plus one for EF, and a store built from
+feature tables to no feature lookup on an example.
 """
 
 import numpy as np
@@ -37,13 +38,7 @@ from ctxfuse.evaluation import (
     derive_seed,
     loo_partition,
 )
-from ctxfuse.fusion import (
-    early_fusion,
-    fit_labels,
-    late_fusion_average,
-    late_fusion_learned,
-    predict_early_fusion,
-)
+from ctxfuse.fusion import early_fusion, fit_labels, late_fusion_average, late_fusion_learned
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
 from perfbench_files import perfbench_module
@@ -55,6 +50,7 @@ from synth import (
     has_sensors,
     make_triaxial,
     ordered,
+    store_of,
     user_ids,
 )
 
@@ -75,6 +71,7 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
         s: [ex for ex in train_examples if has_sensors(ex, (s,))] for s in needed_sensors
     }
     test_X = {s: feature_matrix(pool, s) for s in needed_sensors}
+    train_store, pool_store = store_of(train_examples, labels), store_of(pool)
 
     counts = {sys: {} for sys in systems}
     flags = {lbl: [] for lbl in labels}
@@ -108,7 +105,7 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
 
         if "ef" in systems:
             ef = early_fusion(
-                train_examples,
+                *train_store,
                 label,
                 cost=cost,
                 seed=derive_seed(seed, fold_index, label, "ef"),
@@ -117,17 +114,18 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
                 flags[label].append(f"fold{fold_index}:ef:trivial")
             else:
                 costs[label]["ef"] = ef.model.cost
-            counts["ef"][label] = count_outcomes(y_true, predict_early_fusion(ef, pool) > 0.5)
+            p_ef = predict_proba_features(ef, concat_feature_matrix(pool))
+            counts["ef"][label] = count_outcomes(y_true, p_ef > 0.5)
 
         if "lfa" in systems:
             components = {s: single_models[s] for s in SENSORS}
-            p_lfa = late_fusion_average(components, pool)
+            p_lfa = late_fusion_average(components, *pool_store)
             counts["lfa"][label] = count_outcomes(y_true, p_lfa > 0.5)
 
         if "lfl" in systems:
             try:
                 lfl = late_fusion_learned(
-                    train_examples,
+                    *train_store,
                     label,
                     single_models,
                     cost=cost,

@@ -13,6 +13,7 @@ from ctxfuse.classifier import (
     TrivialModel,
     fit_single_sensor_model,
     fit_standardizer,
+    predict_proba_features,
     predict_proba_matrix,
     train_linear,
 )
@@ -23,7 +24,6 @@ from ctxfuse.fusion import (
     late_fusion_average,
     late_fusion_learned,
     multiclass_one_vs_rest,
-    predict_early_fusion,
     predict_late_fusion_learned,
     predict_multiclass,
     sensor_spans,
@@ -37,6 +37,7 @@ from synth import (
     has_sensors,
     ordered,
     random_full_example,
+    store_of,
     user_ids,
 )
 
@@ -49,6 +50,12 @@ def _constant_prob_model(sensor, p):
 
 def _make_components(probs):
     return {s: _constant_prob_model(s, p) for s, p in zip(SENSORS, probs)}
+
+
+def _ef_probabilities(model, examples):
+    """An EF model's probabilities on the examples, through a store of them."""
+    store, rows = store_of(examples)
+    return predict_proba_features(model, store.matrix(model.sensors, rows))
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +95,9 @@ def test_early_fusion_trains_and_predicts():
         arr = vals["acc"].copy()
         arr[0] = (2 * (i % 2) - 1) + 0.1 * rng.normal()
         exs.append(feature_example(ex.user_id, i, {**{s: vals[s] for s in SENSORS}, "acc": arr}, {"T": int(i % 2)}))
-    model = early_fusion(exs, "T", cost=10.0)
+    model = early_fusion(*store_of(exs, ["T"]), "T", cost=10.0)
     assert model.standardizer.dim == 175
-    probs = [predict_early_fusion(model, [ex])[0] for ex in exs]
-    pred = np.array(probs) > 0.5
+    pred = _ef_probabilities(model, exs) > 0.5
     y = label_vector(exs, "T") > 0
     assert (pred == y).mean() > 0.95
 
@@ -103,7 +109,7 @@ def test_early_fusion_requires_complete_examples():
         for i in range(10)
     ]
     with pytest.raises(ValueError, match="complete"):
-        early_fusion(partial, "T")
+        early_fusion(*store_of(partial, ["T"]), "T")
 
 
 def test_constant_sensor_equals_dropping_it():
@@ -117,7 +123,7 @@ def test_constant_sensor_equals_dropping_it():
         y = int(rng.random() < 0.5)
         vals["acc"][0] += 2.0 * (2 * y - 1)
         exs.append(feature_example("u0", i, vals, {"T": y}))
-    model = early_fusion(exs, "T", cost=1.0)
+    model = early_fusion(*store_of(exs, ["T"]), "T", cost=1.0)
 
     # manual training on the 149 informative dims
     X = concat_feature_matrix(exs)
@@ -127,7 +133,7 @@ def test_constant_sensor_equals_dropping_it():
     sub_std = fit_standardizer(X[:, keep])
     sub_model = train_linear(sub_std.transform(X[:, keep]), y, 1.0)
 
-    p_full = np.array([predict_early_fusion(model, [ex])[0] for ex in exs])
+    p_full = _ef_probabilities(model, exs)
     p_sub = predict_proba_matrix(sub_model, sub_std.transform(X[:, keep]))
     assert np.allclose(p_full, p_sub, atol=1e-6)
     # the constant block carries (numerically) zero weight
@@ -155,8 +161,8 @@ def test_linear_model_cannot_learn_feature_products():
     train, y_train = gen(400, 0)
     test, y_test = gen(400, 10_000)
 
-    model = early_fusion(train, "T", cost=1.0)
-    p = np.array([predict_early_fusion(model, [ex])[0] for ex in test])
+    model = early_fusion(*store_of(train, ["T"]), "T", cost=1.0)
+    p = _ef_probabilities(model, test)
     ba_linear = compute_metrics(count_outcomes(y_test > 0, p > 0.5)).ba
 
     def augmented(exs):
@@ -183,12 +189,12 @@ def test_early_fusion_sensor_order_only_permutes_weights():
         vals["aud"][3] += 1.0 * (2 * y - 1)
         exs.append(feature_example("u0", i, vals, {"T": y}))
 
-    forward = early_fusion(exs, "T", cost=1.0)
+    store, rows = store_of(exs, ["T"])
+    forward = early_fusion(store, rows, "T", cost=1.0)
     reversed_order = tuple(reversed(SENSORS))
-    backward = early_fusion(exs, "T", sensors=reversed_order,
-                            cost=1.0)
-    p_fwd = [predict_early_fusion(forward, [ex])[0] for ex in exs]
-    p_bwd = [predict_early_fusion(backward, [ex])[0] for ex in exs]
+    backward = early_fusion(store, rows, "T", sensors=reversed_order, cost=1.0)
+    p_fwd = _ef_probabilities(forward, exs)
+    p_bwd = _ef_probabilities(backward, exs)
     assert np.allclose(p_fwd, p_bwd, atol=1e-6)
     # the acc block sits first in one model and last in the other
     spans_fwd = sensor_spans(SENSORS)["acc"]
@@ -205,35 +211,37 @@ def test_early_fusion_sensor_order_only_permutes_weights():
 # ---------------------------------------------------------------------------
 
 def test_lfa_all_half_is_negative(any_example):
-    p = late_fusion_average(_make_components([0.5] * 6), [any_example])[0]
+    p = late_fusion_average(_make_components([0.5] * 6), *store_of([any_example]))[0]
     assert p == 0.5 and not p > 0.5
 
 
 def test_lfa_arithmetic(any_example):
     comps = _make_components([0.9, 0.7, 0.5, 0.5, 0.5, 0.5])
-    p = late_fusion_average(comps, [any_example])[0]
+    p = late_fusion_average(comps, *store_of([any_example]))[0]
     assert np.isclose(p, 0.6, atol=1e-12)
     assert p > 0.5
 
 
 def test_lfa_identical_models_equal_single(any_example):
     comps = _make_components([0.73] * 6)
-    p = late_fusion_average(comps, [any_example])[0]
+    p = late_fusion_average(comps, *store_of([any_example]))[0]
     assert np.isclose(p, 0.73, atol=1e-12)
 
 
 def test_lfa_permutation_invariant(any_example):
     probs = [0.1, 0.9, 0.3, 0.6, 0.2, 0.8]
-    p1 = late_fusion_average(_make_components(probs), [any_example])[0]
-    p2 = late_fusion_average(_make_components(probs[::-1]), [any_example])[0]
+    store, rows = store_of([any_example])
+    p1 = late_fusion_average(_make_components(probs), store, rows)[0]
+    p2 = late_fusion_average(_make_components(probs[::-1]), store, rows)[0]
     assert np.isclose(p1, p2, atol=1e-12)
 
 
 def test_lfa_output_within_component_range(any_example):
     rng = np.random.default_rng(6)
+    store, rows = store_of([any_example])
     for _ in range(25):
         probs = rng.uniform(0.01, 0.99, size=6)
-        p = late_fusion_average(_make_components(probs), [any_example])[0]
+        p = late_fusion_average(_make_components(probs), store, rows)[0]
         assert probs.min() - 1e-12 <= p <= probs.max() + 1e-12
 
 
@@ -249,15 +257,16 @@ def test_lfa_strict_mode_requires_all_sensors():
             model=LinearModel(weights=np.zeros(26), intercept=2.0, cost=1.0),
         ),
     }
+    store, rows = store_of([partial])
     with pytest.raises(ValueError, match="missing sensors"):
-        late_fusion_average(comps, [partial])
-    p = late_fusion_average(comps, [partial], lenient=True)[0]
+        late_fusion_average(comps, store, rows)
+    p = late_fusion_average(comps, store, rows, lenient=True)[0]
     assert np.isclose(p, 0.8, atol=1e-12)
 
 
 def test_trivial_component_models_make_fusion_negative(any_example):
     comps = _make_components([0.5] * 6)
-    p = late_fusion_average(comps, [any_example])[0]
+    p = late_fusion_average(comps, *store_of([any_example]))[0]
     assert not p > 0.5
 
 
@@ -280,10 +289,10 @@ def test_lfl_weights_informative_sensor_highest():
         )
         for s in SENSORS
     }
-    lfl = late_fusion_learned(exs, "T", components, cost=1.0)
+    lfl = late_fusion_learned(*store_of(exs, ["T"]), "T", components, cost=1.0)
     weights = lfl.sensor_weights()
     assert max(weights, key=weights.get) == "wacc"
-    p = predict_late_fusion_learned(lfl, [exs[0]])[0]
+    p = predict_late_fusion_learned(lfl, *store_of([exs[0]]))[0]
     assert 0.0 < p < 1.0
 
 
@@ -291,10 +300,10 @@ def test_lfl_constant_inputs_flagged_degenerate(any_example):
     rng = np.random.default_rng(9)
     exs = [random_full_example(rng, "u0", i, labels={"T": int(i % 2)}) for i in range(20)]
     comps = _make_components([0.5] * 6)
-    lfl = late_fusion_learned(exs, "T", comps)
+    lfl = late_fusion_learned(*store_of(exs, ["T"]), "T", comps)
     assert "degenerate_inputs" in lfl.notes
     assert np.allclose(lfl.second_layer.weights, 0.0)
-    p = predict_late_fusion_learned(lfl, [any_example])[0]
+    p = predict_late_fusion_learned(lfl, *store_of([any_example]))[0]
     assert not p > 0.5  # decided by the (zero) intercept: negative
 
 
@@ -311,7 +320,7 @@ def test_lfl_not_worse_than_lfa_on_complementary_sensors():
         )
         for s in SENSORS
     }
-    lfl = late_fusion_learned(train, label, components, cost=1.0)
+    lfl = late_fusion_learned(*store_of(train, [label]), label, components, cost=1.0)
 
     y = label_vector(test, label) > 0
     p_cols = {}
@@ -343,8 +352,10 @@ def test_two_separable_classes_no_confusion():
             feature_example("u0", i, vals, {"CLASS_A": int(cls == "CLASS_A"), "CLASS_B": int(cls == "CLASS_B")})
         )
         truth.append(cls)
-    model = multiclass_one_vs_rest(exs, ("CLASS_A", "CLASS_B"), sensors=("acc",))
-    cm = confusion_matrix(truth, predict_multiclass(model, exs), ("CLASS_A", "CLASS_B"))
+    classes = ("CLASS_A", "CLASS_B")
+    store, rows = store_of(exs, classes)
+    model = multiclass_one_vs_rest(store, rows, classes, sensors=("acc",))
+    cm = confusion_matrix(truth, predict_multiclass(model, store, rows), classes)
     assert np.allclose(cm, np.eye(2))
 
 
@@ -386,7 +397,7 @@ def test_examples_with_two_subset_labels_excluded(monkeypatch):
         return fit(store, sensors, rows, *args, **kwargs)
 
     monkeypatch.setattr(fusion, "fit_labels", recording)
-    fusion.multiclass_one_vs_rest(examples, ("A", "B"), ("acc", "ps"))
+    fusion.multiclass_one_vs_rest(*store_of(examples, ("A", "B")), ("A", "B"), ("acc", "ps"))
     assert trained == [[0, 3]]
     assert [ex.timestamp for ex, _ in _eligible(examples, ("A", "B"), ("acc", "ps"))] == [0, 3]
 
@@ -398,7 +409,7 @@ def test_empty_class_error_names_it():
         for i in range(10)
     ]
     with pytest.raises(ValueError, match="'B'"):
-        multiclass_one_vs_rest(exs, ("A", "B"), sensors=("acc",))
+        multiclass_one_vs_rest(*store_of(exs, ("A", "B")), ("A", "B"), sensors=("acc",))
 
 
 _THREE_CLASS_MEANS = {
@@ -428,8 +439,8 @@ def test_three_class_confusion_matches_generative_oracle():
     classes = list(mus)
     train, _ = _three_class_corpus(rng, 9999, 0)
     test, truth = _three_class_corpus(rng, 9999, 10**6)
-    model = multiclass_one_vs_rest(train, classes, sensors=("acc",), cost=1.0)
-    cm = confusion_matrix(truth, predict_multiclass(model, test), classes)
+    model = multiclass_one_vs_rest(*store_of(train, classes), classes, sensors=("acc",), cost=1.0)
+    cm = confusion_matrix(truth, predict_multiclass(model, *store_of(test)), classes)
 
     # oracle: nearest-mean (Bayes) assignment rates, estimated generatively
     mc = 500_000
@@ -472,7 +483,7 @@ def test_one_vs_rest_equals_the_shared_standardizer_oracle_bit_for_bit():
     classes = list(_THREE_CLASS_MEANS)
     train, _ = _three_class_corpus(rng, 9999, 0)
     test, _ = _three_class_corpus(rng, 9999, 10**6)
-    model = multiclass_one_vs_rest(train, classes, sensors=("acc",), cost=1.0)
+    model = multiclass_one_vs_rest(*store_of(train, classes), classes, sensors=("acc",), cost=1.0)
     standardizer, per_class = _one_vs_rest_oracle(train, classes, ("acc",), 1.0)
     for cls in classes:
         ef = model.per_class[cls]
@@ -483,7 +494,7 @@ def test_one_vs_rest_equals_the_shared_standardizer_oracle_bit_for_bit():
         assert ef.model.intercept == per_class[cls].intercept
         assert ef.model.cost == per_class[cls].cost == 1.0
     want = _one_vs_rest_oracle_predict(standardizer, per_class, classes, test, ("acc",))
-    assert predict_multiclass(model, test) == want
+    assert predict_multiclass(model, *store_of(test)) == want
 
 
 @pytest.mark.parametrize("cost", [1.0, None], ids=["fixed", "grid"])
@@ -495,20 +506,21 @@ def test_one_vs_rest_shares_one_standardizer_and_equals_per_class_early_fusion(m
     # the oracle: one early_fusion per class on the eligible pool, each
     # fitting its own standardizer
     pool = [ex for ex, _ in _eligible(train, classes, ("acc",))]
-    oracle = {cls: early_fusion(pool, cls, sensors=("acc",), cost=cost) for cls in classes}
+    pool_store = store_of(pool, classes)
+    oracle = {cls: early_fusion(*pool_store, cls, sensors=("acc",), cost=cost) for cls in classes}
 
     fits = []
     monkeypatch.setattr(classifier, "fit_standardizer",
                         lambda X, fit=classifier.fit_standardizer: fits.append(1) or fit(X))
-    model = multiclass_one_vs_rest(train, classes, sensors=("acc",), cost=cost)
+    model = multiclass_one_vs_rest(*store_of(train, classes), classes, sensors=("acc",), cost=cost)
     assert len(fits) == 1
 
     for cls in classes:
         got, want = model.per_class[cls], oracle[cls]
         assert got.notes == want.notes and got.model.cost == want.model.cost
-        assert np.array_equal(predict_early_fusion(got, test), predict_early_fusion(want, test))
-    probs = np.column_stack([predict_early_fusion(oracle[c], test) for c in classes])
-    assert predict_multiclass(model, test) == [classes[i] for i in probs.argmax(axis=1)]
+        assert np.array_equal(_ef_probabilities(got, test), _ef_probabilities(want, test))
+    probs = np.column_stack([_ef_probabilities(oracle[c], test) for c in classes])
+    assert predict_multiclass(model, *store_of(test)) == [classes[i] for i in probs.argmax(axis=1)]
 
 
 def _small_three_class_corpus(n_per_class, seed=31):
@@ -527,7 +539,7 @@ def _small_three_class_corpus(n_per_class, seed=31):
 
 def test_one_vs_rest_grid_search_falls_back_for_a_rare_class():
     exs, classes = _small_three_class_corpus((20, 20, 2))
-    model = multiclass_one_vs_rest(exs, classes, sensors=("acc",), cost=None)
+    model = multiclass_one_vs_rest(*store_of(exs, classes), classes, sensors=("acc",), cost=None)
     rare = model.per_class["CLASS_C"]
     assert rare.notes == ("cost_fallback:C=1",) and rare.model.cost == 1.0
     for cls in ("CLASS_A", "CLASS_B"):
@@ -538,7 +550,7 @@ def test_one_vs_rest_grid_search_falls_back_for_a_rare_class():
 @pytest.mark.parametrize("n_per_class", [(3, 3, 3), (20, 20, 20)])
 def test_one_vs_rest_grid_search_picks_from_the_grid(n_per_class):
     exs, classes = _small_three_class_corpus(n_per_class)
-    model = multiclass_one_vs_rest(exs, classes, sensors=("acc",), cost=None)
+    model = multiclass_one_vs_rest(*store_of(exs, classes), classes, sensors=("acc",), cost=None)
     for cls in classes:
         assert model.per_class[cls].notes == ()
         assert model.per_class[cls].model.cost in COST_GRID
@@ -547,7 +559,7 @@ def test_one_vs_rest_grid_search_picks_from_the_grid(n_per_class):
 def test_one_vs_rest_with_one_class_raises():
     exs, classes = _small_three_class_corpus((10, 0, 0))
     with pytest.raises(ValueError, match="at least two classes"):
-        multiclass_one_vs_rest(exs, classes[:1], sensors=("acc",))
+        multiclass_one_vs_rest(*store_of(exs, classes), classes[:1], sensors=("acc",))
 
 
 def test_nearly_constant_second_layer_inputs_still_train():

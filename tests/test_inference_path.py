@@ -27,11 +27,10 @@ from ctxfuse.data import label_vector, sensor_features
 from ctxfuse.evaluation import MetricCounts, count_outcomes, cross_validate, partition_folds
 from ctxfuse.fusion import (
     LateFusionLearned,
-    component_probability_matrix,
+    component_probabilities,
     early_fusion,
     late_fusion_average,
     late_fusion_learned,
-    predict_early_fusion,
     predict_late_fusion_learned,
 )
 from ctxfuse.data import FeatureStore
@@ -44,6 +43,7 @@ from synth import (
     has_sensors,
     make_triaxial,
     ordered,
+    store_of,
     user_ids,
 )
 
@@ -158,7 +158,7 @@ def test_mixed_fixture_covers_raw_payloads_and_a_trivial_component(mixed):
 def test_batched_lfl_inputs_match_rowwise_oracle(mixed):
     examples, comps = mixed
     complete, P_oracle = _rowwise_lfl_inputs(comps, examples)
-    P = component_probability_matrix(comps, complete)
+    P = component_probabilities(comps, *store_of(complete))
     assert P.shape == P_oracle.shape == (len(complete), len(SENSORS))
     assert np.max(np.abs(P - P_oracle)) <= 1e-12
     assert np.array_equal(P > 0.5, P_oracle > 0.5)
@@ -169,7 +169,7 @@ def test_batched_lfl_inputs_match_rowwise_oracle(mixed):
 def test_late_fusion_learned_matches_rowwise_oracle(mixed, grid_search):
     examples, comps = mixed
     cost = None if grid_search else 1.0
-    got = late_fusion_learned(examples, "T", comps, cost=cost, seed=5)
+    got = late_fusion_learned(*store_of(examples, ["T"]), "T", comps, cost=cost, seed=5)
     want = _rowwise_late_fusion_learned(examples, "T", comps, cost=cost, seed=5)
     assert got.notes == want.notes
     assert got.second_layer.cost == want.second_layer.cost
@@ -180,18 +180,20 @@ def test_late_fusion_learned_matches_rowwise_oracle(mixed, grid_search):
 def test_single_class_label_raises_degenerate(mixed):
     examples, comps = mixed
     with pytest.raises(DegenerateLabelError):
-        late_fusion_learned(examples, "NONE", comps)
+        late_fusion_learned(*store_of(examples, ["NONE"]), "NONE", comps)
 
 
 def test_per_example_calls_are_rows_of_the_matrix_path(mixed):
     examples, comps = mixed
     complete = [ex for ex in examples if has_sensors(ex)]
-    lfl = late_fusion_learned(complete, "T", comps, cost=1.0)
-    P = component_probability_matrix(comps, complete)
+    store, rows = store_of(complete, ["T"])
+    lfl = late_fusion_learned(store, rows, "T", comps, cost=1.0)
+    P = component_probabilities(comps, store, rows)
     for i, ex in enumerate(complete[:10]):
-        probs = component_probability_matrix(comps, [ex])[0]
+        one = store_of([ex])
+        probs = component_probabilities(comps, *one)[0]
         assert list(probs) == pytest.approx(P[i], abs=1e-12)
-        p = predict_late_fusion_learned(lfl, [ex])[0]
+        p = predict_late_fusion_learned(lfl, *one)[0]
         assert p == pytest.approx(float(expit(P[i] @ lfl.second_layer.weights
                                               + lfl.second_layer.intercept)), abs=1e-12)
 
@@ -206,10 +208,54 @@ def test_matrix_path_validates_dimension(mixed):
 
 def test_missing_sensor_still_rejected_by_per_example_lfl(mixed):
     examples, comps = mixed
-    lfl = late_fusion_learned(examples, "T", comps, cost=1.0)
+    lfl = late_fusion_learned(*store_of(examples, ["T"]), "T", comps, cost=1.0)
     no_watch = next(ex for ex in examples if not has_sensors(ex, ("wacc",)))
     with pytest.raises(ValueError, match="missing sensors"):
-        predict_late_fusion_learned(lfl, [no_watch])
+        predict_late_fusion_learned(lfl, *store_of([no_watch]))
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cost", [None, 1.0], ids=["grid", "fixed"])
+def test_fusion_on_a_shuffled_subset_of_rows_equals_a_store_of_those_rows(mixed, cost):
+    # each function reads only ``rows``, in their order: on a shuffled
+    # subset of a store it gives, bit for bit, what it gives on a store
+    # built from only those examples, in that order
+    examples, comps = mixed
+    store, _ = store_of(examples, ["T"])
+    rows = np.random.default_rng(1).permutation(len(examples))[:110]
+    sub, sub_rows = store_of([examples[i] for i in rows], ["T"])
+    complete, sub_complete = rows[store.complete()[rows]], sub_rows[sub.complete()]
+    assert 0 < len(complete) < len(rows)
+
+    _same_bytes(component_probabilities(comps, store, rows), component_probabilities(comps, sub, sub_rows))
+    _same_bytes(late_fusion_average(comps, store, complete), late_fusion_average(comps, sub, sub_complete))
+    _same_bytes(late_fusion_average(comps, store, rows, lenient=True),
+                late_fusion_average(comps, sub, sub_rows, lenient=True))
+    with pytest.raises(ValueError, match="missing sensors"):
+        late_fusion_average(comps, store, rows)
+
+    got = late_fusion_learned(store, rows, "T", comps, cost=cost, seed=5)
+    want = late_fusion_learned(sub, sub_rows, "T", comps, cost=cost, seed=5)
+    assert got.notes == want.notes and got.second_layer.cost == want.second_layer.cost
+    _same_bytes(got.second_layer.weights, want.second_layer.weights)
+    assert got.second_layer.intercept == want.second_layer.intercept
+    _same_bytes(predict_late_fusion_learned(got, store, complete),
+                predict_late_fusion_learned(want, sub, sub_complete))
+    with pytest.raises(ValueError, match="missing sensors"):
+        predict_late_fusion_learned(got, store, rows)
+
+    got = early_fusion(store, rows, "T", cost=cost, seed=5)
+    want = early_fusion(sub, sub_rows, "T", cost=cost, seed=5)
+    assert got.notes == want.notes and got.model.cost == want.model.cost
+    for a, b in ((got.standardizer.means, want.standardizer.means),
+                 (got.standardizer.stds, want.standardizer.stds),
+                 (got.model.weights, want.model.weights)):
+        _same_bytes(a, b)
+    assert got.model.intercept == want.model.intercept
 
 
 def _small_cv_dataset(seed=4, n=400, n_users=6):
@@ -258,12 +304,13 @@ def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
     batched = cross_validate(store, labels, systems, partition, seed=9)
     fold = _follow_folds(monkeypatch)
 
-    def rowwise_lfl(label, components, P, y, *, cost, seed):
-        # drop the fold's column inputs; rebuild them row by row from its training examples
+    def rowwise_lfl(store, rows, label, components, *, cost, seed):
+        # drop the fold's store; rebuild the inputs row by row from its training examples
+        assert set(store.users[rows]) <= set(fold["train_users"])
         train_examples = ordered(examples, fold["train_users"])
         return _rowwise_late_fusion_learned(train_examples, label, components, cost=cost, seed=seed)
 
-    monkeypatch.setattr(evaluation, "_fit_late_fusion", rowwise_lfl)
+    monkeypatch.setattr(evaluation, "late_fusion_learned", rowwise_lfl)
     rowwise = cross_validate(store, labels, systems, partition, seed=9)
 
     assert any("lfl:trivial" in fl for fl in batched["lfl"]["RARE"].flags)
@@ -291,9 +338,10 @@ def _inline_lfa(components, pool):
 def test_early_fusion_scores_through_the_matrix_path(mixed):
     examples, _ = mixed
     complete = [ex for ex in examples if has_sensors(ex)]
-    ef = early_fusion(complete, "T", cost=1.0)
+    ef = early_fusion(*store_of(complete, ["T"]), "T", cost=1.0)
     assert ef.dim == 175 and not ef.is_trivial
-    p = predict_early_fusion(ef, examples)
+    store, rows = store_of(examples)
+    p = predict_proba_features(ef, store.matrix(ef.sensors, rows))
     assert p.shape == (len(examples),)
     assert np.array_equal(p, _inline_ef(ef, examples))
     assert np.array_equal(p, predict_proba_features(ef, concat_feature_matrix(examples)))
@@ -304,22 +352,24 @@ def test_early_fusion_scores_through_the_matrix_path(mixed):
 def test_trivial_early_fusion_model_has_no_standardizer(mixed):
     examples, _ = mixed
     complete = [ex for ex in examples if has_sensors(ex)]
-    ef = early_fusion(complete, "NONE", cost=1.0)
+    ef = early_fusion(*store_of(complete, ["NONE"]), "NONE", cost=1.0)
     assert ef.is_trivial and ef.standardizer is None
     assert "trivial:single_class" in ef.notes
-    assert np.all(predict_early_fusion(ef, examples) == PROBABILITY_CLIP)
+    store, rows = store_of(examples)
+    assert np.all(predict_proba_features(ef, store.matrix(ef.sensors, rows)) == PROBABILITY_CLIP)
 
 
 def test_late_fusion_average_matches_per_example_means(mixed):
     examples, comps = mixed
     complete = [ex for ex in examples if has_sensors(ex)]
     assert np.array_equal(
-        late_fusion_average(comps, complete), _inline_lfa(comps, complete)
+        late_fusion_average(comps, *store_of(complete)), _inline_lfa(comps, complete)
     )
+    store, rows = store_of(examples)
     with pytest.raises(ValueError, match="missing sensors"):
-        late_fusion_average(comps, examples)
+        late_fusion_average(comps, store, rows)
 
-    p = late_fusion_average(comps, examples, lenient=True)
+    p = late_fusion_average(comps, store, rows, lenient=True)
     for i, ex in enumerate(examples):
         # loc is trivial: it counts as present without features
         present = [s for s in SENSORS if s == "loc" or has_sensors(ex, (s,))]
@@ -336,7 +386,7 @@ def captured_cv():
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
     partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
     captured = {"ef": [], "lfl": []}
-    fit_labels, fit_lfl = evaluation.fit_labels, evaluation._fit_late_fusion
+    fit_labels, fit_lfl = evaluation.fit_labels, evaluation.late_fusion_learned
 
     def held_out():
         return core_examples(ordered(examples, fold["fold_users"]))
@@ -347,16 +397,16 @@ def captured_cv():
             captured["ef"] += [(held_out(), label, model) for label, (model, *_) in fits.items()]
         return fits
 
-    def capture_lfl(label, components, *args, **kwargs):
+    def capture_lfl(store, rows, label, components, **kwargs):
         entry = [held_out(), label, dict(components), None]
         captured["lfl"].append(entry)
-        entry[3] = fit_lfl(label, components, *args, **kwargs)
+        entry[3] = fit_lfl(store, rows, label, components, **kwargs)
         return entry[3]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         fold = _follow_folds(monkeypatch)
         monkeypatch.setattr(evaluation, "fit_labels", capture_ef)
-        monkeypatch.setattr(evaluation, "_fit_late_fusion", capture_lfl)
+        monkeypatch.setattr(evaluation, "late_fusion_learned", capture_lfl)
         store = FeatureStore.from_examples(examples, labels=labels)
         results = cross_validate(store, labels, systems, partition, seed=9)
     assert len(captured["ef"]) == len(captured["lfl"]) == 5 * len(labels)
@@ -397,7 +447,7 @@ def test_cross_validate_lfl_counts_match_predict_late_fusion_learned(captured_cv
     def library(pool, comps, model):
         if model is None:  # degenerate fold: the always-negative classifier
             return np.zeros(len(pool))
-        return predict_late_fusion_learned(model, pool)
+        return predict_late_fusion_learned(model, *store_of(pool))
 
     lfl = _summed(captured["lfl"], library)
     for label in labels:

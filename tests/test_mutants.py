@@ -186,7 +186,7 @@ def test_n_s_over_every_relevant_minute_fails_n_s_test(monkeypatch):
 
 def test_lfl_constant_input_check_with_a_tolerance_fails_lfl_test(monkeypatch):
     _mutate(monkeypatch, fusion, "_fit_late_fusion",
-            "if np.all(P == P[0:1, :]):", "if np.all(np.abs(P - P[0:1, :]) < 1e-3):", evaluation)
+            "if np.all(P == P[0:1, :]):", "if np.all(np.abs(P - P[0:1, :]) < 1e-3):")
     with pytest.raises(AssertionError):
         test_fusion.test_nearly_constant_second_layer_inputs_still_train()
 
@@ -199,4 +199,12 @@ def test_standardizer_fit_on_the_scored_rows_too_fails_golden(tmp_path, monkeypa
             "standardizer, Z = _standardized(store.matrix(sensors, np.concatenate([rows, *score_rows])))\n"
             "    Z = Z[: len(rows)]",
             evaluation, personalization)
+    assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)
+
+
+def test_lfl_second_layer_trained_on_every_complete_row_of_the_store_fails_golden(tmp_path, monkeypatch, capsys):
+    # the held-out users' minutes leak into the second layer's training rows
+    _mutate(monkeypatch, fusion, "late_fusion_learned",
+            "rows = rows[store.complete(components)[rows]]",
+            "rows = np.flatnonzero(store.complete(components))", evaluation)
     assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)

@@ -2,11 +2,12 @@
 path it replaced.
 
 ``_per_example_personalization`` is ``evaluate_personalization`` as it was
-before the store: EF models trained per label through ``early_fusion``,
-scored through ``predict_early_fusion`` on the user's examples split by
-``_split_examples``. ``_per_example_protocol`` is the CLI's use of it. They
-are test oracles only: ``personalize`` must give the same scores and
-bit-identical probabilities.
+before the store: EF models trained per label through ``early_fusion`` on
+a store of their own examples, and scored on the per-example feature
+matrix of the user's deployment examples (split by ``_split_examples``).
+``_per_example_protocol`` is the CLI's use of it. They are test oracles
+only: ``personalize`` must give the same scores and bit-identical
+probabilities.
 """
 
 import json
@@ -18,10 +19,11 @@ import pytest
 
 import ctxfuse.cli as cli
 import ctxfuse.personalization as personalization
+from ctxfuse.classifier import predict_proba_features
 from ctxfuse.cli import _read_labels_file
 from ctxfuse.data import FeatureStore, label_vector
 from ctxfuse.evaluation import compute_metrics, count_outcomes, derive_seed
-from ctxfuse.fusion import early_fusion, predict_early_fusion
+from ctxfuse.fusion import early_fusion
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition, parse_features_csv
 from ctxfuse.model import RELEVANT, SENSORS
 from ctxfuse.personalization import (
@@ -32,7 +34,15 @@ from ctxfuse.personalization import (
     split_user_timeline,
 )
 from perfbench_files import perfbench_module
-from synth import drift_user_scenario, has_sensors, ordered, random_full_example, user_ids
+from synth import (
+    concat_feature_matrix,
+    drift_user_scenario,
+    has_sensors,
+    ordered,
+    random_full_example,
+    store_of,
+    user_ids,
+)
 
 REFERENCE = Path(__file__).parent / "reference" / "personalization-cv5-fusion-0.json"
 
@@ -59,22 +69,24 @@ def _per_example_personalization(universal_models, adaptation, deployment, label
     if not deploy:
         raise ValueError("no complete-sensor deployment examples")
     adapt_complete = [ex for ex in adaptation if has_sensors(ex)]
+    adapt_store = store_of(adapt_complete, labels)
+    X_deploy = concat_feature_matrix(deploy)
 
     results = {}
     for label in labels:
-        p_universal = predict_early_fusion(universal_models[label], deploy)
+        p_universal = predict_proba_features(universal_models[label], X_deploy)
         y_true = label_vector(deploy, label) > 0
         universal_score = _scored(count_outcomes(y_true, p_universal > 0.5))
 
         individual = None
         if adapt_complete:
-            individual = early_fusion(adapt_complete, label, seed=seed)
+            individual = early_fusion(*adapt_store, label, seed=seed)
         if individual is None or individual.is_trivial:
             individual_score = _chance_score()
             p_individual = None
             p_adapted = p_universal
         else:
-            p_individual = predict_early_fusion(individual, deploy)
+            p_individual = predict_proba_features(individual, X_deploy)
             individual_score = _scored(count_outcomes(y_true, p_individual > 0.5))
             p_adapted = (p_universal + p_individual) / 2.0
 
@@ -98,9 +110,9 @@ def _per_example_personalization(universal_models, adaptation, deployment, label
 
 
 def _per_example_protocol(examples, user, labels, train_users, *, seed):
-    train_examples = ordered(examples, train_users)
+    train = store_of(ordered(examples, train_users), labels)
     universal = {
-        label: early_fusion(train_examples, label, seed=derive_seed(seed, "universal", label))
+        label: early_fusion(*train, label, seed=derive_seed(seed, "universal", label))
         for label in labels
     }
     adaptation, deployment = _split_examples(ordered(examples, [user]))
