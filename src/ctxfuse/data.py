@@ -89,11 +89,11 @@ class FeatureStore:
         )
 
     @classmethod
-    def from_examples(cls, examples, *, sensors=SENSORS, labels=()) -> "FeatureStore":
+    def from_examples(cls, examples, *, labels=()) -> "FeatureStore":
         n = len(examples)
-        columns = {s: np.full((n, FEATURE_DIMS[s]), np.nan) for s in sensors}
+        columns = {s: np.full((n, FEATURE_DIMS[s]), np.nan) for s in SENSORS}
         for i, ex in enumerate(examples):
-            for s in sensors:
+            for s in SENSORS:
                 fv = sensor_features(ex, s)
                 if fv is not None:
                     columns[s][i] = fv

@@ -286,7 +286,7 @@ class FeatureTable:
     features: Mapping[str, np.ndarray]
     labels: Mapping[str, np.ndarray]
     metadata: Mapping[str, list]
-    positional: tuple = ()
+    positional: tuple
 
 
 _LABEL_CODES = {"": -1, "1": 1, "1.0": 1, "0": 0, "0.0": 0}
