@@ -1,8 +1,8 @@
 """Context recognition from smartphone and smartwatch sensors.
 
 Per-sensor feature extraction, balanced linear classifiers, three sensor
-fusion schemes, subject-partitioned evaluation with random baselines, label
-cleaning, and user personalization.
+fusion schemes, subject-partitioned evaluation with random baselines, and
+user personalization.
 """
 
 __version__ = "0.1.0"
@@ -31,13 +31,6 @@ from .features import (
     scalar_series_features,
 )
 from .audio import compute_mfcc, extract_audio_features
-from .labels import (
-    PlaceAnchor,
-    adjust_label_by_colabels,
-    adjust_label_by_location,
-    apply_label_adjustments,
-    parse_anchor_file,
-)
 from .classifier import (
     LinearModel,
     SensorModel,
@@ -53,16 +46,13 @@ from .fusion import (
     early_fusion,
     late_fusion_average,
     late_fusion_learned,
-    multiclass_one_vs_rest,
 )
 from .evaluation import (
     FoldPartition,
     MetricCounts,
     MetricReport,
     compute_metrics,
-    confusion_matrix,
     cross_validate,
     partition_folds,
-    random_baseline_p99,
 )
 from .personalization import personalize, split_user_timeline

@@ -199,18 +199,6 @@ def compute_metrics(counts: MetricCounts) -> MetricReport:
     )
 
 
-def confusion_matrix(truth: Sequence, predicted: Sequence, classes: Sequence) -> np.ndarray:
-    """Row-normalized confusion matrix; rows of absent classes are NaN."""
-    classes = list(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    m = np.zeros((len(classes), len(classes)))
-    for t, p in zip(truth, predicted):
-        m[index[t], index[p]] += 1
-    sums = m.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        return np.where(sums > 0, m / sums, np.nan)
-
-
 # ---------------------------------------------------------------------------
 # Random baseline (p99)
 # ---------------------------------------------------------------------------
@@ -249,14 +237,6 @@ def p99_of_defined(values: np.ndarray) -> Optional[float]:
     if np.isnan(values).all():
         return None
     return float(np.nanpercentile(values, 99))
-
-
-def random_baseline_p99(
-    n_positive: int, n_examples: int, n_sims: int = 100, seed: int = 0
-) -> dict:
-    """99th percentile of each metric over the random-classifier simulations."""
-    scores = random_baseline_scores(n_positive, n_examples, n_sims, seed)
-    return {name: p99_of_defined(vals) for name, vals in scores.items()}
 
 
 def p99_of_average(score_arrays: Sequence[np.ndarray]) -> Optional[float]:

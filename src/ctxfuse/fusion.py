@@ -14,7 +14,7 @@ each fold's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -30,16 +30,7 @@ from .classifier import (
     predict_proba_matrix,
 )
 from .data import FeatureStore
-from .model import FEATURE_DIMS, SENSORS
-
-
-def sensor_spans(sensors=SENSORS) -> dict:
-    """Column span of each sensor inside the concatenated feature vector."""
-    spans, start = {}, 0
-    for s in sensors:
-        spans[s] = (start, start + FEATURE_DIMS[s])
-        start += FEATURE_DIMS[s]
-    return spans
+from .model import SENSORS
 
 
 def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score_rows=()) -> dict:
@@ -47,8 +38,8 @@ def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score
     of the store's ``rows``: ``{label: (model, *probabilities)}``, one
     ``(len(r),)`` probability array per index array ``r`` of ``score_rows``.
 
-    The one fit step of single-sensor, early-fusion, personalization and
-    one-vs-rest models. A standardizer does not depend on the label: one is
+    The one fit step of single-sensor, early-fusion and personalization
+    models. A standardizer does not depend on the label: one is
     fit on ``rows`` and shared by every label, whose model is fit with seed
     ``seeds(label)`` at ``cost`` (grid-searched when None).
     """
@@ -119,20 +110,13 @@ def _require_all_present(components, present: np.ndarray) -> None:
         raise ValueError(f"missing sensors for late fusion: {sorted(missing)}")
 
 
-def late_fusion_average(components: Mapping[str, SensorModel], store: FeatureStore, rows,
-                        *, lenient: bool = False) -> np.ndarray:
+def late_fusion_average(components: Mapping[str, SensorModel], store: FeatureStore, rows) -> np.ndarray:
     """``(len(rows),)`` means of the component probabilities (decide with ``> 0.5``).
 
-    Strict mode (the evaluation protocol) requires every component's sensor
-    on every row; lenient mode averages whatever is present per row.
+    Every component's sensor must be present on every row.
     """
-    present = _component_presence(components, store, rows)
-    if not lenient:
-        _require_all_present(components, present)
-    elif not present.any(axis=1).all():
-        raise ValueError("no sensors available for lenient late fusion")
-    P = component_probabilities(components, store, rows)
-    return np.where(present, P, 0.0).sum(axis=1) / present.sum(axis=1)
+    _require_all_present(components, _component_presence(components, store, rows))
+    return component_probabilities(components, store, rows).mean(axis=1)
 
 
 def _fit_late_fusion(label, components, P, y, *, cost, seed) -> LateFusionLearned:
@@ -185,45 +169,3 @@ def predict_late_fusion_learned(model: LateFusionLearned, store: FeatureStore, r
     """``(len(rows),)`` second-layer probabilities; every component's sensor must be present."""
     _require_all_present(model.components, _component_presence(model.components, store, rows))
     return predict_proba_matrix(model.second_layer, component_probabilities(model.components, store, rows))
-
-
-# ---------------------------------------------------------------------------
-# Multiclass (one-versus-rest) pipeline for confusion analysis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MulticlassModel:
-    class_labels: tuple
-    per_class: Mapping[str, SensorModel]
-
-
-def multiclass_one_vs_rest(store: FeatureStore, rows, class_labels: Sequence[str],
-                           sensors=SENSORS, *, cost: Optional[float] = 1.0) -> MulticlassModel:
-    """One balanced EF model per class on the chosen sensors' features.
-
-    The models train on the rows among ``rows`` with every one of
-    ``sensors`` present and exactly one class relevant, so each class's
-    binary target is the one-hot truth of that class; they share one
-    standardizer (:func:`fit_labels`).
-    """
-    if len(class_labels) < 2:
-        raise ValueError("one-vs-rest needs at least two classes")
-    one_class = np.sum([store.relevant[cls][rows] for cls in class_labels], axis=0) == 1
-    rows = rows[store.complete(sensors)[rows] & one_class]
-    for cls in class_labels:
-        if not store.relevant[cls][rows].any():
-            raise ValueError(f"class {cls!r} has no training examples")
-    fits = fit_labels(store, sensors, rows, class_labels, cost=cost, seeds=lambda _: 0)
-    return MulticlassModel(
-        class_labels=tuple(class_labels),
-        per_class={cls: model for cls, (model,) in fits.items()},
-    )
-
-
-def predict_multiclass(model: MulticlassModel, store: FeatureStore, rows) -> list:
-    """Argmax of the per-class probabilities for each row."""
-    X = store.matrix(model.per_class[model.class_labels[0]].sensors, rows)
-    probs = np.column_stack(
-        [predict_proba_features(model.per_class[c], X) for c in model.class_labels]
-    )
-    return [model.class_labels[i] for i in probs.argmax(axis=1)]

@@ -448,13 +448,6 @@ def load_feature_tables(root) -> list:
 # Fold partition files
 # ---------------------------------------------------------------------------
 
-def save_fold_partition(partition: FoldPartition, path) -> None:
-    """One line per fold, user ids whitespace-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for fold in partition.folds:
-            fh.write(" ".join(fold) + "\n")
-
-
 def load_fold_partition(path) -> FoldPartition:
     """Load a partition file, or a directory of per-fold test-uuid files."""
     path = Path(path)

@@ -4,14 +4,14 @@ One example is one recorded minute: an optional raw payload and/or a
 precomputed feature vector per sensor (a float64 array, NaN for each
 missing cell), plus a set of label assignments.
 All types are immutable after construction and safe to share across
-workers; operations that "modify" labels return new objects.
+workers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -159,13 +159,6 @@ class Example:
             if la.label_name == label_name:
                 return la.value
         return MISSING
-
-    def with_labels(self, updates: Sequence[LabelAssignment]) -> "Example":
-        """Return a copy with the given assignments replacing/extending labels."""
-        by_name = {la.label_name: la for la in self.labels}
-        for la in updates:
-            by_name[la.label_name] = la
-        return replace(self, labels=tuple(by_name.values()))
 
 
 def validate_example(example: Example) -> list:

@@ -27,7 +27,8 @@ from ctxfuse.evaluation import (
     compute_metrics,
     count_outcomes,
     cross_validate,
-    random_baseline_p99,
+    p99_of_defined,
+    random_baseline_scores,
 )
 from ctxfuse.features import (
     extract_location_features,
@@ -207,8 +208,9 @@ def test_criterion_4_balanced_weights_nine_vs_one():
 
 def test_criterion_5_random_baseline_p99():
     start = time.time()
-    common = random_baseline_p99(54359, 176941, n_sims=100, seed=1)["ba"]
-    rare = random_baseline_p99(122, 176941, n_sims=100, seed=1)["ba"]
+    # the p99 cell exactly as ``ctxfuse evaluate`` computes it
+    common = p99_of_defined(random_baseline_scores(54359, 176941, n_sims=100, seed=1)["ba"])
+    rare = p99_of_defined(random_baseline_scores(122, 176941, n_sims=100, seed=1)["ba"])
     ok = abs(common - 0.50) <= 0.005 and abs(rare - 0.55) <= 0.02
     _report(5, ok and time.time() - start < 60,
             f"p99 BA common={common:.4f} rare={rare:.4f}")

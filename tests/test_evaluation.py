@@ -9,14 +9,12 @@ from ctxfuse.evaluation import (
     FoldPartition,
     MetricCounts,
     compute_metrics,
-    confusion_matrix,
     count_outcomes,
     cross_validate,
     loo_partition,
     p99_of_average,
     p99_of_defined,
     partition_folds,
-    random_baseline_p99,
     random_baseline_scores,
     results_table,
     table_to_csv,
@@ -248,11 +246,14 @@ def test_negative_counts_rejected():
 # random baseline
 # ---------------------------------------------------------------------------
 
+def _p99(n_positive, n_examples, seed, metric):
+    """A label's p99 cell as ``cli.cmd_evaluate`` computes it."""
+    return p99_of_defined(random_baseline_scores(n_positive, n_examples, n_sims=100, seed=seed)[metric])
+
+
 def test_p99_reproduces_published_values():
-    p_common = random_baseline_p99(54359, 176941, seed=1)
-    assert abs(p_common["ba"] - 0.50) <= 0.005
-    p_rare = random_baseline_p99(122, 176941, seed=1)
-    assert abs(p_rare["ba"] - 0.55) <= 0.02
+    assert abs(_p99(54359, 176941, 1, "ba") - 0.50) <= 0.005
+    assert abs(_p99(122, 176941, 1, "ba") - 0.55) <= 0.02
 
 
 def test_random_classifier_ba_centered_at_half():
@@ -279,9 +280,9 @@ def test_p99_of_average_pairs_simulations():
 
 
 def test_p99_is_none_only_when_no_simulation_defines_the_metric():
-    p = random_baseline_p99(0, 50, seed=2)  # no positives: TPR never defined
-    assert p["tpr"] is None and p["ba"] is None
-    assert p["tnr"] is not None
+    # no positives: TPR, and so BA, is never defined
+    assert _p99(0, 50, 2, "tpr") is None and _p99(0, 50, 2, "ba") is None
+    assert _p99(0, 50, 2, "tnr") is not None
     assert p99_of_average([np.full(10, np.nan)] * 2) is None
     vals = np.array([np.nan, 0.1, 0.7, 0.3])
     assert p99_of_defined(vals) == float(np.nanpercentile(vals, 99))
@@ -292,32 +293,6 @@ def test_random_baseline_validates_inputs():
         random_baseline_scores(5, 0)
     with pytest.raises(ValueError):
         random_baseline_scores(11, 10)
-
-
-# ---------------------------------------------------------------------------
-# confusion matrix
-# ---------------------------------------------------------------------------
-
-def test_confusion_identity_for_perfect_predictions():
-    truth = ["a", "b", "c", "a"]
-    cm = confusion_matrix(truth, truth, ("a", "b", "c"))
-    assert np.array_equal(cm, np.eye(3))
-
-
-def test_confusion_uniform_random_predictions():
-    rng = np.random.default_rng(5)
-    classes = ("a", "b", "c", "d")
-    truth = [classes[i % 4] for i in range(10_000)]
-    pred = [classes[i] for i in rng.integers(0, 4, 10_000)]
-    cm = confusion_matrix(truth, pred, classes)
-    assert np.all(np.abs(cm - 0.25) <= 0.02)
-    assert np.allclose(cm.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_confusion_empty_class_row_is_nan():
-    cm = confusion_matrix(["a", "a"], ["a", "b"], ("a", "b"))
-    assert np.isnan(cm[1]).all()
-    assert np.allclose(cm[0], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

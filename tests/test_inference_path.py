@@ -233,8 +233,10 @@ def test_fusion_on_a_shuffled_subset_of_rows_equals_a_store_of_those_rows(mixed,
 
     _same_bytes(component_probabilities(comps, store, rows), component_probabilities(comps, sub, sub_rows))
     _same_bytes(late_fusion_average(comps, store, complete), late_fusion_average(comps, sub, sub_complete))
-    _same_bytes(late_fusion_average(comps, store, rows, lenient=True),
-                late_fusion_average(comps, sub, sub_rows, lenient=True))
+    # loc's component is trivial, so the rows that lack only loc are scored too
+    no_loc = [s for s in SENSORS if s != "loc"]
+    _same_bytes(late_fusion_average(comps, store, rows[store.complete(no_loc)[rows]]),
+                late_fusion_average(comps, sub, sub_rows[sub.complete(no_loc)]))
     with pytest.raises(ValueError, match="missing sensors"):
         late_fusion_average(comps, store, rows)
 
@@ -369,11 +371,13 @@ def test_late_fusion_average_matches_per_example_means(mixed):
     with pytest.raises(ValueError, match="missing sensors"):
         late_fusion_average(comps, store, rows)
 
-    p = late_fusion_average(comps, store, rows, lenient=True)
-    for i, ex in enumerate(examples):
-        # loc is trivial: it counts as present without features
-        present = [s for s in SENSORS if s == "loc" or has_sensors(ex, (s,))]
-        want = np.mean([_rowwise_probability(comps[s], ex, s) for s in present])
+    # loc is trivial: it counts as present without features, so the minutes
+    # that lack only loc are scored, with all six components
+    no_loc = [ex for ex in examples if has_sensors(ex, [s for s in SENSORS if s != "loc"])]
+    assert any(not has_sensors(ex, ("loc",)) for ex in no_loc)
+    p = late_fusion_average(comps, *store_of(no_loc))
+    for i, ex in enumerate(no_loc):
+        want = np.mean([_rowwise_probability(comps[s], ex, s) for s in SENSORS])
         assert p[i] == pytest.approx(want, abs=1e-12)
 
 

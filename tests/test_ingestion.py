@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 import ctxfuse.ingestion as ingestion
 from ctxfuse.data import FeatureStore
-from ctxfuse.evaluation import FoldPartition
 from ctxfuse.ingestion import (
     FEATURE_COLUMNS,
     IngestionError,
@@ -20,7 +19,6 @@ from ctxfuse.ingestion import (
     load_raw_session,
     parse_features_csv,
     read_features_table,
-    save_fold_partition,
     write_features_csv,
 )
 from ctxfuse.model import FEATURE_DIMS, MISSING, RELEVANT, SENSORS
@@ -399,21 +397,18 @@ def test_store_from_tables_of_header_only_tables_is_empty(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_partition_file_roundtrip(tmp_path):
-    part = FoldPartition(folds=(("u00", "u01"), ("u02",), ("u03", "u04")))
+    # one fold per line, user ids whitespace-separated; blank lines skipped
     path = tmp_path / "folds.txt"
-    save_fold_partition(part, path)
+    path.write_text("u00 u01\n\nu02\nu03\tu04  \n", encoding="utf-8")
     loaded = load_fold_partition(path)
-    assert loaded.folds == part.folds
-    # save(load(f)) == f modulo whitespace
-    path2 = tmp_path / "folds2.txt"
-    save_fold_partition(loaded, path2)
-    assert path.read_text().split() == path2.read_text().split()
+    assert loaded.folds == (("u00", "u01"), ("u02",), ("u03", "u04"))
+    assert " ".join(" ".join(f) for f in loaded.folds).split() == path.read_text().split()
 
 
 def test_partition_five_by_twelve(tmp_path):
     folds = tuple(tuple(f"user{f:02d}{i:02d}" for i in range(12)) for f in range(5))
     path = tmp_path / "folds.txt"
-    save_fold_partition(FoldPartition(folds=folds), path)
+    path.write_text("".join(" ".join(f) + "\n" for f in folds), encoding="utf-8")
     loaded = load_fold_partition(path)
     assert len(loaded) == 5
     assert all(len(f) == 12 for f in loaded.folds)

@@ -105,6 +105,11 @@ def test_fully_masked_features_do_not_count_as_available():
     assert has_sensors(ex, ("gyro",))
     store = FeatureStore.from_examples([ex])
     assert [bool(store.present[s][0]) for s in ("acc", "gyro", "wacc")] == [False, True, False]
+    # an all-NaN precomputed vector wins over a payload: the sensor is absent
+    ps = Example("u0", 0, sensor_data={"ps": PhoneStateSnapshot()},
+                 precomputed_features={"ps": np.full(34, np.nan)})
+    assert not has_sensors(ps, ("ps",))
+    assert not FeatureStore.from_examples([ps]).present["ps"][0]
 
 
 def test_canonical_label_names():
@@ -112,16 +117,3 @@ def test_canonical_label_names():
     assert canonical_label_name("Drive (I'm the driver)") == "DRIVE_I_M_THE_DRIVER"
     assert canonical_label_name("Bathing - shower") == "BATHING_SHOWER"
     assert canonical_label_name("Drinking (alcohol)") == "DRINKING_ALCOHOL"
-
-
-def test_with_labels_replaces_only_named_assignments():
-    ex = Example(
-        "u0",
-        0,
-        labels=(LabelAssignment("A", "relevant"), LabelAssignment("B", "missing")),
-    )
-    out = ex.with_labels([LabelAssignment("B", "relevant")])
-    assert out.label_value("A") == "relevant"
-    assert out.label_value("B") == "relevant"
-    # the original is untouched
-    assert ex.label_value("B") == "missing"
