@@ -13,7 +13,6 @@ from .model import (
     FEATURE_DIMS,
     LabelAssignment,
     LocationSeries,
-    LocationUpdate,
     PhoneStateSnapshot,
     SENSORS,
     TriaxialSeries,

@@ -1,8 +1,9 @@
 """Batch command line: extract features, evaluate systems, personalize.
 
 Every run writes a ``run_manifest.json`` capturing the config, seeds, an
-input digest, chosen costs and timing; ``ctxfuse rerun MANIFEST`` replays
-the stored config and reproduces the output files byte-identically.
+input digest, chosen costs, timing and, for ``evaluate``, fit flags;
+``ctxfuse rerun MANIFEST`` replays the stored config and reproduces the
+output files byte-identically.
 
 Exit codes: 0 success, 2 input error, 3 configuration/vocabulary error,
 4 internal invariant violation. Every option that takes a value can also be
@@ -322,9 +323,9 @@ def cmd_evaluate(args) -> int:
         if args.markdown:
             (out_dir / f"results_{metric}.md").write_text(table_to_markdown(rows), encoding="utf-8")
 
-    chosen_costs = {
-        label: evaluations[systems[0]][label].chosen_costs for label in labels
-    }
+    # chosen costs and flags are per label, the same under every system
+    chosen_costs = {label: evaluations[systems[0]][label].chosen_costs for label in labels}
+    flags = {label: list(evaluations[systems[0]][label].flags) for label in labels}
     config = {
         "features_dir": str(args.features_dir),
         "partition": args.partition,
@@ -340,6 +341,7 @@ def cmd_evaluate(args) -> int:
         "input_digest": _input_digest("evaluate", config),
         "partition_folds": [list(f) for f in partition.folds],
         "chosen_costs": chosen_costs,
+        "flags": flags,
         "n_core_examples": n_eval,
         "positional_columns": positional,
     }

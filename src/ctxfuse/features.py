@@ -204,13 +204,10 @@ def extract_watch_features(series: TriaxialSeries) -> np.ndarray:
     in the five time-lag buckets (0-0.5 s, 0.5-1 s, 1-5 s, 5-10 s, >10 s).
     Lag buckets with no pairs are NaN.
     """
-    mag = magnitude_series(series)
-    rate = series.nominal_rate
-    base = np.concatenate([scalar_series_features(mag, rate), axis_statistics(series)])
-
+    base = extract_motion_features(series)
     per_axis = np.concatenate(
         [
-            np.log(band_energies(series.samples[:, ax], rate) + LOG_FLOOR_EPSILON)
+            np.log(band_energies(series.samples[:, ax], series.nominal_rate) + LOG_FLOOR_EPSILON)
             for ax in range(3)
         ]
     )
@@ -233,23 +230,20 @@ def haversine_m(lat1, lon1, lat2, lon2) -> float:
     return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(a), math.sqrt(1 - a))
 
 
-def _quick_location_features(updates) -> np.ndarray:
+def _quick_location_features(updates: np.ndarray) -> np.ndarray:
     out = np.full(6, np.nan)
-    for k, attr in enumerate(("latitude", "longitude")):
-        pts = [(u.relative_time, getattr(u, attr)) for u in updates if getattr(u, attr) is not None]
-        if not pts:
+    for k in range(2):
+        fixes = updates[~np.isnan(updates[:, 1 + k])]
+        if not fixes.shape[0]:
             continue
-        vals = np.array([v for _, v in pts])
-        out[k] = vals.std()
-        out[2 + k] = vals[-1] - vals[0]
+        t, v = fixes[:, 0], fixes[:, 1 + k]
+        out[k] = v.std()
+        out[2 + k] = v[-1] - v[0]
         # mean absolute derivative, per second of elapsed time
-        rates = [
-            abs(v1 - v0) / (t1 - t0)
-            for (t0, v0), (t1, v1) in zip(pts, pts[1:])
-            if t1 > t0
-        ]
-        if rates:
-            out[4 + k] = float(np.mean(rates))
+        dt = np.diff(t)
+        moving = dt > 0
+        if moving.any():
+            out[4 + k] = np.mean(np.abs(np.diff(v))[moving] / dt[moving])
     return out
 
 
@@ -271,29 +265,25 @@ def extract_location_features(series: LocationSeries) -> np.ndarray:
     else:
         values[0:6] = _quick_location_features(ups)
 
-    values[6] = len(ups)
+    values[6] = ups.shape[0]
 
-    lats = [u.latitude for u in ups if u.latitude is not None]
-    lons = [u.longitude for u in ups if u.longitude is not None]
+    # each column's reported values; the builtin min and max keep the first of
+    # tied signed zeros, as numpy's reductions do not
+    _, lats, lons, alts, speeds, vaccs, haccs = (c[~np.isnan(c)].tolist() for c in ups.T)
     if lats:
         values[7] = math.log(max(lats) - min(lats) + LOG_RANGE_EPSILON)
     if lons:
         values[8] = math.log(max(lons) - min(lons) + LOG_RANGE_EPSILON)
-
-    alts = [u.altitude for u in ups if u.altitude is not None]
     if alts:
         values[9], values[10] = min(alts), max(alts)
-    speeds = [u.speed for u in ups if u.speed is not None]
     if speeds:
         values[11], values[12] = min(speeds), max(speeds)
-    vaccs = [u.vertical_accuracy for u in ups if u.vertical_accuracy is not None]
     if vaccs:
         values[13] = min(vaccs)
-    haccs = [u.horizontal_accuracy for u in ups if u.horizontal_accuracy is not None]
     if haccs:
         values[14] = min(haccs)
 
-    coords = [(u.latitude, u.longitude) for u in ups if u.latitude is not None and u.longitude is not None]
+    coords = ups[~np.isnan(ups[:, 1:3]).any(axis=1), 1:3].tolist()
     if coords:
         diameter = 0.0
         for i in range(len(coords)):

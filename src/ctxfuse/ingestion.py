@@ -36,7 +36,6 @@ from .model import (
     FEATURE_DIMS,
     LabelAssignment,
     LocationSeries,
-    LocationUpdate,
     MISSING,
     NOT_RELEVANT,
     PHONE_STATE_VALUES,
@@ -677,31 +676,18 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     loc_path = root / "location.csv"
     quick_path = root / "location_quick.csv"
     if loc_path.exists() or quick_path.exists():
-        updates = []
+        updates = np.empty((0, 7))
         if loc_path.exists():
-            for row in _read_numeric_rows(loc_path, 7, allow_missing_cols=True):
-                # NaN is an empty cell; features test location fields for None
-                vals = [None if math.isnan(v) else v for v in row.tolist()]
-                if vals[0] is None:
-                    raise IngestionError(f"{loc_path}: update without relative time")
-                updates.append(
-                    LocationUpdate(
-                        relative_time=vals[0],
-                        latitude=vals[1],
-                        longitude=vals[2],
-                        altitude=vals[3],
-                        speed=vals[4],
-                        vertical_accuracy=vals[5],
-                        horizontal_accuracy=vals[6],
-                    )
-                )
+            updates = _read_numeric_rows(loc_path, 7, allow_missing_cols=True)
+            if np.isnan(updates[:, 0]).any():
+                raise IngestionError(f"{loc_path}: update without relative time")
         quick = None
         if quick_path.exists():
             rows = _read_numeric_rows(quick_path, 6, allow_missing_cols=True)
             if rows.shape[0] != 1:
                 raise IngestionError(f"{quick_path}: expected a single 6-value row")
             quick = rows[0]
-        sensor_data["loc"] = LocationSeries(updates=tuple(updates), quick_features=quick)
+        sensor_data["loc"] = LocationSeries(updates=updates, quick_features=quick)
 
     mfcc_path = root / "mfcc.csv"
     audio_path = root / "audio.csv"

@@ -2,7 +2,8 @@
 
 One example is one recorded minute: an optional raw payload and/or a
 precomputed feature vector per sensor (a float64 array, NaN for each
-missing cell), plus a set of label assignments.
+missing cell), plus a set of label assignments. Raw location fixes are a
+float64 array too, with NaN for each value the phone left unreported.
 All types are immutable after construction and safe to share across
 workers.
 """
@@ -75,30 +76,25 @@ class TriaxialSeries:
 
 
 @dataclass(frozen=True)
-class LocationUpdate:
-    relative_time: float
-    latitude: Optional[float] = None
-    longitude: Optional[float] = None
-    altitude: Optional[float] = None
-    speed: Optional[float] = None
-    vertical_accuracy: Optional[float] = None
-    horizontal_accuracy: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class LocationSeries:
     """Location updates of a session plus the on-device quick features.
 
-    ``quick_features`` is the 6-vector (std-lat, std-lon, change-lat,
-    change-lon, mean |dlat/dt|, mean |dlon/dt|) computed by the provider; it
-    may be present even when absolute coordinates were withheld.
+    ``updates`` is an ``(n, 7)`` array of one row per update: relative time,
+    latitude, longitude, altitude, speed, vertical accuracy and horizontal
+    accuracy, with NaN for each unreported value. ``quick_features`` is the
+    6-vector (std-lat, std-lon, change-lat, change-lon, mean |dlat/dt|,
+    mean |dlon/dt|) computed by the provider; it may be present even when
+    absolute coordinates were withheld.
     """
 
-    updates: tuple = ()
+    updates: np.ndarray = field(default_factory=lambda: np.empty((0, 7)))
     quick_features: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "updates", tuple(self.updates))
+        ups = np.asarray(self.updates, dtype=np.float64)
+        if ups.ndim != 2 or ups.shape[1] != 7:
+            raise ValueError("updates must be an (n, 7) array")
+        object.__setattr__(self, "updates", ups)
         if self.quick_features is not None:
             qf = np.asarray(self.quick_features, dtype=np.float64)
             if qf.shape != (6,):
@@ -189,11 +185,10 @@ def validate_example(example: Example) -> list:
         if not isinstance(loc, LocationSeries):
             out.append("loc: payload is not a LocationSeries")
         else:
-            for i, up in enumerate(loc.updates):
-                for name in ("vertical_accuracy", "horizontal_accuracy"):
-                    v = getattr(up, name)
-                    if v is not None and v < 0:
-                        out.append(f"loc: update {i} has negative {name}")
+            # NaN, an unreported accuracy, is not negative
+            for i, j in zip(*np.nonzero(loc.updates[:, 5:] < 0)):
+                name = ("vertical_accuracy", "horizontal_accuracy")[j]
+                out.append(f"loc: update {i} has negative {name}")
 
     aud = example.sensor_data.get("aud")
     if aud is not None:

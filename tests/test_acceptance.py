@@ -42,7 +42,6 @@ from ctxfuse.fusion import early_fusion, late_fusion_average, late_fusion_learne
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import (
     LocationSeries,
-    LocationUpdate,
     PhoneStateSnapshot,
     PHONE_STATE_VALUES,
     SENSORS,
@@ -73,18 +72,19 @@ def test_criterion_1_dimension_contract():
     for i in range(1000):
         motion = make_triaxial(rng, n=int(rng.integers(64, 257)), rate=40.0)
         watch = make_triaxial(rng, n=int(rng.integers(64, 200)), rate=25.0, unit="milli-G")
-        updates = tuple(
-            LocationUpdate(
-                relative_time=float(t),
-                latitude=float(rng.uniform(-60, 60)),
-                longitude=float(rng.uniform(-120, 120)),
-                altitude=float(rng.uniform(0, 500)),
-                speed=float(rng.uniform(0, 10)),
-                vertical_accuracy=float(rng.uniform(1, 50)),
-                horizontal_accuracy=float(rng.uniform(1, 50)),
+        # rows of (time, lat, lon, altitude, speed, vertical and horizontal accuracy)
+        updates = np.array([
+            (
+                float(t),
+                float(rng.uniform(-60, 60)),
+                float(rng.uniform(-120, 120)),
+                float(rng.uniform(0, 500)),
+                float(rng.uniform(0, 10)),
+                float(rng.uniform(1, 50)),
+                float(rng.uniform(1, 50)),
             )
             for t in range(int(rng.integers(0, 6)))
-        )
+        ]).reshape(-1, 7)
         audio = rng.normal(size=int(rng.integers(2048, 4097)))
         ps = PhoneStateSnapshot(
             **{

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -106,6 +107,35 @@ def test_evaluate_end_to_end(tmp_path, eval_setup):
     assert manifest["command"] == "evaluate"
     assert manifest["config"]["seed"] == 3
     assert label in manifest["chosen_costs"]
+    assert manifest["flags"] == {label: []}
+
+
+def test_evaluate_records_a_fold_without_training_positives_as_flags(tmp_path):
+    examples, label = complementary_sensor_dataset(n=240, n_users=4, seed=50)
+    positive_users = ("u00", "u01")
+    relabeled = [
+        feature_example(ex.user_id, ex.timestamp, ex.precomputed_features,
+                        {label: ex.label_value(label) if ex.user_id in positive_users else 0})
+        for ex in examples
+    ]
+    features = _features_dir_from(by_user(relabeled), tmp_path / "features")
+    labels_file = tmp_path / "labels.txt"
+    labels_file.write_text(f"{label}\n")
+    # fold 0 trains on u02 and u03 alone, which have no positive minute
+    partition = tmp_path / "partition.txt"
+    partition.write_text("u00 u01\nu02 u03\n")
+    out = tmp_path / "out"
+    code = main(_evaluate_argv(features, labels_file, out, "--systems", "acc,ef,lfl",
+                               "--partition", str(partition)))
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    flags = manifest["flags"][label]
+    for system in SENSORS + ("ef", "lfl"):
+        assert f"fold0:{system}:trivial" in flags
+    assert len(flags) == len(SENSORS) + 2
+    # the trivial fits chose no cost; fold 1's did
+    assert not any(key.startswith("fold0:") for key in manifest["chosen_costs"][label])
+    assert "fold1:acc" in manifest["chosen_costs"][label]
 
 
 def test_evaluate_unknown_label_exits_3(tmp_path, eval_setup, capsys):
@@ -483,6 +513,37 @@ def test_extract_malformed_bundle_file_is_input_error(tmp_path, capsys, edit, me
     assert message in err
     assert "internal error" not in err
     assert not list(tmp_path.rglob("*.features.csv"))
+
+
+
+def _write_location(rows):
+    return lambda session: (session / "location.csv").write_text("\n".join(rows) + "\n")
+
+
+def test_extract_negative_location_accuracy_is_input_error(tmp_path, capsys):
+    code, err = _extract_bundle_error(tmp_path, capsys, _write_location([
+        "0.0,32.88,-117.23,100.0,1.0,8.0,10.0",
+        "5.0,32.8801,-117.2301,,1.2,-6.0,12.0",
+    ]))
+    assert code == 2, err
+    session = tmp_path / "raw" / "u1" / "session_1"
+    assert err.startswith(f"error: {session}: "), err
+    assert "loc: update 1 has negative vertical_accuracy" in err
+    assert "horizontal_accuracy" not in err
+    assert not list(tmp_path.rglob("*.features.csv"))
+
+
+def test_extract_accepts_empty_location_accuracy_cells(tmp_path, capsys):
+    code, err = _extract_bundle_error(tmp_path, capsys, _write_location([
+        "0.0,32.88,-117.23,100.0,1.0,,10.0",
+        "5.0,32.8801,-117.2301,,1.2,6.0,",
+    ]))
+    assert code == 0, err
+    with open(tmp_path / "f" / "u1.features.csv", newline="") as fh:
+        row = {int(r["timestamp"]): r for r in csv.DictReader(fh)}[1_600_100_060]
+    # the best accuracy of each kind is the one reported value
+    assert float(row["location:best_vertical_accuracy"]) == 6.0
+    assert float(row["location:best_horizontal_accuracy"]) == 10.0
 
 
 def _partition_argv(command, features, labels_file, out, partition, user):

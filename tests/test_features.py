@@ -6,6 +6,7 @@ import pytest
 from ctxfuse.data import FeatureStore, sensor_features
 from ctxfuse.features import (
     DIRECTION_LAG_EDGES,
+    LOG_RANGE_EPSILON,
     axis_statistics,
     band_energies,
     dominant_periodicity,
@@ -23,7 +24,6 @@ from ctxfuse.model import (
     Example,
     FEATURE_DIMS,
     LocationSeries,
-    LocationUpdate,
     PhoneStateSnapshot,
     SENSORS,
     TriaxialSeries,
@@ -337,10 +337,13 @@ def test_watch_direction_features_scale_invariant():
 # location features
 # ---------------------------------------------------------------------------
 
+def _fix(t, lat=np.nan, lon=np.nan, alt=np.nan, speed=np.nan, vacc=np.nan, hacc=np.nan):
+    """One row of ``LocationSeries.updates``; NaN is an unreported value."""
+    return (t, lat, lon, alt, speed, vacc, hacc)
+
+
 def test_single_update_location():
-    series = LocationSeries(
-        updates=(LocationUpdate(0.0, latitude=32.88, longitude=-117.23),)
-    )
+    series = LocationSeries(updates=[_fix(0.0, lat=32.88, lon=-117.23)])
     fv = extract_location_features(series)
     assert fv[6] == 1.0  # number of updates
     assert fv[15] == 0.0  # diameter of a single point
@@ -357,10 +360,7 @@ def _haversine_oracle(lat1, lon1, lat2, lon2):
 
 def test_equator_latitude_step_diameter():
     series = LocationSeries(
-        updates=(
-            LocationUpdate(0.0, latitude=0.0, longitude=0.0),
-            LocationUpdate(1.0, latitude=0.001, longitude=0.0),
-        )
+        updates=[_fix(0.0, lat=0.0, lon=0.0), _fix(1.0, lat=0.001, lon=0.0)]
     )
     fv = extract_location_features(series)
     assert abs(fv[15] - 111.0) <= 2.0
@@ -380,12 +380,10 @@ def test_haversine_agrees_with_independent_formula():
 def test_hidden_coordinates_mask_only_coordinate_features():
     quick = np.arange(6, dtype=float)
     series = LocationSeries(
-        updates=(
-            LocationUpdate(0.0, altitude=100.0, speed=1.5, vertical_accuracy=8.0,
-                           horizontal_accuracy=12.0),
-            LocationUpdate(5.0, altitude=104.0, speed=0.5, vertical_accuracy=6.0,
-                           horizontal_accuracy=20.0),
-        ),
+        updates=[
+            _fix(0.0, alt=100.0, speed=1.5, vacc=8.0, hacc=12.0),
+            _fix(5.0, alt=104.0, speed=0.5, vacc=6.0, hacc=20.0),
+        ],
         quick_features=quick,
     )
     fv = extract_location_features(series)
@@ -407,16 +405,134 @@ def test_empty_location_series_masks_everything_but_count():
 
 def test_quick_features_computed_per_second_from_raw():
     series = LocationSeries(
-        updates=(
-            LocationUpdate(0.0, latitude=10.0, longitude=20.0),
-            LocationUpdate(2.0, latitude=10.2, longitude=19.9),
-        )
+        updates=[_fix(0.0, lat=10.0, lon=20.0), _fix(2.0, lat=10.2, lon=19.9)]
     )
     fv = extract_location_features(series)
     assert np.isclose(fv[0], np.std([10.0, 10.2]))
     assert np.isclose(fv[2], 0.2)
     assert np.isclose(fv[4], 0.2 / 2.0)  # |dlat/dt| per second
     assert np.isclose(fv[5], 0.1 / 2.0)
+
+
+@pytest.mark.parametrize("updates", [np.zeros(7), np.zeros((2, 6)), np.zeros((1, 7, 1))],
+                         ids=["one-row-flat", "six-columns", "three-dims"])
+def test_location_updates_must_be_an_n_by_7_array(updates):
+    with pytest.raises(ValueError, match=r"\(n, 7\)"):
+        LocationSeries(updates=updates)
+
+
+def _per_fix_location_features(fixes, quick):
+    """The location extractor as it ran fix by fix, on ``(t, lat, lon, alt,
+    speed, vacc, hacc)`` tuples with None for an unreported value."""
+    values = np.full(17, np.nan)
+    if quick is not None:
+        values[0:6] = quick
+    else:
+        for k in (0, 1):
+            pts = [(f[0], f[1 + k]) for f in fixes if f[1 + k] is not None]
+            if not pts:
+                continue
+            vals = np.array([v for _, v in pts])
+            values[k] = vals.std()
+            values[2 + k] = vals[-1] - vals[0]
+            rates = [
+                abs(v1 - v0) / (t1 - t0)
+                for (t0, v0), (t1, v1) in zip(pts, pts[1:])
+                if t1 > t0
+            ]
+            if rates:
+                values[4 + k] = float(np.mean(rates))
+    values[6] = len(fixes)
+    lats, lons, alts, speeds, vaccs, haccs = (
+        [f[j] for f in fixes if f[j] is not None] for j in range(1, 7)
+    )
+    if lats:
+        values[7] = math.log(max(lats) - min(lats) + LOG_RANGE_EPSILON)
+    if lons:
+        values[8] = math.log(max(lons) - min(lons) + LOG_RANGE_EPSILON)
+    if alts:
+        values[9], values[10] = min(alts), max(alts)
+    if speeds:
+        values[11], values[12] = min(speeds), max(speeds)
+    if vaccs:
+        values[13] = min(vaccs)
+    if haccs:
+        values[14] = min(haccs)
+    coords = [(f[1], f[2]) for f in fixes if f[1] is not None and f[2] is not None]
+    if coords:
+        diameter = 0.0
+        for i in range(len(coords)):
+            for j in range(i + 1, len(coords)):
+                d = haversine_m(*coords[i], *coords[j])
+                if d > diameter:
+                    diameter = d
+        values[15] = diameter
+        values[16] = math.log(diameter + LOG_RANGE_EPSILON)
+    return values
+
+
+def _assert_matches_per_fix_oracle(fixes, quick):
+    fixes = np.asarray(fixes, dtype=np.float64).reshape(-1, 7)
+    rows = [tuple(None if math.isnan(v) else v for v in row) for row in fixes.tolist()]
+    got = extract_location_features(LocationSeries(updates=fixes, quick_features=quick))
+    want = _per_fix_location_features(rows, quick)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got.tobytes() == want.tobytes(), (fixes, quick, got, want)
+
+
+_LOCATION_EDGE_CASES = {
+    "no-fix": [],
+    "one-fix": [_fix(0.0, 32.88, -117.23, 100.0, 1.0, 8.0, 10.0)],
+    "equal-times": [_fix(1.0, 0.1, 0.2), _fix(1.0, 0.3, 0.1), _fix(1.0, 0.2, 0.4)],
+    "decreasing-times": [_fix(5.0, 0.1, 0.2), _fix(2.5, 0.3, 0.1), _fix(0.0, 0.2, 0.4)],
+    "equal-then-later": [_fix(0.0, 0.1, 0.2), _fix(0.0, 0.3, 0.1), _fix(2.0, 0.2, 0.4)],
+    "all-nan-latitude": [_fix(0.0, lon=0.2, alt=5.0), _fix(1.0, lon=0.1, alt=6.0)],
+    "all-nan-longitude": [_fix(0.0, lat=0.2, alt=5.0), _fix(1.0, lat=0.1, alt=6.0)],
+    "latitude-and-longitude-on-different-fixes": [_fix(0.0, lat=0.1), _fix(1.0, lon=0.2)],
+    "tied-signed-zeros": [_fix(0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0),
+                          _fix(1.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("with_quick", [False, True], ids=["computed-quick", "given-quick"])
+@pytest.mark.parametrize("case", sorted(_LOCATION_EDGE_CASES))
+def test_location_edge_cases_match_the_per_fix_oracle(case, with_quick):
+    quick = np.array([1e-4, np.nan, 3e-4, 4e-4, np.nan, 6e-4]) if with_quick else None
+    _assert_matches_per_fix_oracle(_LOCATION_EDGE_CASES[case], quick)
+
+
+def _random_fixes(rng):
+    n = int(rng.integers(0, 12))
+    times = (
+        np.cumsum(rng.choice([0.0, 0.5, 2.5], size=n)),  # non-decreasing, with repeats
+        rng.choice([0.0, 1.0, 2.0], size=n),  # repeated and decreasing
+        rng.uniform(-5.0, 20.0, size=n),
+    )[int(rng.integers(3))]
+    fixes = np.column_stack([
+        times,
+        32.88 + rng.normal(size=n) * 1e-3,
+        -117.23 + rng.normal(size=n) * 1e-3,
+        rng.normal(100.0, 50.0, size=n),
+        np.abs(rng.normal(size=n)) * 2,
+        rng.uniform(0.0, 50.0, size=n),
+        rng.uniform(0.0, 50.0, size=n),
+    ])
+    fixes[:, 1:][rng.random((n, 6)) < 0.25] = np.nan
+    for j in range(1, 7):
+        u = rng.random()
+        if u < 0.1:
+            fixes[:, j] = np.nan  # a value the phone never reported
+        elif u < 0.2:
+            fixes[:, j] = rng.choice([0.0, -0.0], size=n)  # ties of signed zeros
+    return fixes
+
+
+def test_random_fix_tables_match_the_per_fix_oracle():
+    rng = np.random.default_rng(2016)
+    for _ in range(2000):
+        fixes = _random_fixes(rng)
+        quick = rng.normal(size=6) * 1e-4 if rng.random() < 0.5 else None
+        _assert_matches_per_fix_oracle(fixes, quick)
 
 
 # ---------------------------------------------------------------------------

@@ -168,13 +168,16 @@ def test_any_text_reads_as_the_per_cell_reader_reads_it(tmp_path_factory, text, 
 # what the bundle loader builds from the arrays
 # ---------------------------------------------------------------------------
 
-def test_empty_location_cells_load_as_none(tmp_path):
+def test_empty_location_cells_load_as_nan(tmp_path):
     root = _write_session(tmp_path / "s", n=16)
     ex = load_raw_session(root, utc_offset_hours=0)
-    first, second = ex.sensor_data["loc"].updates
-    assert first.altitude == 100.0 and isinstance(first.altitude, float)
-    assert second.altitude is None
-    assert second.relative_time == 5.0 and second.speed == 1.2
+    updates = ex.sensor_data["loc"].updates
+    assert updates.dtype == np.float64 and updates.shape == (2, 7)
+    first, second = updates
+    assert first[3] == 100.0  # altitude
+    assert math.isnan(second[3])
+    assert second[0] == 5.0 and second[4] == 1.2  # relative time and speed
+    assert np.isnan(updates).sum() == 1
 
 
 def test_location_update_without_time_rejected(tmp_path):

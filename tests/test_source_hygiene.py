@@ -5,10 +5,13 @@ Every name a module imports must be used in that module, and every private
 module of the package. A deletion or refactor that leaves an import or a
 private helper behind fails here instead of lingering. The package
 ``__init__`` is exempt from the import check: its imports are the public
-API it re-exports.
+API it re-exports. No dataclass field of the domain model may be an
+optional float or int: NaN in a float64 array is the one encoding of a
+missing value, and a None beside it is a second one.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,47 @@ def test_every_private_top_level_name_is_read(path):
     read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
     defined = private_definitions(path.read_text(encoding="utf-8"))
     assert sorted((line, name) for name, line in defined.items() if name not in read) == []
+
+
+#: an optional scalar annotation, in the spellings the typing module allows
+_OPTIONAL_SCALAR = re.compile(
+    r"(typing\.)?Optional\[(float|int)\]|(float|int) \| None|None \| (float|int)"
+)
+
+
+def optional_scalar_fields(source: str) -> list:
+    """``(line, field)`` of each dataclass field in ``source`` annotated as
+    an optional float or int."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                ann = stmt.annotation
+                text = ann.value if isinstance(ann, ast.Constant) else ast.unparse(ann)
+                if _OPTIONAL_SCALAR.fullmatch(str(text)):
+                    out.append((stmt.lineno, stmt.target.id))
+    return out
+
+
+def test_the_check_sees_an_optional_scalar_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Fix:\n"
+        "    t: float\n"
+        "    lat: Optional[float] = None\n"
+        "    n: 'Optional[int]' = None\n"
+        "    speed: float | None = None\n"
+        "    quick: Optional[np.ndarray] = None\n"
+        "class Plain:\n"
+        "    alt: Optional[float] = None\n"
+    )
+    assert optional_scalar_fields(source) == [(5, "lat"), (6, "n"), (7, "speed")]
+
+
+def test_model_dataclasses_have_no_optional_scalar_field():
+    assert optional_scalar_fields((PACKAGE / "model.py").read_text(encoding="utf-8")) == []
