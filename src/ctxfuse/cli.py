@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="hours to add to UTC for local time-of-day (required)",
     )
-    _add_common(p_ext)
+    p_ext.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("evaluate", help="run cross-validation and emit result tables")
     p_eval.add_argument("--features-dir", required=True)
@@ -224,7 +224,7 @@ def cmd_extract(args) -> int:
     for user_id in sorted(by_user):
         write_features_csv(out_dir / f"{user_id}.features.csv", by_user[user_id])
 
-    config = {"input": str(input_dir), "out": str(out_dir), "utc_offset": args.utc_offset, "seed": args.seed}
+    config = {"input": str(input_dir), "out": str(out_dir), "utc_offset": args.utc_offset}
     extras = {
         "input_digest": _input_digest("extract", config),
         "n_sessions": len(sessions),
@@ -434,7 +434,8 @@ def cmd_rerun(args) -> int:
     with tempfile.TemporaryDirectory(prefix="ctxfuse-rerun-") as tmp:
         argv = [command]
         for key, value in config.items():
-            if value is None or value is False:
+            # extract once recorded a seed that nothing read, and takes none now
+            if value is None or value is False or (command, key) == ("extract", "seed"):
                 continue
             flag = "--" + key.replace("_", "-")
             if value is True:

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classifier import DegenerateLabelError, predict_proba_matrix
+from .classifier import LinearModel, predict_proba_matrix
 from .data import FeatureStore
 from .fusion import fit_labels, late_fusion_average, late_fusion_learned
 from .model import SENSORS
@@ -287,7 +287,9 @@ def _fold_counts(
     fold_index: int,
 ):
     """Train every requested system on the training users' rows and count
-    outcomes on the held-out pool (:func:`_held_out_pool`).
+    outcomes on the held-out pool (:func:`_held_out_pool`): ``(counts,
+    models)``, ``counts[system][label]`` for each requested system and every
+    fitted model as a ``(system, model)`` pair, in fit order.
 
     Each system's models come from one :func:`~ctxfuse.fusion.fit_labels`
     call, which fits one standardizer for every label: a sensor's on the
@@ -295,11 +297,12 @@ def _fold_counts(
     six. One system's matrices are alive at a time. LFA and the LFL second
     layer are the library's :func:`~ctxfuse.fusion.late_fusion_average` on
     the pool and :func:`~ctxfuse.fusion.late_fusion_learned` on the rows
-    with all six.
+    with all six. A ``RuntimeError`` of a failed fit names its fold,
+    system and label.
     """
     pool = _held_out_pool(store, fold_users)
     if not pool.size:
-        return {}, {}, {}
+        return {}, []
     train = store.rows(train_users)
     complete = train[store.complete()[train]]  # the EF and LFL training rows
     for system, kind in (("ef", "early"), ("lfl", "late")):
@@ -314,23 +317,21 @@ def _fold_counts(
         needed_sensors |= set(SENSORS)
 
     counts = {sys: {} for sys in systems}
-    flags = {lbl: [] for lbl in labels}
-    costs = {lbl: {} for lbl in labels}
+    models = []
     y_true = {label: store.relevant[label][pool] > 0 for label in labels}
 
     def fit(system, sensors, rows):
         """:func:`fit_labels` for one system, scoring the pool and recording
-        each label's trivial flag or chosen cost and, for a requested
-        system, its pool counts."""
-        fits = fit_labels(
-            store, sensors, rows, labels, cost=cost, score_rows=(pool,),
-            seeds=lambda label: derive_seed(seed, fold_index, label, system),
-        )
+        each label's model and, for a requested system, its pool counts."""
+        try:
+            fits = fit_labels(
+                store, sensors, rows, labels, cost=cost, score_rows=(pool,),
+                seeds=lambda label: derive_seed(seed, fold_index, label, system),
+            )
+        except RuntimeError as exc:
+            raise RuntimeError(f"fold {fold_index}, system {system}: {exc}") from exc
         for label, (model, p_pool) in fits.items():
-            if model.is_trivial:
-                flags[label].append(f"fold{fold_index}:{system}:trivial")
-            else:
-                costs[label][system] = model.model.cost
+            models.append((system, model))
             if system in systems:
                 counts[system][label] = count_outcomes(y_true[label], p_pool > 0.5)
         return fits
@@ -355,21 +356,14 @@ def _fold_counts(
             try:
                 lfl = late_fusion_learned(store, complete, label, single_models[label], cost=cost,
                                           seed=derive_seed(seed, fold_index, label, "lfl"))
-            except DegenerateLabelError:
-                # no positive (or no negative) training example in this fold:
-                # contribute an always-negative classifier
-                flags[label].append(f"fold{fold_index}:lfl:trivial")
-                p_lfl = np.zeros(len(pool))
-            else:
-                if "degenerate_inputs" in lfl.notes:
-                    flags[label].append(f"fold{fold_index}:lfl:degenerate_inputs")
-                else:
-                    costs[label]["lfl"] = lfl.second_layer.cost
-                P = np.vstack([probs[s] for s in SENSORS]).T
-                p_lfl = predict_proba_matrix(lfl.second_layer, P)
+            except RuntimeError as exc:
+                raise RuntimeError(f"fold {fold_index}, system lfl: label {label!r}: {exc}") from exc
+            models.append(("lfl", lfl))
+            P = np.vstack([probs[s] for s in SENSORS]).T
+            p_lfl = predict_proba_matrix(lfl.second_layer, P)
             counts["lfl"][label] = count_outcomes(y_true[label], p_lfl > 0.5)
 
-    return counts, flags, costs
+    return counts, models
 
 
 def cross_validate(
@@ -387,7 +381,9 @@ def cross_validate(
 
     ``mode='cv5'`` grid-searches the cost per model; ``mode='loo'`` fits
     every model at :data:`LOO_COST`. ``jobs`` threads train the folds.
-    Counts are summed across folds before metrics are computed.
+    Counts are summed across folds before metrics are computed. Each
+    label's ``flags`` and ``chosen_costs`` are read off its fitted models:
+    a learned layer's cost is chosen, and each note is a flag.
     """
     for s in systems:
         if s not in ALL_SYSTEMS:
@@ -413,20 +409,24 @@ def cross_validate(
     else:
         results = [run(f) for f in range(len(partition))]
 
+    flags = {label: [] for label in labels}
+    chosen = {label: {} for label in labels}
+    for f, (_, models) in enumerate(results):
+        for system, model in models:
+            layer = model.second_layer if system == "lfl" else model.model
+            if isinstance(layer, LinearModel):
+                chosen[model.label][f"fold{f}:{system}"] = layer.cost
+            flags[model.label] += [f"fold{f}:{system}:{note.split(':')[0]}" for note in model.notes]
+
     core = store.complete()
     out = {sys: {} for sys in systems}
     for label in labels:
         core_relevant = core & (store.relevant[label] > 0)
         n_e = int(core_relevant.sum())
         n_s = len(set(store.users[core_relevant]))
-        flags = tuple(fl for counts, fold_flags, _ in results for fl in fold_flags.get(label, ()))
-        chosen = {}
-        for f, (_, _, fold_costs) in enumerate(results):
-            for sys_name, c in fold_costs.get(label, {}).items():
-                chosen[f"fold{f}:{sys_name}"] = c
         for sys in systems:
             total = MetricCounts()
-            for counts, _, _ in results:
+            for counts, _ in results:
                 if label in counts.get(sys, {}):
                     total = total + counts[sys][label]
             out[sys][label] = LabelEvaluation(
@@ -435,8 +435,8 @@ def cross_validate(
                 report=compute_metrics(total),
                 n_examples=n_e,
                 n_subjects=n_s,
-                flags=flags,
-                chosen_costs=chosen,
+                flags=tuple(flags[label]),
+                chosen_costs=chosen[label],
             )
     return out
 

@@ -19,7 +19,6 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .classifier import (
-    DegenerateLabelError,
     LinearModel,
     SensorModel,
     TrivialModel,
@@ -41,7 +40,8 @@ def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score
     The one fit step of single-sensor, early-fusion and personalization
     models. A standardizer does not depend on the label: one is
     fit on ``rows`` and shared by every label, whose model is fit with seed
-    ``seeds(label)`` at ``cost`` (grid-searched when None).
+    ``seeds(label)`` at ``cost`` (grid-searched when None). A fit that fails
+    to converge raises a ``RuntimeError`` that names its label.
     """
     sensors = tuple(sensors)
     standardizer, Z = _standardized(store.matrix(sensors, rows))
@@ -50,9 +50,12 @@ def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score
         scored = [standardizer.transform(X) for X in scored]
     fits = {}
     for label in labels:
-        model = _fit_standardized(
-            label, sensors, standardizer, Z, store.relevant[label][rows], cost=cost, seed=seeds(label)
-        )
+        try:
+            model = _fit_standardized(
+                label, sensors, standardizer, Z, store.relevant[label][rows], cost=cost, seed=seeds(label)
+            )
+        except RuntimeError as exc:
+            raise RuntimeError(f"label {label!r}: {exc}") from exc
         fits[label] = (model, *(predict_proba_matrix(model.model, X) for X in scored))
     return fits
 
@@ -123,29 +126,17 @@ def _fit_late_fusion(label, components, P, y, *, cost, seed) -> LateFusionLearne
     """The LFL second-layer fit on the components' probabilities ``P`` (one
     column per component, in the components' order) of complete-sensor rows.
 
-    Raises :class:`DegenerateLabelError` when ``y`` holds a single class.
+    A single-class ``y`` gives a flagged trivial layer that decides negative
+    even when every row is positive, as LFL always has (a :class:`SensorModel`
+    gives 1.0 then). Constant inputs give the flagged constant 0.5, the
+    balanced intercept-only optimum, which decides negative everywhere too.
     """
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
-        raise DegenerateLabelError("degenerate label: a single class is present")
-
+        return LateFusionLearned(label, dict(components), TrivialModel(0.0), ("trivial:single_class",))
     if np.all(P == P[0:1, :]):
-        # constant inputs carry no signal; the balanced intercept-only
-        # optimum is 0, deciding negative everywhere
-        return LateFusionLearned(
-            label=label,
-            components=dict(components),
-            second_layer=LinearModel(weights=np.zeros(P.shape[1]), intercept=0.0, cost=1.0),
-            notes=("degenerate_inputs",),
-        )
-
-    second, notes = _train_at_selected_cost(P, y, cost=cost, seed=seed)
-    return LateFusionLearned(
-        label=label,
-        components=dict(components),
-        second_layer=second,
-        notes=notes,
-    )
+        return LateFusionLearned(label, dict(components), TrivialModel(0.5), ("degenerate_inputs",))
+    return LateFusionLearned(label, dict(components), *_train_at_selected_cost(P, y, cost=cost, seed=seed))
 
 
 def late_fusion_learned(store: FeatureStore, rows, label: str, components: Mapping[str, SensorModel],

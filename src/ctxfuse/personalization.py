@@ -72,7 +72,8 @@ def personalize(
     with seeds derived from ``seed``. A trivial individual model (a single
     class, or no row) is reported at chance level (BA 0.5, F1 0) and the
     adapted model is then the universal one alone. Leakage is asserted: the
-    halves are disjoint, and the user is not one of ``train_users``.
+    halves are disjoint, and the user is not one of ``train_users``. A
+    ``RuntimeError`` of a failed fit names the user, model and label.
     """
     adaptation, deployment = split_user_timeline(store, user)
     if np.intersect1d(store.timestamps[adaptation], store.timestamps[deployment]).size:
@@ -92,21 +93,26 @@ def personalize(
         raise InsufficientDataError(f"user {user!r}: no complete-sensor deployment examples")
     adapt = adaptation[complete[adaptation]]
 
-    universal = fit_labels(
-        store, SENSORS, train, labels, cost=None, score_rows=(deploy,),
-        seeds=lambda label: derive_seed(seed, "universal", label),
-    )
-    individual = fit_labels(
-        store, SENSORS, adapt, labels, cost=None, score_rows=(deploy,),
-        seeds=lambda label: derive_seed(seed, "individual", user),
-    ) if adapt.size else {}
+    fitting = "universal"
+    try:
+        universal = fit_labels(
+            store, SENSORS, train, labels, cost=None, score_rows=(deploy,),
+            seeds=lambda label: derive_seed(seed, "universal", label),
+        )
+        fitting = "individual"
+        individual = fit_labels(
+            store, SENSORS, adapt, labels, cost=None, score_rows=(deploy,),
+            seeds=lambda label: derive_seed(seed, "individual", user),
+        )
+    except RuntimeError as exc:
+        raise RuntimeError(f"user {user!r}, {fitting} model: {exc}") from exc
 
     results = {}
     for label in labels:
         y_true = store.relevant[label][deploy] > 0
         _, p_universal = universal[label]
-        model, p_individual = individual.get(label, (None, None))
-        if model is None or model.is_trivial:
+        model, p_individual = individual[label]
+        if model.is_trivial:
             # the convention for a trivial individual classifier
             individual_score = ModelScore(ba=0.5, f1=0.0, report=None, trivial=True)
             p_individual, p_adapted = None, p_universal

@@ -7,6 +7,8 @@ import pytest
 
 import ctxfuse.classifier as classifier
 import ctxfuse.cli as cli
+import ctxfuse.evaluation as evaluation
+import ctxfuse.personalization as personalization
 from ctxfuse.cli import main
 from ctxfuse.ingestion import load_fold_partition, write_features_csv
 from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
@@ -83,6 +85,33 @@ def test_extract_requires_utc_offset(tmp_path):
     assert code == 3
 
 
+def test_extract_takes_no_seed(tmp_path, capsys):
+    bundles = _make_bundles(tmp_path / "raw")
+    with pytest.raises(SystemExit) as exited:
+        main(["extract", "--input", str(bundles), "--out", str(tmp_path / "o"), "--utc-offset", "-8",
+              "--seed", "1"])
+    assert exited.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rerun_replays_an_extract_manifest_that_records_a_seed(tmp_path):
+    # extract manifests once recorded a seed that nothing read; they still replay
+    bundles = _make_bundles(tmp_path / "raw")
+    out = tmp_path / "features"
+    assert main(["extract", "--input", str(bundles), "--out", str(out), "--utc-offset", "-8"]) == 0
+    manifest = out / "run_manifest.json"
+    record = json.loads(manifest.read_text(encoding="utf-8"))
+    assert "seed" not in record["config"]
+    record["config"]["seed"] = 0
+    manifest.write_text(json.dumps(record), encoding="utf-8")
+    tables = {p.name: p.read_bytes() for p in out.glob("*.features.csv")}
+    for p in out.glob("*.features.csv"):
+        p.unlink()
+    assert main(["rerun", str(manifest)]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("*.features.csv")} == tables
+
+
 def test_evaluate_end_to_end(tmp_path, eval_setup):
     features, labels_file, label = eval_setup
     out = tmp_path / "results"
@@ -136,6 +165,74 @@ def test_evaluate_records_a_fold_without_training_positives_as_flags(tmp_path):
     # the trivial fits chose no cost; fold 1's did
     assert not any(key.startswith("fold0:") for key in manifest["chosen_costs"][label])
     assert "fold1:acc" in manifest["chosen_costs"][label]
+
+
+def test_evaluate_records_a_fold_with_two_training_positives_as_cost_fallbacks(tmp_path):
+    examples, label = complementary_sensor_dataset(n=240, n_users=4, seed=50)
+    # fold 0 trains on u02 and u03, whose only positive minutes are two of u02's
+    kept = {ex.timestamp for ex in examples if ex.user_id == "u02" and ex.label_value(label)}
+    kept = set(sorted(kept)[:2])
+    relabeled = [
+        feature_example(ex.user_id, ex.timestamp, ex.precomputed_features,
+                        {label: ex.label_value(label) if ex.user_id in ("u00", "u01")
+                         or ex.timestamp in kept else 0})
+        for ex in examples
+    ]
+    features = _features_dir_from(by_user(relabeled), tmp_path / "features")
+    labels_file = tmp_path / "labels.txt"
+    labels_file.write_text(f"{label}\n")
+    partition = tmp_path / "partition.txt"
+    partition.write_text("u00 u01\nu02 u03\n")
+    out = tmp_path / "out"
+    code = main(_evaluate_argv(features, labels_file, out, "--systems", "acc,ef,lfl",
+                               "--partition", str(partition)))
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    systems = (*sorted(SENSORS), "ef", "lfl")  # fit order
+    # every fit of fold 0 fell back to C = 1 and records that cost; fold 1 searched the grid
+    assert manifest["flags"][label] == [f"fold0:{system}:cost_fallback" for system in systems]
+    costs = manifest["chosen_costs"][label]
+    assert all(costs[f"fold0:{system}"] == 1.0 for system in systems)
+    assert all(f"fold1:{system}" in costs for system in systems)
+
+
+def _fits_failing_from(monkeypatch, call, fit):
+    """``fit``, whose ``call``-th call (from 1) and every later fit run with
+    no Newton step allowed, so each learned fit fails to converge."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            monkeypatch.setattr(classifier, "NEWTON_MAX_STEPS", 0)
+        return fit(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("failing", ["all", "lfl", "universal", "individual"])
+def test_a_fit_that_fails_to_converge_names_where_it_failed(tmp_path, eval_setup, monkeypatch, capsys, failing):
+    features, labels_file, label = eval_setup
+    if failing in ("all", "lfl"):
+        argv = _evaluate_argv(features, labels_file, tmp_path / "out", "--systems", "acc,ef,lfl")
+        where = f"fold 0, system {'acc' if failing == 'all' else 'lfl'}: label {label!r}"
+    else:
+        argv = ["personalize", "--features-dir", str(features), "--labels", str(labels_file),
+                "--user", "u00", "--out", str(tmp_path / "out")]
+        where = f"user 'u00', {failing} model: label {label!r}"
+    if failing == "lfl":
+        monkeypatch.setattr(evaluation, "late_fusion_learned",
+                            _fits_failing_from(monkeypatch, 1, evaluation.late_fusion_learned))
+    elif failing == "individual":
+        monkeypatch.setattr(personalization, "fit_labels",
+                            _fits_failing_from(monkeypatch, 2, personalization.fit_labels))
+    else:
+        monkeypatch.setattr(classifier, "NEWTON_MAX_STEPS", 0)
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: RuntimeError: {where}: optimizer failed to reach "
+                          "gradient tolerance"), err
 
 
 def test_evaluate_unknown_label_exits_3(tmp_path, eval_setup, capsys):

@@ -6,9 +6,11 @@ feature matrix per label and fits one standardizer per model; the fusion
 functions run on stores it builds from the fold's training examples and
 held-out pool. It is a test oracle only. ``cross_validate`` must give the
 same counts, flags and chosen costs with either fold loop, in both modes
-and with threads. The work-count guard holds the fold loop to one
-standardizer per (fold, sensor) plus one for EF, and a store built from
-feature tables to no feature lookup on an example.
+and with threads, and the flags and chosen costs it reads off the fitted
+models must be the ones the per-example loop keeps by hand. The
+work-count guard holds the fold loop to one standardizer per (fold,
+sensor) plus one for EF, and a store built from feature tables to no
+feature lookup on an example.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ import ctxfuse.data as data
 import ctxfuse.evaluation as evaluation
 from ctxfuse.classifier import (
     PROBABILITY_CLIP,
-    DegenerateLabelError,
     SensorModel,
     TrivialModel,
     fit_single_sensor_model,
@@ -58,10 +59,13 @@ SYSTEMS = list(SENSORS) + ["ef", "lfa", "lfl"]
 
 
 def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cost, seed, fold_index):
+    """``(counts, models, flags, costs)``: the fold loop's counts and fitted
+    models, plus each label's flags and chosen costs kept by hand from the
+    fits' training labels alone, as the fold loop once kept them."""
     train_examples = ordered(examples, train_users)
     pool = core_examples(ordered(examples, fold_users))
     if not pool:
-        return {}, {}, {}
+        return {}, [], {}, {}
 
     needed_sensors = set(s for s in systems if s in SENSORS)
     if {"lfa", "lfl"} & set(systems):
@@ -72,10 +76,27 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
     }
     test_X = {s: feature_matrix(pool, s) for s in needed_sensors}
     train_store, pool_store = store_of(train_examples, labels), store_of(pool)
+    complete_train = core_examples(train_examples)
 
     counts = {sys: {} for sys in systems}
+    models = []
     flags = {lbl: [] for lbl in labels}
     costs = {lbl: {} for lbl in labels}
+
+    def keep(label, system, model, layer, y):
+        """Record the fit; a single class is trivial, a trivial layer on two
+        classes is LFL's constant inputs, and a learned layer chose its cost
+        (the fallback C = 1 below 3 examples of either class in cv5)."""
+        models.append((system, model))
+        n_pos = int(np.sum(y))
+        if n_pos in (0, len(y)):
+            flags[label].append(f"fold{fold_index}:{system}:trivial")
+        elif isinstance(layer, TrivialModel):
+            flags[label].append(f"fold{fold_index}:{system}:degenerate_inputs")
+        else:
+            costs[label][f"fold{fold_index}:{system}"] = layer.cost
+            if cost is None and min(n_pos, len(y) - n_pos) < 3:
+                flags[label].append(f"fold{fold_index}:{system}:cost_fallback")
 
     for label in labels:
         y_true = label_vector(pool, label) > 0
@@ -93,10 +114,7 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
                 seed=derive_seed(seed, fold_index, label, s),
             )
             single_models[s] = model
-            if model.is_trivial:
-                flags[label].append(f"fold{fold_index}:{s}:trivial")
-            else:
-                costs[label][s] = model.model.cost
+            keep(label, s, model, model.model, label_vector(exs, label))
             sensor_probs[s] = predict_proba_features(model, test_X[s])
 
         for s in systems:
@@ -110,10 +128,7 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
                 cost=cost,
                 seed=derive_seed(seed, fold_index, label, "ef"),
             )
-            if ef.is_trivial:
-                flags[label].append(f"fold{fold_index}:ef:trivial")
-            else:
-                costs[label]["ef"] = ef.model.cost
+            keep(label, "ef", ef, ef.model, label_vector(complete_train, label))
             p_ef = predict_proba_features(ef, concat_feature_matrix(pool))
             counts["ef"][label] = count_outcomes(y_true, p_ef > 0.5)
 
@@ -123,27 +138,19 @@ def _per_example_fold(examples, labels, systems, fold_users, train_users, *, cos
             counts["lfa"][label] = count_outcomes(y_true, p_lfa > 0.5)
 
         if "lfl" in systems:
-            try:
-                lfl = late_fusion_learned(
-                    *train_store,
-                    label,
-                    single_models,
-                    cost=cost,
-                    seed=derive_seed(seed, fold_index, label, "lfl"),
-                )
-            except DegenerateLabelError:
-                flags[label].append(f"fold{fold_index}:lfl:trivial")
-                p_lfl = np.zeros(len(pool))
-            else:
-                if "degenerate_inputs" in lfl.notes:
-                    flags[label].append(f"fold{fold_index}:lfl:degenerate_inputs")
-                else:
-                    costs[label]["lfl"] = lfl.second_layer.cost
-                P = np.vstack([sensor_probs[s] for s in SENSORS]).T
-                p_lfl = predict_proba_matrix(lfl.second_layer, P)
+            lfl = late_fusion_learned(
+                *train_store,
+                label,
+                single_models,
+                cost=cost,
+                seed=derive_seed(seed, fold_index, label, "lfl"),
+            )
+            keep(label, "lfl", lfl, lfl.second_layer, label_vector(complete_train, label))
+            P = np.vstack([sensor_probs[s] for s in SENSORS]).T
+            p_lfl = predict_proba_matrix(lfl.second_layer, P)
             counts["lfl"][label] = count_outcomes(y_true, p_lfl > 0.5)
 
-    return counts, flags, costs
+    return counts, models, flags, costs
 
 
 def _mixed_dataset(seed=7):
@@ -222,9 +229,11 @@ def case(request):
 
 
 def _run(examples, labels, partition, mode, jobs=1, oracle=False):
-    """``cross_validate`` and the cost-grid fallbacks it took; with
-    ``oracle``, every fold runs through ``_per_example_fold``."""
+    """``cross_validate``, the cost-grid fallbacks it took and, with
+    ``oracle``, every fold run through ``_per_example_fold``: each label's
+    flags and chosen costs as that fold loop kept them by hand."""
     fallbacks = []
+    kept = {label: ([], {}) for label in labels}
     select_cost = classifier.select_cost
 
     def recording(*args, **kwargs):
@@ -233,7 +242,11 @@ def _run(examples, labels, partition, mode, jobs=1, oracle=False):
         return result
 
     def per_example(store, *args, **kwargs):
-        return _per_example_fold(examples, *args, **kwargs)
+        counts, models, flags, costs = _per_example_fold(examples, *args, **kwargs)
+        for label, (kept_flags, kept_costs) in kept.items():
+            kept_flags += flags.get(label, [])
+            kept_costs.update(costs.get(label, {}))
+        return counts, models
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifier, "select_cost", recording)
@@ -241,7 +254,7 @@ def _run(examples, labels, partition, mode, jobs=1, oracle=False):
             mp.setattr(evaluation, "_fold_counts", per_example)
         store = FeatureStore.from_examples(examples, labels=labels)
         out = cross_validate(store, labels, SYSTEMS, partition, mode=mode, seed=3, jobs=jobs)
-    return out, any(fallbacks)
+    return out, any(fallbacks), kept
 
 
 @pytest.mark.parametrize("mode", ["cv5", "loo"])
@@ -249,13 +262,14 @@ def test_columnar_fold_loop_matches_per_example_oracle(case, mode):
     name, examples, labels, partition = case
     if mode == "loo":
         partition = loo_partition(user_ids(examples))
-    want, oracle_fell_back = _run(examples, labels, partition, mode, oracle=True)
-    got, fell_back = _run(examples, labels, partition, mode)
-    threaded, _ = _run(examples, labels, partition, mode, jobs=2)
+    want, oracle_fell_back, kept = _run(examples, labels, partition, mode, oracle=True)
+    got, fell_back, _ = _run(examples, labels, partition, mode)
+    threaded, _, _ = _run(examples, labels, partition, mode, jobs=2)
 
     for system in SYSTEMS:
         for label in labels:
             w = want[system][label]
+            assert (list(w.flags), w.chosen_costs) == kept[label], (system, label)
             for run in (got, threaded):
                 g = run[system][label]
                 assert g.counts == w.counts, (system, label)
@@ -273,6 +287,10 @@ def test_columnar_fold_loop_matches_per_example_oracle(case, mode):
     assert any(fl.endswith(":lfl:trivial") for fl in flags["PARTIAL"])
     assert not any(fl.endswith(":acc:trivial") for fl in flags["PARTIAL"])
     assert mode == "loo" or fell_back  # loo fits at a fixed cost: no grid
+    # two relevant minutes: in cv5 the grid falls back to C = 1, and the fit keeps that cost
+    fallen_back = [fl.rsplit(":", 1)[0] for fl in flags["FEW"] if fl.endswith(":cost_fallback")]
+    assert bool(fallen_back) == (mode == "cv5")
+    assert all(got["lfl"]["FEW"].chosen_costs[key] == 1.0 for key in fallen_back)
     store = FeatureStore.from_examples(examples)
     assert not evaluation._held_out_pool(store, ["u5"]).size
     assert all(ex.sensor_data.get("acc") is not None for ex in ordered(examples, ["u1"]))

@@ -292,10 +292,12 @@ def test_lfl_constant_inputs_flagged_degenerate(any_example):
     exs = [random_full_example(rng, "u0", i, labels={"T": int(i % 2)}) for i in range(20)]
     comps = _make_components([0.5] * 6)
     lfl = late_fusion_learned(*store_of(exs, ["T"]), "T", comps)
-    assert "degenerate_inputs" in lfl.notes
-    assert np.allclose(lfl.second_layer.weights, 0.0)
+    assert lfl.notes == ("degenerate_inputs",)
+    # the balanced intercept-only optimum: the constant 0.5, with no weight on any sensor
+    assert lfl.second_layer == TrivialModel(0.5)
+    assert lfl.sensor_weights() == {s: 0.0 for s in SENSORS}
     p = predict_late_fusion_learned(lfl, *store_of([any_example]))[0]
-    assert not p > 0.5  # decided by the (zero) intercept: negative
+    assert p == 0.5 and not p > 0.5  # decided negative
 
 
 def test_lfl_not_worse_than_lfa_on_complementary_sensors():

@@ -13,10 +13,10 @@ import pytest
 from scipy.special import expit
 
 import ctxfuse.evaluation as evaluation
+import ctxfuse.fusion as fusion
 from ctxfuse.classifier import (
     PROBABILITY_CLIP,
-    DegenerateLabelError,
-    LinearModel,
+    TrivialModel,
     fit_single_sensor_model,
     predict_proba_features,
     predict_proba_matrix,
@@ -77,14 +77,10 @@ def _rowwise_late_fusion_learned(
     y = label_vector(complete, label)
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.shape[0]:
-        raise DegenerateLabelError("degenerate label: a single class is present")
+        # always negative, also when every row is positive
+        return LateFusionLearned(label, dict(components), TrivialModel(0.0), ("trivial:single_class",))
     if np.all(P == P[0:1, :]):
-        return LateFusionLearned(
-            label=label,
-            components=dict(components),
-            second_layer=LinearModel(weights=np.zeros(P.shape[1]), intercept=0.0, cost=1.0),
-            notes=("degenerate_inputs",),
-        )
+        return LateFusionLearned(label, dict(components), TrivialModel(0.5), ("degenerate_inputs",))
     notes = []
     if cost is None:
         cost, fell_back = select_cost(P, y, seed=seed)
@@ -177,10 +173,18 @@ def test_late_fusion_learned_matches_rowwise_oracle(mixed, grid_search):
     assert abs(got.second_layer.intercept - want.second_layer.intercept) <= 1e-8
 
 
-def test_single_class_label_raises_degenerate(mixed):
+def test_single_class_label_gives_an_always_negative_trivial_second_layer(mixed):
     examples, comps = mixed
-    with pytest.raises(DegenerateLabelError):
-        late_fusion_learned(*store_of(examples, ["NONE"]), "NONE", comps)
+    store, rows = store_of(examples, ["NONE"])
+    lfl = late_fusion_learned(store, rows, "NONE", comps)
+    assert (lfl.second_layer, lfl.notes) == (TrivialModel(0.0), ("trivial:single_class",))
+    assert lfl.sensor_weights() == {s: 0.0 for s in comps}
+    complete = rows[store.complete()[rows]]
+    assert np.all(predict_late_fusion_learned(lfl, store, complete) == PROBABILITY_CLIP)
+    # a label relevant on every row is decided negative as well
+    P = component_probabilities(comps, store, complete)
+    lfl = fusion._fit_late_fusion("ALL", comps, P, np.ones(len(complete), dtype=int), cost=None, seed=0)
+    assert (lfl.second_layer, lfl.notes) == (TrivialModel(0.0), ("trivial:single_class",))
 
 
 def test_per_example_calls_are_rows_of_the_matrix_path(mixed):

@@ -21,9 +21,12 @@ import ctxfuse.cli as cli
 import ctxfuse.evaluation as evaluation
 import ctxfuse.fusion as fusion
 import ctxfuse.personalization as personalization
+import test_cli
 import test_evaluate_golden
 import test_evaluation
+import test_fold_loop
 import test_fusion
+import test_inference_path
 import test_personalization
 
 
@@ -208,3 +211,34 @@ def test_lfl_second_layer_trained_on_every_complete_row_of_the_store_fails_golde
             "rows = rows[store.complete(components)[rows]]",
             "rows = np.flatnonzero(store.complete(components))", evaluation)
     assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)
+
+
+def test_lfl_single_class_fallback_predicting_positive_fails_rowwise_oracle(monkeypatch):
+    # no fold of the benchmark corpora leaves LFL one class, so the golden
+    # comparison cannot see it; the row-wise oracle decides such a fold negative
+    _mutate(monkeypatch, fusion, "_fit_late_fusion",
+            'TrivialModel(0.0), ("trivial:single_class",)', 'TrivialModel(1.0), ("trivial:single_class",)')
+    with pytest.raises(AssertionError):
+        test_inference_path.test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch)
+
+
+def test_trivial_fit_placeholder_cost_in_chosen_costs_fails_flags_test(tmp_path, monkeypatch):
+    # every fitted layer's cost is read, a trivial one's as the placeholder C = 1
+    _mutate(monkeypatch, evaluation, "cross_validate",
+            "if isinstance(layer, LinearModel):\n"
+            "                chosen[model.label][f\"fold{f}:{system}\"] = layer.cost",
+            "if True:\n"
+            "                chosen[model.label][f\"fold{f}:{system}\"] = getattr(layer, \"cost\", 1.0)",
+            cli)
+    with pytest.raises(AssertionError):
+        test_cli.test_evaluate_records_a_fold_without_training_positives_as_flags(tmp_path)
+
+
+def test_degenerate_lfl_placeholder_cost_in_chosen_costs_fails_fold_loop_oracle(monkeypatch):
+    # constant LFL inputs fit as a zero linear layer at the placeholder C = 1
+    _mutate(monkeypatch, fusion, "_fit_late_fusion",
+            "TrivialModel(0.5)", "LinearModel(np.zeros(P.shape[1]), 0.0, 1.0)")
+    make, labels, partition = test_fold_loop.CASES["flat"]
+    with pytest.raises(AssertionError):
+        test_fold_loop.test_columnar_fold_loop_matches_per_example_oracle(
+            ("flat", make(), labels, partition), "cv5")
