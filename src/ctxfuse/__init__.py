@@ -17,7 +17,6 @@ from .model import (
     SENSORS,
     TriaxialSeries,
     canonical_label_name,
-    validate_example,
 )
 from .data import FeatureStore
 from .features import (

@@ -47,18 +47,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_bands: int = N_MEL_BANDS,
-    n_fft: int = FRAME_LENGTH,
-    rate: float = AUDIO_SAMPLE_RATE,
-) -> np.ndarray:
-    """Triangular mel filter weights, shape (n_bands, n_fft // 2 + 1)."""
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), n_bands + 2)
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filter weights, shape (N_MEL_BANDS, FRAME_LENGTH // 2 + 1)."""
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(AUDIO_SAMPLE_RATE / 2.0), N_MEL_BANDS + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate)
+    bin_freqs = np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / AUDIO_SAMPLE_RATE)
 
-    weights = np.zeros((n_bands, bin_freqs.shape[0]), dtype=np.float64)
-    for b in range(n_bands):
+    weights = np.zeros((N_MEL_BANDS, bin_freqs.shape[0]), dtype=np.float64)
+    for b in range(N_MEL_BANDS):
         lo, mid, hi = hz_points[b], hz_points[b + 1], hz_points[b + 2]
         rising = (bin_freqs - lo) / (mid - lo)
         falling = (hi - bin_freqs) / (hi - mid)
@@ -66,8 +62,9 @@ def mel_filterbank(
     return weights
 
 
-def compute_mfcc(audio, sample_rate: float = AUDIO_SAMPLE_RATE) -> AudioMfccSeries:
-    """13 cepstral coefficients per half-overlapping 2048-sample window.
+def compute_mfcc(audio) -> AudioMfccSeries:
+    """13 cepstral coefficients per half-overlapping 2048-sample window of
+    a waveform sampled at 22050 Hz.
 
     The waveform is first normalized to maximal magnitude 1; the factor is
     recorded on the returned series. Frame count is
@@ -94,7 +91,7 @@ def compute_mfcc(audio, sample_rate: float = AUDIO_SAMPLE_RATE) -> AudioMfccSeri
     spectrum = np.fft.rfft(frames * window, axis=1)
     power = spectrum.real ** 2 + spectrum.imag ** 2
 
-    mel_energy = power @ mel_filterbank(rate=sample_rate).T
+    mel_energy = power @ mel_filterbank().T
     log_mel = np.log(mel_energy + LOG_EPSILON)
     coefficients = log_mel @ DCT_MATRIX.T
     return AudioMfccSeries(frames=coefficients, normalization_factor=peak)

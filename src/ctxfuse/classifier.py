@@ -246,12 +246,11 @@ def train_linear(
     y: np.ndarray,
     C: float,
     *,
-    balanced: bool = True,
     warm_start: Optional[LinearModel] = None,
 ) -> LinearModel:
-    """Fit the regularized logistic model on a standardized matrix.
+    """Fit the regularized logistic model on a standardized matrix, each
+    example weighted by :func:`balanced_weights`.
 
-    ``balanced=False`` gives the unweighted control used in tests.
     ``warm_start`` is a fit on the same rows at another cost; the solver
     starts from it instead of from zero (:func:`select_cost` passes the
     previous grid fit). The tolerance is always taken at zero. Raises
@@ -261,9 +260,7 @@ def train_linear(
     y = np.asarray(y).astype(np.float64)
     if C <= 0:
         raise ValueError("cost C must be positive")
-    if y.sum() == 0 or y.sum() == y.shape[0]:
-        raise DegenerateLabelError("degenerate label: a single class is present")
-    wts = balanced_weights(y) if balanced else np.ones(y.shape[0])
+    wts = balanced_weights(y)
 
     args = (_with_intercept_column(X), np.where(y > 0, 1.0, -1.0), wts, C)
     zero = np.zeros(X.shape[1] + 1)

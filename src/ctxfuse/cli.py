@@ -203,8 +203,15 @@ def cmd_extract(args) -> int:
         raise IngestionError(f"no sessions found under {input_dir}")
 
     by_user: dict = {}
+    session_of: dict = {}
     for sdir in sessions:
         example = load_raw_session(sdir, utc_offset_hours=args.utc_offset)
+        minute = (example.user_id, example.timestamp)
+        if session_of.setdefault(minute, sdir) != sdir:
+            raise IngestionError(
+                f"{session_of[minute]} and {sdir} both record user {minute[0]!r} at timestamp "
+                f"{minute[1]}; keep one session per minute"
+            )
         try:
             feats = extract_all_features(example)
         except ValueError as exc:
@@ -306,9 +313,8 @@ def cmd_evaluate(args) -> int:
     score_arrays = {"ba": [], "f1": []}
     for label in labels:
         n_e = evaluations[systems[0]][label].n_examples
-        scores = random_baseline_scores(
-            n_e, max(n_eval, 1), n_sims=100, seed=derive_seed(args.seed, "p99", label)
-        )
+        scores = random_baseline_scores(n_e, max(n_eval, 1),
+                                        seed=derive_seed(args.seed, "p99", label))
         for metric in ("ba", "f1"):
             p99s[metric][label] = p99_of_defined(scores[metric])
             score_arrays[metric].append(scores[metric])
@@ -401,10 +407,7 @@ def _read_manifest(path) -> tuple:
     """``(manifest, command, config)`` of a run manifest; a file that is not
     one, or whose config lacks a path the replay reads, is an input error
     naming it."""
-    try:
-        manifest = _read_json_object(Path(path))
-    except OSError as exc:
-        raise IngestionError(f"cannot read manifest {path}: {exc}") from exc
+    manifest = _read_json_object(Path(path))
     command, config = manifest.get("command"), manifest.get("config")
     if command not in ("extract", "evaluate", "personalize") or not isinstance(config, dict):
         raise IngestionError(

@@ -137,8 +137,7 @@ class FeatureStore:
         """``(n,)`` mask of the rows where every one of ``sensors`` is present."""
         return np.logical_and.reduce([self.present[s] for s in sensors])
 
-    def matrix(self, sensors, rows=None) -> np.ndarray:
+    def matrix(self, sensors, rows) -> np.ndarray:
         """The sensors' feature columns side by side, in the order given
-        (early fusion's layout), for ``rows`` or for every row."""
-        return np.hstack([self.features[s] if rows is None else self.features[s][rows]
-                          for s in sensors])
+        (early fusion's layout), for ``rows``."""
+        return np.hstack([self.features[s][rows] for s in sensors])

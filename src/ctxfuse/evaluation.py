@@ -203,10 +203,13 @@ def compute_metrics(counts: MetricCounts) -> MetricReport:
 # Random baseline (p99)
 # ---------------------------------------------------------------------------
 
-def random_baseline_scores(
-    n_positive: int, n_examples: int, n_sims: int = 100, seed: int = 0
-) -> dict:
-    """Scores of a coin-flip classifier, one array of n_sims values per metric.
+#: coin-flip simulations behind each p99 baseline
+BASELINE_SIMULATIONS = 100
+
+
+def random_baseline_scores(n_positive: int, n_examples: int, seed: int = 0) -> dict:
+    """Scores of a coin-flip classifier, one array of
+    :data:`BASELINE_SIMULATIONS` values per metric.
 
     The simulated classifier declares relevant with probability 0.5 for each
     example independently; per simulation only the outcome counts matter, so
@@ -218,8 +221,8 @@ def random_baseline_scores(
         raise ValueError("n_positive out of range")
     rng = np.random.default_rng(seed)
     n_negative = n_examples - n_positive
-    out = {name: np.full(n_sims, np.nan) for name in METRIC_NAMES}
-    for s in range(n_sims):
+    out = {name: np.full(BASELINE_SIMULATIONS, np.nan) for name in METRIC_NAMES}
+    for s in range(BASELINE_SIMULATIONS):
         tp = int(rng.binomial(n_positive, 0.5))
         fp = int(rng.binomial(n_negative, 0.5))
         report = compute_metrics(

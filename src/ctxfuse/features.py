@@ -67,11 +67,11 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _value_entropy(x: np.ndarray, bins: int = 20) -> float:
+def _value_entropy(x: np.ndarray) -> float:
     lo, hi = float(x.min()), float(x.max())
     if hi <= lo:
         return 0.0
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+    counts, _ = np.histogram(x, bins=20, range=(lo, hi))
     return _entropy(counts / x.shape[0])
 
 

@@ -34,6 +34,7 @@ from .model import (
     AudioMfccSeries,
     Example,
     FEATURE_DIMS,
+    LABEL_VALUES,
     LabelAssignment,
     LocationSeries,
     MISSING,
@@ -44,7 +45,6 @@ from .model import (
     SENSORS,
     TriaxialSeries,
     canonical_label_name,
-    validate_example,
 )
 
 log = logging.getLogger(__name__)
@@ -201,11 +201,12 @@ def _group_columns(header: Sequence[str], origin: str):
 
     A group whose names are exactly the canonical ones (``FEATURE_COLUMNS``)
     is mapped by name; any other naming is mapped by position, and the
-    sensor is listed in the returned ``positional``.
+    sensor is listed in the returned ``positional``. A column of no sensor
+    group and no label is skipped, with one warning per file.
     """
     groups = {s: [] for s in SENSORS}
     label_cols = []
-    extra_cols = []
+    skipped = []
     label_column_of = {}
     for idx, name in enumerate(header[1:], start=1):
         if name.startswith(LABEL_COLUMN_PREFIX):
@@ -221,7 +222,7 @@ def _group_columns(header: Sequence[str], origin: str):
                 owner = sensor
                 break
         if owner is None:
-            extra_cols.append((idx, name))
+            skipped.append(name)
         else:
             groups[owner].append((idx, name))
 
@@ -242,14 +243,14 @@ def _group_columns(header: Sequence[str], origin: str):
                 f"{origin}: sensor group {sensor!r} has {len(cols)} columns, "
                 f"expected {FEATURE_DIMS[sensor]}"
             )
-    if extra_cols:
+    if skipped:
         log.warning(
-            "%s: ignoring %d unknown columns (kept as metadata): %s",
+            "%s: skipping %d unknown columns: %s",
             origin,
-            len(extra_cols),
-            ", ".join(sorted({n.split(":")[0] for _, n in extra_cols})),
+            len(skipped),
+            ", ".join(sorted({n.split(":")[0] for n in skipped})),
         )
-    return groups, label_cols, extra_cols, tuple(positional)
+    return groups, label_cols, tuple(positional)
 
 
 def _parse_cell(cell: str, origin: str, lineno: int, colname: str) -> float:
@@ -276,15 +277,14 @@ class FeatureTable:
     """One user's feature table as columns, rows sorted by timestamp:
     ``(n,)`` int64 timestamps; an ``(n, d)`` matrix per sensor group in the
     header, NaN for an empty cell; an ``(n,)`` int8 column per canonical
-    label name in header order, 1 relevant, 0 not, -1 unreported; the raw
-    cells of each unknown column; and the sensor groups whose columns were
-    mapped by position, their names not being the canonical ones."""
+    label name in header order, 1 relevant, 0 not, -1 unreported; and the
+    sensor groups whose columns were mapped by position, their names not
+    being the canonical ones."""
 
     user_id: str
     timestamps: np.ndarray
     features: Mapping[str, np.ndarray]
     labels: Mapping[str, np.ndarray]
-    metadata: Mapping[str, list]
     positional: tuple
 
 
@@ -293,33 +293,25 @@ _LABEL_CODES = {"": -1, "1": 1, "1.0": 1, "0": 0, "0.0": 0}
 _LABEL_VALUES = {1: RELEVANT, 0: NOT_RELEVANT, -1: MISSING}
 
 
-def read_features_table(source, user_id: Optional[str] = None) -> FeatureTable:
+def read_features_table(path) -> FeatureTable:
     """Parse one user's feature table into columns, cell by cell.
 
-    ``source`` is a path or a text stream; the user id defaults to the file
-    name up to the first dot. A group absent from the header has no matrix.
+    The user id is the file name up to its first dot. A group absent from
+    the header has no matrix.
     """
-    if hasattr(source, "read"):
-        origin = getattr(source, "name", "<stream>")
-        header, rows = _read_table(source, origin)
-    else:
-        path = Path(source)
-        origin = str(path)
-        if user_id is None:
-            user_id = path.name.split(".")[0]
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                header, rows = _read_table(fh, origin)
-        except OSError as exc:
-            raise IngestionError(f"cannot read feature table {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-    if user_id is None:
-        raise ValueError("user_id is required when parsing a stream")
+    path = Path(path)
+    origin = str(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, rows = _read_table(fh, origin)
+    except OSError as exc:
+        raise IngestionError(f"cannot read feature table {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
     if not header or header[0] != "timestamp":
         raise IngestionError(f"{origin}: first column must be 'timestamp'")
-    groups, label_cols, extra_cols, positional = _group_columns(header, origin)
+    groups, label_cols, positional = _group_columns(header, origin)
     # every feature cell of a row in one pass, group by group in SENSORS order
     cells = [col for cols in groups.values() for col in cols]
 
@@ -360,19 +352,18 @@ def read_features_table(source, user_id: Optional[str] = None) -> FeatureTable:
             features[sensor] = values[:, start:start + len(cols)]
             start += len(cols)
     return FeatureTable(
-        user_id=user_id,
+        user_id=path.name.split(".")[0],
         timestamps=timestamps[order],
         features=features,
         labels={name: labels[k, order] for k, (_, name) in enumerate(label_cols)},
-        metadata={name: [rows[i][idx] for i in order] for idx, name in extra_cols},
         positional=positional,
     )
 
 
-def parse_features_csv(source, user_id: Optional[str] = None) -> list:
+def parse_features_csv(path) -> list:
     """One user's feature table (:func:`read_features_table`) as examples
     with precomputed features."""
-    table = read_features_table(source, user_id)
+    table = read_features_table(path)
     return [
         Example(
             user_id=table.user_id,
@@ -382,26 +373,22 @@ def parse_features_csv(source, user_id: Optional[str] = None) -> list:
                 LabelAssignment(name, _LABEL_VALUES[int(col[i])])
                 for name, col in table.labels.items()
             ),
-            metadata={name: cells[i] for name, cells in table.metadata.items()},
         )
         for i, ts in enumerate(table.timestamps.tolist())
     ]
 
 
-def write_features_csv(target, examples: Sequence[Example], label_names=None) -> None:
-    """Write examples as a canonical feature table (inverse of the parser);
-    a NaN feature cell is written empty."""
-    if label_names is None:
-        label_names = sorted({la.label_name for ex in examples for la in ex.labels})
-    meta_names = sorted({k for ex in examples for k in ex.metadata})
-
+def write_features_csv(path, examples: Sequence[Example]) -> None:
+    """Write examples as a canonical feature table (inverse of the parser),
+    with a column for every label the examples carry, sorted by name; a NaN
+    feature cell is written empty."""
+    labels = sorted({la.label_name for ex in examples for la in ex.labels})
     header = ["timestamp"]
     for sensor in SENSORS:
         header += FEATURE_COLUMNS[sensor]
-    header += [f"{LABEL_COLUMN_PREFIX}{n}" for n in label_names]
-    header += meta_names
+    header += [f"{LABEL_COLUMN_PREFIX}{n}" for n in labels]
 
-    def render(fh):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for ex in sorted(examples, key=lambda e: e.timestamp):
@@ -412,17 +399,10 @@ def write_features_csv(target, examples: Sequence[Example], label_names=None) ->
                     row += [""] * FEATURE_DIMS[sensor]
                 else:
                     row += ["" if math.isnan(v) else repr(v) for v in fv.tolist()]
-            for name in label_names:
+            for name in labels:
                 v = ex.label_value(name)
                 row.append("" if v == MISSING else ("1" if v == RELEVANT else "0"))
-            row += [ex.metadata.get(k, "") for k in meta_names]
             writer.writerow(row)
-
-    if hasattr(target, "write"):
-        render(target)
-    else:
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            render(fh)
 
 
 def load_feature_tables(root) -> list:
@@ -509,15 +489,18 @@ def _read_numeric_rows(path: Path, n_cols: int, allow_missing_cols=False) -> np.
 
     The whole file is parsed by one numpy call (``_bulk_rows``). When that
     fails, the file is read again cell by cell (``_read_cells``), which
-    either returns the array or raises the line-numbered error.
+    either returns the array or raises the line-numbered error. A file that
+    cannot be read is an error naming it.
     """
-    arr = _bulk_rows(path, n_cols)
-    if arr is not None:
-        return arr
     try:
+        arr = _bulk_rows(path, n_cols)
+        if arr is not None:
+            return arr
         return _read_cells(path, n_cols, allow_missing_cols)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> IngestionError:
@@ -530,6 +513,8 @@ def _read_json_object(path: Path) -> dict:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: line {exc.lineno}: malformed JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
@@ -610,7 +595,7 @@ def _load_triaxial(path: Path, unit: str, rate: float) -> TriaxialSeries:
 
 
 def load_raw_session(path, *, utc_offset_hours: float) -> Example:
-    """Load one session bundle directory into a validated example.
+    """Load one session bundle directory into an example.
 
     The bundle holds ``session.json`` (user_id, timestamp, acc_unit) plus
     optional per-sensor files: acc.csv / gyro.csv / wacc.csv (t,x,y,z rows),
@@ -618,7 +603,8 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     location_quick.csv (a single 6-value row), audio.csv (one waveform
     sample per line at 22050 Hz) or mfcc.csv (13 coefficients per row), and
     phone_state.json. Missing files mean the sensor is absent. Android
-    accelerometer readings declared in m/s^2 are converted to G.
+    accelerometer readings declared in m/s^2 are converted to G. A value
+    that breaks a rule of the format is an error naming its file.
     """
     root = Path(path)
     manifest_path = root / "session.json"
@@ -681,6 +667,11 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
             updates = _read_numeric_rows(loc_path, 7, allow_missing_cols=True)
             if np.isnan(updates[:, 0]).any():
                 raise IngestionError(f"{loc_path}: update without relative time")
+            negative = np.argwhere(updates[:, 5:] < 0)  # an unreported accuracy is NaN, not < 0
+            if negative.size:
+                i, j = negative[0]
+                name = ("vertical_accuracy", "horizontal_accuracy")[j]
+                raise IngestionError(f"{loc_path}: update {i} has negative {name}")
         quick = None
         if quick_path.exists():
             rows = _read_numeric_rows(quick_path, 6, allow_missing_cols=True)
@@ -699,9 +690,14 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
             raise IngestionError(
                 f"{manifest_path}: audio_normalization {factor!r} is not a number"
             ) from None
-        sensor_data["aud"] = AudioMfccSeries(
-            frames=_read_numeric_rows(mfcc_path, 13), normalization_factor=factor
-        )
+        if not 0 < factor < np.inf:  # NaN fails too
+            raise IngestionError(
+                f"{manifest_path}: audio_normalization {factor!r} is not finite and positive"
+            )
+        frames = _read_numeric_rows(mfcc_path, 13)
+        if frames.shape[0] < 1:
+            raise IngestionError(f"{mfcc_path}: at least one frame required")
+        sensor_data["aud"] = AudioMfccSeries(frames=frames, normalization_factor=factor)
     elif audio_path.exists():
         wave = _read_numeric_rows(audio_path, 1).ravel()
         try:
@@ -714,32 +710,30 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     ps_path = root / "phone_state.json"
     if ps_path.exists():
         ps_raw = _read_json_object(ps_path)
+        states = {prop: ps_raw.get(prop, "missing") for prop in PHONE_STATE_VALUES}
+        for prop, value in states.items():
+            if value not in PHONE_STATE_VALUES[prop]:
+                raise IngestionError(
+                    f"{ps_path}: {prop} value {value!r} not in {PHONE_STATE_VALUES[prop]}"
+                )
         hour = int((timestamp + utc_offset_hours * 3600) // 3600 % 24)
-        sensor_data["ps"] = PhoneStateSnapshot(
-            app_state=ps_raw.get("app_state", "missing"),
-            battery_plugged=ps_raw.get("battery_plugged", "missing"),
-            battery_state=ps_raw.get("battery_state", "missing"),
-            in_phone_call=ps_raw.get("in_phone_call", "missing"),
-            ringer_mode=ps_raw.get("ringer_mode", "missing"),
-            wifi_status=ps_raw.get("wifi_status", "missing"),
-            hour_of_day=hour,
-        )
+        sensor_data["ps"] = PhoneStateSnapshot(**states, hour_of_day=hour)
 
-    labels = tuple(
-        LabelAssignment(canonical_label_name(k), v)
-        for k, v in label_values.items()
-    )
+    labels, label_key = [], {}
+    for key, value in label_values.items():
+        name = canonical_label_name(key)
+        if not name:
+            raise IngestionError(f"{manifest_path}: label {key!r} has an empty canonical name")
+        if label_key.setdefault(name, key) != key:
+            raise IngestionError(f"{manifest_path}: labels {label_key[name]!r} and {key!r} "
+                                 f"both canonicalize to {name!r}")
+        if value not in LABEL_VALUES:
+            raise IngestionError(
+                f"{manifest_path}: label {key!r} has value {value!r}, not one of {LABEL_VALUES}"
+            )
+        labels.append(LabelAssignment(name, value))
 
-    example = Example(
-        user_id=user_id,
-        timestamp=timestamp,
-        sensor_data=sensor_data,
-        labels=labels,
-    )
-    violations = validate_example(example)
-    if violations:
-        raise IngestionError(f"{root}: invalid session: " + "; ".join(violations))
-    return example
+    return Example(user_id=user_id, timestamp=timestamp, sensor_data=sensor_data, labels=labels)
 
 
 def iter_session_dirs(root) -> list:

@@ -25,8 +25,6 @@ NOT_RELEVANT = "not_relevant"
 MISSING = "missing"
 LABEL_VALUES = (RELEVANT, NOT_RELEVANT, MISSING)
 
-SENSOR_UNITS = {"acc": "G", "gyro": "rad/s", "wacc": "milli-G"}
-
 PHONE_STATE_VALUES = {
     "app_state": ("active", "inactive", "background", "missing"),
     "battery_plugged": ("ac", "usb", "wireless", "missing"),
@@ -140,7 +138,6 @@ class Example:
     sensor_data: Mapping[str, object] = field(default_factory=dict)
     precomputed_features: Mapping[str, np.ndarray] = field(default_factory=dict)
     labels: tuple = ()
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "sensor_data", dict(self.sensor_data))
@@ -148,7 +145,6 @@ class Example:
             s: np.asarray(v, dtype=np.float64) for s, v in self.precomputed_features.items()
         })
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "metadata", dict(self.metadata))
 
     def label_value(self, label_name: str) -> str:
         for la in self.labels:
@@ -156,82 +152,3 @@ class Example:
                 return la.value
         return MISSING
 
-
-def validate_example(example: Example) -> list:
-    """Check the structural invariants of an example.
-
-    Returns a list of human-readable violations; an empty list means the
-    example is well-formed. Violations are data, not failures.
-    """
-    out = []
-
-    for sensor in ("acc", "gyro", "wacc"):
-        series = example.sensor_data.get(sensor)
-        if series is None:
-            continue
-        if not isinstance(series, TriaxialSeries):
-            out.append(f"{sensor}: payload is not a TriaxialSeries")
-            continue
-        expected_unit = SENSOR_UNITS[sensor]
-        if series.unit != expected_unit:
-            out.append(f"{sensor}: unit {series.unit!r} does not match expected {expected_unit!r}")
-        if len(series) < 1:
-            out.append(f"{sensor}: series is empty")
-        if np.any(np.diff(series.relative_timestamps) < 0):
-            out.append(f"{sensor}: relative_timestamps are not monotone non-decreasing")
-
-    loc = example.sensor_data.get("loc")
-    if loc is not None:
-        if not isinstance(loc, LocationSeries):
-            out.append("loc: payload is not a LocationSeries")
-        else:
-            # NaN, an unreported accuracy, is not negative
-            for i, j in zip(*np.nonzero(loc.updates[:, 5:] < 0)):
-                name = ("vertical_accuracy", "horizontal_accuracy")[j]
-                out.append(f"loc: update {i} has negative {name}")
-
-    aud = example.sensor_data.get("aud")
-    if aud is not None:
-        if not isinstance(aud, AudioMfccSeries):
-            out.append("aud: payload is not an AudioMfccSeries")
-        else:
-            if aud.frames.shape[1] != 13:
-                out.append(
-                    f"aud: frames have width {aud.frames.shape[1]}, expected 13"
-                )
-            if aud.frames.shape[0] < 1:
-                out.append("aud: at least one frame required")
-            if not 0 < aud.normalization_factor < np.inf:  # NaN fails too
-                out.append("aud: normalization_factor must be finite and positive")
-
-    ps = example.sensor_data.get("ps")
-    if ps is not None:
-        if not isinstance(ps, PhoneStateSnapshot):
-            out.append("ps: payload is not a PhoneStateSnapshot")
-        else:
-            for prop, allowed in PHONE_STATE_VALUES.items():
-                v = getattr(ps, prop)
-                if v not in allowed:
-                    out.append(f"ps: {prop} value {v!r} not in {allowed}")
-            if not 0 <= ps.hour_of_day <= 23:
-                out.append(f"ps: hour_of_day {ps.hour_of_day} outside [0, 23]")
-
-    for sensor, fv in example.precomputed_features.items():
-        if sensor not in FEATURE_DIMS:
-            out.append(f"features: unknown sensor {sensor!r}")
-        elif fv.shape != (FEATURE_DIMS[sensor],):
-            out.append(
-                f"features: {sensor} has shape {fv.shape}, "
-                f"expected ({FEATURE_DIMS[sensor]},)"
-            )
-
-    names = [la.label_name for la in example.labels]
-    if len(names) != len(set(names)):
-        out.append("labels: label names are not unique")
-    for la in example.labels:
-        if not la.label_name:
-            out.append("labels: empty label name")
-        if la.value not in LABEL_VALUES:
-            out.append(f"labels: {la.label_name} has invalid value {la.value!r}")
-
-    return out

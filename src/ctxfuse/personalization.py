@@ -130,10 +130,14 @@ def personalize(
     return results
 
 
-def personalization_table(results: dict, labels: Sequence[str], min_examples: int = 300) -> list:
+#: the user positives a label needs to enter the second average row
+MIN_USER_POSITIVES = 300
+
+
+def personalization_table(results: dict, labels: Sequence[str]) -> list:
     """Rows of per-label three-way BA and F1, plus the two average rows:
-    over all listed labels and over labels with at least ``min_examples``
-    positive examples for the user."""
+    over all listed labels and over labels with at least
+    :data:`MIN_USER_POSITIVES` positive examples for the user."""
     header = [
         "label",
         "n_user_positives",
@@ -169,6 +173,6 @@ def personalization_table(results: dict, labels: Sequence[str], min_examples: in
         return out
 
     rows.append(avg_row("average_all", list(labels)))
-    big = [lbl for lbl in labels if results[lbl].n_user_positives >= min_examples]
-    rows.append(avg_row(f"average_{min_examples}plus", big))
+    big = [lbl for lbl in labels if results[lbl].n_user_positives >= MIN_USER_POSITIVES]
+    rows.append(avg_row(f"average_{MIN_USER_POSITIVES}plus", big))
     return rows

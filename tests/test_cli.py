@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,17 @@ def _edit_manifest(**changes):
     return edit
 
 
+def _write_location(rows):
+    return lambda session: (session / "location.csv").write_text("\n".join(rows) + "\n")
+
+
+def _directory_in_place_of(name):
+    def edit(session):
+        (session / name).unlink()
+        (session / name).mkdir()
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(
         lambda s: (s / "session.json").write_text((s / "session.json").read_text()[:-9]),
@@ -601,6 +613,31 @@ def _edit_manifest(**changes):
         "gyro.csv: not UTF-8 text", id="gyro-0xff-byte"),
     pytest.param(lambda s: (s / "phone_state.json").write_text('["active", "via_wifi"]'),
                  "phone_state.json: expected a JSON object, got list", id="phone-state-list"),
+    *[pytest.param(_directory_in_place_of(name), f"{name}: cannot read: ", id=f"{name}-directory")
+      for name in ("session.json", "gyro.csv", "location.csv", "mfcc.csv", "phone_state.json")],
+    # each rule of a bundle's values, named by the file that breaks it
+    pytest.param(_write_location(["0.0,32.88,-117.23,100.0,1.0,,-10.0"]),
+                 "location.csv: update 0 has negative horizontal_accuracy",
+                 id="location-negative-horizontal-accuracy"),
+    pytest.param(lambda s: (s / "mfcc.csv").write_text(""),
+                 "mfcc.csv: at least one frame required", id="mfcc-no-frame"),
+    pytest.param(_edit_manifest(audio_normalization=float("nan")),
+                 "session.json: audio_normalization nan is not finite and positive",
+                 id="audio-normalization-nan"),
+    pytest.param(_edit_manifest(audio_normalization=0),
+                 "session.json: audio_normalization 0.0 is not finite and positive",
+                 id="audio-normalization-zero"),
+    pytest.param(lambda s: (s / "phone_state.json").write_text('{"app_state": "asleep"}'),
+                 "phone_state.json: app_state value 'asleep' not in ('active', 'inactive', "
+                 "'background', 'missing')", id="phone-state-value"),
+    pytest.param(_edit_manifest(labels={"SITTING": "relevant", "?!": "missing"}),
+                 "session.json: label '?!' has an empty canonical name", id="label-empty-name"),
+    pytest.param(_edit_manifest(labels={"Sitting": "relevant", "SITTING": "missing"}),
+                 "session.json: labels 'Sitting' and 'SITTING' both canonicalize to 'SITTING'",
+                 id="labels-canonicalize-to-one-name"),
+    pytest.param(_edit_manifest(labels={"SITTING": "yes"}),
+                 "session.json: label 'SITTING' has value 'yes', not one of "
+                 "('relevant', 'not_relevant', 'missing')", id="label-value"),
 ])
 def test_extract_malformed_bundle_file_is_input_error(tmp_path, capsys, edit, message):
     code, err = _extract_bundle_error(tmp_path, capsys, edit)
@@ -613,8 +650,19 @@ def test_extract_malformed_bundle_file_is_input_error(tmp_path, capsys, edit, me
 
 
 
-def _write_location(rows):
-    return lambda session: (session / "location.csv").write_text("\n".join(rows) + "\n")
+def test_extract_two_sessions_of_one_minute_exit_2(tmp_path, capsys):
+    bundles = _make_bundles(tmp_path / "raw")
+    first, copy = bundles / "u1" / "session_1", bundles / "u1" / "session_1b"
+    shutil.copytree(first, copy)
+    code = main(["extract", "--input", str(bundles), "--out", str(tmp_path / "f"),
+                 "--utc-offset", "0"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == (f"error: {first} and {copy} both record user 'u1' at timestamp 1600100060; "
+                   "keep one session per minute\n"), err
+    assert not (tmp_path / "f").exists()
+
+
 
 
 def test_extract_negative_location_accuracy_is_input_error(tmp_path, capsys):
@@ -624,9 +672,7 @@ def test_extract_negative_location_accuracy_is_input_error(tmp_path, capsys):
     ]))
     assert code == 2, err
     session = tmp_path / "raw" / "u1" / "session_1"
-    assert err.startswith(f"error: {session}: "), err
-    assert "loc: update 1 has negative vertical_accuracy" in err
-    assert "horizontal_accuracy" not in err
+    assert err == f"error: {session / 'location.csv'}: update 1 has negative vertical_accuracy\n", err
     assert not list(tmp_path.rglob("*.features.csv"))
 
 

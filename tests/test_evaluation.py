@@ -248,7 +248,7 @@ def test_negative_counts_rejected():
 
 def _p99(n_positive, n_examples, seed, metric):
     """A label's p99 cell as ``cli.cmd_evaluate`` computes it."""
-    return p99_of_defined(random_baseline_scores(n_positive, n_examples, n_sims=100, seed=seed)[metric])
+    return p99_of_defined(random_baseline_scores(n_positive, n_examples, seed=seed)[metric])
 
 
 def test_p99_reproduces_published_values():
@@ -257,13 +257,13 @@ def test_p99_reproduces_published_values():
 
 
 def test_random_classifier_ba_centered_at_half():
-    scores = random_baseline_scores(500, 10_000, n_sims=100, seed=3)
+    scores = random_baseline_scores(500, 10_000, seed=3)
     assert abs(np.nanmean(scores["ba"]) - 0.5) < 0.01
 
 
 def test_p99_at_least_median():
     for n_pos in (10, 500, 5000):
-        scores = random_baseline_scores(n_pos, 10_000, n_sims=100, seed=4)
+        scores = random_baseline_scores(n_pos, 10_000, seed=4)
         for name, vals in scores.items():
             if np.isnan(vals).all():
                 continue

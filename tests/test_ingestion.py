@@ -80,11 +80,12 @@ def test_masked_cells_round_trip(tmp_path):
     assert not np.isnan(back.precomputed_features["loc"][4])
 
 
-def test_header_group_widths_enforced():
+def test_header_group_widths_enforced(tmp_path):
     cols = ["timestamp"] + FEATURE_COLUMNS["acc"][:-1]  # 25 acc columns
-    stream = io.StringIO(",".join(cols) + "\n" + ",".join(["0"] + ["1"] * 25) + "\n")
+    path = tmp_path / "u0.features.csv"
+    path.write_text(",".join(cols) + "\n" + ",".join(["0"] + ["1"] * 25) + "\n")
     with pytest.raises(IngestionError, match="25 columns"):
-        parse_features_csv(stream, user_id="u0")
+        parse_features_csv(path)
 
 
 def test_duplicate_timestamp_rejected(tmp_path):
@@ -170,22 +171,23 @@ def _permute_group_columns(text, sensor, order):
 
 def test_canonical_group_columns_map_by_name(tmp_path):
     examples = _some_examples(3)
-    buf = io.StringIO()
-    write_features_csv(buf, examples)
+    path = tmp_path / "u0.features.csv"
+    write_features_csv(path, examples)
     order = list(range(FEATURE_DIMS["acc"]))
     order[0], order[1] = order[1], order[0]
-    swapped = _permute_group_columns(buf.getvalue(), "acc", order)
+    swapped = _permute_group_columns(path.read_text(), "acc", order)
     assert swapped.splitlines()[0].split(",")[1] == FEATURE_COLUMNS["acc"][1]
 
-    back = parse_features_csv(io.StringIO(swapped), user_id="u0")
+    path.write_text(swapped)
+    back = parse_features_csv(path)
     for orig, got in zip(examples, back):
         assert np.array_equal(
             got.precomputed_features["acc"], orig.precomputed_features["acc"]
         )
 
     # names outside the canonical set keep their positional mapping
-    renamed = swapped.replace("raw_acc:magnitude:", "raw_acc:mag_")
-    back = parse_features_csv(io.StringIO(renamed), user_id="u0")
+    path.write_text(swapped.replace("raw_acc:magnitude:", "raw_acc:mag_"))
+    back = parse_features_csv(path)
     for orig, got in zip(examples, back):
         want = orig.precomputed_features["acc"][order]
         assert np.array_equal(got.precomputed_features["acc"], want)
@@ -196,11 +198,10 @@ _LABEL_CODES = st.sampled_from([1, 0, None])
 
 @st.composite
 def _tables(draw):
-    """Examples with random present/absent sensors, masks, labels and
-    metadata, plus one sensor group and an order to permute its columns."""
+    """Examples with random present/absent sensors, masks and labels, plus
+    one sensor group and an order to permute its columns."""
     timestamps = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
     label_names = draw(st.lists(st.sampled_from(["SITTING", "WALKING", "LYING_DOWN"]), unique=True))
-    meta_names = draw(st.lists(st.sampled_from(["label_source", "device"]), unique=True))
     cells = st.floats(allow_nan=False, allow_infinity=False)
     examples = []
     for ts in timestamps:
@@ -211,10 +212,7 @@ def _tables(draw):
                 v[draw(hnp.arrays(bool, FEATURE_DIMS[s]))] = np.nan
                 values[s] = v
         labels = {name: draw(_LABEL_CODES) for name in label_names}
-        ex = feature_example("u0", ts, values, labels)
-        meta = {k: draw(st.text(alphabet="ab ,'\"0:", max_size=6)) for k in meta_names}
-        object.__setattr__(ex, "metadata", meta)
-        examples.append(ex)
+        examples.append(feature_example("u0", ts, values, labels))
     sensor = draw(st.sampled_from(SENSORS))
     order = draw(st.permutations(range(FEATURE_DIMS[sensor])))
     return examples, label_names, sensor, order
@@ -222,13 +220,16 @@ def _tables(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_tables())
-def test_feature_csv_round_trip_property(table):
+def test_feature_csv_round_trip_property(tmp_path_factory, table):
     examples, label_names, sensor, order = table
-    buf = io.StringIO()
-    write_features_csv(buf, examples, label_names=label_names)
-    text = buf.getvalue()
+    path = tmp_path_factory.mktemp("table") / "u0.features.csv"
+    write_features_csv(path, examples)
+    text = path.read_text(encoding="utf-8")
+    assert text.splitlines()[0].split(",")[1 + sum(FEATURE_DIMS.values()):] == [
+        f"label:{name}" for name in sorted(label_names)]
     for variant in (text, _permute_group_columns(text, sensor, order)):
-        back = parse_features_csv(io.StringIO(variant), user_id="u0")
+        path.write_text(variant, encoding="utf-8")
+        back = parse_features_csv(path)
         assert [ex.timestamp for ex in back] == sorted(ex.timestamp for ex in examples)
         by_ts = {ex.timestamp: ex for ex in examples}
         for got in back:
@@ -242,22 +243,26 @@ def test_feature_csv_round_trip_property(table):
                     assert np.array_equal(parsed, fv, equal_nan=True)
             for name in label_names:
                 assert got.label_value(name) == orig.label_value(name)
-            assert got.metadata == orig.metadata
 
 
-def test_unknown_columns_kept_as_metadata(tmp_path, caplog):
-    examples = [
-        feature_example(
-            "u0", 60, {"acc": np.arange(26.0)}, {"SITTING": 1}
-        )
-    ]
-    object.__setattr__(examples[0], "metadata", {"label_source": "notification"})
+def test_unknown_columns_skipped_with_one_warning(tmp_path, caplog):
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, examples)
+    write_features_csv(path, _some_examples(3))
+    plain = read_features_table(path)
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    for i, row in enumerate(rows):  # two columns of one unknown group, one of another
+        row[3:3] = ["label_source:app", "label_source:when", "device"] if i == 0 else ["x", "", "7"]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
     with caplog.at_level(logging.WARNING):
-        back = parse_features_csv(path)
-    assert back[0].metadata == {"label_source": "notification"}
-    assert any("unknown columns" in r.message for r in caplog.records)
+        table = read_features_table(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: skipping 3 unknown columns: device, label_source"]
+    assert not table.positional
+    assert table.timestamps.tolist() == plain.timestamps.tolist()
+    for s in SENSORS:
+        assert table.features[s].tobytes() == plain.features[s].tobytes(), s
+    assert {k: v.tolist() for k, v in table.labels.items()} == {
+        k: v.tolist() for k, v in plain.labels.items()}
 
 
 def test_bad_label_cell_rejected(tmp_path):
@@ -312,14 +317,13 @@ def _assert_same_store(got, want):
         assert got.relevant[label].tolist() == col.tolist(), label
 
 
-def _stores(sources, labels):
+def _stores(paths, labels):
     """The store built from the tables' columns, and the one built from
-    ``parse_features_csv``'s examples in user-then-timestamp order.
-    ``sources`` yields ``(make_source, user_id)``; a source is read once."""
+    ``parse_features_csv``'s examples in user-then-timestamp order."""
     tables, examples = [], []
-    for make_source, user in sources:
-        tables.append(read_features_table(make_source(), user))
-        examples.extend(parse_features_csv(make_source(), user))
+    for path in paths:
+        tables.append(read_features_table(path))
+        examples.extend(parse_features_csv(path))
     return (FeatureStore.from_tables(tables, labels=labels),
             FeatureStore.from_examples(ordered(examples), labels=labels))
 
@@ -329,7 +333,7 @@ def test_store_from_tables_matches_store_from_examples_on_golden_corpus(tmp_path
     corpus = perfbench_module("corpus")
     root, info = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, tiny, tmp_path / "inputs")
     paths = sorted((root / "features").glob("*.features.csv"))
-    got, want = _stores([(lambda p=p: p, None) for p in paths], info["labels"])
+    got, want = _stores(paths, info["labels"])
     _assert_same_store(got, want)
     assert got.complete().sum() > 0 and not got.complete().all()
     assert not got.present["wacc"].all()
@@ -347,40 +351,45 @@ def _without_group(text, sensor):
 
 @st.composite
 def _directories(draw):
-    """Up to three users' tables (``_tables``), some without a sensor
-    group, one table's rows shuffled."""
+    """Up to three users' tables (``_tables``) as ``{user: (examples,
+    sensor groups to drop, row order)}``, and the labels to look up."""
     users = draw(st.lists(st.sampled_from(["u0", "u1", "u2"]), min_size=1, max_size=3, unique=True))
-    texts, labels = {}, set()
+    tables, labels = {}, set()
     for user in users:
         examples, label_names, _, _ = draw(_tables())
-        buf = io.StringIO()
-        write_features_csv(buf, examples, label_names=label_names)
-        text = buf.getvalue()
-        for sensor in draw(st.lists(st.sampled_from(SENSORS), unique=True, max_size=3)):
-            text = _without_group(text, sensor)
-        header, *rows = text.splitlines()
-        rows = draw(st.permutations(rows))
-        texts[user] = "\n".join([header, *rows]) + "\n"
+        dropped = draw(st.lists(st.sampled_from(SENSORS), unique=True, max_size=3))
+        tables[user] = examples, dropped, draw(st.permutations(range(len(examples))))
         labels.update(label_names)
-    return texts, sorted(labels) + ["NEVER_REPORTED"]
+    return tables, sorted(labels) + ["NEVER_REPORTED"]
 
 
 @settings(max_examples=30, deadline=None)
 @given(_directories())
-def test_store_from_tables_matches_store_from_examples_property(directory):
-    texts, labels = directory
-    sources = [(lambda t=text: io.StringIO(t), user) for user, text in texts.items()]
-    got, want = _stores(sources, labels)
+def test_store_from_tables_matches_store_from_examples_property(tmp_path_factory, directory):
+    tables, labels = directory
+    root = tmp_path_factory.mktemp("tables")
+    paths = []
+    for user, (examples, dropped, order) in tables.items():
+        path = root / f"{user}.features.csv"
+        write_features_csv(path, examples)
+        text = path.read_text(encoding="utf-8")
+        for sensor in dropped:
+            text = _without_group(text, sensor)
+        header, *rows = text.splitlines()
+        path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n", encoding="utf-8")
+        paths.append(path)
+    got, want = _stores(paths, labels)
     _assert_same_store(got, want)
 
 
-def test_store_from_tables_keeps_one_nan_bit_pattern():
+def test_store_from_tables_keeps_one_nan_bit_pattern(tmp_path):
     # "-nan" parses to a NaN with the sign bit set; the example path stores
     # numpy's NaN, and so must the table path
     cols = FEATURE_COLUMNS["aud"]
     cells = ["-nan", "NaN", ""] + ["1.5"] * (len(cols) - 3)
-    text = ",".join(["timestamp", *cols]) + "\n" + ",".join(["60", *cells]) + "\n"
-    got, want = _stores([(lambda: io.StringIO(text), "u0")], [])
+    path = tmp_path / "u0.features.csv"
+    path.write_text(",".join(["timestamp", *cols]) + "\n" + ",".join(["60", *cells]) + "\n")
+    got, want = _stores([path], [])
     _assert_same_store(got, want)
 
 
@@ -576,5 +585,7 @@ def test_non_finite_audio_normalization_rejected(tmp_path, factor):
     text = json.dumps(manifest)  # the bare NaN / Infinity tokens Python's json reads
     assert "NaN" in text or "Infinity" in text
     (root / "session.json").write_text(text)
-    with pytest.raises(IngestionError, match="normalization_factor must be finite and positive"):
+    with pytest.raises(IngestionError) as err:
         load_raw_session(root, utc_offset_hours=0)
+    assert str(err.value) == (
+        f"{root / 'session.json'}: audio_normalization {factor!r} is not finite and positive")

@@ -1,88 +1,13 @@
 import numpy as np
-import pytest
 
 from ctxfuse.data import FeatureStore
-from ctxfuse.model import (
-    AudioMfccSeries,
-    Example,
-    FEATURE_DIMS,
-    LabelAssignment,
-    PhoneStateSnapshot,
-    SENSORS,
-    TriaxialSeries,
-    canonical_label_name,
-    validate_example,
-)
+from ctxfuse.model import Example, FEATURE_DIMS, PhoneStateSnapshot, canonical_label_name
 from synth import feature_example, has_sensors, random_full_example
-
-
-def _well_formed_example():
-    rng = np.random.default_rng(0)
-    n = 64
-    ts = np.arange(n) / 40.0
-    sensor_data = {
-        "acc": TriaxialSeries(ts, rng.normal(size=(n, 3)), "G", 40.0),
-        "gyro": TriaxialSeries(ts, rng.normal(size=(n, 3)), "rad/s", 40.0),
-        "wacc": TriaxialSeries(np.arange(n) / 25.0, rng.normal(size=(n, 3)), "milli-G", 25.0),
-        "aud": AudioMfccSeries(frames=rng.normal(size=(5, 13))),
-        "ps": PhoneStateSnapshot(app_state="active", hour_of_day=4),
-    }
-    return Example(
-        user_id="u0",
-        timestamp=1_600_000_000,
-        sensor_data=sensor_data,
-        labels=(LabelAssignment("SITTING", "relevant"),),
-    )
-
-
-def test_well_formed_example_has_no_violations():
-    assert validate_example(_well_formed_example()) == []
-
-
-def test_twelve_coefficient_frames_flagged():
-    ex = _well_formed_example()
-    bad = dict(ex.sensor_data)
-    bad["aud"] = AudioMfccSeries(frames=np.zeros((3, 12)))
-    violations = validate_example(Example("u0", 0, sensor_data=bad))
-    assert len(violations) == 1
-    assert "width 12" in violations[0]
-
-
-def test_hour_out_of_range_flagged():
-    ex = Example("u0", 0, sensor_data={"ps": PhoneStateSnapshot(hour_of_day=24)})
-    violations = validate_example(ex)
-    assert len(violations) == 1
-    assert "hour_of_day" in violations[0]
-
-
-def test_unit_mismatch_flagged():
-    ts = np.arange(16) / 40.0
-    series = TriaxialSeries(ts, np.zeros((16, 3)), "m/s2", 40.0)
-    violations = validate_example(Example("u0", 0, sensor_data={"acc": series}))
-    assert any("unit" in v for v in violations)
-
-
-def test_duplicate_label_names_flagged():
-    ex = Example(
-        "u0",
-        0,
-        labels=(LabelAssignment("A", "relevant"), LabelAssignment("A", "missing")),
-    )
-    assert any("unique" in v for v in validate_example(ex))
 
 
 def test_feature_dims_are_the_published_counts():
     assert FEATURE_DIMS == {"acc": 26, "gyro": 26, "wacc": 46, "loc": 17, "aud": 26, "ps": 34}
     assert sum(FEATURE_DIMS.values()) == 175
-
-
-@pytest.mark.parametrize("sensor", SENSORS)
-def test_feature_vector_rejects_wrong_length(sensor):
-    d = FEATURE_DIMS[sensor]
-    assert validate_example(Example("u0", 0, precomputed_features={sensor: np.zeros(d)})) == []
-    for bad in (np.zeros(d + 1), np.zeros((1, d))):
-        violations = validate_example(Example("u0", 0, precomputed_features={sensor: bad}))
-        assert violations == [f"features: {sensor} has shape {bad.shape}, expected ({d},)"]
 
 
 def test_store_complete_keeps_the_minutes_with_all_six_sensors():

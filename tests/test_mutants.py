@@ -20,6 +20,7 @@ import ctxfuse.classifier as classifier
 import ctxfuse.cli as cli
 import ctxfuse.evaluation as evaluation
 import ctxfuse.fusion as fusion
+import ctxfuse.ingestion as ingestion
 import ctxfuse.personalization as personalization
 import test_cli
 import test_evaluate_golden
@@ -242,3 +243,18 @@ def test_degenerate_lfl_placeholder_cost_in_chosen_costs_fails_fold_loop_oracle(
     with pytest.raises(AssertionError):
         test_fold_loop.test_columnar_fold_loop_matches_per_example_oracle(
             ("flat", make(), labels, partition), "cv5")
+
+
+def test_bundle_reader_without_the_negative_accuracy_check_fails_extract_test(tmp_path, monkeypatch, capsys):
+    _mutate(monkeypatch, ingestion, "load_raw_session", "if negative.size:", "if False:", cli)
+    with pytest.raises(AssertionError):
+        test_cli.test_extract_negative_location_accuracy_is_input_error(tmp_path, capsys)
+
+
+def test_bundle_reader_without_the_label_value_check_fails_extract_test(tmp_path, monkeypatch, capsys):
+    # the test's label-value case: a label reported as "yes"
+    _mutate(monkeypatch, ingestion, "load_raw_session", "if value not in LABEL_VALUES:", "if False:", cli)
+    with pytest.raises(AssertionError):
+        test_cli.test_extract_malformed_bundle_file_is_input_error(
+            tmp_path, capsys, test_cli._edit_manifest(labels={"SITTING": "yes"}),
+            "session.json: label 'SITTING' has value 'yes'")

@@ -266,7 +266,7 @@ def test_no_leakage_with_proper_train_users(drift, monkeypatch):
 def test_personalization_table_rows_and_averages(drift):
     _, _, label, results = drift
     r = results[label]
-    rows = personalization_table({label: r}, [label], min_examples=300)
+    rows = personalization_table({label: r}, [label])
     assert rows[0][0] == "label"
     assert rows[1][0] == label
     assert rows[-2][0] == "average_all"

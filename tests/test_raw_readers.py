@@ -203,7 +203,7 @@ def test_empty_mfcc_file_needs_a_frame(tmp_path):
     _write(root / "mfcc.csv", "")
     with pytest.raises(IngestionError) as err:
         load_raw_session(root, utc_offset_hours=0)
-    assert str(err.value) == f"{root}: invalid session: aud: at least one frame required"
+    assert str(err.value) == f"{root / 'mfcc.csv'}: at least one frame required"
 
 
 def test_short_waveform_names_session_and_sensor(tmp_path):

@@ -3,12 +3,15 @@
 A subprocess (``tests/reachability_probe.py``) installs a profiler before
 ``import ctxfuse`` and runs the CLI on the benchmark's tiny corpora:
 ``extract``; ``evaluate`` in cv5 mode with a partition file, with a
-partition directory and with no partition (and ``--markdown``);
-``evaluate --mode loo``; ``personalize --partition --markdown``; ``rerun``;
-and ``evaluate`` with a labels file that is not UTF-8. A ``def`` in
-``src/ctxfuse`` that none of these calls fails the check unless
-:data:`LIBRARY_ONLY` names it with its reason, so code that no command
-needs does not linger in the package.
+partition directory and with no partition (and ``--markdown --seed 3
+--jobs 2``); ``evaluate --mode loo``; ``personalize --partition --markdown
+--seed 3``; ``rerun``; and ``evaluate`` with a labels file that is not
+UTF-8. A ``def`` in ``src/ctxfuse`` that none of these calls fails the
+check unless :data:`LIBRARY_ONLY` names it with its reason, so code that no
+command needs does not linger in the package. One level down, a parameter with a
+default that no call of these binds to another value fails the check
+unless :data:`FIXED_DEFAULTS` names it with its reason: a setting that no
+command sets is a constant.
 """
 
 import ast
@@ -18,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from perfbench_files import perfbench_module
@@ -37,6 +41,11 @@ LIBRARY_ONLY = {
     "ingestion.parse_features_csv": "a feature table as examples; the table-reader tests compare against it",
     "fusion.predict_late_fusion_learned": "LFL scoring; the fold loop calls it once its columns are fixed (ROADMAP 1)",
     "fusion.LateFusionLearned.sensor_weights": "LFL weights per sensor; reported in the manifest once ROADMAP 4 lands",
+}
+
+#: ``module.qualified_name.parameter`` -> why the default stays although no command sets another value
+FIXED_DEFAULTS = {
+    "evaluation.partition_folds.k": "cv5 passes min(5, users), which is 5 on the probe corpus; fewer users lower it",
 }
 
 
@@ -86,14 +95,42 @@ def test_the_check_sees_a_function_never_called(tmp_path):
     assert unreached(source, str(path), recorder.reached) == ["C.unread", "unused"]
 
 
+def never_set(source: str, filename: str, defaulted, set_) -> list:
+    """``qualified_name.parameter`` of each defaulted parameter that
+    ``defaulted`` records for a ``def`` in ``source`` (read from
+    ``filename``) and that no entry of ``set_`` names."""
+    names = definitions(source)
+    return sorted(f"{names[line]}.{param}" for file, line, param in set(defaulted) - set(set_)
+                  if file == filename and line in names)
+
+
+def test_the_check_sees_a_parameter_never_set(tmp_path):
+    source = (
+        "def f(a, b=1, *, c=None, d=2, e=()):\n    return a\n"
+        "class C:\n    def m(self, rows=None):\n        return rows\n"
+    )
+    path = tmp_path / "mod.py"
+    path.write_text(source, encoding="utf-8")
+    namespace = {}
+    exec(compile(source, str(path), "exec"), namespace)
+    with CallRecorder(watch=str(tmp_path)) as recorder:
+        namespace["f"](0, b=3)
+        namespace["f"](0, d=2, e=np.arange(2))  # d at its default, e to an array
+        namespace["C"]().m()
+    assert never_set(source, str(path), recorder.defaulted, recorder.set) == ["C.m.rows", "f.c", "f.d"]
+
+
 def _evaluate(root, out, *extra, labels=None):
     return ["evaluate", "--features-dir", str(root / "features"),
             "--labels", str(labels or root / "labels.txt"), "--out", str(out), *extra]
 
 
 @pytest.fixture(scope="module")
-def reached(tmp_path_factory):
-    """``{(file, first line)}`` of every function the command lines call."""
+def probe(tmp_path_factory):
+    """The probe's record of the command lines: ``reached``, ``{(file,
+    first line)}`` of every function they call, and ``defaulted`` and
+    ``set``, ``{(file, first line, parameter)}`` of the called functions'
+    defaulted parameters and of those some call set."""
     corpus = perfbench_module("corpus")
     work = tmp_path_factory.mktemp("reach")
     tables, _ = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, True, work / "inputs")
@@ -109,11 +146,11 @@ def reached(tmp_path_factory):
         ["extract", "--input", str(raw / "sessions"), "--utc-offset", "-7", "--out", str(out / "extract")],
         _evaluate(tables, out / "cv5-file", "--partition", str(tables / "partition.txt")),
         _evaluate(tables, out / "cv5-dir", "--partition", str(folds)),
-        _evaluate(tables, out / "cv5-random", "--markdown"),
+        _evaluate(tables, out / "cv5-random", "--markdown", "--seed", "3", "--jobs", "2"),
         _evaluate(tables, out / "loo", "--mode", "loo"),
         ["personalize", "--features-dir", str(tables / "features"), "--labels", str(tables / "labels.txt"),
          "--user", "user00", "--partition", str(tables / "partition.txt"), "--markdown",
-         "--out", str(out / "personalize")],
+         "--seed", "3", "--out", str(out / "personalize")],
         ["rerun", str(out / "personalize" / "run_manifest.json")],
         _evaluate(tables, out / "latin1", labels=latin1),
     ]
@@ -123,9 +160,15 @@ def reached(tmp_path_factory):
     run = subprocess.run([sys.executable, str(TESTS / "reachability_probe.py"), str(work / "runs.json"),
                           str(work / "probe.json")], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    probe = json.loads((work / "probe.json").read_text(encoding="utf-8"))
-    assert probe["codes"] == [0] * (len(runs) - 1) + [2]
-    return {tuple(pair) for pair in probe["reached"]}
+    record = json.loads((work / "probe.json").read_text(encoding="utf-8"))
+    assert record["codes"] == [0] * (len(runs) - 1) + [2]
+    return {key: {tuple(entry) for entry in record[key]} for key in ("reached", "defaulted", "set")}
+
+
+@pytest.fixture(scope="module")
+def reached(probe):
+    """``{(file, first line)}`` of every function the command lines call."""
+    return probe["reached"]
 
 
 def _unreached_in_package(reached) -> list:
@@ -143,3 +186,21 @@ def test_every_function_is_reached_or_library_only(reached):
 def test_library_only_lists_only_unreached_functions(reached):
     """An entry whose function is gone, or that a command now reaches, goes."""
     assert sorted(set(LIBRARY_ONLY) - set(_unreached_in_package(reached))) == []
+
+
+def _never_set_in_package(probe) -> list:
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        out += [f"{path.stem}.{name}" for name in never_set(source, str(path), probe["defaulted"], probe["set"])]
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_command_or_fixed(probe):
+    unlisted = [name for name in _never_set_in_package(probe) if name not in FIXED_DEFAULTS]
+    assert unlisted == [], "\n".join(unlisted)
+
+
+def test_fixed_defaults_lists_only_parameters_no_command_sets(probe):
+    """An entry whose parameter is gone, or that a command now sets, goes."""
+    assert sorted(set(FIXED_DEFAULTS) - set(_never_set_in_package(probe))) == []
