@@ -9,8 +9,15 @@ with an unregularized intercept, to gradient norm <= 1e-6 * max(1, initial).
 The cost C comes from a validation grid search on F1 unless fixed by the
 caller. :func:`minimize` is the one solver: damped Newton with the exact
 Hessian (the fits are small, d <= 175) and an Armijo line search, stopping
-well inside the tolerance. Each grid fit after the first starts from the
-previous cost's solution.
+well inside the tolerance. Each fit owns one workspace, the curvature-scaled
+rows and the Hessian, which every Newton step overwrites.
+
+:data:`COST_GRID` is geometric, so the grid fits lie on a path along log C.
+The first fit starts from zero, the second from the first's solution and
+each later one from the secant step ``2 x(k-1) - x(k-2)`` through the two
+before it. The final fit on all rows starts from the grid's solution at the
+chosen cost. Starts change how many Newton steps a fit takes, not the
+minimizer it reaches; each fit's step count is kept on its model.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ class LinearModel:
     weights: np.ndarray
     intercept: float
     cost: float
+    newton_steps: int  # the solver's steps from its start to this fit
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -151,13 +159,21 @@ def _with_intercept_column(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _objective(params, Xa, y_signed, example_weights, C):
+def _hessian_workspace(Xa) -> tuple:
+    """``(Xs, H)``: buffers for the curvature-scaled rows of ``Xa`` and the
+    Hessian, allocated once per fit and overwritten by every Hessian of it."""
+    return np.empty_like(Xa), np.empty((Xa.shape[1], Xa.shape[1]))
+
+
+def _objective(params, Xa, y_signed, example_weights, C, workspace):
     """Loss, gradient and Hessian of the training objective at packed
     parameters (weights..., intercept), on rows ``Xa`` whose last column is
     the intercept's column of ones (:func:`_with_intercept_column`).
 
     The Hessian comes back as a function of no arguments, so a line search
-    pays for it only at the point it accepts. With margins ``m = y z`` and
+    pays for it only at the point it accepts. It is written into the
+    :func:`_hessian_workspace` ``workspace`` and returned there, so it holds
+    only until the next Hessian of the fit. With margins ``m = y z`` and
     ``e = exp(-|m|)``, the loss terms are ``log1p(e) + max(-m, 0)``,
     ``sigmoid(-m)`` is ``e / (1 + e)`` or ``1 / (1 + e)`` and the curvature
     ``sigmoid(m) sigmoid(-m)`` is ``e / (1 + e)^2``: finite at every score.
@@ -168,15 +184,18 @@ def _objective(params, Xa, y_signed, example_weights, C):
     w = params[:-1]
     m = y_signed * (Xa @ params)
     e = np.exp(-np.abs(m))
+    one_e = 1.0 + e
     loss = 0.5 * float(w @ w) + C * float(example_weights @ (np.log1p(e) + np.maximum(-m, 0.0)))
-    resid = -C * example_weights * y_signed * np.where(m >= 0, e, 1.0) / (1.0 + e)
+    resid = -C * example_weights * y_signed * np.where(m >= 0, e, 1.0) / one_e
     grad = Xa.T @ resid
     grad[:-1] += w
 
     def hessian():
-        Xs = Xa * np.sqrt(C * example_weights * e / (1.0 + e) ** 2)[:, None]
-        H = Xs.T @ Xs
-        H[np.diag_indices(w.shape[0])] += 1.0
+        Xs, H = workspace
+        np.multiply(Xa, np.sqrt(C * example_weights * e / one_e ** 2)[:, None], out=Xs)
+        np.matmul(Xs.T, Xs, out=H)
+        d = w.shape[0]
+        H.reshape(-1)[: d * (d + 2) : d + 2] += 1.0  # the weight diagonal, as a strided view
         return H
 
     return loss, grad, hessian
@@ -185,7 +204,8 @@ def _objective(params, Xa, y_signed, example_weights, C):
 def loss_and_gradient(params, X, y_signed, example_weights, C):
     """Objective and gradient at packed parameters (weights..., intercept)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    loss, grad, _ = _objective(params, _with_intercept_column(X), y_signed, example_weights, C)
+    # no Hessian is taken, so no workspace is needed
+    loss, grad, _ = _objective(params, _with_intercept_column(X), y_signed, example_weights, C, None)
     return loss, grad
 
 
@@ -198,11 +218,12 @@ class NewtonResult:
     nit: int
 
 
-def minimize(fun, x0, *, args=(), tol) -> NewtonResult:
+def minimize(fun, x0, *, args=(), tol, at_x0=None) -> NewtonResult:
     """Damped Newton minimization of a smooth convex objective.
 
     ``fun(x, *args)`` returns ``(f, g, hessian)`` with ``hessian()`` the
-    Hessian at ``x``. Each iteration solves ``H p = g`` and halves the step
+    Hessian at ``x``; ``at_x0`` is ``fun(x0, *args)`` when the caller has
+    already evaluated it. Each iteration solves ``H p = g`` and halves the step
     from 1 until the Armijo condition holds. Inside ``tol`` the loss moves
     at rounding level, so a step that lowers the gradient norm is accepted
     too. The solver stops at ``||g|| <= NEWTON_STOP_FRACTION * tol``; or
@@ -212,8 +233,8 @@ def minimize(fun, x0, *, args=(), tol) -> NewtonResult:
     check.
     """
     x = np.asarray(x0, dtype=np.float64)
-    f, g, hessian = fun(x, *args)
-    g_norm = np.linalg.norm(g)
+    f, g, hessian = fun(x, *args) if at_x0 is None else at_x0
+    g_norm = np.sqrt(g @ g)
     nit = 0
     while nit < NEWTON_MAX_STEPS and g_norm > NEWTON_STOP_FRACTION * tol:
         H = hessian()
@@ -228,7 +249,7 @@ def minimize(fun, x0, *, args=(), tol) -> NewtonResult:
         for _ in range(60):
             trial = x - t * step
             f_new, g_new, h_new = fun(trial, *args)
-            g_norm_new = np.linalg.norm(g_new)
+            g_norm_new = np.sqrt(g_new @ g_new)
             if f_new <= f - t * slope or (inside and g_norm_new < g_norm):
                 break
             t *= 0.5
@@ -246,14 +267,14 @@ def train_linear(
     y: np.ndarray,
     C: float,
     *,
-    warm_start: Optional[LinearModel] = None,
+    start: Optional[np.ndarray] = None,
 ) -> LinearModel:
     """Fit the regularized logistic model on a standardized matrix, each
     example weighted by :func:`balanced_weights`.
 
-    ``warm_start`` is a fit on the same rows at another cost; the solver
-    starts from it instead of from zero (:func:`select_cost` passes the
-    previous grid fit). The tolerance is always taken at zero. Raises
+    ``start`` is the packed (weights..., intercept) point the solver starts
+    from, zero when None (:func:`select_cost` passes extrapolations along
+    the grid). The tolerance is always taken at zero. Raises
     :class:`DegenerateLabelError` when only one class is present.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -262,19 +283,23 @@ def train_linear(
         raise ValueError("cost C must be positive")
     wts = balanced_weights(y)
 
-    args = (_with_intercept_column(X), np.where(y > 0, 1.0, -1.0), wts, C)
-    zero = np.zeros(X.shape[1] + 1)
-    _, g0, _ = _objective(zero, *args)
-    tol = GRADIENT_TOLERANCE * max(1.0, float(np.linalg.norm(g0)))
-    x0 = zero if warm_start is None else np.append(warm_start.weights, warm_start.intercept)
+    Xa = _with_intercept_column(X)
+    args = (Xa, np.where(y > 0, 1.0, -1.0), wts, C, _hessian_workspace(Xa))
+    zero = np.zeros(Xa.shape[1])
+    at_zero = _objective(zero, *args)
+    g0 = at_zero[1]
+    tol = GRADIENT_TOLERANCE * max(1.0, float(np.sqrt(g0 @ g0)))
 
-    res = minimize(_objective, x0, args=args, tol=tol)
-    g_norm = np.linalg.norm(res.jac)
+    x0, at_x0 = (zero, at_zero) if start is None else (start, None)
+    res = minimize(_objective, x0, args=args, tol=tol, at_x0=at_x0)
+    g_norm = np.sqrt(res.jac @ res.jac)
     if g_norm > tol:
         raise RuntimeError(
             f"optimizer failed to reach gradient tolerance ({g_norm:.3e} > {tol:.3e})"
         )
-    return LinearModel(weights=res.x[:-1], intercept=float(res.x[-1]), cost=float(C))
+    return LinearModel(
+        weights=res.x[:-1], intercept=float(res.x[-1]), cost=float(C), newton_steps=res.nit
+    )
 
 
 def predict_proba_matrix(model: Union[LinearModel, TrivialModel], Z: np.ndarray) -> np.ndarray:
@@ -332,38 +357,46 @@ def stratified_split_third(y: np.ndarray, seed: int):
 def select_cost(X: np.ndarray, y: np.ndarray, *, seed: int = 0) -> tuple:
     """Grid-search the cost on a held-out validation third.
 
-    Returns ``(C, fell_back)``. Ties keep the smallest C. Each fit after
-    the first starts from the previous cost's solution on the same rows.
-    With fewer than 3 examples of either class the split cannot be
-    stratified and the fallback C = 1 is returned flagged.
+    Returns ``(C, fell_back, x)`` with ``x`` the packed (weights...,
+    intercept) grid solution at C, the final fit's start. Ties keep the
+    smallest C. The first fit starts from zero, the second from the first's
+    solution and each later one from the secant step through the two
+    solutions before it. With fewer than 3 examples of either class the
+    split cannot be stratified and the fallback C = 1 is returned flagged,
+    with ``x`` None.
     """
     y = np.asarray(y)
     n_pos = int(y.sum())
     n_neg = y.shape[0] - n_pos
     if n_pos < 3 or n_neg < 3:
-        return 1.0, True
+        return 1.0, True, None
 
     train_idx, val_idx = stratified_split_third(y, seed)
     X_train, y_train, X_val, y_val = X[train_idx], y[train_idx], X[val_idx], y[val_idx]
-    best_c, best_f1 = None, -1.0
-    model = None
+    best_c, best_f1, best_x = None, -1.0, None
+    start = previous = None
     for c in COST_GRID:
-        model = train_linear(X_train, y_train, c, warm_start=model)
+        model = train_linear(X_train, y_train, c, start=start)
+        x = np.append(model.weights, model.intercept)
+        # COST_GRID is geometric: the secant step along log C
+        start = x if previous is None else 2.0 * x - previous
+        previous = x
         pred = predict_proba_matrix(model, X_val) > 0.5
         score = f1_binary(y_val, pred)
         if score > best_f1:
-            best_c, best_f1 = c, score
-    return float(best_c), False
+            best_c, best_f1, best_x = c, score, x
+    return float(best_c), False, best_x
 
 
 def _train_at_selected_cost(Z, y, *, cost: Optional[float], seed: int) -> tuple:
-    """``(model, notes)``: fit at ``cost``, or at the grid-searched one when None."""
-    notes = ()
+    """``(model, notes)``: fit at ``cost``, or at the grid-searched one when
+    None, started from the grid's solution at that cost."""
+    notes, start = (), None
     if cost is None:
-        cost, fell_back = select_cost(Z, y, seed=seed)
+        cost, fell_back, start = select_cost(Z, y, seed=seed)
         if fell_back:
             notes = ("cost_fallback:C=1",)
-    return train_linear(Z, y, cost), notes
+    return train_linear(Z, y, cost, start=start), notes
 
 
 def _standardized(X) -> tuple:

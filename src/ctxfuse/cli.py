@@ -1,9 +1,9 @@
 """Batch command line: extract features, evaluate systems, personalize.
 
 Every run writes a ``run_manifest.json`` capturing the config, seeds, an
-input digest, chosen costs, timing and, for ``evaluate``, fit flags;
-``ctxfuse rerun MANIFEST`` replays the stored config and reproduces the
-output files byte-identically.
+input digest, chosen costs, timing and, for ``evaluate``, fit flags and
+Newton steps; ``ctxfuse rerun MANIFEST`` replays the stored config and
+reproduces the output files byte-identically.
 
 Exit codes: 0 success, 2 input error, 3 configuration/vocabulary error,
 4 internal invariant violation. Every option that takes a value can also be
@@ -329,8 +329,9 @@ def cmd_evaluate(args) -> int:
         if args.markdown:
             (out_dir / f"results_{metric}.md").write_text(table_to_markdown(rows), encoding="utf-8")
 
-    # chosen costs and flags are per label, the same under every system
+    # chosen costs, Newton steps and flags are per label, the same under every system
     chosen_costs = {label: evaluations[systems[0]][label].chosen_costs for label in labels}
+    newton_steps = {label: evaluations[systems[0]][label].newton_steps for label in labels}
     flags = {label: list(evaluations[systems[0]][label].flags) for label in labels}
     config = {
         "features_dir": str(args.features_dir),
@@ -347,6 +348,7 @@ def cmd_evaluate(args) -> int:
         "input_digest": _input_digest("evaluate", config),
         "partition_folds": [list(f) for f in partition.folds],
         "chosen_costs": chosen_costs,
+        "newton_steps": newton_steps,
         "flags": flags,
         "n_core_examples": n_eval,
         "positional_columns": positional,

@@ -270,6 +270,7 @@ class LabelEvaluation:
     n_subjects: int  # users contributing at least one relevant example
     flags: tuple = ()
     chosen_costs: dict = field(default_factory=dict)
+    newton_steps: dict = field(default_factory=dict)
 
 
 def _held_out_pool(store: FeatureStore, fold_users) -> np.ndarray:
@@ -385,8 +386,9 @@ def cross_validate(
     ``mode='cv5'`` grid-searches the cost per model; ``mode='loo'`` fits
     every model at :data:`LOO_COST`. ``jobs`` threads train the folds.
     Counts are summed across folds before metrics are computed. Each
-    label's ``flags`` and ``chosen_costs`` are read off its fitted models:
-    a learned layer's cost is chosen, and each note is a flag.
+    label's ``flags``, ``chosen_costs`` and ``newton_steps`` are read off its
+    fitted models: a learned layer's cost is chosen, its final fit's Newton
+    steps are kept, and each note is a flag.
     """
     for s in systems:
         if s not in ALL_SYSTEMS:
@@ -414,11 +416,13 @@ def cross_validate(
 
     flags = {label: [] for label in labels}
     chosen = {label: {} for label in labels}
+    steps = {label: {} for label in labels}
     for f, (_, models) in enumerate(results):
         for system, model in models:
             layer = model.second_layer if system == "lfl" else model.model
             if isinstance(layer, LinearModel):
                 chosen[model.label][f"fold{f}:{system}"] = layer.cost
+                steps[model.label][f"fold{f}:{system}"] = layer.newton_steps
             flags[model.label] += [f"fold{f}:{system}:{note.split(':')[0]}" for note in model.notes]
 
     core = store.complete()
@@ -440,6 +444,7 @@ def cross_validate(
                 n_subjects=n_s,
                 flags=tuple(flags[label]),
                 chosen_costs=chosen[label],
+                newton_steps=steps[label],
             )
     return out
 

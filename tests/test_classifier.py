@@ -211,37 +211,105 @@ def test_newton_matches_lbfgs_polish_oracle(d, separable):
         _assert_same_fit(train_linear(X, y, c), params, X, y, tol)
 
 
+def _packed(model):
+    return np.append(model.weights, model.intercept)
+
+
+def _grid_path(X, y, *, extrapolate):
+    """The grid fits of :func:`select_cost` on rows ``X``, each started
+    explicitly: from zero, then from the previous solution, then (with
+    ``extrapolate``) from the secant step through the two before it."""
+    models, start, previous = [], None, None
+    for c in COST_GRID:
+        models.append(train_linear(X, y, c, start=start))
+        x = _packed(models[-1])
+        start = x if previous is None or not extrapolate else 2.0 * x - previous
+        previous = x
+    return models
+
+
 @pytest.mark.parametrize("separable", [False, True], ids=["noisy", "separable"])
 @pytest.mark.parametrize("d", [1, 46, 175])
 def test_warm_started_grid_matches_cold_starts(d, separable):
+    # the secant-started grid path and the final fit started from its
+    # solution both reach the cold fit and the L-BFGS-polish oracle
     X, y = _solver_problem(d, separable, seed=1)
-    warm = None
-    for c in COST_GRID:
+    train_idx, _ = stratified_split_third(y, 0)
+    X_train, y_train = X[train_idx], y[train_idx]
+    for c, grid in zip(COST_GRID, _grid_path(X_train, y_train, extrapolate=True)):
+        # the secant-started grid fit on the training two thirds
+        params, tol = _lbfgs_polish_fit(X_train, y_train, c)
+        _assert_same_fit(grid, params, X_train, y_train, tol)
+        # the final fit on every row, started from that grid solution
         cold = train_linear(X, y, c)
-        warm = train_linear(X, y, c, warm_start=warm)
+        final = train_linear(X, y, c, start=_packed(grid))
         params, tol = _lbfgs_polish_fit(X, y, c)
         _assert_same_fit(cold, params, X, y, tol)
-        _assert_same_fit(warm, np.append(cold.weights, cold.intercept), X, y, tol)
+        _assert_same_fit(final, _packed(cold), X, y, tol)
 
 
-def test_select_cost_warm_starts_each_grid_fit_from_the_previous(monkeypatch):
-    starts = []
+def _recording_train_linear(monkeypatch) -> list:
+    """Record ``(rows, start, packed solution)`` of every ``train_linear`` call."""
+    calls = []
     original = classifier.train_linear
 
     def recording(X, y, C, **kwargs):
-        starts.append(kwargs.get("warm_start"))
         model = original(X, y, C, **kwargs)
-        starts.append(model)
+        calls.append((X.shape[0], kwargs.get("start"), _packed(model)))
         return model
 
     monkeypatch.setattr(classifier, "train_linear", recording)
+    return calls
+
+
+def test_select_cost_warm_starts_each_grid_fit_from_the_previous(monkeypatch):
+    # fit 2 from fit 1, each later fit from the secant step through the two before it
+    calls = _recording_train_linear(monkeypatch)
     X, y = _solver_problem(5, False)
-    select_cost(X, y, seed=0)
-    # (start, result) per grid cost: each fit starts from the one before
-    assert len(starts) == 2 * len(COST_GRID)
+    c, fell_back, x = select_cost(X, y, seed=0)
+    assert not fell_back and len(calls) == len(COST_GRID)
+    _, starts, solutions = zip(*calls)
     assert starts[0] is None
-    for i in range(1, len(COST_GRID)):
-        assert starts[2 * i] is starts[2 * i - 1]
+    assert np.array_equal(starts[1], solutions[0])
+    for k in range(2, len(COST_GRID)):
+        assert np.array_equal(starts[k], 2.0 * solutions[k - 1] - solutions[k - 2])
+    # the grid's solution at the chosen cost comes back
+    assert np.array_equal(x, solutions[COST_GRID.index(c)])
+
+
+def test_final_fit_starts_from_the_grid_solution_at_the_chosen_cost(monkeypatch):
+    calls = _recording_train_linear(monkeypatch)
+    X, y = _solver_problem(5, False)
+    model, notes = classifier._train_at_selected_cost(X, y, cost=None, seed=0)
+    assert notes == () and len(calls) == len(COST_GRID) + 1
+    rows, start, solution = calls[-1]
+    assert rows == X.shape[0] and calls[0][0] < rows
+    assert np.array_equal(start, calls[COST_GRID.index(model.cost)][2])
+    assert np.array_equal(solution, _packed(model))
+    # a fixed cost and the C = 1 fallback fit from zero
+    calls.clear()
+    classifier._train_at_selected_cost(X, y, cost=1.0, seed=0)
+    y_few = np.zeros_like(y)
+    y_few[:2] = 1
+    classifier._train_at_selected_cost(X, y_few, cost=None, seed=0)
+    assert [start for _, start, _ in calls] == [None, None]
+
+
+@pytest.mark.parametrize("d", [46, 175])
+def test_secant_and_grid_started_fits_take_fewer_newton_steps(d):
+    """The grid plus the final fit against the same fits with the
+    previous-solution starts they replaced, both built here."""
+    X, y = _solver_problem(d, False)
+    c, _, _ = select_cost(X, y, seed=0)
+    k = COST_GRID.index(c)
+    train_idx, _ = stratified_split_third(y, 0)
+
+    def steps(extrapolate):
+        grid = _grid_path(X[train_idx], y[train_idx], extrapolate=extrapolate)
+        final = train_linear(X, y, c, start=_packed(grid[k]) if extrapolate else None)
+        return sum(m.newton_steps for m in grid) + final.newton_steps
+
+    assert steps(True) < steps(False)
 
 
 def test_solver_held_to_one_step_raises_naming_both_norms(monkeypatch):
@@ -256,8 +324,8 @@ def test_minimize_reports_point_gradient_and_steps():
     X, y = _solver_problem(3, False)
     ys = np.where(y > 0, 1.0, -1.0)
     Xa = classifier._with_intercept_column(X)
-    res = classifier.minimize(classifier._objective, np.zeros(4),
-                              args=(Xa, ys, balanced_weights(y), 1.0), tol=1e-6)
+    res = classifier.minimize(classifier._objective, np.zeros(4), tol=1e-6,
+                              args=(Xa, ys, balanced_weights(y), 1.0, classifier._hessian_workspace(Xa)))
     _, g = loss_and_gradient(res.x, X, ys, balanced_weights(y), 1.0)
     assert np.array_equal(res.jac, g)
     assert np.linalg.norm(g) <= 1e-6
@@ -288,13 +356,35 @@ def test_symmetric_product_hessian_matches_block_formula(d, rows):
     ys = np.where(rng.random(n) < 0.4, 1.0, -1.0)
     wts = rng.uniform(0.5, 2.0, size=n)
     params = rng.normal(scale=0.3, size=d + 1)
-    for C in (0.01, 1.0, 100.0):
-        _, _, hessian = classifier._objective(
-            params, classifier._with_intercept_column(X), ys, wts, C)
+    Xa = classifier._with_intercept_column(X)
+    workspace = classifier._hessian_workspace(Xa)
+    for C in (0.01, 1.0, 100.0):  # successive Hessians of one workspace
+        _, _, hessian = classifier._objective(params, Xa, ys, wts, C, workspace)
         H = hessian()
         want = _block_hessian(params, X, ys, wts, C)
         assert H.shape == (d + 1, d + 1)
         assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 46, 175])
+def test_each_hessian_call_rewrites_the_whole_workspace(d):
+    # two points of one fit share the workspace: each call must overwrite
+    # it, not add to it or keep part of the other point's Hessian
+    rng = np.random.default_rng(d + 1)
+    n = 2 * d + 10
+    X = rng.normal(size=(n, d))
+    ys = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    wts = rng.uniform(0.5, 2.0, size=n)
+    Xa = classifier._with_intercept_column(X)
+    workspace = classifier._hessian_workspace(Xa)
+    points = [(rng.normal(scale=0.3, size=d + 1), C) for C in (1.0, 10.0)]
+    hessians = [classifier._objective(p, Xa, ys, wts, C, workspace)[2] for p, C in points]
+    for i in (0, 1, 0):
+        params, C = points[i]
+        H = hessians[i]()
+        assert H is workspace[1]
+        want = _block_hessian(params, X, ys, wts, C)
         assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -384,7 +474,7 @@ def test_loss_at_model_not_worse_than_zero_model():
 
 def test_nonfinite_parameters_rejected():
     with pytest.raises(ValueError):
-        LinearModel(weights=np.array([np.inf]), intercept=0.0, cost=1.0)
+        LinearModel(weights=np.array([np.inf]), intercept=0.0, cost=1.0, newton_steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +482,27 @@ def test_nonfinite_parameters_rejected():
 # ---------------------------------------------------------------------------
 
 def test_zero_model_predicts_half_and_negative():
-    m = LinearModel(weights=np.zeros(3), intercept=0.0, cost=1.0)
+    m = LinearModel(weights=np.zeros(3), intercept=0.0, cost=1.0, newton_steps=0)
     p = predict_proba_matrix(m, np.ones((1, 3)))[0]
     assert p == 0.5
     assert not p > 0.5  # the tie decides negative
 
 
 def test_log3_score_gives_three_quarters():
-    m = LinearModel(weights=np.array([math.log(3.0)]), intercept=0.0, cost=1.0)
+    m = LinearModel(weights=np.array([math.log(3.0)]), intercept=0.0, cost=1.0, newton_steps=0)
     p = predict_proba_matrix(m, np.array([[1.0]]))[0]
     assert np.isclose(p, 0.75, atol=1e-12)
 
 
 def test_probability_strictly_inside_unit_interval():
-    m = LinearModel(weights=np.array([1000.0]), intercept=0.0, cost=1.0)
+    m = LinearModel(weights=np.array([1000.0]), intercept=0.0, cost=1.0, newton_steps=0)
     hi = predict_proba_matrix(m, np.array([[1.0]]))[0]
     lo = predict_proba_matrix(m, np.array([[-1.0]]))[0]
     assert 0.0 < lo < hi < 1.0
 
 
 def test_probability_monotone_in_score():
-    m = LinearModel(weights=np.array([1.0]), intercept=0.3, cost=1.0)
+    m = LinearModel(weights=np.array([1.0]), intercept=0.3, cost=1.0, newton_steps=0)
     xs = np.linspace(-5, 5, 50)[:, None]
     ps = predict_proba_matrix(m, xs)
     assert np.all(np.diff(ps) > 0)
@@ -429,7 +519,7 @@ def test_grid_is_the_six_published_values():
 def test_all_ties_choose_smallest_cost():
     X = np.array([[-1.0]] * 6 + [[1.0]] * 6)
     y = np.array([0] * 6 + [1] * 6)
-    c, fell_back = select_cost(X, y, seed=0)
+    c, fell_back, _ = select_cost(X, y, seed=0)
     assert not fell_back
     assert c == 0.001
 
@@ -454,15 +544,14 @@ def test_underfit_cost_rejected():
         scores[c] = f1_binary(y[val_idx], pred)
     assert scores[10.0] - scores[0.001] > 0.1  # the premise of the check
 
-    c, _ = select_cost(X, y, seed=9)
+    c, _, _ = select_cost(X, y, seed=9)
     assert c != 0.001
 
 
 def test_too_few_positives_falls_back_flagged():
     X = np.arange(10.0)[:, None]
     y = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
-    c, fell_back = select_cost(X, y, seed=0)
-    assert (c, fell_back) == (1.0, True)
+    assert select_cost(X, y, seed=0) == (1.0, True, None)
 
 
 def test_split_preserves_class_proportions():
@@ -479,9 +568,10 @@ def test_selection_is_deterministic():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] > 0.2).astype(int)
-    c1, _ = select_cost(X, y, seed=123)
-    c2, _ = select_cost(X, y, seed=123)
+    c1, _, x1 = select_cost(X, y, seed=123)
+    c2, _, x2 = select_cost(X, y, seed=123)
     assert c1 == c2
+    assert np.array_equal(x1, x2)
     m1 = train_linear(X, y, c1)
     m2 = train_linear(X, y, c1)
     assert np.array_equal(m1.weights, m2.weights)

@@ -140,6 +140,22 @@ def test_evaluate_end_to_end(tmp_path, eval_setup):
     assert manifest["flags"] == {label: []}
 
 
+def test_evaluate_records_the_newton_steps_of_every_fit_with_a_chosen_cost(tmp_path, eval_setup):
+    features, labels_file, label = eval_setup
+    manifests = []
+    for name, jobs in (("one", "1"), ("two", "2")):
+        out = tmp_path / name
+        assert main(_evaluate_argv(features, labels_file, out, "--systems", "acc,ef,lfl",
+                                   "--jobs", jobs)) == 0
+        manifests.append(json.loads((out / "run_manifest.json").read_text()))
+    steps = manifests[0]["newton_steps"]
+    assert steps == manifests[1]["newton_steps"]
+    assert set(steps) == {label}
+    assert steps[label].keys() == manifests[0]["chosen_costs"][label].keys()
+    assert "fold0:lfl" in steps[label]
+    assert all(isinstance(n, int) and n >= 1 for n in steps[label].values())
+
+
 def test_evaluate_records_a_fold_without_training_positives_as_flags(tmp_path):
     examples, label = complementary_sensor_dataset(n=240, n_users=4, seed=50)
     positive_users = ("u00", "u01")
@@ -166,6 +182,7 @@ def test_evaluate_records_a_fold_without_training_positives_as_flags(tmp_path):
     # the trivial fits chose no cost; fold 1's did
     assert not any(key.startswith("fold0:") for key in manifest["chosen_costs"][label])
     assert "fold1:acc" in manifest["chosen_costs"][label]
+    assert manifest["newton_steps"][label].keys() == manifest["chosen_costs"][label].keys()
 
 
 def test_evaluate_records_a_fold_with_two_training_positives_as_cost_fallbacks(tmp_path):

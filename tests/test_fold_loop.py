@@ -338,18 +338,19 @@ MIXED_LABELS = ["COMMON", "NONE", "FEW", "PARTIAL"]
 
 def _fit_alone(label, sensors, X, y, *, cost, seed) -> SensorModel:
     """One label's model fit on its own from the public primitives: its own
-    standardizer, the cost grid (or ``cost``), ``train_linear``; a single
-    class gives the trivial model, which has no standardizer."""
+    standardizer, the cost grid (or ``cost``), ``train_linear`` started from
+    the grid's solution at the chosen cost; a single class gives the trivial
+    model, which has no standardizer."""
     n_pos = int(y.sum())
     if n_pos in (0, len(y)):
         return SensorModel(label, sensors, None, TrivialModel(float(n_pos > 0)), ("trivial:single_class",))
     standardizer = fit_standardizer(X)
     Z = standardizer.transform(X)
-    notes = ()
+    notes, start = (), None
     if cost is None:
-        cost, fell_back = select_cost(Z, y, seed=seed)
+        cost, fell_back, start = select_cost(Z, y, seed=seed)
         notes = ("cost_fallback:C=1",) if fell_back else ()
-    return SensorModel(label, sensors, standardizer, train_linear(Z, y, cost), notes)
+    return SensorModel(label, sensors, standardizer, train_linear(Z, y, cost, start=start), notes)
 
 
 def _assert_same_model(got: SensorModel, want: SensorModel):

@@ -243,7 +243,7 @@ def test_lfa_strict_mode_requires_all_sensors():
             label="L",
             sensors=("aud",),
             standardizer=fit_standardizer(rng.normal(size=(3, 26))),
-            model=LinearModel(weights=np.zeros(26), intercept=2.0, cost=1.0),
+            model=LinearModel(weights=np.zeros(26), intercept=2.0, cost=1.0, newton_steps=0),
         ),
     }
     only_acc = feature_example("u0", 0, {"acc": rng.normal(size=26)})

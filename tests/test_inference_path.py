@@ -81,15 +81,15 @@ def _rowwise_late_fusion_learned(
         return LateFusionLearned(label, dict(components), TrivialModel(0.0), ("trivial:single_class",))
     if np.all(P == P[0:1, :]):
         return LateFusionLearned(label, dict(components), TrivialModel(0.5), ("degenerate_inputs",))
-    notes = []
+    notes, start = [], None
     if cost is None:
-        cost, fell_back = select_cost(P, y, seed=seed)
+        cost, fell_back, start = select_cost(P, y, seed=seed)
         if fell_back:
             notes.append("cost_fallback:C=1")
     return LateFusionLearned(
         label=label,
         components=dict(components),
-        second_layer=train_linear(P, y, cost),
+        second_layer=train_linear(P, y, cost, start=start),
         notes=tuple(notes),
     )
 

@@ -97,19 +97,30 @@ def test_cost_grid_tie_picking_the_larger_cost_fails_golden(tmp_path, monkeypatc
         y = np.asarray(y)
         n_pos = int(y.sum())
         if min(n_pos, y.shape[0] - n_pos) < 3:
-            return 1.0, True
+            return 1.0, True, None
         train_idx, val_idx = classifier.stratified_split_third(y, seed)
-        best_c, best_f1, model = None, -1.0, None
+        best_c, best_f1, best_x = None, -1.0, None
         for c in classifier.COST_GRID:
-            model = classifier.train_linear(X[train_idx], y[train_idx], c, warm_start=model)
+            model = classifier.train_linear(X[train_idx], y[train_idx], c)
             pred = classifier.predict_proba_matrix(model, X[val_idx]) > 0.5
             score = classifier.f1_binary(y[val_idx], pred)
             if score >= best_f1:
-                best_c, best_f1 = c, score
-        return float(best_c), False
+                best_c, best_f1, best_x = c, score, np.append(model.weights, model.intercept)
+        return float(best_c), False, best_x
 
     monkeypatch.setattr(classifier, "select_cost", ties_to_larger)
     assert "costs" in _golden_fails(tmp_path, monkeypatch, capsys)
+
+
+def test_grid_model_standing_in_for_the_final_fit_fails_golden(tmp_path, monkeypatch, capsys):
+    # the final fit is skipped: the grid's solution at the chosen cost, fit
+    # on two thirds of the rows, is the model instead of its start
+    _mutate(monkeypatch, classifier, "_train_at_selected_cost",
+            "return train_linear(Z, y, cost, start=start), notes",
+            "return (train_linear(Z, y, cost) if start is None else\n"
+            "            LinearModel(start[:-1], float(start[-1]), cost, 0)), notes",
+            fusion)
+    assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)
 
 
 def test_unbalanced_class_weights_fail_golden(tmp_path, monkeypatch, capsys):
@@ -238,7 +249,7 @@ def test_trivial_fit_placeholder_cost_in_chosen_costs_fails_flags_test(tmp_path,
 def test_degenerate_lfl_placeholder_cost_in_chosen_costs_fails_fold_loop_oracle(monkeypatch):
     # constant LFL inputs fit as a zero linear layer at the placeholder C = 1
     _mutate(monkeypatch, fusion, "_fit_late_fusion",
-            "TrivialModel(0.5)", "LinearModel(np.zeros(P.shape[1]), 0.0, 1.0)")
+            "TrivialModel(0.5)", "LinearModel(np.zeros(P.shape[1]), 0.0, 1.0, 0)")
     make, labels, partition = test_fold_loop.CASES["flat"]
     with pytest.raises(AssertionError):
         test_fold_loop.test_columnar_fold_loop_matches_per_example_oracle(
