@@ -66,8 +66,7 @@ def compute_mfcc(audio) -> AudioMfccSeries:
     """13 cepstral coefficients per half-overlapping 2048-sample window of
     a waveform sampled at 22050 Hz.
 
-    The waveform is first normalized to maximal magnitude 1; the factor is
-    recorded on the returned series. Frame count is
+    The waveform is first normalized to maximal magnitude 1. Frame count is
     ``(len(audio) - 2048) // 1024 + 1``.
     """
     x = np.asarray(audio, dtype=np.float64)
@@ -79,8 +78,6 @@ def compute_mfcc(audio) -> AudioMfccSeries:
     peak = float(np.abs(x).max())
     if peak > 0:
         x = x / peak
-    else:
-        peak = 1.0
 
     n_frames = (x.shape[0] - FRAME_LENGTH) // HOP_LENGTH + 1
     offsets = np.arange(n_frames) * HOP_LENGTH
@@ -94,7 +91,7 @@ def compute_mfcc(audio) -> AudioMfccSeries:
     mel_energy = power @ mel_filterbank().T
     log_mel = np.log(mel_energy + LOG_EPSILON)
     coefficients = log_mel @ DCT_MATRIX.T
-    return AudioMfccSeries(frames=coefficients, normalization_factor=peak)
+    return AudioMfccSeries(frames=coefficients)
 
 
 def extract_audio_features(mfcc: AudioMfccSeries) -> np.ndarray:

@@ -44,6 +44,7 @@ from .ingestion import (
     IngestionError,
     _not_utf8,
     _read_json_object,
+    feature_table,
     fold_partition_files,
     iter_session_dirs,
     load_feature_tables,
@@ -51,7 +52,7 @@ from .ingestion import (
     load_raw_session,
     write_features_csv,
 )
-from .model import Example, canonical_label_name
+from .model import canonical_label_name
 from .personalization import personalization_table, personalize
 
 EXIT_OK = 0
@@ -217,19 +218,13 @@ def cmd_extract(args) -> int:
         except ValueError as exc:
             # a sensor series too short for its features is bad input
             raise IngestionError(f"{sdir}: {exc}") from None
-        by_user.setdefault(example.user_id, []).append(
-            Example(
-                user_id=example.user_id,
-                timestamp=example.timestamp,
-                precomputed_features=feats,
-                labels=example.labels,
-            )
-        )
+        by_user.setdefault(example.user_id, []).append((example.timestamp, feats, example.labels))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for user_id in sorted(by_user):
-        write_features_csv(out_dir / f"{user_id}.features.csv", by_user[user_id])
+        table = feature_table(user_id, by_user[user_id])
+        write_features_csv(out_dir / f"{user_id}.features.csv", table)
 
     config = {"input": str(input_dir), "out": str(out_dir), "utc_offset": args.utc_offset}
     extras = {
@@ -252,7 +247,7 @@ def _load_store(args) -> tuple:
         raise IngestionError(f"features directory {root} not readable")
     tables = load_feature_tables(root)
     labels = _read_labels_file(args.labels)
-    vocabulary = {label for t in tables if len(t.timestamps) for label in t.labels}
+    vocabulary = {label for t in tables if len(t) for label in t.labels}
     for label in labels:
         if label not in vocabulary:
             raise ConfigError(f"label {label!r} not in dataset vocabulary")

@@ -1,4 +1,4 @@
-"""Bridges between example objects and the numeric arrays models consume."""
+"""From raw examples to feature vectors, and the feature store models read."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from . import audio, features
-from .model import Example, FEATURE_DIMS, RELEVANT, SENSORS
+from .model import Example, FEATURE_DIMS, SENSORS
 
 _EXTRACTORS = {
     "acc": features.extract_motion_features,
@@ -21,13 +21,10 @@ _EXTRACTORS = {
 
 
 def sensor_features(example: Example, sensor: str):
-    """The example's feature vector for a sensor: precomputed, else extracted.
+    """The feature vector extracted from the example's payload for a sensor.
 
     Returns None when the sensor contributed nothing to this minute.
     """
-    fv = example.precomputed_features.get(sensor)
-    if fv is not None:
-        return fv
     payload = example.sensor_data.get(sensor)
     if payload is None:
         return None
@@ -51,18 +48,6 @@ def extract_all_features(example: Example) -> dict:
     return out
 
 
-def label_vector(examples, label: str) -> np.ndarray:
-    """Binary target: 1 where the label is relevant, else 0.
-
-    Unreported (missing) assignments count as negative, matching how the
-    self-reported data is scored.
-    """
-    return np.array(
-        [1 if ex.label_value(label) == RELEVANT else 0 for ex in examples],
-        dtype=np.int64,
-    )
-
-
 @dataclass(frozen=True)
 class FeatureStore:
     """The numeric columns of a fixed list of minutes; row i is minute i.
@@ -73,7 +58,8 @@ class FeatureStore:
       the sensor is absent or a cell is missing;
     * ``present[s]``: ``(n,)`` presence mask, derived from ``features[s]``:
       a sensor is present on a row unless all its cells are NaN;
-    * ``relevant[label]``: :func:`label_vector` of each requested label;
+    * ``relevant[label]``: per requested label, an ``(n,)`` int64 target, 1
+      where the label is relevant and 0 where it is not or is unreported;
     * ``users`` and ``timestamps``: each row's user id and minute.
     """
 
@@ -89,31 +75,15 @@ class FeatureStore:
         )
 
     @classmethod
-    def from_examples(cls, examples, *, labels=()) -> "FeatureStore":
-        n = len(examples)
-        columns = {s: np.full((n, FEATURE_DIMS[s]), np.nan) for s in SENSORS}
-        for i, ex in enumerate(examples):
-            for s in SENSORS:
-                fv = sensor_features(ex, s)
-                if fv is not None:
-                    columns[s][i] = fv
-        return cls(
-            users=np.array([ex.user_id for ex in examples], dtype=str),
-            timestamps=np.array([ex.timestamp for ex in examples], dtype=np.int64),
-            features=columns,
-            relevant={label: label_vector(examples, label) for label in labels},
-        )
-
-    @classmethod
     def from_tables(cls, tables, *, labels=()) -> "FeatureStore":
         """The store of ``ingestion.FeatureTable``s, rows by user id, then by
         timestamp; a group a table lacks is all NaN on its rows."""
-        tables = sorted((t for t in tables if len(t.timestamps)), key=lambda t: t.user_id)
-        sizes = [len(t.timestamps) for t in tables]
+        tables = sorted((t for t in tables if len(t)), key=lambda t: t.user_id)
+        sizes = [len(t) for t in tables]
         columns = {s: np.full((sum(sizes), FEATURE_DIMS[s]), np.nan) for s in SENSORS}
         relevant = {label: np.zeros(sum(sizes), dtype=np.int64) for label in labels}
         for table, stop in zip(tables, np.cumsum(sizes)):
-            rows = slice(stop - len(table.timestamps), stop)
+            rows = slice(stop - len(table), stop)
             for s, block in table.features.items():
                 columns[s][rows] = block
             for label in set(labels) & set(table.labels):

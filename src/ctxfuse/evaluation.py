@@ -154,7 +154,6 @@ class MetricReport:
     with zero TP and zero FP is reported as 0 with ``f1_defined=False``.
     """
 
-    counts: MetricCounts
     accuracy: Optional[float]
     tpr: Optional[float]
     tnr: Optional[float]
@@ -188,7 +187,6 @@ def compute_metrics(counts: MetricCounts) -> MetricReport:
             f1 = 2 * tpr * precision / (tpr + precision)
 
     return MetricReport(
-        counts=counts,
         accuracy=accuracy,
         tpr=tpr,
         tnr=tnr,

@@ -275,11 +275,11 @@ def _parse_cell(cell: str, origin: str, lineno: int, colname: str) -> float:
 @dataclass(frozen=True)
 class FeatureTable:
     """One user's feature table as columns, rows sorted by timestamp:
-    ``(n,)`` int64 timestamps; an ``(n, d)`` matrix per sensor group in the
-    header, NaN for an empty cell; an ``(n,)`` int8 column per canonical
-    label name in header order, 1 relevant, 0 not, -1 unreported; and the
-    sensor groups whose columns were mapped by position, their names not
-    being the canonical ones."""
+    ``(n,)`` int64 timestamps; an ``(n, d)`` matrix per sensor group, NaN
+    for an empty cell; an ``(n,)`` int8 column per canonical label name,
+    in column order, 1 relevant, 0 not, -1 unreported; and the sensor
+    groups whose columns were mapped by position, their names not being
+    the canonical ones. Its length is its number of rows."""
 
     user_id: str
     timestamps: np.ndarray
@@ -287,10 +287,43 @@ class FeatureTable:
     labels: Mapping[str, np.ndarray]
     positional: tuple
 
+    def __len__(self):
+        return len(self.timestamps)
+
 
 _LABEL_CODES = {"": -1, "1": 1, "1.0": 1, "0": 0, "0.0": 0}
 
-_LABEL_VALUES = {1: RELEVANT, 0: NOT_RELEVANT, -1: MISSING}
+_LABEL_CELLS = {1: "1", 0: "0", -1: ""}
+
+_VALUE_CODES = {RELEVANT: 1, NOT_RELEVANT: 0, MISSING: -1}
+
+
+def feature_table(user_id: str, minutes) -> FeatureTable:
+    """One user's extracted minutes as a table.
+
+    ``minutes`` holds a ``(timestamp, {sensor: feature vector}, label
+    assignments)`` triple per minute, in any order. The table has a row
+    per minute by timestamp, every sensor group (NaN where a minute lacks
+    the sensor) and a column per label name that some minute carries,
+    sorted by name.
+    """
+    minutes = sorted(minutes, key=lambda m: m[0])
+    features = {s: np.full((len(minutes), FEATURE_DIMS[s]), np.nan) for s in SENSORS}
+    values = []
+    for i, (_, vectors, labels) in enumerate(minutes):
+        for s, fv in vectors.items():
+            features[s][i] = fv
+        values.append({la.label_name: la.value for la in labels})
+    return FeatureTable(
+        user_id=user_id,
+        timestamps=np.array([m[0] for m in minutes], dtype=np.int64),
+        features=features,
+        labels={
+            name: np.array([_VALUE_CODES[v.get(name, MISSING)] for v in values], dtype=np.int8)
+            for name in sorted({name for v in values for name in v})
+        },
+        positional=(),
+    )
 
 
 def read_features_table(path) -> FeatureTable:
@@ -360,49 +393,31 @@ def read_features_table(path) -> FeatureTable:
     )
 
 
-def parse_features_csv(path) -> list:
-    """One user's feature table (:func:`read_features_table`) as examples
-    with precomputed features."""
-    table = read_features_table(path)
-    return [
-        Example(
-            user_id=table.user_id,
-            timestamp=ts,
-            precomputed_features={s: m[i] for s, m in table.features.items()},
-            labels=tuple(
-                LabelAssignment(name, _LABEL_VALUES[int(col[i])])
-                for name, col in table.labels.items()
-            ),
-        )
-        for i, ts in enumerate(table.timestamps.tolist())
-    ]
+def write_features_csv(path, table: FeatureTable) -> None:
+    """Write a table as CSV, the inverse of :func:`read_features_table`.
 
-
-def write_features_csv(path, examples: Sequence[Example]) -> None:
-    """Write examples as a canonical feature table (inverse of the parser),
-    with a column for every label the examples carry, sorted by name; a NaN
-    feature cell is written empty."""
-    labels = sorted({la.label_name for ex in examples for la in ex.labels})
-    header = ["timestamp"]
-    for sensor in SENSORS:
-        header += FEATURE_COLUMNS[sensor]
-    header += [f"{LABEL_COLUMN_PREFIX}{n}" for n in labels]
+    The columns are the timestamp, the canonical names of each group the
+    table has, in ``SENSORS`` order, and the table's label columns in
+    order. A NaN cell is written empty, any other its ``repr``; a label
+    code is written 1, 0 or empty.
+    """
+    groups = [s for s in SENSORS if s in table.features]
+    header = ["timestamp"] + [name for s in groups for name in FEATURE_COLUMNS[s]]
+    header += [f"{LABEL_COLUMN_PREFIX}{name}" for name in table.labels]
+    n = len(table)
+    values = np.hstack([np.empty((n, 0))] + [table.features[s] for s in groups]).tolist()
+    codes = np.array(list(table.labels.values()), dtype=np.int8).reshape(len(table.labels), n)
+    codes = codes.T.tolist()
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for ex in sorted(examples, key=lambda e: e.timestamp):
-            row = [str(ex.timestamp)]
-            for sensor in SENSORS:
-                fv = ex.precomputed_features.get(sensor)
-                if fv is None:
-                    row += [""] * FEATURE_DIMS[sensor]
-                else:
-                    row += ["" if math.isnan(v) else repr(v) for v in fv.tolist()]
-            for name in labels:
-                v = ex.label_value(name)
-                row.append("" if v == MISSING else ("1" if v == RELEVANT else "0"))
-            writer.writerow(row)
+        for ts, row, labels in zip(table.timestamps.tolist(), values, codes):
+            writer.writerow(
+                [str(ts)]
+                + ["" if math.isnan(v) else repr(v) for v in row]
+                + [_LABEL_CELLS[c] for c in labels]
+            )
 
 
 def load_feature_tables(root) -> list:
@@ -582,16 +597,14 @@ def _read_cells(path: Path, n_cols: int, allow_missing_cols=False) -> np.ndarray
     return np.array(rows, dtype=np.float64).reshape(len(rows), n_cols)
 
 
-def _load_triaxial(path: Path, unit: str, rate: float) -> TriaxialSeries:
+def _load_triaxial(path: Path, rate: float) -> TriaxialSeries:
     arr = _read_numeric_rows(path, 4)
     if arr.shape[0] == 0:
         raise IngestionError(f"{path}: empty series")
     ts = arr[:, 0]
     if np.any(np.diff(ts) < 0):
         raise IngestionError(f"{path}: timestamps are not monotone non-decreasing")
-    return TriaxialSeries(
-        relative_timestamps=ts, samples=arr[:, 1:], unit=unit, nominal_rate=rate
-    )
+    return TriaxialSeries(relative_timestamps=ts, samples=arr[:, 1:], nominal_rate=rate)
 
 
 def load_raw_session(path, *, utc_offset_hours: float) -> Example:
@@ -641,23 +654,22 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
         unit = manifest.get("acc_unit", "G")
         if unit not in ("G", "m/s2"):
             raise IngestionError(f"{manifest_path}: unknown acc_unit {unit!r}")
-        series = _load_triaxial(acc_path, "G", 40.0)
+        series = _load_triaxial(acc_path, 40.0)
         if unit == "m/s2":
             series = TriaxialSeries(
                 relative_timestamps=series.relative_timestamps,
                 samples=series.samples / STANDARD_GRAVITY,
-                unit="G",
                 nominal_rate=40.0,
             )
         sensor_data["acc"] = series
 
     gyro_path = root / "gyro.csv"
     if gyro_path.exists():
-        sensor_data["gyro"] = _load_triaxial(gyro_path, "rad/s", 40.0)
+        sensor_data["gyro"] = _load_triaxial(gyro_path, 40.0)
 
     wacc_path = root / "wacc.csv"
     if wacc_path.exists():
-        sensor_data["wacc"] = _load_triaxial(wacc_path, "milli-G", 25.0)
+        sensor_data["wacc"] = _load_triaxial(wacc_path, 25.0)
 
     loc_path = root / "location.csv"
     quick_path = root / "location_quick.csv"
@@ -683,6 +695,8 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
     mfcc_path = root / "mfcc.csv"
     audio_path = root / "audio.csv"
     if mfcc_path.exists():
+        # the factor the device scaled its audio by: nothing reads it, but a
+        # bundle that states one must state a finite, positive one
         factor = manifest.get("audio_normalization", 1.0)
         try:
             factor = float(factor)
@@ -697,7 +711,7 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
         frames = _read_numeric_rows(mfcc_path, 13)
         if frames.shape[0] < 1:
             raise IngestionError(f"{mfcc_path}: at least one frame required")
-        sensor_data["aud"] = AudioMfccSeries(frames=frames, normalization_factor=factor)
+        sensor_data["aud"] = AudioMfccSeries(frames=frames)
     elif audio_path.exists():
         wave = _read_numeric_rows(audio_path, 1).ravel()
         try:
@@ -733,7 +747,9 @@ def load_raw_session(path, *, utc_offset_hours: float) -> Example:
             )
         labels.append(LabelAssignment(name, value))
 
-    return Example(user_id=user_id, timestamp=timestamp, sensor_data=sensor_data, labels=labels)
+    return Example(
+        user_id=user_id, timestamp=timestamp, sensor_data=sensor_data, labels=tuple(labels)
+    )
 
 
 def iter_session_dirs(root) -> list:

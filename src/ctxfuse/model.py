@@ -1,11 +1,12 @@
 """Domain types for recordings, examples and labels.
 
-One example is one recorded minute: an optional raw payload and/or a
-precomputed feature vector per sensor (a float64 array, NaN for each
-missing cell), plus a set of label assignments. Raw location fixes are a
-float64 array too, with NaN for each value the phone left unreported.
-All types are immutable after construction and safe to share across
-workers.
+One example is one recorded minute as its session bundle holds it: a raw
+payload per sensor that contributed, plus a set of label assignments.
+Raw location fixes are a float64 array, with NaN for each value the phone
+left unreported. Extracted features live in columns, never on an
+example: ``ingestion.FeatureTable`` per user and ``data.FeatureStore``
+per run. All types are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class TriaxialSeries:
 
     relative_timestamps: np.ndarray  # seconds within the session
     samples: np.ndarray  # shape (n, 3)
-    unit: str
     nominal_rate: float  # Hz
 
     def __post_init__(self):
@@ -105,7 +105,6 @@ class AudioMfccSeries:
     """Per-frame cepstral coefficient vectors (13 each, coefficient 0 first)."""
 
     frames: np.ndarray  # shape (n_frames, 13)
-    normalization_factor: float = 1.0
 
     def __post_init__(self):
         fr = np.atleast_2d(np.asarray(self.frames, dtype=np.float64))
@@ -131,24 +130,10 @@ class LabelAssignment:
 
 @dataclass(frozen=True)
 class Example:
-    """One labeled minute of recorded behavior."""
+    """One labeled minute of recorded behavior: the raw payload of each
+    sensor that contributed to it, and its label assignments."""
 
     user_id: str
     timestamp: int
     sensor_data: Mapping[str, object] = field(default_factory=dict)
-    precomputed_features: Mapping[str, np.ndarray] = field(default_factory=dict)
     labels: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "sensor_data", dict(self.sensor_data))
-        object.__setattr__(self, "precomputed_features", {
-            s: np.asarray(v, dtype=np.float64) for s, v in self.precomputed_features.items()
-        })
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    def label_value(self, label_name: str) -> str:
-        for la in self.labels:
-            if la.label_name == label_name:
-                return la.value
-        return MISSING
-

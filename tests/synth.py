@@ -1,10 +1,16 @@
-"""Synthetic data builders shared by the test modules."""
+"""Synthetic data builders shared by the test modules, and the per-example
+oracles: a minute as one object, assembled into stores, matrices and
+targets example by example."""
+
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from ctxfuse.data import FeatureStore, sensor_features
+from ctxfuse import data
+from ctxfuse.data import FeatureStore
+from ctxfuse.ingestion import feature_table, write_features_csv
 from ctxfuse.model import (
-    Example,
     FEATURE_DIMS,
     LabelAssignment,
     MISSING,
@@ -15,8 +21,35 @@ from ctxfuse.model import (
 )
 
 
+@dataclass(frozen=True)
+class FeatureExample:
+    """One minute as the per-example oracles hold it: a float64 feature
+    vector per sensor (NaN for a missing cell), raw payloads for sensors
+    without one, and label assignments."""
+
+    user_id: str
+    timestamp: int
+    features: Mapping[str, np.ndarray] = field(default_factory=dict)
+    labels: tuple = ()
+    sensor_data: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", {
+            s: np.asarray(v, dtype=np.float64) for s, v in self.features.items()
+        })
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+    def label_value(self, label_name: str) -> str:
+        for la in self.labels:
+            if la.label_name == label_name:
+                return la.value
+        return MISSING
+
+
 def label_tuple(mapping):
-    value_by_code = {1: RELEVANT, 0: NOT_RELEVANT, None: MISSING}
+    """Label assignments from ``{name: value}``; a value may be a table code
+    (1, 0, or -1 or None for unreported) or a label value."""
+    value_by_code = {1: RELEVANT, 0: NOT_RELEVANT, -1: MISSING, None: MISSING}
     return tuple(
         LabelAssignment(name, value_by_code[v] if v in value_by_code else v)
         for name, v in mapping.items()
@@ -24,13 +57,72 @@ def label_tuple(mapping):
 
 
 def feature_example(user_id, timestamp, values_by_sensor, labels=None):
-    """Example carrying precomputed feature vectors and optional labels."""
-    return Example(
+    """Example carrying feature vectors and optional labels."""
+    return FeatureExample(
         user_id=user_id,
         timestamp=timestamp,
-        precomputed_features=values_by_sensor,
+        features=values_by_sensor,
         labels=label_tuple(labels or {}),
     )
+
+
+def sensor_features(example, sensor):
+    """The example's feature vector for a sensor: its own, else extracted
+    from its payload (a raw ``ctxfuse.model.Example`` has only payloads);
+    None when the sensor contributed nothing."""
+    fv = getattr(example, "features", {}).get(sensor)
+    return fv if fv is not None else data.sensor_features(example, sensor)
+
+
+def label_vector(examples, label):
+    """Binary target: 1 where the label is relevant, else 0 (unreported
+    counts as negative, as the store's relevant-vector does)."""
+    return np.array(
+        [1 if ex.label_value(label) == RELEVANT else 0 for ex in examples],
+        dtype=np.int64,
+    )
+
+
+def example_store(examples, labels=()):
+    """The feature store of the examples assembled example by example, row
+    i being example i: the per-example construction that
+    ``FeatureStore.from_tables`` replaced, kept as an oracle."""
+    return FeatureStore(
+        users=np.array([ex.user_id for ex in examples], dtype=str),
+        timestamps=np.array([ex.timestamp for ex in examples], dtype=np.int64),
+        features={s: feature_matrix(examples, s) for s in SENSORS},
+        relevant={label: label_vector(examples, label) for label in labels},
+    )
+
+
+def table_of(examples):
+    """One user's examples as the table ``extract`` builds: every sensor's
+    vector (extracted from a payload where the example has none) and the
+    examples' labels."""
+    minutes = []
+    for ex in examples:
+        vectors = {s: sensor_features(ex, s) for s in SENSORS}
+        minutes.append((ex.timestamp, {s: v for s, v in vectors.items() if v is not None}, ex.labels))
+    return feature_table(examples[0].user_id, minutes)
+
+
+def write_examples(path, examples):
+    """Write one user's examples as a feature table (:func:`table_of`)."""
+    write_features_csv(path, table_of(examples))
+
+
+def table_examples(table):
+    """A feature table's rows as examples: each group's vector the table
+    has, and the label codes as assignments."""
+    return [
+        feature_example(
+            table.user_id,
+            ts,
+            {s: m[i] for s, m in table.features.items()},
+            {name: int(col[i]) for name, col in table.labels.items()},
+        )
+        for i, ts in enumerate(table.timestamps.tolist())
+    ]
 
 
 def ordered(examples, users=None):
@@ -47,7 +139,7 @@ def store_of(examples, labels=()):
     """``(store, rows)``: the feature store of the examples, row i being
     example i, with the relevant-vector of each of ``labels``, and the index
     array of all its rows (the arguments the fusion functions take)."""
-    return FeatureStore.from_examples(examples, labels=labels), np.arange(len(examples))
+    return example_store(examples, labels), np.arange(len(examples))
 
 
 def user_ids(examples):
@@ -99,12 +191,11 @@ def random_full_example(rng, user_id, timestamp, labels=None):
     return feature_example(user_id, timestamp, vals, labels)
 
 
-def make_triaxial(rng, n=128, rate=40.0, unit="G", scale=1.0):
+def make_triaxial(rng, n=128, rate=40.0, scale=1.0):
     ts = np.arange(n) / rate
     return TriaxialSeries(
         relative_timestamps=ts,
         samples=rng.normal(scale=scale, size=(n, 3)),
-        unit=unit,
         nominal_rate=rate,
     )
 

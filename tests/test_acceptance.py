@@ -21,7 +21,7 @@ from ctxfuse.classifier import (
     predict_proba_matrix,
     train_linear,
 )
-from ctxfuse.data import FeatureStore, label_vector
+from ctxfuse.data import FeatureStore
 from ctxfuse.evaluation import (
     MetricCounts,
     compute_metrics,
@@ -51,8 +51,10 @@ from synth import (
     complementary_sensor_dataset,
     concat_feature_matrix,
     drift_user_scenario,
+    example_store,
     feature_example,
     feature_matrix,
+    label_vector,
     make_triaxial,
     ordered,
     store_of,
@@ -71,7 +73,7 @@ def test_criterion_1_dimension_contract():
     checked = 0
     for i in range(1000):
         motion = make_triaxial(rng, n=int(rng.integers(64, 257)), rate=40.0)
-        watch = make_triaxial(rng, n=int(rng.integers(64, 200)), rate=25.0, unit="milli-G")
+        watch = make_triaxial(rng, n=int(rng.integers(64, 200)), rate=25.0)
         # rows of (time, lat, lon, altitude, speed, vertical and horizontal accuracy)
         updates = np.array([
             (
@@ -328,7 +330,7 @@ def test_criterion_9_personalization_protocol():
         seed=41, n_per_background=150, n_test_user=600
     )
     labels = [label, "NEVER_POSITIVE"]
-    store = FeatureStore.from_examples(ordered(background + test_user), labels=labels)
+    store = example_store(ordered(background + test_user), labels=labels)
     results = personalize(store, "tu", labels, user_ids(background), seed=2)
 
     chance = results["NEVER_POSITIVE"]

@@ -11,10 +11,16 @@ import ctxfuse.cli as cli
 import ctxfuse.evaluation as evaluation
 import ctxfuse.personalization as personalization
 from ctxfuse.cli import main
-from ctxfuse.ingestion import load_fold_partition, write_features_csv
+from ctxfuse.ingestion import load_fold_partition
 from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
 from perfbench_files import perfbench_module
-from synth import by_user, complementary_sensor_dataset, drift_user_scenario, feature_example
+from synth import (
+    by_user,
+    complementary_sensor_dataset,
+    drift_user_scenario,
+    feature_example,
+    write_examples,
+)
 
 from test_ingestion import _write_session
 
@@ -33,7 +39,7 @@ def _make_bundles(root, n_users=2, sessions_per_user=3):
 def _features_dir_from(examples_by_user, root):
     root.mkdir(parents=True, exist_ok=True)
     for user, exs in examples_by_user.items():
-        write_features_csv(root / f"{user}.features.csv", exs)
+        write_examples(root / f"{user}.features.csv", exs)
     return root
 
 
@@ -160,7 +166,7 @@ def test_evaluate_records_a_fold_without_training_positives_as_flags(tmp_path):
     examples, label = complementary_sensor_dataset(n=240, n_users=4, seed=50)
     positive_users = ("u00", "u01")
     relabeled = [
-        feature_example(ex.user_id, ex.timestamp, ex.precomputed_features,
+        feature_example(ex.user_id, ex.timestamp, ex.features,
                         {label: ex.label_value(label) if ex.user_id in positive_users else 0})
         for ex in examples
     ]
@@ -191,7 +197,7 @@ def test_evaluate_records_a_fold_with_two_training_positives_as_cost_fallbacks(t
     kept = {ex.timestamp for ex in examples if ex.user_id == "u02" and ex.label_value(label)}
     kept = set(sorted(kept)[:2])
     relabeled = [
-        feature_example(ex.user_id, ex.timestamp, ex.precomputed_features,
+        feature_example(ex.user_id, ex.timestamp, ex.features,
                         {label: ex.label_value(label) if ex.user_id in ("u00", "u01")
                          or ex.timestamp in kept else 0})
         for ex in examples
@@ -1001,13 +1007,13 @@ def _spy_on_representations(monkeypatch):
     """Lists that fill with the name of every ``Example`` built, and with
     one entry per standardizer fit."""
     built, standardizers = [], []
-    post_init = Example.__post_init__
+    init = Example.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(type(self).__name__)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Example, "__post_init__", counting)
+    monkeypatch.setattr(Example, "__init__", counting)
     fit_standardizer = classifier.fit_standardizer
     monkeypatch.setattr(classifier, "fit_standardizer",
                         lambda X: standardizers.append(1) or fit_standardizer(X))

@@ -3,7 +3,8 @@
 ``ctxfuse evaluate --mode cv5`` on the benchmark's seed-0 corpus must give
 the stored reference cells: summed counts, chosen costs, BA/F1 and p99
 cells, compared by ``perfbench/reference.py`` exactly as the benchmark
-counts a failed operation. The tracer must keep seeing every fit, and
+counts a failed operation. The tracer must keep seeing every fit, every
+raw session ``extract`` loads and every table row it writes, and
 importing the CLI must not load scipy. The perfbench files are read only.
 """
 
@@ -94,6 +95,31 @@ def test_tracer_counts_every_grid_fit_and_restores_bindings():
     # six grid costs and the final fit, each through the traced binding
     assert summary["functions"]["classifier.train_linear"]["calls"] == len(classifier.COST_GRID) + 1
     assert summary["counters"]["classifier.lbfgs_iters"] > 0
+
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_tracer_counts_every_extracted_session_and_written_row(tmp_path, capsys):
+    workload = corpus.WORKLOADS["extract-raw"]
+    root, info = corpus.materialize(workload, 0, True, tmp_path / "inputs")
+    before = _bindings()
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["extract", "--input", str(root / "sessions"), "--utc-offset", "-7",
+                         "--out", str(tmp_path / "out")])
+    finally:
+        t.uninstall()
+    assert code == 0, capsys.readouterr().err
+    summary = t.summary()
+    # one load per session bundle, and one written table row per session
+    assert summary["functions"]["ingestion.load_raw_session"]["calls"] == info["n_sessions"]
+    assert summary["counters"]["ingestion.write_rows"] == info["n_sessions"]
+    assert summary["functions"]["ingestion.write_features_csv"]["calls"] == len(
+        list((tmp_path / "out").glob("*.features.csv")))
 
     after = _bindings()
     assert after.keys() == before.keys()

@@ -20,8 +20,13 @@ from ctxfuse.evaluation import (
     table_to_csv,
     table_to_markdown,
 )
-from ctxfuse.data import FeatureStore
-from synth import complementary_sensor_dataset, core_examples, random_full_example, user_ids
+from synth import (
+    complementary_sensor_dataset,
+    core_examples,
+    example_store,
+    random_full_example,
+    user_ids,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +306,13 @@ def test_random_baseline_validates_inputs():
 
 def _store(**kwargs):
     examples, label = complementary_sensor_dataset(**kwargs)
-    return FeatureStore.from_examples(examples, labels=[label]), label
+    return example_store(examples, labels=[label]), label
 
 
 def test_cross_validation_on_separable_synthetic():
     examples, label = complementary_sensor_dataset(n=600, n_users=6, seed=6)
     part = partition_folds({u: "p" for u in user_ids(examples)}, k=3, seed=0)
-    store = FeatureStore.from_examples(examples, labels=[label])
+    store = example_store(examples, labels=[label])
     out = cross_validate(store, [label], ["acc", "ef", "lfa", "lfl"], part, seed=0)
     ev = out["ef"][label]
     assert ev.report.ba is not None and ev.report.ba > 0.8
@@ -326,7 +331,7 @@ def test_label_missing_from_a_fold_flags_trivial():
         # only user u0 ever reports the label
         y = 1 if (user == "u0" and i % 2 == 0) else 0
         examples.append(random_full_example(rng, user, i, labels={"RARE": y}))
-    store = FeatureStore.from_examples(examples, labels=["RARE"])
+    store = example_store(examples, labels=["RARE"])
     part = FoldPartition(folds=(("u0",), ("u1",), ("u2",)))
     out = cross_validate(store, ["RARE"], ["acc"], part, seed=0)
     ev = out["acc"]["RARE"]
@@ -344,20 +349,20 @@ def test_heterogeneous_sensor_availability():
     for i in range(360):
         user = f"u{i % 6}"
         ex = random_full_example(rng, user, i, labels={"T": int(rng.random() < 0.4)})
-        feats = dict(ex.precomputed_features)
+        feats = dict(ex.features)
         if user in ("u4", "u5"):
             feats.pop("wacc")  # watchless users
         elif i % 7 == 0:
             feats.pop("loc")
         examples.append(
             type(ex)(user_id=ex.user_id, timestamp=ex.timestamp,
-                     precomputed_features=feats, labels=ex.labels)
+                     features=feats, labels=ex.labels)
         )
     core_n = len(core_examples(examples))
     assert 0 < core_n < 360
 
     part = partition_folds({u: "p" for u in user_ids(examples)}, k=3, seed=1)
-    out = cross_validate(FeatureStore.from_examples(examples, labels=["T"]), ["T"], ["wacc", "lfa"], part, seed=0)
+    out = cross_validate(example_store(examples, labels=["T"]), ["T"], ["wacc", "lfa"], part, seed=0)
     # only complete-sensor minutes are scored
     assert out["wacc"]["T"].counts.total == core_n
     assert out["lfa"]["T"].counts.total == core_n
@@ -372,10 +377,10 @@ def test_n_s_counts_users_with_a_relevant_all_six_sensor_minute():
         user = f"u{i % 3}"
         ex = random_full_example(rng, user, i, labels={"T": int(i % 2 == 0)})
         if user == "u2" and i % 2 == 0:
-            feats = {s: fv for s, fv in ex.precomputed_features.items() if s != "wacc"}
-            ex = type(ex)(user_id=user, timestamp=i, precomputed_features=feats, labels=ex.labels)
+            feats = {s: fv for s, fv in ex.features.items() if s != "wacc"}
+            ex = type(ex)(user_id=user, timestamp=i, features=feats, labels=ex.labels)
         examples.append(ex)
-    store = FeatureStore.from_examples(examples, labels=["T"])
+    store = example_store(examples, labels=["T"])
     part = FoldPartition(folds=(("u0",), ("u1",), ("u2",)))
     ev = cross_validate(store, ["T"], ["acc"], part, mode="loo", seed=0)["acc"]["T"]
     assert ev.n_subjects == 2

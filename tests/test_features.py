@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctxfuse.data import FeatureStore, sensor_features
+from ctxfuse.data import FeatureStore, extract_all_features
 from ctxfuse.features import (
     DIRECTION_LAG_EDGES,
     LOG_RANGE_EPSILON,
@@ -19,6 +19,7 @@ from ctxfuse.features import (
     scalar_series_features,
     time_bin_indicators,
 )
+from ctxfuse.ingestion import feature_table
 from ctxfuse.model import (
     AudioMfccSeries,
     Example,
@@ -31,10 +32,10 @@ from ctxfuse.model import (
 from synth import make_triaxial
 
 
-def _series(samples, rate=40.0, unit="G"):
+def _series(samples, rate=40.0):
     samples = np.asarray(samples, dtype=float)
     ts = np.arange(samples.shape[0]) / rate
-    return TriaxialSeries(ts, samples, unit, rate)
+    return TriaxialSeries(ts, samples, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def test_magnitude_matches_elementwise_oracle():
 
 
 def test_magnitude_empty_errors():
-    s = TriaxialSeries(np.zeros(0), np.zeros((0, 3)), "G", 40.0)
+    s = TriaxialSeries(np.zeros(0), np.zeros((0, 3)), 40.0)
     with pytest.raises(ValueError, match="empty"):
         magnitude_series(s)
 
@@ -277,7 +278,7 @@ def _direction_bucket_oracle(series):
 
 def test_watch_feature_length_is_46():
     rng = np.random.default_rng(15)
-    fv = extract_watch_features(make_triaxial(rng, n=300, rate=25.0, unit="milli-G"))
+    fv = extract_watch_features(make_triaxial(rng, n=300, rate=25.0))
     assert fv.shape == (46,)
 
 
@@ -285,7 +286,7 @@ def test_watch_constant_direction_gives_unit_cosines():
     ts = np.arange(500) / 25.0
     mags = 1.0 + np.linspace(0, 3, 500)[:, None]
     samples = np.tile([0.0, 0.0, 1.0], (500, 1)) * mags
-    fv = extract_watch_features(TriaxialSeries(ts, samples, "milli-G", 25.0))
+    fv = extract_watch_features(TriaxialSeries(ts, samples, 25.0))
     assert np.allclose(fv[41:46], 1.0)
     assert not np.isnan(fv[41:46]).any()
 
@@ -295,7 +296,7 @@ def test_watch_alternating_direction_matches_pair_enumeration():
     ts = np.arange(n) / 25.0
     samples = np.tile([1.0, 0.0, 0.0], (n, 1))
     samples[1::2] *= -1
-    series = TriaxialSeries(ts, samples, "milli-G", 25.0)
+    series = TriaxialSeries(ts, samples, 25.0)
     fv = extract_watch_features(series)
     oracle = _direction_bucket_oracle(series)
     got = fv[41:46]
@@ -305,7 +306,7 @@ def test_watch_alternating_direction_matches_pair_enumeration():
 
 def test_watch_random_directions_match_pair_enumeration():
     rng = np.random.default_rng(16)
-    series = make_triaxial(rng, n=60, rate=25.0, unit="milli-G")
+    series = make_triaxial(rng, n=60, rate=25.0)
     fv = extract_watch_features(series)
     oracle = _direction_bucket_oracle(series)
     mask = np.isnan(oracle)
@@ -314,7 +315,7 @@ def test_watch_random_directions_match_pair_enumeration():
 
 def test_watch_short_series_masks_empty_lag_buckets():
     rng = np.random.default_rng(17)
-    series = make_triaxial(rng, n=10, rate=25.0, unit="milli-G")  # 0.36 s span
+    series = make_triaxial(rng, n=10, rate=25.0)  # 0.36 s span
     fv = extract_watch_features(series)
     assert not np.isnan(fv[41])
     assert np.isnan(fv[42:46]).all()
@@ -322,9 +323,9 @@ def test_watch_short_series_masks_empty_lag_buckets():
 
 def test_watch_direction_features_scale_invariant():
     rng = np.random.default_rng(18)
-    series = make_triaxial(rng, n=64, rate=25.0, unit="milli-G")
+    series = make_triaxial(rng, n=64, rate=25.0)
     scaled = TriaxialSeries(
-        series.relative_timestamps, series.samples * 5.0, "milli-G", 25.0
+        series.relative_timestamps, series.samples * 5.0, 25.0
     )
     a = extract_watch_features(series)
     b = extract_watch_features(scaled)
@@ -593,16 +594,16 @@ def test_every_extractor_on_a_minimal_payload_is_not_all_nan(fill):
 
     payloads = {
         "acc": _series(samples(8, 3)),
-        "gyro": _series(samples(8, 3), unit="rad/s"),
-        "wacc": _series(samples(8, 3), rate=25.0, unit="milli-G"),
+        "gyro": _series(samples(8, 3)),
+        "wacc": _series(samples(8, 3), rate=25.0),
         "loc": LocationSeries(),  # no update and no quick features
         "aud": AudioMfccSeries(frames=samples(1, 13)),
         "ps": PhoneStateSnapshot(),
     }
-    example = Example("u0", 0, sensor_data=payloads)
-    store = FeatureStore.from_examples([example])
+    vectors = extract_all_features(Example("u0", 0, sensor_data=payloads))
+    store = FeatureStore.from_tables([feature_table("u0", [(0, vectors, ())])])
     for sensor in SENSORS:
-        fv = sensor_features(example, sensor)
+        fv = vectors[sensor]
         assert fv.shape == (FEATURE_DIMS[sensor],), sensor
         assert not np.isnan(fv).all(), sensor
         assert store.present[sensor].tolist() == [True], sensor

@@ -13,6 +13,8 @@ sensor) plus one for EF, and a store built from feature tables to no
 feature lookup on an example.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from ctxfuse.classifier import (
     train_linear,
 )
 from ctxfuse.cli import _read_labels_file
-from ctxfuse.data import FeatureStore, label_vector
+from ctxfuse.data import FeatureStore
 from ctxfuse.evaluation import (
     FoldPartition,
     count_outcomes,
@@ -41,17 +43,21 @@ from ctxfuse.evaluation import (
 )
 from ctxfuse.fusion import early_fusion, fit_labels, late_fusion_average, late_fusion_learned
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
-from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
+from ctxfuse.model import FEATURE_DIMS, SENSORS
 from perfbench_files import perfbench_module
 from synth import (
-    core_examples,
+    by_user,
     concat_feature_matrix,
+    core_examples,
+    example_store,
     feature_example,
     feature_matrix,
     has_sensors,
+    label_vector,
     make_triaxial,
     ordered,
     store_of,
+    table_of,
     user_ids,
 )
 
@@ -183,12 +189,11 @@ def _mixed_dataset(seed=7):
             ex = feature_example(user, 1_600_000_000 + 60 * i, vals, labels)
             if user == "u1":
                 raw = {
-                    "acc": make_triaxial(rng, n=96, unit="G", scale=1.0 + (h > 0.2)),
-                    "gyro": make_triaxial(rng, n=96, unit="rad/s"),
+                    "acc": make_triaxial(rng, n=96, scale=1.0 + (h > 0.2)),
+                    "gyro": make_triaxial(rng, n=96),
                 }
-                feats = {s: fv for s, fv in ex.precomputed_features.items() if s not in raw}
-                ex = Example(user_id=user, timestamp=ex.timestamp, sensor_data=raw,
-                             precomputed_features=feats, labels=ex.labels)
+                feats = {s: fv for s, fv in ex.features.items() if s not in raw}
+                ex = replace(ex, sensor_data=raw, features=feats)
             examples.append(ex)
     return ordered(examples)
 
@@ -252,7 +257,7 @@ def _run(examples, labels, partition, mode, jobs=1, oracle=False):
         mp.setattr(classifier, "select_cost", recording)
         if oracle:
             mp.setattr(evaluation, "_fold_counts", per_example)
-        store = FeatureStore.from_examples(examples, labels=labels)
+        store = example_store(examples, labels=labels)
         out = cross_validate(store, labels, SYSTEMS, partition, mode=mode, seed=3, jobs=jobs)
     return out, any(fallbacks), kept
 
@@ -291,7 +296,7 @@ def test_columnar_fold_loop_matches_per_example_oracle(case, mode):
     fallen_back = [fl.rsplit(":", 1)[0] for fl in flags["FEW"] if fl.endswith(":cost_fallback")]
     assert bool(fallen_back) == (mode == "cv5")
     assert all(got["lfl"]["FEW"].chosen_costs[key] == 1.0 for key in fallen_back)
-    store = FeatureStore.from_examples(examples)
+    store = example_store(examples)
     assert not evaluation._held_out_pool(store, ["u5"]).size
     assert all(ex.sensor_data.get("acc") is not None for ex in ordered(examples, ["u1"]))
 
@@ -299,7 +304,8 @@ def test_columnar_fold_loop_matches_per_example_oracle(case, mode):
 def test_feature_store_matches_per_example_assembly():
     examples = _mixed_dataset()
     labels = ["COMMON", "FEW"]
-    store = FeatureStore.from_examples(examples, labels=labels)
+    tables = [table_of(exs) for exs in by_user(examples).values()]
+    store = FeatureStore.from_tables(tables, labels=labels)
     for s in SENSORS:
         assert np.array_equal(store.features[s], feature_matrix(examples, s), equal_nan=True)
         assert store.present[s].tolist() == [has_sensors(ex, (s,)) for ex in examples]
@@ -370,7 +376,7 @@ def _assert_same_model(got: SensorModel, want: SensorModel):
 @pytest.mark.parametrize("cost", [None, 1.0], ids=["grid", "fixed"])
 @pytest.mark.parametrize("sensors", [("acc",), ("loc",), SENSORS], ids=["acc", "loc", "ef"])
 def test_fit_labels_equals_a_fit_per_label_alone(sensors, cost):
-    store = FeatureStore.from_examples(_mixed_dataset(), labels=MIXED_LABELS)
+    store = example_store(_mixed_dataset(), labels=MIXED_LABELS)
     train = store.rows(["u0", "u1", "u2", "u5"])
     rows = train[store.complete(sensors)[train]]
     score_rows = (store.rows(["u3"]), store.rows(["u4"]))
@@ -399,7 +405,7 @@ def test_fit_labels_equals_a_fit_per_label_alone(sensors, cost):
 
 @pytest.mark.parametrize("n_rows", [0, 1])
 def test_fit_labels_on_fewer_than_two_rows_is_trivial(n_rows):
-    store = FeatureStore.from_examples(_mixed_dataset(), labels=MIXED_LABELS)
+    store = example_store(_mixed_dataset(), labels=MIXED_LABELS)
     rows = store.rows(["u0"])
     rows = rows[store.relevant["FEW"][rows] == 1][:n_rows]  # a relevant FEW minute
     scored = store.rows(["u3"])

@@ -14,7 +14,6 @@ from ctxfuse.classifier import (
     predict_proba_matrix,
     train_linear,
 )
-from ctxfuse.data import label_vector
 from ctxfuse.evaluation import count_outcomes, compute_metrics
 from ctxfuse.fusion import (
     early_fusion,
@@ -28,6 +27,7 @@ from synth import (
     concat_feature_matrix,
     feature_example,
     feature_matrix,
+    label_vector,
     ordered,
     random_full_example,
     store_of,
@@ -76,7 +76,7 @@ def test_concatenation_dimension_and_order():
     X = store.matrix(SENSORS, rows)
     assert X.shape == (3, 175)
     for s, (start, stop) in _EF_BLOCKS.items():
-        assert np.array_equal(X[:, start:stop], np.vstack([ex.precomputed_features[s] for ex in exs]))
+        assert np.array_equal(X[:, start:stop], np.vstack([ex.features[s] for ex in exs]))
     assert np.array_equal(X, concat_feature_matrix(exs))
 
 
@@ -85,7 +85,7 @@ def test_early_fusion_trains_and_predicts():
     exs = []
     for i in range(80):
         ex = random_full_example(rng, f"u{i%4}", i, labels={"T": int(i % 2)})
-        vals = dict(ex.precomputed_features)
+        vals = dict(ex.features)
         arr = vals["acc"].copy()
         arr[0] = (2 * (i % 2) - 1) + 0.1 * rng.normal()
         exs.append(feature_example(ex.user_id, i, {**{s: vals[s] for s in SENSORS}, "acc": arr}, {"T": int(i % 2)}))

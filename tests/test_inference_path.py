@@ -8,6 +8,8 @@ the inputs were built with one matrix call per sensor. ``_inline_ef`` and
 inline. They are test oracles only.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -23,7 +25,6 @@ from ctxfuse.classifier import (
     select_cost,
     train_linear,
 )
-from ctxfuse.data import label_vector, sensor_features
 from ctxfuse.evaluation import MetricCounts, count_outcomes, cross_validate, partition_folds
 from ctxfuse.fusion import (
     LateFusionLearned,
@@ -33,16 +34,18 @@ from ctxfuse.fusion import (
     late_fusion_learned,
     predict_late_fusion_learned,
 )
-from ctxfuse.data import FeatureStore
-from ctxfuse.model import FEATURE_DIMS, SENSORS, Example
+from ctxfuse.model import FEATURE_DIMS, SENSORS
 from synth import (
-    core_examples,
     concat_feature_matrix,
+    core_examples,
+    example_store,
     feature_example,
     feature_matrix,
     has_sensors,
+    label_vector,
     make_triaxial,
     ordered,
+    sensor_features,
     store_of,
     user_ids,
 )
@@ -96,7 +99,7 @@ def _rowwise_late_fusion_learned(
 
 def _mixed_examples(seed=0, n=150):
     """Examples with a latent target; acc and gyro carry raw payloads, the
-    rest precomputed features; some minutes lack the watch or location."""
+    rest feature vectors; some minutes lack the watch or location."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -111,18 +114,10 @@ def _mixed_examples(seed=0, n=150):
         labels = {"T": int(h > 0.3), "NONE": 0}
         base = feature_example(f"u{i % 5}", 1_600_000_000 + 60 * i, vals, labels)
         raw = {
-            "acc": make_triaxial(rng, n=96, unit="G", scale=1.0 + 0.5 * (h > 0)),
-            "gyro": make_triaxial(rng, n=96, unit="rad/s"),
+            "acc": make_triaxial(rng, n=96, scale=1.0 + 0.5 * (h > 0)),
+            "gyro": make_triaxial(rng, n=96),
         }
-        out.append(
-            Example(
-                user_id=base.user_id,
-                timestamp=base.timestamp,
-                sensor_data=raw,
-                precomputed_features=base.precomputed_features,
-                labels=base.labels,
-            )
-        )
+        out.append(replace(base, sensor_data=raw))
     return out
 
 
@@ -146,7 +141,7 @@ def test_mixed_fixture_covers_raw_payloads_and_a_trivial_component(mixed):
     assert comps["loc"].is_trivial
     assert not comps["acc"].is_trivial
     assert all(ex.sensor_data.get("acc") is not None for ex in examples)
-    assert "acc" not in examples[0].precomputed_features
+    assert "acc" not in examples[0].features
     complete = [ex for ex in examples if has_sensors(ex)]
     assert 0 < len(complete) < len(examples)
 
@@ -305,7 +300,7 @@ def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
     labels = ["COMMON", "MEDIUM", "RARE"]
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
     partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
-    store = FeatureStore.from_examples(examples, labels=labels)
+    store = example_store(examples, labels=labels)
 
     batched = cross_validate(store, labels, systems, partition, seed=9)
     fold = _follow_folds(monkeypatch)
@@ -415,7 +410,7 @@ def captured_cv():
         fold = _follow_folds(monkeypatch)
         monkeypatch.setattr(evaluation, "fit_labels", capture_ef)
         monkeypatch.setattr(evaluation, "late_fusion_learned", capture_lfl)
-        store = FeatureStore.from_examples(examples, labels=labels)
+        store = example_store(examples, labels=labels)
         results = cross_validate(store, labels, systems, partition, seed=9)
     assert len(captured["ef"]) == len(captured["lfl"]) == 5 * len(labels)
     return labels, results, captured

@@ -10,20 +10,37 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ctxfuse.ingestion as ingestion
+from ctxfuse.cli import main
 from ctxfuse.data import FeatureStore
 from ctxfuse.ingestion import (
     FEATURE_COLUMNS,
+    FeatureTable,
     IngestionError,
+    feature_table,
     load_feature_tables,
     load_fold_partition,
     load_raw_session,
-    parse_features_csv,
     read_features_table,
     write_features_csv,
 )
-from ctxfuse.model import FEATURE_DIMS, MISSING, RELEVANT, SENSORS
+from ctxfuse.model import (
+    FEATURE_DIMS,
+    MISSING,
+    NOT_RELEVANT,
+    RELEVANT,
+    SENSORS,
+    LabelAssignment,
+)
 from perfbench_files import perfbench_module
-from synth import feature_example, has_sensors, ordered, random_full_example
+from synth import (
+    example_store,
+    feature_example,
+    has_sensors,
+    ordered,
+    random_full_example,
+    table_examples,
+    write_examples,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,24 +59,40 @@ def _some_examples(n=5, user="u0"):
 def test_feature_csv_roundtrip_bit_identical(tmp_path):
     examples = _some_examples()
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, examples)
+    write_examples(path, examples)
     first = path.read_bytes()
 
-    parsed = parse_features_csv(path)
-    assert len(parsed) == len(examples)
-    for orig, back in zip(examples, parsed):
-        assert back.user_id == "u0"
-        assert back.timestamp == orig.timestamp
-        for s in SENSORS:
-            assert np.array_equal(
-                back.precomputed_features[s], orig.precomputed_features[s], equal_nan=True
-            )
-        assert back.label_value("SITTING") == orig.label_value("SITTING")
-        assert back.label_value("WALKING") == MISSING
+    table = read_features_table(path)
+    assert len(table) == len(examples)
+    assert table.user_id == "u0"
+    assert table.timestamps.tolist() == [ex.timestamp for ex in examples]
+    for s in SENSORS:
+        assert np.array_equal(table.features[s], np.vstack([ex.features[s] for ex in examples]))
+    assert table.labels["SITTING"].tolist() == [t % 2 for t in range(len(examples))]
+    assert table.labels["WALKING"].tolist() == [-1] * len(examples)  # unreported
 
     path2 = tmp_path / "u0b.features.csv"
-    write_features_csv(path2, parsed)
+    write_features_csv(path2, table)
     assert path2.read_bytes() == first
+
+
+def test_feature_table_sorts_rows_and_label_columns():
+    acc = np.arange(26.0)
+    table = feature_table("u0", [
+        (120, {"acc": acc}, (LabelAssignment("WALKING", RELEVANT),)),
+        (60, {}, (LabelAssignment("WALKING", NOT_RELEVANT), LabelAssignment("SITTING", MISSING))),
+        (90, {"acc": -acc}, ()),
+    ])
+    assert len(table) == 3 and table.user_id == "u0" and table.positional == ()
+    assert table.timestamps.dtype == np.int64 and table.timestamps.tolist() == [60, 90, 120]
+    assert list(table.features) == list(SENSORS)
+    assert table.features["acc"].tobytes() == np.vstack([np.full(26, np.nan), -acc, acc]).tobytes()
+    for s in SENSORS[1:]:
+        assert table.features[s].shape == (3, FEATURE_DIMS[s]) and np.isnan(table.features[s]).all()
+    assert list(table.labels) == ["SITTING", "WALKING"]
+    assert all(col.dtype == np.int8 for col in table.labels.values())
+    assert table.labels["SITTING"].tolist() == [-1, -1, -1]
+    assert table.labels["WALKING"].tolist() == [0, -1, 1]
 
 
 def test_masked_cells_round_trip(tmp_path):
@@ -69,15 +102,15 @@ def test_masked_cells_round_trip(tmp_path):
     vals["loc"][3] = np.nan
     ex = feature_example("u0", 60, vals, {"SITTING": 1})
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, [ex])
+    write_examples(path, [ex])
     header, row = path.read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells[FEATURE_COLUMNS["loc"][3]] == "" and "nan" not in row
-    back = parse_features_csv(path)[0]
-    assert np.isnan(back.precomputed_features["acc"]).all()
-    assert not has_sensors(back, ("acc",))
-    assert np.isnan(back.precomputed_features["loc"][3])
-    assert not np.isnan(back.precomputed_features["loc"][4])
+    back = read_features_table(path)
+    assert np.isnan(back.features["acc"]).all()
+    assert not has_sensors(table_examples(back)[0], ("acc",))
+    assert np.isnan(back.features["loc"][0, 3])
+    assert not np.isnan(back.features["loc"][0, 4])
 
 
 def test_header_group_widths_enforced(tmp_path):
@@ -85,45 +118,45 @@ def test_header_group_widths_enforced(tmp_path):
     path = tmp_path / "u0.features.csv"
     path.write_text(",".join(cols) + "\n" + ",".join(["0"] + ["1"] * 25) + "\n")
     with pytest.raises(IngestionError, match="25 columns"):
-        parse_features_csv(path)
+        read_features_table(path)
 
 
 def test_duplicate_timestamp_rejected(tmp_path):
     examples = _some_examples(2)
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, examples)
+    write_examples(path, examples)
     lines = path.read_text().splitlines()
     lines.append(lines[1])  # repeat the first data row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestionError, match="duplicate timestamp"):
-        parse_features_csv(path)
+        read_features_table(path)
 
 
 def test_ragged_row_rejected_with_line_number(tmp_path):
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, _some_examples(2))
+    write_examples(path, _some_examples(2))
     lines = path.read_text().splitlines()
     lines[2] = lines[2] + ",999"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestionError, match="line 3"):
-        parse_features_csv(path)
+        read_features_table(path)
 
 
 def test_malformed_cell_names_column(tmp_path):
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, _some_examples(1))
+    write_examples(path, _some_examples(1))
     text = path.read_text()
     row = text.splitlines()[1].split(",")
     row[1] = "not-a-number"
     path.write_text(text.splitlines()[0] + "\n" + ",".join(row) + "\n")
     with pytest.raises(IngestionError, match="malformed value"):
-        parse_features_csv(path)
+        read_features_table(path)
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
 def test_infinite_cell_rejected_with_file_line_and_column(tmp_path, cell):
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, _some_examples(3))
+    write_examples(path, _some_examples(3))
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     row = lines[2].split(",")
@@ -131,7 +164,7 @@ def test_infinite_cell_rejected_with_file_line_and_column(tmp_path, cell):
     lines[2] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestionError) as err:
-        parse_features_csv(path)
+        read_features_table(path)
     message = str(err.value)
     assert str(path) in message
     assert "line 3" in message
@@ -141,14 +174,14 @@ def test_infinite_cell_rejected_with_file_line_and_column(tmp_path, cell):
 
 def test_duplicate_header_names_file_and_column(tmp_path):
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, _some_examples(2))
+    write_examples(path, _some_examples(2))
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     header[2] = header[1]
     lines[0] = ",".join(header)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestionError) as err:
-        parse_features_csv(path)
+        read_features_table(path)
     message = str(err.value)
     assert str(path) in message
     assert "duplicate column" in message
@@ -172,82 +205,98 @@ def _permute_group_columns(text, sensor, order):
 def test_canonical_group_columns_map_by_name(tmp_path):
     examples = _some_examples(3)
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, examples)
+    write_examples(path, examples)
+    acc = np.vstack([ex.features["acc"] for ex in examples])
     order = list(range(FEATURE_DIMS["acc"]))
     order[0], order[1] = order[1], order[0]
     swapped = _permute_group_columns(path.read_text(), "acc", order)
     assert swapped.splitlines()[0].split(",")[1] == FEATURE_COLUMNS["acc"][1]
 
     path.write_text(swapped)
-    back = parse_features_csv(path)
-    for orig, got in zip(examples, back):
-        assert np.array_equal(
-            got.precomputed_features["acc"], orig.precomputed_features["acc"]
-        )
+    assert np.array_equal(read_features_table(path).features["acc"], acc)
 
     # names outside the canonical set keep their positional mapping
     path.write_text(swapped.replace("raw_acc:magnitude:", "raw_acc:mag_"))
-    back = parse_features_csv(path)
-    for orig, got in zip(examples, back):
-        want = orig.precomputed_features["acc"][order]
-        assert np.array_equal(got.precomputed_features["acc"], want)
-
-
-_LABEL_CODES = st.sampled_from([1, 0, None])
+    assert np.array_equal(read_features_table(path).features["acc"], acc[:, order])
 
 
 @st.composite
-def _tables(draw):
-    """Examples with random present/absent sensors, masks and labels, plus
-    one sensor group and an order to permute its columns."""
-    timestamps = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
-    label_names = draw(st.lists(st.sampled_from(["SITTING", "WALKING", "LYING_DOWN"]), unique=True))
+def _feature_tables(draw, user="u0"):
+    """A table as :func:`read_features_table` returns one: up to four rows
+    by timestamp, some sensor groups in ``SENSORS`` order with NaN cells
+    and all-NaN rows (a group may be all NaN), and label columns in any
+    order coded 1, 0 or -1."""
+    timestamps = sorted(draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=4, unique=True)))
+    n = len(timestamps)
     cells = st.floats(allow_nan=False, allow_infinity=False)
-    examples = []
-    for ts in timestamps:
-        values = {}
-        for s in SENSORS:
-            if draw(st.booleans()):
-                v = draw(hnp.arrays(np.float64, FEATURE_DIMS[s], elements=cells))
-                v[draw(hnp.arrays(bool, FEATURE_DIMS[s]))] = np.nan
-                values[s] = v
-        labels = {name: draw(_LABEL_CODES) for name in label_names}
-        examples.append(feature_example("u0", ts, values, labels))
-    sensor = draw(st.sampled_from(SENSORS))
-    order = draw(st.permutations(range(FEATURE_DIMS[sensor])))
-    return examples, label_names, sensor, order
+    features = {}
+    for s in SENSORS:
+        if draw(st.booleans()):
+            block = draw(hnp.arrays(np.float64, (n, FEATURE_DIMS[s]), elements=cells))
+            block[draw(hnp.arrays(bool, (n, FEATURE_DIMS[s])))] = np.nan
+            block[draw(hnp.arrays(bool, n))] = np.nan
+            features[s] = block
+    names = draw(st.lists(st.sampled_from(["SITTING", "WALKING", "LYING_DOWN"]), unique=True))
+    codes = st.sampled_from([1, 0, -1])
+    labels = {name: draw(hnp.arrays(np.int8, n, elements=codes)) for name in names}
+    return FeatureTable(user, np.array(timestamps, dtype=np.int64), features, labels, ())
 
 
-@settings(max_examples=40, deadline=None)
-@given(_tables())
-def test_feature_csv_round_trip_property(tmp_path_factory, table):
-    examples, label_names, sensor, order = table
+def _assert_same_table(got, want):
+    """Equal tables, bit for bit: NaN positions, signed zeros and dtypes."""
+    assert got.user_id == want.user_id
+    assert got.timestamps.dtype == want.timestamps.dtype == np.int64
+    assert got.timestamps.tolist() == want.timestamps.tolist()
+    assert list(got.features) == list(want.features)
+    for s, block in want.features.items():
+        assert got.features[s].dtype == block.dtype == np.float64, s
+        assert got.features[s].shape == block.shape, s
+        assert got.features[s].tobytes() == block.tobytes(), s
+    assert list(got.labels) == list(want.labels)
+    for name, col in want.labels.items():
+        assert got.labels[name].dtype == col.dtype == np.int8, name
+        assert got.labels[name].tolist() == col.tolist(), name
+    assert got.positional == want.positional
+
+
+@settings(max_examples=60, deadline=None)
+@given(_feature_tables(), st.data())
+def test_feature_table_round_trip_property(tmp_path_factory, table, data):
     path = tmp_path_factory.mktemp("table") / "u0.features.csv"
-    write_features_csv(path, examples)
+    write_features_csv(path, table)
+    assert len(table) == len(table.timestamps)
+    _assert_same_table(read_features_table(path), table)
     text = path.read_text(encoding="utf-8")
-    assert text.splitlines()[0].split(",")[1 + sum(FEATURE_DIMS.values()):] == [
-        f"label:{name}" for name in sorted(label_names)]
-    for variant in (text, _permute_group_columns(text, sensor, order)):
-        path.write_text(variant, encoding="utf-8")
-        back = parse_features_csv(path)
-        assert [ex.timestamp for ex in back] == sorted(ex.timestamp for ex in examples)
-        by_ts = {ex.timestamp: ex for ex in examples}
-        for got in back:
-            orig = by_ts[got.timestamp]
-            for s in SENSORS:
-                fv = orig.precomputed_features.get(s)
-                parsed = got.precomputed_features[s]
-                if fv is None:
-                    assert np.isnan(parsed).all()
-                else:
-                    assert np.array_equal(parsed, fv, equal_nan=True)
-            for name in label_names:
-                assert got.label_value(name) == orig.label_value(name)
+    write_features_csv(path, read_features_table(path))
+    assert path.read_text(encoding="utf-8") == text
+    if table.features:
+        # a group's canonical names map by name, in any order
+        sensor = data.draw(st.sampled_from(list(table.features)))
+        order = data.draw(st.permutations(range(FEATURE_DIMS[sensor])))
+        path.write_text(_permute_group_columns(text, sensor, order), encoding="utf-8")
+        _assert_same_table(read_features_table(path), table)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+def test_extract_tables_write_back_byte_identical(tmp_path, tiny, capsys):
+    corpus = perfbench_module("corpus")
+    root, _ = corpus.materialize(corpus.WORKLOADS["extract-raw"], 0, tiny, tmp_path / "inputs")
+    out = tmp_path / "out"
+    code = main(["extract", "--input", str(root / "sessions"), "--utc-offset", "-7",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    paths = sorted(out.glob("*.features.csv"))
+    assert paths
+    (tmp_path / "again").mkdir()
+    for path in paths:
+        again = tmp_path / "again" / path.name
+        write_features_csv(again, read_features_table(path))
+        assert again.read_bytes() == path.read_bytes(), path.name
 
 
 def test_unknown_columns_skipped_with_one_warning(tmp_path, caplog):
     path = tmp_path / "u0.features.csv"
-    write_features_csv(path, _some_examples(3))
+    write_examples(path, _some_examples(3))
     plain = read_features_table(path)
     rows = list(csv.reader(io.StringIO(path.read_text())))
     for i, row in enumerate(rows):  # two columns of one unknown group, one of another
@@ -269,21 +318,20 @@ def test_bad_label_cell_rejected(tmp_path):
     path = tmp_path / "u0.features.csv"
     path.write_text("timestamp,label:SITTING\n60,maybe\n")
     with pytest.raises(IngestionError, match="label cell"):
-        parse_features_csv(path)
+        read_features_table(path)
 
 
 def test_label_names_canonicalized(tmp_path):
     path = tmp_path / "u0.features.csv"
     path.write_text("timestamp,label:Lying down\n60,1\n")
-    back = parse_features_csv(path)
-    assert back[0].label_value("LYING_DOWN") == RELEVANT
+    assert read_features_table(path).labels["LYING_DOWN"].tolist() == [1]
 
 
 def test_label_columns_that_canonicalize_to_one_name_rejected(tmp_path):
     path = tmp_path / "u0.features.csv"
     path.write_text("timestamp,label:A,label:a\n60,1,0\n")
     with pytest.raises(IngestionError) as err:
-        parse_features_csv(path)
+        read_features_table(path)
     assert str(err.value) == (
         f"{path}: line 1: label columns 'label:A' and 'label:a' both canonicalize to 'A'"
     )
@@ -293,7 +341,7 @@ def test_timestamp_outside_int64_rejected_with_line(tmp_path):
     path = tmp_path / "u0.features.csv"
     path.write_text(f"timestamp,label:A\n60,1\n{2**63},0\n")
     with pytest.raises(IngestionError, match="line 3: timestamp 9223372036854775808 is out of range"):
-        parse_features_csv(path)
+        read_features_table(path)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +366,12 @@ def _assert_same_store(got, want):
 
 
 def _stores(paths, labels):
-    """The store built from the tables' columns, and the one built from
-    ``parse_features_csv``'s examples in user-then-timestamp order."""
-    tables, examples = [], []
-    for path in paths:
-        tables.append(read_features_table(path))
-        examples.extend(parse_features_csv(path))
+    """The store built from the tables' columns, and the per-example
+    oracle's store of the tables' rows in user-then-timestamp order."""
+    tables = [read_features_table(path) for path in paths]
+    examples = [ex for table in tables for ex in table_examples(table)]
     return (FeatureStore.from_tables(tables, labels=labels),
-            FeatureStore.from_examples(ordered(examples), labels=labels))
+            example_store(ordered(examples), labels=labels))
 
 
 @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
@@ -351,15 +397,15 @@ def _without_group(text, sensor):
 
 @st.composite
 def _directories(draw):
-    """Up to three users' tables (``_tables``) as ``{user: (examples,
+    """Up to three users' tables (``_feature_tables``) as ``{user: (table,
     sensor groups to drop, row order)}``, and the labels to look up."""
     users = draw(st.lists(st.sampled_from(["u0", "u1", "u2"]), min_size=1, max_size=3, unique=True))
     tables, labels = {}, set()
     for user in users:
-        examples, label_names, _, _ = draw(_tables())
+        table = draw(_feature_tables(user))
         dropped = draw(st.lists(st.sampled_from(SENSORS), unique=True, max_size=3))
-        tables[user] = examples, dropped, draw(st.permutations(range(len(examples))))
-        labels.update(label_names)
+        tables[user] = table, dropped, draw(st.permutations(range(len(table))))
+        labels.update(table.labels)
     return tables, sorted(labels) + ["NEVER_REPORTED"]
 
 
@@ -369,9 +415,9 @@ def test_store_from_tables_matches_store_from_examples_property(tmp_path_factory
     tables, labels = directory
     root = tmp_path_factory.mktemp("tables")
     paths = []
-    for user, (examples, dropped, order) in tables.items():
+    for user, (table, dropped, order) in tables.items():
         path = root / f"{user}.features.csv"
-        write_features_csv(path, examples)
+        write_features_csv(path, table)
         text = path.read_text(encoding="utf-8")
         for sensor in dropped:
             text = _without_group(text, sensor)
@@ -397,7 +443,7 @@ def test_store_from_tables_of_header_only_tables_is_empty(tmp_path):
     path = tmp_path / "u0.features.csv"
     path.write_text("timestamp,label:A\n")
     store = FeatureStore.from_tables(load_feature_tables(tmp_path), labels=["A"])
-    _assert_same_store(store, FeatureStore.from_examples([], labels=["A"]))
+    _assert_same_store(store, example_store([], labels=["A"]))
     assert store.user_ids() == []
 
 
@@ -501,7 +547,7 @@ def test_session_bundle_loads_and_extracts_everything(tmp_path):
     root = _write_session(tmp_path / "s1")
     ex = load_raw_session(root, utc_offset_hours=-8)
     assert set(ex.sensor_data) == set(SENSORS)
-    assert ex.label_value("SITTING") == RELEVANT
+    assert ex.labels == (LabelAssignment("SITTING", RELEVANT),)
 
     from ctxfuse.data import extract_all_features
 
@@ -513,7 +559,6 @@ def test_android_acceleration_converted_to_g(tmp_path):
     root_si = _write_session(tmp_path / "si", acc_unit="m/s2")
     ex = load_raw_session(root_si, utc_offset_hours=0)
     acc = ex.sensor_data["acc"]
-    assert acc.unit == "G"
     raw_rows = np.loadtxt(root_si / "acc.csv", delimiter=",")
     assert np.allclose(acc.samples, raw_rows[:, 1:] / 9.80665)
 

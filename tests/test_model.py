@@ -1,8 +1,9 @@
 import numpy as np
 
 from ctxfuse.data import FeatureStore
-from ctxfuse.model import Example, FEATURE_DIMS, PhoneStateSnapshot, canonical_label_name
-from synth import feature_example, has_sensors, random_full_example
+from ctxfuse.ingestion import feature_table
+from ctxfuse.model import FEATURE_DIMS, canonical_label_name
+from synth import example_store, feature_example, has_sensors, random_full_example
 
 
 def test_feature_dims_are_the_published_counts():
@@ -16,7 +17,7 @@ def test_store_complete_keeps_the_minutes_with_all_six_sensors():
     partial = [
         feature_example("u1", t, {"acc": rng.normal(size=26)}) for t in range(2)
     ]
-    store = FeatureStore.from_examples(full + partial)
+    store = example_store(full + partial)
     core = store.complete()
     assert core.tolist() == [True, True, True, False, False]
     assert set(store.users[core]) == {"u0"}
@@ -25,16 +26,12 @@ def test_store_complete_keeps_the_minutes_with_all_six_sensors():
 def test_fully_masked_features_do_not_count_as_available():
     one_cell = np.full(26, np.nan)
     one_cell[5] = 0.0
-    ex = Example("u0", 0, precomputed_features={"acc": np.full(26, np.nan), "gyro": one_cell})
+    vectors = {"acc": np.full(26, np.nan), "gyro": one_cell}
+    ex = feature_example("u0", 0, vectors)
     assert not has_sensors(ex, ("acc",))
     assert has_sensors(ex, ("gyro",))
-    store = FeatureStore.from_examples([ex])
+    store = FeatureStore.from_tables([feature_table("u0", [(0, vectors, ())])])
     assert [bool(store.present[s][0]) for s in ("acc", "gyro", "wacc")] == [False, True, False]
-    # an all-NaN precomputed vector wins over a payload: the sensor is absent
-    ps = Example("u0", 0, sensor_data={"ps": PhoneStateSnapshot()},
-                 precomputed_features={"ps": np.full(34, np.nan)})
-    assert not has_sensors(ps, ("ps",))
-    assert not FeatureStore.from_examples([ps]).present["ps"][0]
 
 
 def test_canonical_label_names():

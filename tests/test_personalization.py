@@ -21,10 +21,10 @@ import ctxfuse.cli as cli
 import ctxfuse.personalization as personalization
 from ctxfuse.classifier import predict_proba_features
 from ctxfuse.cli import _read_labels_file
-from ctxfuse.data import FeatureStore, label_vector
+from ctxfuse.data import FeatureStore
 from ctxfuse.evaluation import compute_metrics, count_outcomes, derive_seed
 from ctxfuse.fusion import early_fusion
-from ctxfuse.ingestion import load_feature_tables, load_fold_partition, parse_features_csv
+from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import RELEVANT, SENSORS
 from ctxfuse.personalization import (
     ModelScore,
@@ -37,10 +37,13 @@ from perfbench_files import perfbench_module
 from synth import (
     concat_feature_matrix,
     drift_user_scenario,
+    example_store,
     has_sensors,
+    label_vector,
     ordered,
     random_full_example,
     store_of,
+    table_examples,
     user_ids,
 )
 
@@ -139,7 +142,7 @@ def _user_store(n, user="u0", order=None):
     examples = [random_full_example(rng, user, 100 + t) for t in range(n)]
     if order is not None:
         examples = [examples[i] for i in order]
-    return FeatureStore.from_examples(examples)
+    return example_store(examples)
 
 
 def _timestamps(store, rows):
@@ -174,7 +177,7 @@ def test_split_needs_two_examples():
 def test_split_takes_only_the_users_rows():
     rng = np.random.default_rng(0)
     examples = [random_full_example(rng, u, 100 + t) for t in range(2) for u in ("u0", "u1")]
-    store = FeatureStore.from_examples(examples)
+    store = example_store(examples)
     rows = np.concatenate(split_user_timeline(store, "u1"))
     assert store.users[rows].tolist() == ["u1", "u1"]
 
@@ -183,7 +186,7 @@ def test_split_takes_only_the_users_rows():
 def drift():
     background, test_user, label = drift_user_scenario(seed=30)
     labels = [label, "NEVER_SEEN"]
-    store = FeatureStore.from_examples(ordered(background + test_user), labels=labels)
+    store = example_store(ordered(background + test_user), labels=labels)
     train_users = user_ids(background)
     results = personalize(store, "tu", labels, train_users, seed=2)
     return store, train_users, label, results
@@ -225,7 +228,7 @@ def test_identical_models_average_to_themselves(monkeypatch):
     # every fit, the universal and the individual model coincide
     adaptation, _ = _split_examples(test_user)
     clone = [replace(ex, user_id="bg") for ex in adaptation]
-    store = FeatureStore.from_examples(ordered(clone + test_user), labels=[label])
+    store = example_store(ordered(clone + test_user), labels=[label])
     monkeypatch.setattr(personalization, "derive_seed", lambda *parts: 2)
     pr = personalize(store, "tu", [label], ["bg"])[label].probabilities
     assert pr["universal"].tobytes() == pr["individual"].tobytes()
@@ -282,7 +285,7 @@ def test_store_path_matches_per_example_oracle_on_drift():
     )
     examples = ordered(background + test_user)
     labels = [label, "NEVER_SEEN"]
-    store = FeatureStore.from_examples(examples, labels=labels)
+    store = example_store(examples, labels=labels)
     train_users = user_ids(background)
     _assert_same_results(
         personalize(store, "tu", labels, train_users, seed=5),
@@ -295,8 +298,9 @@ def test_store_path_matches_per_example_oracle_on_golden_corpus(tmp_path):
     corpus = perfbench_module("corpus")
     root, _ = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, False, tmp_path / "inputs")
     labels = _read_labels_file(root / "labels.txt")
-    store = FeatureStore.from_tables(load_feature_tables(root / "features"), labels=labels)
-    examples = [ex for p in sorted((root / "features").glob("*.csv")) for ex in parse_features_csv(p)]
+    tables = load_feature_tables(root / "features")
+    store = FeatureStore.from_tables(tables, labels=labels)
+    examples = [ex for table in tables for ex in table_examples(table)]
     partition = load_fold_partition(root / "partition.txt")
     for user in json.loads(REFERENCE.read_text(encoding="utf-8")):
         train_users = [u for f in partition.folds if user not in f for u in f]

@@ -36,9 +36,6 @@ LIBRARY_ONLY = {
     "classifier.loss_and_gradient": "the objective at the raw inputs; tests check the solver's gradient on it",
     "classifier.fit_single_sensor_model": "the array-level fit of README Fitting; the tracer and fit oracles use it",
     "fusion.early_fusion": "the one-label EF fit of README Fitting; fusion tests use it as the fit oracle",
-    "data.label_vector": "an example list's targets; the per-example oracles build their labels with it",
-    "data.FeatureStore.from_examples": "a store of example objects; the per-example oracles and README Fitting use it",
-    "ingestion.parse_features_csv": "a feature table as examples; the table-reader tests compare against it",
     "fusion.predict_late_fusion_learned": "LFL scoring; the fold loop calls it once its columns are fixed (ROADMAP 1)",
     "fusion.LateFusionLearned.sensor_weights": "LFL weights per sensor; reported in the manifest once ROADMAP 4 lands",
 }

@@ -5,9 +5,12 @@ Every name a module imports must be used in that module, and every private
 module of the package. A deletion or refactor that leaves an import or a
 private helper behind fails here instead of lingering. The package
 ``__init__`` is exempt from the import check: its imports are the public
-API it re-exports. No dataclass field of the domain model may be an
-optional float or int: NaN in a float64 array is the one encoding of a
-missing value, and a None beside it is a second one.
+API it re-exports. Every dataclass field must be read as an attribute by
+some module of the package, unless :data:`FIELDS_READ_ELSEWHERE` names it
+with its reason: a field that is only ever set is data no command uses.
+No dataclass field of the domain model may be an optional float or int:
+NaN in a float64 array is the one encoding of a missing value, and a None
+beside it is a second one.
 """
 
 import ast
@@ -15,6 +18,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from ctxfuse.model import PHONE_STATE_VALUES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxfuse"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -90,6 +95,87 @@ def test_every_private_top_level_name_is_read(path):
     read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
     defined = private_definitions(path.read_text(encoding="utf-8"))
     assert sorted((line, name) for name, line in defined.items() if name not in read) == []
+
+
+def dataclass_fields(source: str) -> dict:
+    """``{"Class.field": line}`` of every field the dataclasses in ``source`` declare."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    out[f"{node.name}.{stmt.target.id}"] = stmt.lineno
+    return out
+
+
+def attributes_read(source: str) -> set:
+    """Every attribute name ``source`` loads (``x.name``); a keyword of a
+    constructor call or a ``getattr`` by name is no such read."""
+    return {
+        n.attr for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_fields(fields: dict, read: set) -> list:
+    """``(line, "Class.field")`` of each field whose name no attribute read names."""
+    return sorted((line, name) for name, line in fields.items() if name.split(".")[1] not in read)
+
+
+#: ``Class.field`` -> why the field stays although no module of the package reads it as an attribute
+FIELDS_READ_ELSEWHERE = {
+    **{f"MetricReport.{name}": "read by name: MetricReport.metric(name) is getattr, for the results tables"
+       for name in ("accuracy", "tpr", "tnr", "precision")},
+    **{f"PhoneStateSnapshot.{name}": "read by name: the phone-state extractor getattrs each "
+       "PHONE_STATE_VALUES property" for name in PHONE_STATE_VALUES},
+    "LabelEvaluation.counts": "cross_validate's summed counts; perfbench/reference.py compares them",
+    "ModelScore.trivial": "personalize's result for library callers: the trivial-individual convention",
+    "PersonalizationResult.probabilities": "personalize's result for library callers: each model's scores",
+}
+
+
+def _package_fields_and_reads():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    fields = {}
+    for source in sources:
+        fields.update(dataclass_fields(source))
+    return fields, set().union(*(attributes_read(source) for source in sources))
+
+
+def test_the_check_sees_a_field_never_read():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Series:\n"
+        "    samples: list\n"
+        "    unit: str\n"
+        "    rate: float = 1.0\n"
+        "    scale: ClassVar[float] = 2.0\n"
+        "class Plain:\n"
+        "    note: str = ''\n"
+        "def load(rows):\n"
+        "    s = Series(samples=rows, unit='G', rate=2.0)\n"
+        "    return s.samples, getattr(s, 'rate')\n"
+    )
+    fields = dataclass_fields(source)
+    assert fields == {"Series.samples": 4, "Series.unit": 5, "Series.rate": 6}
+    assert unread_fields(fields, attributes_read(source)) == [(5, "Series.unit"), (6, "Series.rate")]
+
+
+def test_every_dataclass_field_is_read():
+    fields, read = _package_fields_and_reads()
+    unread = unread_fields(fields, read)
+    assert [(line, name) for line, name in unread if name not in FIELDS_READ_ELSEWHERE] == []
+
+
+def test_fields_read_elsewhere_lists_only_unread_fields():
+    """An entry whose field is gone, or that the package now reads, goes."""
+    fields, read = _package_fields_and_reads()
+    unread = {name for _, name in unread_fields(fields, read)}
+    assert sorted(set(FIELDS_READ_ELSEWHERE) - unread) == []
 
 
 #: an optional scalar annotation, in the spellings the typing module allows
