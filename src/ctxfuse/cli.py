@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -162,10 +161,14 @@ def _read_labels_file(path) -> list:
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     labels = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             label = canonical_label_name(line)
+            if not label:
+                raise ConfigError(
+                    f"labels file {path}: line {lineno}: label {line!r} has an empty canonical name"
+                )
             if label in labels:
                 raise ConfigError(
                     f"labels file {path} lists label {label!r} twice (again as {line!r})"
@@ -194,8 +197,10 @@ def cmd_extract(args) -> int:
     started = time.time()
     if args.utc_offset is None:
         raise ConfigError("--utc-offset is required (local time-of-day must be reproducible)")
-    if not math.isfinite(args.utc_offset):
-        raise ConfigError(f"--utc-offset must be a finite number of hours, got {args.utc_offset}")
+    if not -24 <= args.utc_offset <= 24:  # NaN fails the comparison too
+        raise ConfigError(
+            f"--utc-offset must be a finite number of hours within -24..24, got {args.utc_offset}"
+        )
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         raise IngestionError(f"input directory {input_dir} not readable")

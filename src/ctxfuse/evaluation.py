@@ -16,9 +16,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classifier import LinearModel, predict_proba_matrix
+from .classifier import LinearModel, predict_proba_features, predict_proba_matrix
 from .data import FeatureStore
-from .fusion import fit_labels, late_fusion_average, late_fusion_learned
+from .fusion import component_probabilities, fit_labels, late_fusion_average, late_fusion_learned
 from .model import SENSORS
 
 SINGLE_SENSOR_SYSTEMS = SENSORS
@@ -39,7 +39,8 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class FoldPartition:
-    """Disjoint user folds; platform proportions equalized at construction."""
+    """Disjoint user folds: no user is listed twice (:func:`partition_folds`
+    equalizes platform proportions)."""
 
     folds: tuple
 
@@ -288,18 +289,17 @@ def _fold_counts(
     seed: int,
     fold_index: int,
 ):
-    """Train every requested system on the training users' rows and count
-    outcomes on the held-out pool (:func:`_held_out_pool`): ``(counts,
-    models)``, ``counts[system][label]`` for each requested system and every
-    fitted model as a ``(system, model)`` pair, in fit order.
+    """Train every requested system on the training users' rows, then score
+    the held-out pool (:func:`_held_out_pool`): ``(counts, models)``,
+    ``counts[system][label]`` for each requested system and every fitted
+    model as a ``(system, model)`` pair, in fit order.
 
-    Each system's models come from one :func:`~ctxfuse.fusion.fit_labels`
+    Each single-sensor system and EF is one :func:`~ctxfuse.fusion.fit_labels`
     call, which fits one standardizer for every label: a sensor's on the
     training rows where that sensor is present, EF's on the rows with all
-    six. One system's matrices are alive at a time. LFA and the LFL second
-    layer are the library's :func:`~ctxfuse.fusion.late_fusion_average` on
-    the pool and :func:`~ctxfuse.fusion.late_fusion_learned` on the rows
-    with all six. A ``RuntimeError`` of a failed fit names its fold,
+    six. The LFL second layer is :func:`~ctxfuse.fusion.late_fusion_learned`
+    on the rows with all six. Every pool probability comes from a library
+    predict function. A ``RuntimeError`` of a failed fit names its fold,
     system and label.
     """
     pool = _held_out_pool(store, fold_users)
@@ -318,52 +318,51 @@ def _fold_counts(
     if {"lfa", "lfl"} & set(systems):
         needed_sensors |= set(SENSORS)
 
-    counts = {sys: {} for sys in systems}
     models = []
-    y_true = {label: store.relevant[label][pool] > 0 for label in labels}
 
     def fit(system, sensors, rows):
-        """:func:`fit_labels` for one system, scoring the pool and recording
-        each label's model and, for a requested system, its pool counts."""
+        """:func:`fit_labels` for one system, recording each label's model."""
         try:
             fits = fit_labels(
-                store, sensors, rows, labels, cost=cost, score_rows=(pool,),
+                store, sensors, rows, labels, cost=cost,
                 seeds=lambda label: derive_seed(seed, fold_index, label, system),
             )
         except RuntimeError as exc:
             raise RuntimeError(f"fold {fold_index}, system {system}: {exc}") from exc
-        for label, (model, p_pool) in fits.items():
-            models.append((system, model))
-            if system in systems:
-                counts[system][label] = count_outcomes(y_true[label], p_pool > 0.5)
+        models.extend((system, model) for model in fits.values())
         return fits
 
-    single_models = {label: {} for label in labels}
-    sensor_probs = {label: {} for label in labels}
-    for s in sorted(needed_sensors):
-        for label, (model, p_pool) in fit(s, (s,), train[store.present[s][train]]).items():
-            single_models[label][s] = model
-            sensor_probs[label][s] = p_pool
-
-    if "ef" in systems:
-        fit("ef", SENSORS, complete)
-
-    for label in labels:
-        probs = sensor_probs[label]
-        if "lfa" in systems:
-            p_lfa = late_fusion_average({s: single_models[label][s] for s in SENSORS}, store, pool)
-            counts["lfa"][label] = count_outcomes(y_true[label], p_lfa > 0.5)
-
-        if "lfl" in systems:
+    single = {s: fit(s, (s,), train[store.present[s][train]]) for s in sorted(needed_sensors)}
+    ef = fit("ef", SENSORS, complete) if "ef" in systems else {}
+    lfl = {}
+    if "lfl" in systems:
+        for label in labels:
+            components = {s: fits[label] for s, fits in single.items()}  # sorted by name
             try:
-                lfl = late_fusion_learned(store, complete, label, single_models[label], cost=cost,
-                                          seed=derive_seed(seed, fold_index, label, "lfl"))
+                lfl[label] = late_fusion_learned(store, complete, label, components, cost=cost,
+                                                 seed=derive_seed(seed, fold_index, label, "lfl"))
             except RuntimeError as exc:
                 raise RuntimeError(f"fold {fold_index}, system lfl: label {label!r}: {exc}") from exc
-            models.append(("lfl", lfl))
-            P = np.vstack([probs[s] for s in SENSORS]).T
-            p_lfl = predict_proba_matrix(lfl.second_layer, P)
-            counts["lfl"][label] = count_outcomes(y_true[label], p_lfl > 0.5)
+            models.append(("lfl", lfl[label]))
+
+    counts = {system: {} for system in systems}
+    for label in labels:
+        probs = {s: predict_proba_features(single[s][label], store.features[s][pool])
+                 for s in systems if s in SENSORS}
+        if "ef" in systems:
+            probs["ef"] = predict_proba_features(ef[label], store.matrix(SENSORS, pool))
+        if "lfa" in systems:
+            probs["lfa"] = late_fusion_average({s: single[s][label] for s in SENSORS}, store, pool)
+        if "lfl" in systems:
+            # Known defect (ROADMAP item 1): the second layer was trained on
+            # component columns in sorted-name order but is scored here on
+            # SENSORS-order columns, as the benchmark references record. The
+            # fix is predict_late_fusion_learned(lfl[label], store, pool).
+            probs["lfl"] = predict_proba_matrix(lfl[label].second_layer, component_probabilities(
+                {s: lfl[label].components[s] for s in SENSORS}, store, pool))
+        y_true = store.relevant[label][pool] > 0
+        for system, p in probs.items():
+            counts[system][label] = count_outcomes(y_true, p > 0.5)
 
     return counts, models
 

@@ -32,10 +32,9 @@ from .data import FeatureStore
 from .model import SENSORS
 
 
-def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score_rows=()) -> dict:
+def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds) -> dict:
     """Fit every label's :class:`SensorModel` on the ``sensors`` features
-    of the store's ``rows``: ``{label: (model, *probabilities)}``, one
-    ``(len(r),)`` probability array per index array ``r`` of ``score_rows``.
+    of the store's ``rows``: ``{label: model}``.
 
     The one fit step of single-sensor, early-fusion and personalization
     models. A standardizer does not depend on the label: one is
@@ -45,18 +44,14 @@ def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds, score
     """
     sensors = tuple(sensors)
     standardizer, Z = _standardized(store.matrix(sensors, rows))
-    scored = [store.matrix(sensors, r) for r in score_rows]
-    if standardizer is not None:
-        scored = [standardizer.transform(X) for X in scored]
     fits = {}
     for label in labels:
         try:
-            model = _fit_standardized(
+            fits[label] = _fit_standardized(
                 label, sensors, standardizer, Z, store.relevant[label][rows], cost=cost, seed=seeds(label)
             )
         except RuntimeError as exc:
             raise RuntimeError(f"label {label!r}: {exc}") from exc
-        fits[label] = (model, *(predict_proba_matrix(model.model, X) for X in scored))
     return fits
 
 
@@ -83,8 +78,7 @@ def early_fusion(store: FeatureStore, rows, label: str, *, sensors=SENSORS,
     rows = rows[store.complete(sensors)[rows]]
     if not rows.size:
         raise ValueError("early fusion has no complete-sensor training examples")
-    (model,) = fit_labels(store, sensors, rows, (label,), cost=cost, seeds=lambda _: seed)[label]
-    return model
+    return fit_labels(store, sensors, rows, (label,), cost=cost, seeds=lambda _: seed)[label]
 
 
 def component_probabilities(components: Mapping[str, SensorModel], store: FeatureStore, rows) -> np.ndarray:

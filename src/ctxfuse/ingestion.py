@@ -211,6 +211,8 @@ def _group_columns(header: Sequence[str], origin: str):
     for idx, name in enumerate(header[1:], start=1):
         if name.startswith(LABEL_COLUMN_PREFIX):
             label = canonical_label_name(name[len(LABEL_COLUMN_PREFIX):])
+            if not label:
+                raise IngestionError(f"{origin}: line 1: label column {name!r} has an empty canonical name")
             if label_column_of.setdefault(label, name) != name:
                 raise IngestionError(f"{origin}: line 1: label columns {label_column_of[label]!r} "
                                      f"and {name!r} both canonicalize to {label!r}")
@@ -329,11 +331,14 @@ def feature_table(user_id: str, minutes) -> FeatureTable:
 def read_features_table(path) -> FeatureTable:
     """Parse one user's feature table into columns, cell by cell.
 
-    The user id is the file name up to its first dot. A group absent from
-    the header has no matrix.
+    The user id is the file name up to its first dot, and must not be
+    empty. A group absent from the header has no matrix.
     """
     path = Path(path)
     origin = str(path)
+    user_id = path.name.split(".")[0]
+    if not user_id:
+        raise IngestionError(f"{origin}: the file name gives an empty user id")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header, rows = _read_table(fh, origin)
@@ -385,7 +390,7 @@ def read_features_table(path) -> FeatureTable:
             features[sensor] = values[:, start:start + len(cols)]
             start += len(cols)
     return FeatureTable(
-        user_id=path.name.split(".")[0],
+        user_id=user_id,
         timestamps=timestamps[order],
         features=features,
         labels={name: labels[k, order] for k, (_, name) in enumerate(label_cols)},

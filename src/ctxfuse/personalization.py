@@ -13,10 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .classifier import predict_proba_features
 from .data import FeatureStore
 from .evaluation import (
     InsufficientDataError,
-    MetricReport,
     compute_metrics,
     count_outcomes,
     derive_seed,
@@ -29,7 +29,6 @@ from .model import SENSORS
 class ModelScore:
     ba: Optional[float]
     f1: Optional[float]
-    report: Optional[MetricReport]
     trivial: bool = False
 
 
@@ -58,7 +57,7 @@ def split_user_timeline(store: FeatureStore, user: str) -> tuple:
 
 def _scored(y_true, p) -> ModelScore:
     report = compute_metrics(count_outcomes(y_true, p > 0.5))
-    return ModelScore(ba=report.ba, f1=report.f1, report=report)
+    return ModelScore(ba=report.ba, f1=report.f1)
 
 
 def personalize(
@@ -96,27 +95,28 @@ def personalize(
     fitting = "universal"
     try:
         universal = fit_labels(
-            store, SENSORS, train, labels, cost=None, score_rows=(deploy,),
+            store, SENSORS, train, labels, cost=None,
             seeds=lambda label: derive_seed(seed, "universal", label),
         )
         fitting = "individual"
         individual = fit_labels(
-            store, SENSORS, adapt, labels, cost=None, score_rows=(deploy,),
+            store, SENSORS, adapt, labels, cost=None,
             seeds=lambda label: derive_seed(seed, "individual", user),
         )
     except RuntimeError as exc:
         raise RuntimeError(f"user {user!r}, {fitting} model: {exc}") from exc
 
+    X = store.matrix(SENSORS, deploy)
     results = {}
     for label in labels:
         y_true = store.relevant[label][deploy] > 0
-        _, p_universal = universal[label]
-        model, p_individual = individual[label]
-        if model.is_trivial:
+        p_universal = predict_proba_features(universal[label], X)
+        if individual[label].is_trivial:
             # the convention for a trivial individual classifier
-            individual_score = ModelScore(ba=0.5, f1=0.0, report=None, trivial=True)
+            individual_score = ModelScore(ba=0.5, f1=0.0, trivial=True)
             p_individual, p_adapted = None, p_universal
         else:
+            p_individual = predict_proba_features(individual[label], X)
             individual_score = _scored(y_true, p_individual)
             p_adapted = (p_universal + p_individual) / 2.0
         results[label] = PersonalizationResult(

@@ -783,6 +783,33 @@ def test_labels_file_that_is_not_utf8_is_input_error(tmp_path, eval_setup, capsy
                  f"error: {labels_file}: not UTF-8 text", out)
 
 
+@pytest.mark.parametrize("case", ["label-column", "user-id"])
+def test_feature_table_giving_an_empty_name_is_input_error(tmp_path, eval_setup, capsys, case):
+    features, labels_file, _ = eval_setup
+    table = sorted(features.glob("*.features.csv"))[1]
+    if case == "label-column":
+        header, rest = table.read_text().split("\n", 1)
+        column = next(name for name in header.split(",") if name.startswith("label:"))
+        table.write_text(header.replace(column, "label:!!!") + "\n" + rest)
+        message = f"error: {table}: line 1: label column 'label:!!!' has an empty canonical name"
+    else:
+        shutil.copy(table, features / ".features.csv")
+        message = f"error: {features / '.features.csv'}: the file name gives an empty user id"
+    out = tmp_path / "out"
+    _input_error(_evaluate_argv(features, labels_file, out, "--systems", "acc"), capsys, message, out)
+
+
+def test_labels_file_line_with_an_empty_canonical_name_exits_3(tmp_path, eval_setup, capsys):
+    features, labels_file, label = eval_setup
+    labels_file.write_text(f"{label}\n!!!  # no letter or digit\n")
+    out = tmp_path / "out"
+    code = main(_evaluate_argv(features, labels_file, out, "--systems", "acc"))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith(f"error: labels file {labels_file}: line 2: label '!!!' has an empty canonical name"), err
+    assert not out.exists()
+
+
 def _partition_dir(tmp_path, eval_setup):
     """A partition directory of two fold files over the setup's users."""
     users = sorted(p.name.split(".")[0] for p in eval_setup[0].glob("*.features.csv"))
@@ -836,7 +863,7 @@ def test_unreadable_feature_table_is_input_error(tmp_path, eval_setup, capsys, k
     _input_error(_evaluate_argv(features, labels_file, out, "--systems", "acc"), capsys, message, out)
 
 
-@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf", "1e308", "24.5", "-25"])
 def test_extract_non_finite_utc_offset_exits_3(tmp_path, capsys, offset):
     bundles = _make_bundles(tmp_path / "raw")
     out = tmp_path / "o"
@@ -844,6 +871,7 @@ def test_extract_non_finite_utc_offset_exits_3(tmp_path, capsys, offset):
     err = capsys.readouterr().err
     assert code == 3, err
     assert err.startswith("error: --utc-offset must be a finite number of hours"), err
+    assert err.endswith(f", got {float(offset)}\n"), err
     assert not out.exists()
 
 

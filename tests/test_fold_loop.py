@@ -379,28 +379,24 @@ def test_fit_labels_equals_a_fit_per_label_alone(sensors, cost):
     store = example_store(_mixed_dataset(), labels=MIXED_LABELS)
     train = store.rows(["u0", "u1", "u2", "u5"])
     rows = train[store.complete(sensors)[train]]
-    score_rows = (store.rows(["u3"]), store.rows(["u4"]))
 
     def seeds(label):
         return derive_seed(1, label)
 
-    fits = fit_labels(store, sensors, rows, MIXED_LABELS, cost=cost, seeds=seeds, score_rows=score_rows)
+    fits = fit_labels(store, sensors, rows, MIXED_LABELS, cost=cost, seeds=seeds)
     assert list(fits) == MIXED_LABELS
-    for label, (model, *probs) in fits.items():
+    for label, model in fits.items():
         X, y = store.matrix(sensors, rows), store.relevant[label][rows]
         want = _fit_alone(label, sensors, X, y, cost=cost, seed=seeds(label))
         _assert_same_model(model, want)
         if len(sensors) == 1:
             _assert_same_model(model, fit_single_sensor_model(sensors[0], label, X, y, cost=cost, seed=seeds(label)))
-        assert len(probs) == len(score_rows)
-        for r, p in zip(score_rows, probs):
-            assert p.tobytes() == predict_proba_features(want, store.matrix(sensors, r)).tobytes()
 
     # the cases the mixed dataset reaches: a trivial label, a grid fallback
     # (grid only) and, without location, a label with one class
-    assert fits["NONE"][0].is_trivial
-    assert fits["PARTIAL"][0].is_trivial == ("loc" in sensors)
-    assert (fits["FEW"][0].notes == ("cost_fallback:C=1",)) == (cost is None)
+    assert fits["NONE"].is_trivial
+    assert fits["PARTIAL"].is_trivial == ("loc" in sensors)
+    assert (fits["FEW"].notes == ("cost_fallback:C=1",)) == (cost is None)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1])
@@ -409,12 +405,12 @@ def test_fit_labels_on_fewer_than_two_rows_is_trivial(n_rows):
     rows = store.rows(["u0"])
     rows = rows[store.relevant["FEW"][rows] == 1][:n_rows]  # a relevant FEW minute
     scored = store.rows(["u3"])
-    fits = fit_labels(store, ("acc",), rows, ["FEW", "NONE"], cost=None, seeds=lambda _: 0,
-                      score_rows=(scored,))
-    for label, (model, p) in fits.items():
+    fits = fit_labels(store, ("acc",), rows, ["FEW", "NONE"], cost=None, seeds=lambda _: 0)
+    for label, model in fits.items():
         X, y = store.features["acc"][rows], store.relevant[label][rows]
         _assert_same_model(model, fit_single_sensor_model("acc", label, X, y))
         assert model.is_trivial and model.standardizer is None
+        p = predict_proba_features(model, store.features["acc"][scored])
         positive = label == "FEW" and n_rows == 1
         assert np.all(p == (1.0 - PROBABILITY_CLIP if positive else PROBABILITY_CLIP))
         assert p.shape == scored.shape

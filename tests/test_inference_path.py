@@ -397,7 +397,7 @@ def captured_cv():
     def capture_ef(store, sensors, *args, **kwargs):
         fits = fit_labels(store, sensors, *args, **kwargs)
         if tuple(sensors) == SENSORS:  # the EF fit; the others are single-sensor
-            captured["ef"] += [(held_out(), label, model) for label, (model, *_) in fits.items()]
+            captured["ef"] += [(held_out(), label, model) for label, model in fits.items()]
         return fits
 
     def capture_lfl(store, rows, label, components, **kwargs):

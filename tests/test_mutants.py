@@ -207,12 +207,13 @@ def test_lfl_constant_input_check_with_a_tolerance_fails_lfl_test(monkeypatch):
 
 
 def test_standardizer_fit_on_the_scored_rows_too_fails_golden(tmp_path, monkeypatch, capsys):
-    # the held-out rows leak into every model through the standardizer's
-    # means and stds; the models still train on the training rows alone
+    # a standardizer fit on every store row: the held-out rows leak into
+    # every model through its means and stds; the models still train on the
+    # training rows alone
     _mutate(monkeypatch, fusion, "fit_labels",
             "standardizer, Z = _standardized(store.matrix(sensors, rows))",
-            "standardizer, Z = _standardized(store.matrix(sensors, np.concatenate([rows, *score_rows])))\n"
-            "    Z = Z[: len(rows)]",
+            "standardizer = _standardized(store.matrix(sensors, np.arange(len(store.users))))[0]\n"
+            "    Z = standardizer.transform(store.matrix(sensors, rows))",
             evaluation, personalization)
     assert "counts" in _golden_fails(tmp_path, monkeypatch, capsys)
 

@@ -59,12 +59,12 @@ def _split_examples(user_examples):
 
 
 def _chance_score():
-    return ModelScore(ba=0.5, f1=0.0, report=None, trivial=True)
+    return ModelScore(ba=0.5, f1=0.0, trivial=True)
 
 
 def _scored(counts):
     report = compute_metrics(counts)
-    return ModelScore(ba=report.ba, f1=report.f1, report=report)
+    return ModelScore(ba=report.ba, f1=report.f1)
 
 
 def _per_example_personalization(universal_models, adaptation, deployment, labels, *, seed):

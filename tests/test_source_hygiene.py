@@ -10,11 +10,16 @@ some module of the package, unless :data:`FIELDS_READ_ELSEWHERE` names it
 with its reason: a field that is only ever set is data no command uses.
 No dataclass field of the domain model may be an optional float or int:
 NaN in a float64 array is the one encoding of a missing value, and a None
-beside it is a second one.
+beside it is a second one. Importing the command line loads no package
+outside the standard library but numpy, the one dependency an install
+brings: the test-only ones (scipy, hypothesis) would hide such an import.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,3 +225,25 @@ def test_the_check_sees_an_optional_scalar_field():
 
 def test_model_dataclasses_have_no_optional_scalar_field():
     assert optional_scalar_fields((PACKAGE / "model.py").read_text(encoding="utf-8")) == []
+
+
+def packages_loaded_by(statement: str) -> list:
+    """The top-level packages outside the standard library (and other than
+    ``ctxfuse``) that ``statement`` loads in a fresh interpreter, beyond those
+    the interpreter loaded at startup."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*sorted(set(sys.modules) - before))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    top = {name.split(".")[0] for name in run.stdout.split()}
+    return sorted(top - set(sys.stdlib_module_names) - {"ctxfuse"})
+
+
+def test_the_check_sees_a_package_outside_the_standard_library():
+    assert packages_loaded_by("import json, csv") == []
+    assert "scipy" in packages_loaded_by("import scipy.linalg")
+
+
+def test_cli_imports_only_the_installed_dependencies():
+    assert set(packages_loaded_by("import ctxfuse.cli")) <= {"numpy"}  # pyproject's dependencies
