@@ -302,7 +302,7 @@ def cmd_evaluate(args) -> int:
         k = min(5, len(users))
         if k < 2:
             raise ConfigError("cross-validation needs at least 2 users")
-        partition = partition_folds({u: "unknown" for u in users}, k=k, seed=args.seed)
+        partition = partition_folds(users, k=k, seed=args.seed)
 
     evaluations = cross_validate(
         store, labels, systems, partition, mode=args.mode, seed=args.seed, jobs=args.jobs

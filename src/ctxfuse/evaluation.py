@@ -1,4 +1,4 @@
-"""Subject-partitioned evaluation: folds, the metric suite, random baselines.
+"""Subject-partitioned evaluation: folds, BA and F1 from summed counts, random baselines.
 
 Users (never examples) are partitioned into folds so no subject appears in
 both train and test. Counts are summed over all folds before any ratio is
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .model import SENSORS
 SINGLE_SENSOR_SYSTEMS = SENSORS
 FUSION_SYSTEMS = ("ef", "lfa", "lfl")
 ALL_SYSTEMS = SINGLE_SENSOR_SYSTEMS + FUSION_SYSTEMS
-
-METRIC_NAMES = ("accuracy", "tpr", "tnr", "precision", "ba", "f1")
 
 #: The cost of every fit in leave-one-user-out mode (cv5 grid-searches it).
 LOO_COST = 1.0
@@ -39,8 +37,8 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class FoldPartition:
-    """Disjoint user folds: no user is listed twice (:func:`partition_folds`
-    equalizes platform proportions)."""
+    """Disjoint user folds: no user is listed twice. The paper's
+    platform-balanced folds are read from its published fold files."""
 
     folds: tuple
 
@@ -66,45 +64,21 @@ class FoldPartition:
         return len(self.folds)
 
 
-def partition_folds(platform_by_user: Mapping[str, str], k: int = 5, seed: int = 0) -> FoldPartition:
-    """Randomly partition users into k folds, equalizing platform proportions.
-
-    Fold sizes differ by at most one user, and each platform's count per
-    fold differs by at most one from an even split. Deterministic for a
-    given seed.
-    """
-    users = sorted(platform_by_user)
+def partition_folds(users: Sequence[str], k: int = 5, seed: int = 0) -> FoldPartition:
+    """Randomly partition users into k folds whose sizes differ by at most
+    one user: a seeded permutation of the sorted users, cut into
+    consecutive folds, the first ``n % k`` of them one user larger."""
+    users = sorted(users)
     n = len(users)
     if n < k:
         raise ValueError(f"cannot split {n} users into {k} folds")
-    rng = np.random.default_rng(seed)
-
-    groups = {}
-    for uid in users:
-        groups.setdefault(platform_by_user[uid], []).append(uid)
-    for tag in groups:
-        order = rng.permutation(len(groups[tag]))
-        groups[tag] = [groups[tag][i] for i in order]
-
-    sizes = [n // k + (1 if f < n % k else 0) for f in range(k)]
-    counts = {tag: [len(g) // k] * k for tag, g in groups.items()}
-    remaining = [sizes[f] - sum(counts[tag][f] for tag in groups) for f in range(k)]
-
-    # hand out each platform's remainder to the folds with most room
-    for tag in sorted(groups, key=lambda t: (-len(groups[t]), t)):
-        r = len(groups[tag]) % k
-        order = sorted(range(k), key=lambda f: (-remaining[f], f))
-        for f in order[:r]:
-            counts[tag][f] += 1
-            remaining[f] -= 1
-
-    folds = [[] for _ in range(k)]
-    for tag in sorted(groups):
-        pos = 0
-        for f in range(k):
-            folds[f].extend(groups[tag][pos : pos + counts[tag][f]])
-            pos += counts[tag][f]
-    return FoldPartition(folds=tuple(tuple(sorted(f)) for f in folds))
+    order = [users[i] for i in np.random.default_rng(seed).permutation(n)]
+    folds, start = [], 0
+    for f in range(k):
+        size = n // k + (f < n % k)
+        folds.append(tuple(sorted(order[start : start + size])))
+        start += size
+    return FoldPartition(folds=tuple(folds))
 
 
 def loo_partition(users: Sequence[str]) -> FoldPartition:
@@ -118,23 +92,22 @@ def loo_partition(users: Sequence[str]) -> FoldPartition:
 
 @dataclass(frozen=True)
 class MetricCounts:
+    """Outcome counts: ints for one results cell, or arrays of one shape
+    for many (one entry per coin-flip simulation)."""
+
     tp: int = 0
     tn: int = 0
     fp: int = 0
     fn: int = 0
 
     def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
+        if np.min((self.tp, self.tn, self.fp, self.fn)) < 0:
             raise ValueError("counts must be non-negative")
 
     def __add__(self, other: "MetricCounts") -> "MetricCounts":
         return MetricCounts(
             self.tp + other.tp, self.tn + other.tn, self.fp + other.fp, self.fn + other.fn
         )
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 def count_outcomes(y_true, y_pred) -> MetricCounts:
@@ -150,52 +123,31 @@ def count_outcomes(y_true, y_pred) -> MetricCounts:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """The six scores; a ratio with an empty denominator is None, never a
-    silent 0. The one exception is the trivial-classifier convention: F1
-    with zero TP and zero FP is reported as 0 with ``f1_defined=False``.
-    """
+    """BA and F1; a score whose ratio has an empty denominator is NaN,
+    never a silent 0. By the trivial-classifier convention, F1 with no true
+    positive is 0 with ``f1_defined`` False."""
 
-    accuracy: Optional[float]
-    tpr: Optional[float]
-    tnr: Optional[float]
-    precision: Optional[float]
-    ba: Optional[float]
-    f1: Optional[float]
-    f1_defined: bool = True
-
-    def metric(self, name: str) -> Optional[float]:
-        return getattr(self, name)
+    ba: float
+    f1: float
+    f1_defined: bool
 
 
 def compute_metrics(counts: MetricCounts) -> MetricReport:
-    tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
-    total = counts.total
-
-    accuracy = (tp + tn) / total if total > 0 else None
-    tpr = tp / (tp + fn) if tp + fn > 0 else None
-    tnr = tn / (tn + fp) if tn + fp > 0 else None
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    ba = (tpr + tnr) / 2 if tpr is not None and tnr is not None else None
-
-    f1, f1_defined = None, True
-    if tpr is not None:
-        if precision is None:
-            # nothing declared positive and nothing to declare: TP = FP = 0
-            f1, f1_defined = 0.0, False
-        elif tpr + precision == 0:
-            f1, f1_defined = 0.0, False
-        else:
-            f1 = 2 * tpr * precision / (tpr + precision)
-
-    return MetricReport(
-        accuracy=accuracy,
-        tpr=tpr,
-        tnr=tnr,
-        precision=precision,
-        ba=ba,
-        f1=f1,
-        f1_defined=f1_defined,
-    )
+    """BA and F1 of ``counts``, elementwise when its fields are arrays."""
+    tp, tn, fp, fn = (np.asarray(c, dtype=float)
+                      for c in (counts.tp, counts.tn, counts.fp, counts.fn))
+    with np.errstate(invalid="ignore"):
+        tpr = tp / (tp + fn)
+        precision = tp / (tp + fp)
+        ba = (tpr + tn / (tn + fp)) / 2
+        # Not the exact-rounded 2tp / (2tp + fp + fn) of classifier.f1_binary:
+        # the cost grid needs that one's exact ties, and the recorded result
+        # cells hold this one's rounding (0.7938, not 0.7937, at tp=127,
+        # fp=32, fn=34).
+        f1 = 2 * tpr * precision / (tpr + precision)
+    f1_defined = tp > 0
+    f1 = np.where(f1_defined, f1, np.where(tp + fn > 0, 0.0, np.nan))
+    return MetricReport(ba=ba[()], f1=f1[()], f1_defined=f1_defined[()])
 
 
 # ---------------------------------------------------------------------------
@@ -207,48 +159,39 @@ BASELINE_SIMULATIONS = 100
 
 
 def random_baseline_scores(n_positive: int, n_examples: int, seed: int = 0) -> dict:
-    """Scores of a coin-flip classifier, one array of
-    :data:`BASELINE_SIMULATIONS` values per metric.
+    """BA and F1 of a coin-flip classifier, one array of
+    :data:`BASELINE_SIMULATIONS` values each.
 
     The simulated classifier declares relevant with probability 0.5 for each
     example independently; per simulation only the outcome counts matter, so
-    TP/FP are drawn binomially. Undefined metric values become NaN.
+    TP and FP are drawn binomially, in the order (TP, FP) per simulation.
+    An undefined score is NaN.
     """
     if n_examples <= 0:
         raise ValueError("n_examples must be positive")
     if not 0 <= n_positive <= n_examples:
         raise ValueError("n_positive out of range")
-    rng = np.random.default_rng(seed)
     n_negative = n_examples - n_positive
-    out = {name: np.full(BASELINE_SIMULATIONS, np.nan) for name in METRIC_NAMES}
-    for s in range(BASELINE_SIMULATIONS):
-        tp = int(rng.binomial(n_positive, 0.5))
-        fp = int(rng.binomial(n_negative, 0.5))
-        report = compute_metrics(
-            MetricCounts(tp=tp, tn=n_negative - fp, fp=fp, fn=n_positive - tp)
-        )
-        for name in METRIC_NAMES:
-            v = report.metric(name)
-            if v is not None:
-                out[name][s] = v
-    return out
+    draws = np.random.default_rng(seed).binomial(
+        np.tile([n_positive, n_negative], BASELINE_SIMULATIONS), 0.5)
+    tp, fp = draws[0::2], draws[1::2]
+    report = compute_metrics(MetricCounts(tp=tp, tn=n_negative - fp, fp=fp, fn=n_positive - tp))
+    return {"ba": report.ba, "f1": report.f1}
 
 
-def p99_of_defined(values: np.ndarray) -> Optional[float]:
-    """99th percentile of the non-NaN values; None when every value is NaN."""
+def p99_of_defined(values: np.ndarray) -> float:
+    """99th percentile of the non-NaN values; NaN when every value is NaN."""
     if np.isnan(values).all():
-        return None
+        return np.nan
     return float(np.nanpercentile(values, 99))
 
 
-def p99_of_average(score_arrays: Sequence[np.ndarray]) -> Optional[float]:
+def p99_of_average(score_arrays: Sequence[np.ndarray]) -> float:
     """p99 of the across-label average score, paired by simulation index."""
     stack = np.vstack(score_arrays)
     defined = ~np.isnan(stack)
-    sums = np.where(defined, stack, 0.0).sum(axis=0)
-    counts = defined.sum(axis=0)
-    means = np.full(stack.shape[1], np.nan)
-    means[counts > 0] = sums[counts > 0] / counts[counts > 0]
+    with np.errstate(invalid="ignore"):
+        means = np.where(defined, stack, 0.0).sum(axis=0) / defined.sum(axis=0)
     return p99_of_defined(means)
 
 
@@ -262,9 +205,7 @@ class InsufficientDataError(ValueError):
 
 @dataclass
 class LabelEvaluation:
-    label: str
     counts: MetricCounts
-    report: MetricReport
     n_examples: int  # relevant examples in the evaluated pool
     n_subjects: int  # users contributing at least one relevant example
     flags: tuple = ()
@@ -285,7 +226,7 @@ def _fold_counts(
     fold_users: Sequence[str],
     train_users: Sequence[str],
     *,
-    cost: Optional[float],
+    cost,
     seed: int,
     fold_index: int,
 ):
@@ -298,9 +239,9 @@ def _fold_counts(
     call, which fits one standardizer for every label: a sensor's on the
     training rows where that sensor is present, EF's on the rows with all
     six. The LFL second layer is :func:`~ctxfuse.fusion.late_fusion_learned`
-    on the rows with all six. Every pool probability comes from a library
-    predict function. A ``RuntimeError`` of a failed fit names its fold,
-    system and label.
+    on the rows with all six. Every fit takes ``cost`` (None grid-searches
+    it). Every pool probability comes from a library predict function. A
+    ``RuntimeError`` of a failed fit names its fold, system and label.
     """
     pool = _held_out_pool(store, fold_users)
     if not pool.size:
@@ -434,9 +375,7 @@ def cross_validate(
                 if label in counts.get(sys, {}):
                     total = total + counts[sys][label]
             out[sys][label] = LabelEvaluation(
-                label=label,
                 counts=total,
-                report=compute_metrics(total),
                 n_examples=n_e,
                 n_subjects=n_s,
                 flags=tuple(flags[label]),
@@ -454,55 +393,51 @@ def results_table(
     evaluations: dict,
     labels: Sequence[str],
     systems: Sequence[str],
-    p99s: Mapping[str, Optional[float]],
+    p99s: Mapping[str, float],
     metric: str = "ba",
 ) -> list:
-    """Rows of (label, n_e, n_s, p99, score per system) plus average rows.
+    """Rows of (label, n_e, n_s, p99, score per system) plus average rows;
+    ``metric`` is ``"ba"`` or ``"f1"``.
 
-    For F1 the per-system average is reported under both conventions:
-    undefined values counted as 0 (matching the trivial-classifier
-    convention) and undefined values excluded. For other metrics undefined
-    values are simply left out of the average.
+    NaN scores are left out of the BA average. The F1 average is reported
+    under both conventions: every F1 that is not ``f1_defined`` counted as
+    0 (the trivial-classifier convention), and only the defined ones.
     """
     header = ["label", "n_e", "n_s", "p99"] + list(systems)
     rows = [header]
-    per_system_scores = {s: [] for s in systems}
-    per_system_defined = {s: [] for s in systems}
-
+    scores = {s: [] for s in systems}
+    defined_f1 = {s: [] for s in systems}
     for label in labels:
         any_eval = evaluations[systems[0]][label]
-        row = [label, any_eval.n_examples, any_eval.n_subjects, p99s.get(label)]
+        row = [label, any_eval.n_examples, any_eval.n_subjects, p99s.get(label, np.nan)]
         for s in systems:
-            rep = evaluations[s][label].report
-            v = rep.metric(metric)
-            row.append(v)
-            if metric == "f1":
-                per_system_scores[s].append(0.0 if v is None else v)
-            elif v is not None:
-                per_system_scores[s].append(v)
-            defined = v is not None and (metric != "f1" or rep.f1_defined)
-            per_system_defined[s].append(v if defined else None)
+            report = compute_metrics(evaluations[s][label].counts)
+            row.append(getattr(report, metric))
+            scores[s].append(row[-1])
+            defined_f1[s].append(report.f1 if report.f1_defined else np.nan)
         rows.append(row)
 
-    avg = ["average", "", "", p99s.get("average")]
-    for s in systems:
-        avg.append(float(np.mean(per_system_scores[s])) if per_system_scores[s] else None)
-    rows.append(avg)
-
     if metric == "f1":
-        avg2 = ["average_defined_only", "", "", ""]
-        for s in systems:
-            vals = [v for v in per_system_defined[s] if v is not None]
-            avg2.append(float(np.mean(vals)) if vals else None)
-        rows.append(avg2)
+        averages = [float(np.mean(np.nan_to_num(scores[s]))) for s in systems]
+    else:
+        averages = [mean_of_defined(scores[s]) for s in systems]
+    rows.append(["average", "", "", p99s.get("average", np.nan)] + averages)
+    if metric == "f1":
+        rows.append(["average_defined_only", "", "", ""]
+                    + [mean_of_defined(defined_f1[s]) for s in systems])
     return rows
 
 
+def mean_of_defined(values: Sequence[float]) -> float:
+    """Mean of the non-NaN values; NaN when there is none."""
+    kept = [v for v in values if not np.isnan(v)]
+    return float(np.mean(kept)) if kept else np.nan
+
+
 def format_cell(v) -> str:
-    if v is None:
-        return ""
+    """A table cell: NaN is empty, a float has four decimals."""
     if isinstance(v, float):
-        return f"{v:.4f}"
+        return "" if np.isnan(v) else f"{v:.4f}"
     return str(v)
 
 

@@ -20,6 +20,7 @@ from .evaluation import (
     compute_metrics,
     count_outcomes,
     derive_seed,
+    mean_of_defined,
 )
 from .fusion import fit_labels
 from .model import SENSORS
@@ -27,14 +28,15 @@ from .model import SENSORS
 
 @dataclass(frozen=True)
 class ModelScore:
-    ba: Optional[float]
-    f1: Optional[float]
+    """BA and F1 on the deployment half; NaN where undefined."""
+
+    ba: float
+    f1: float
     trivial: bool = False
 
 
 @dataclass(frozen=True)
 class PersonalizationResult:
-    label: str
     universal: ModelScore
     individual: ModelScore
     adapted: ModelScore
@@ -57,7 +59,7 @@ def split_user_timeline(store: FeatureStore, user: str) -> tuple:
 
 def _scored(y_true, p) -> ModelScore:
     report = compute_metrics(count_outcomes(y_true, p > 0.5))
-    return ModelScore(ba=report.ba, f1=report.f1)
+    return ModelScore(ba=float(report.ba), f1=float(report.f1))
 
 
 def personalize(
@@ -120,7 +122,6 @@ def personalize(
             individual_score = _scored(y_true, p_individual)
             p_adapted = (p_universal + p_individual) / 2.0
         results[label] = PersonalizationResult(
-            label=label,
             universal=_scored(y_true, p_universal),
             individual=individual_score,
             adapted=_scored(y_true, p_adapted),
@@ -166,11 +167,7 @@ def personalization_table(results: dict, labels: Sequence[str]) -> list:
 
     def avg_row(name, keep):
         picked = [rows[i + 1] for i, lbl in enumerate(labels) if lbl in keep]
-        out = [name, len(picked)]
-        for c in range(2, 8):
-            col = [row[c] for row in picked if row[c] is not None]
-            out.append(float(np.mean(col)) if col else None)
-        return out
+        return [name, len(picked)] + [mean_of_defined([row[c] for row in picked]) for c in range(2, 8)]
 
     rows.append(avg_row("average_all", list(labels)))
     big = [lbl for lbl in labels if results[lbl].n_user_positives >= MIN_USER_POSITIVES]

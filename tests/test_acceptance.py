@@ -113,6 +113,10 @@ def test_criterion_1_dimension_contract():
     _report(1, checked == 1000 and elapsed < 60, f"{checked} inputs in {elapsed:.1f}s")
 
 
+def _close_or_both_nan(a, b) -> bool:
+    return math.isclose(a, b) or (math.isnan(a) and math.isnan(b))
+
+
 def test_criterion_2_metric_oracle():
     start = time.time()
     rng = np.random.default_rng(101)
@@ -130,7 +134,10 @@ def test_criterion_2_metric_oracle():
             exact = False
             break
         report = compute_metrics(counts)
-        if tp + fn > 0 and not math.isclose(report.tpr, tp / (tp + fn)):
+        ba = (tp / (tp + fn) + tn / (tn + fp)) / 2 if tp + fn and tn + fp else math.nan
+        f1 = 2 * tp / (2 * tp + fp + fn) if tp + fn else math.nan
+        if not (_close_or_both_nan(report.ba, ba) and _close_or_both_nan(report.f1, f1)
+                and report.f1_defined == (tp > 0)):
             exact = False
             break
 
@@ -373,14 +380,14 @@ def test_criterion_10_dataset_reproduction():
         jobs=int(os.environ.get("CTXFUSE_JOBS", "1")),
     )
     averages = {
-        sys_name: float(np.mean([out[sys_name][l].report.ba for l in labels]))
+        sys_name: float(np.mean([compute_metrics(out[sys_name][l].counts).ba for l in labels]))
         for sys_name in ("ef", "lfa", "lfl")
     }
     lying = next((l for l in labels if l == "LYING_DOWN"), None)
     lying_ok = True
     detail = f"avg BA {averages}"
     if lying is not None:
-        lying_ba = out["lfl"][lying].report.ba
+        lying_ba = compute_metrics(out["lfl"][lying].counts).ba
         lying_ok = abs(lying_ba - 0.88) <= 0.03
         detail += f", LYING_DOWN lfl={lying_ba:.3f}"
     ok = (

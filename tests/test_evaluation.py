@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxfuse.evaluation import (
+    BASELINE_SIMULATIONS,
     FoldPartition,
     MetricCounts,
     compute_metrics,
     count_outcomes,
     cross_validate,
+    format_cell,
     loo_partition,
     p99_of_average,
     p99_of_defined,
@@ -34,44 +37,27 @@ from synth import (
 # ---------------------------------------------------------------------------
 
 def _sixty_users():
-    platforms = {}
-    for i in range(34):
-        platforms[f"iph{i:02d}"] = "iphone"
-    for i in range(26):
-        platforms[f"and{i:02d}"] = "android"
-    return platforms
-
-
-def test_sixty_user_partition_balances_platforms():
-    platforms = _sixty_users()
-    part = partition_folds(platforms, k=5, seed=0)
-    assert len(part) == 5
-    for fold in part.folds:
-        assert len(fold) == 12
-        n_iphone = sum(1 for u in fold if platforms[u] == "iphone")
-        assert n_iphone in (6, 7)
-    assert sorted(part.users) == sorted(platforms)
+    return [f"iph{i:02d}" for i in range(34)] + [f"and{i:02d}" for i in range(26)]
 
 
 def test_single_fold_contains_everyone():
-    platforms = {"a": "x", "b": "x", "c": "y"}
-    part = partition_folds(platforms, k=1, seed=0)
+    part = partition_folds(["a", "b", "c"], k=1, seed=0)
     assert len(part) == 1
     assert sorted(part.folds[0]) == ["a", "b", "c"]
 
 
 def test_partition_deterministic_given_seed():
-    platforms = _sixty_users()
-    p1 = partition_folds(platforms, k=5, seed=7)
-    p2 = partition_folds(platforms, k=5, seed=7)
+    users = _sixty_users()
+    p1 = partition_folds(users, k=5, seed=7)
+    p2 = partition_folds(users, k=5, seed=7)
     assert p1.folds == p2.folds
-    p3 = partition_folds(platforms, k=5, seed=8)
+    p3 = partition_folds(users, k=5, seed=8)
     assert p1.folds != p3.folds
 
 
 def test_partition_rejects_too_few_users():
     with pytest.raises(ValueError):
-        partition_folds({"a": "x", "b": "x"}, k=3, seed=0)
+        partition_folds(["a", "b"], k=3, seed=0)
 
 
 def test_fold_partition_rejects_duplicates():
@@ -80,29 +66,24 @@ def test_fold_partition_rejects_duplicates():
 
 
 @st.composite
-def _platforms_and_k(draw):
-    """A user -> platform map of at least k users, k and a seed."""
+def _users_and_k(draw):
+    """At least k distinct users, k and a seed."""
     k = draw(st.integers(1, 8))
     n = draw(st.integers(k, 40))
-    tags = draw(st.lists(st.sampled_from(["iphone", "android", "other"]), min_size=n, max_size=n))
-    return {f"u{i:02d}": tag for i, tag in enumerate(tags)}, k, draw(st.integers(0, 2**32 - 1))
+    return [f"u{i:02d}" for i in range(n)], k, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_platforms_and_k())
+@given(_users_and_k())
 def test_partition_folds_properties(case):
-    platforms, k, seed = case
-    part = partition_folds(platforms, k=k, seed=seed)
+    users, k, seed = case
+    part = partition_folds(users, k=k, seed=seed)
     assert len(part) == k
-    assert sorted(part.users) == sorted(platforms)  # every user in exactly one fold
+    assert sorted(part.users) == sorted(users)  # every user in exactly one fold
     sizes = [len(f) for f in part.folds]
     assert max(sizes) - min(sizes) <= 1
-    for tag in set(platforms.values()):
-        n_tag = sum(1 for t in platforms.values() if t == tag)
-        for fold in part.folds:
-            in_fold = sum(1 for uid in fold if platforms[uid] == tag)
-            assert abs(in_fold - Fraction(n_tag, k)) < 1
-    assert partition_folds(platforms, k=k, seed=seed).folds == part.folds
+    assert all(list(fold) == sorted(fold) for fold in part.folds)
+    assert partition_folds(users[::-1], k=k, seed=seed).folds == part.folds
 
 
 def test_loo_partition_is_one_user_per_fold():
@@ -114,36 +95,43 @@ def test_loo_partition_is_one_user_per_fold():
 # metrics
 # ---------------------------------------------------------------------------
 
+def _total(counts):
+    return counts.tp + counts.tn + counts.fp + counts.fn
+
+
 def test_perfect_classifier_metrics():
     r = compute_metrics(MetricCounts(tp=10, tn=20, fp=0, fn=0))
-    assert r.accuracy == r.tpr == r.tnr == r.precision == r.ba == r.f1 == 1.0
+    assert r.ba == r.f1 == 1.0
     assert r.f1_defined
 
 
 def test_worked_example():
     r = compute_metrics(MetricCounts(tp=3, fn=1, tn=4, fp=2))
-    assert np.isclose(r.tpr, 0.75, atol=1e-12)
-    assert np.isclose(r.tnr, 2 / 3, atol=1e-12)
     assert np.isclose(r.ba, 0.7083333333333333, atol=1e-12)
-    assert np.isclose(r.precision, 0.6, atol=1e-12)
     assert np.isclose(r.f1, 2 / 3, atol=1e-12)
 
 
+def test_f1_formats_as_the_result_cells_record():
+    # acc|SITTING on the seed-0 cv5-fusion corpus; the exact-rounded
+    # 2tp / (2tp + fp + fn) is 0.79375, which would format as 0.7937
+    r = compute_metrics(MetricCounts(tp=127, tn=120, fp=32, fn=34))
+    assert format_cell(r.f1) == "0.7938"
+
+
 def test_always_negative_on_rare_label():
-    # 1% positive: high accuracy, chance-level BA, F1 reported 0 and flagged
+    # 1% positive: chance-level BA, F1 reported 0 and flagged
     r = compute_metrics(MetricCounts(tp=0, fn=10, tn=990, fp=0))
-    assert r.accuracy == 0.99
     assert r.ba == 0.5
     assert r.f1 == 0.0
     assert not r.f1_defined
-    assert r.precision is None  # undefined, not silently zero
 
 
-def test_undefined_ratios_are_none():
+def test_undefined_scores_are_nan():
     r = compute_metrics(MetricCounts(tp=0, fn=0, tn=5, fp=5))
-    assert r.tpr is None and r.ba is None and r.f1 is None
+    assert math.isnan(r.ba) and math.isnan(r.f1) and not r.f1_defined
     r2 = compute_metrics(MetricCounts(tp=5, fn=5, tn=0, fp=0))
-    assert r2.tnr is None and r2.ba is None
+    assert math.isnan(r2.ba) and r2.f1 == 2 / 3 and r2.f1_defined
+    assert format_cell(r.ba) == ""
 
 
 def test_counts_match_bruteforce_tally():
@@ -164,7 +152,7 @@ def test_counts_match_bruteforce_tally():
             else:
                 tn += 1
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (tp, tn, fp, fn)
-        assert counts.total == n
+        assert _total(counts) == n
 
 
 _counts = st.builds(
@@ -176,9 +164,23 @@ _counts = st.builds(
 )
 
 
-def _exact(value, num, den):
-    """``value`` is ``num / den`` as a float, or None when ``den`` is 0."""
-    return value is None if den == 0 else value == num / den
+def _oracle(tp, tn, fp, fn):
+    """``(ba, f1, f1_defined)`` of the counts by the definitions, in exact
+    fractions; an undefined score is None."""
+    tpr = Fraction(tp, tp + fn) if tp + fn else None
+    tnr = Fraction(tn, tn + fp) if tn + fp else None
+    ba = (tpr + tnr) / 2 if tpr is not None and tnr is not None else None
+    if tpr is None:
+        return ba, None, False
+    if tp == 0:
+        return ba, Fraction(0), False
+    precision = Fraction(tp, tp + fp)
+    return ba, 2 * tpr * precision / (tpr + precision), True
+
+
+def _matches(value, exact) -> bool:
+    """``value`` is NaN where ``exact`` is None, and within one rounding of it otherwise."""
+    return math.isnan(value) if exact is None else math.isclose(value, exact, rel_tol=1e-15, abs_tol=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,10 +195,10 @@ def test_metrics_match_bruteforce_tally_property(pairs):
     fn = sum(t and not p for t, p in pairs)
     assert (counts.tp, counts.tn, counts.fp, counts.fn) == (tp, tn, fp, fn)
     r = compute_metrics(counts)
-    assert _exact(r.accuracy, tp + tn, len(pairs))
-    assert _exact(r.tpr, tp, tp + fn)
-    assert _exact(r.tnr, tn, tn + fp)
-    assert _exact(r.precision, tp, tp + fp)
+    ba, f1, f1_defined = _oracle(tp, tn, fp, fn)
+    assert _matches(r.ba, ba)
+    assert _matches(r.f1, f1)
+    assert r.f1_defined == f1_defined
 
 
 @settings(max_examples=300, deadline=None)
@@ -205,17 +207,18 @@ def test_metric_counts_addition_is_associative_and_commutative(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a + MetricCounts() == a
-    assert (a + b).total == a.total + b.total
+    assert _total(a + b) == _total(a) + _total(b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_counts)
 def test_ba_is_the_mean_of_tpr_and_tnr(counts):
+    tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
     r = compute_metrics(counts)
-    if r.tpr is None or r.tnr is None:
-        assert r.ba is None
+    if tp + fn == 0 or tn + fp == 0:
+        assert math.isnan(r.ba)
     else:
-        assert r.ba == (r.tpr + r.tnr) / 2
+        assert r.ba == (tp / (tp + fn) + tn / (tn + fp)) / 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,12 +227,23 @@ def test_f1_follows_the_trivial_classifier_convention(counts):
     tp, fp, fn = counts.tp, counts.fp, counts.fn
     r = compute_metrics(counts)
     if tp + fn == 0:
-        assert r.f1 is None  # no positives: recall and F1 are undefined
+        assert math.isnan(r.f1) and not r.f1_defined  # no positives: recall and F1 are undefined
     elif tp == 0:
         assert r.f1 == 0.0 and not r.f1_defined
     else:
         assert r.f1_defined
         assert np.isclose(r.f1, 2 * tp / (2 * tp + fp + fn), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_counts, min_size=1, max_size=20))
+def test_count_arrays_score_as_each_cell_alone(cells):
+    arrays = MetricCounts(*(np.array([getattr(c, f) for c in cells]) for f in ("tp", "tn", "fp", "fn")))
+    r = compute_metrics(arrays)
+    for i, c in enumerate(cells):
+        alone = compute_metrics(c)
+        assert np.array([r.ba[i], r.f1[i]]).tobytes() == np.array([alone.ba, alone.f1]).tobytes()
+        assert r.f1_defined[i] == alone.f1_defined
 
 
 def test_summed_counts_not_mean_of_fold_scores():
@@ -269,10 +283,24 @@ def test_random_classifier_ba_centered_at_half():
 def test_p99_at_least_median():
     for n_pos in (10, 500, 5000):
         scores = random_baseline_scores(n_pos, 10_000, seed=4)
+        assert sorted(scores) == ["ba", "f1"]
         for name, vals in scores.items():
-            if np.isnan(vals).all():
-                continue
+            assert vals.shape == (BASELINE_SIMULATIONS,)
             assert np.nanpercentile(vals, 99) >= np.nanmedian(vals)
+
+
+def test_random_baseline_scores_each_simulation_as_its_own_cell():
+    # the simulations' draws are (TP, FP) pairs in order, as one scalar
+    # binomial draw after another; each is scored like a results cell
+    for n_pos, n_examples, seed in ((0, 50, 2), (7, 7, 3), (1, 2, 4), (30, 1000, 5), (600, 10**6, 6)):
+        scores = random_baseline_scores(n_pos, n_examples, seed=seed)
+        rng = np.random.default_rng(seed)
+        n_neg = n_examples - n_pos
+        for s in range(BASELINE_SIMULATIONS):
+            tp, fp = int(rng.binomial(n_pos, 0.5)), int(rng.binomial(n_neg, 0.5))
+            cell = compute_metrics(MetricCounts(tp=tp, tn=n_neg - fp, fp=fp, fn=n_pos - tp))
+            for name in ("ba", "f1"):
+                assert np.array(scores[name][s]).tobytes() == np.array(getattr(cell, name)).tobytes()
 
 
 def test_p99_of_average_pairs_simulations():
@@ -284,11 +312,12 @@ def test_p99_of_average_pairs_simulations():
     assert avg <= max(individual)
 
 
-def test_p99_is_none_only_when_no_simulation_defines_the_metric():
-    # no positives: TPR, and so BA, is never defined
-    assert _p99(0, 50, 2, "tpr") is None and _p99(0, 50, 2, "ba") is None
-    assert _p99(0, 50, 2, "tnr") is not None
-    assert p99_of_average([np.full(10, np.nan)] * 2) is None
+def test_p99_is_nan_only_when_no_simulation_defines_the_metric():
+    # no positives: BA and F1 are never defined
+    assert math.isnan(_p99(0, 50, 2, "ba")) and math.isnan(_p99(0, 50, 2, "f1"))
+    # no negatives: BA is never defined, F1 always is
+    assert math.isnan(_p99(50, 50, 2, "ba")) and not math.isnan(_p99(50, 50, 2, "f1"))
+    assert math.isnan(p99_of_average([np.full(10, np.nan)] * 2))
     vals = np.array([np.nan, 0.1, 0.7, 0.3])
     assert p99_of_defined(vals) == float(np.nanpercentile(vals, 99))
 
@@ -311,12 +340,12 @@ def _store(**kwargs):
 
 def test_cross_validation_on_separable_synthetic():
     examples, label = complementary_sensor_dataset(n=600, n_users=6, seed=6)
-    part = partition_folds({u: "p" for u in user_ids(examples)}, k=3, seed=0)
+    part = partition_folds(user_ids(examples), k=3, seed=0)
     store = example_store(examples, labels=[label])
     out = cross_validate(store, [label], ["acc", "ef", "lfa", "lfl"], part, seed=0)
     ev = out["ef"][label]
-    assert ev.report.ba is not None and ev.report.ba > 0.8
-    assert ev.counts.total == 600
+    assert compute_metrics(ev.counts).ba > 0.8
+    assert _total(ev.counts) == 600
     assert ev.n_examples == sum(
         1 for ex in examples if ex.label_value(label) == "relevant"
     )
@@ -337,7 +366,7 @@ def test_label_missing_from_a_fold_flags_trivial():
     ev = out["acc"]["RARE"]
     # the fold holding out u1/u2 trains fine; the fold holding out u0 cannot
     assert any("trivial" in f for f in ev.flags)
-    assert ev.counts.total == 60
+    assert _total(ev.counts) == 60
 
 
 def test_heterogeneous_sensor_availability():
@@ -361,11 +390,11 @@ def test_heterogeneous_sensor_availability():
     core_n = len(core_examples(examples))
     assert 0 < core_n < 360
 
-    part = partition_folds({u: "p" for u in user_ids(examples)}, k=3, seed=1)
+    part = partition_folds(user_ids(examples), k=3, seed=1)
     out = cross_validate(example_store(examples, labels=["T"]), ["T"], ["wacc", "lfa"], part, seed=0)
     # only complete-sensor minutes are scored
-    assert out["wacc"]["T"].counts.total == core_n
-    assert out["lfa"]["T"].counts.total == core_n
+    assert _total(out["wacc"]["T"].counts) == core_n
+    assert _total(out["lfa"]["T"].counts) == core_n
 
 
 def test_n_s_counts_users_with_a_relevant_all_six_sensor_minute():
@@ -389,14 +418,14 @@ def test_n_s_counts_users_with_a_relevant_all_six_sensor_minute():
 
 def test_cross_validate_early_fusion_alone():
     store, label = _store(n=150, n_users=3, seed=12)
-    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
+    part = partition_folds(store.user_ids(), k=3, seed=0)
     out = cross_validate(store, [label], ["ef"], part, seed=0)
-    assert out["ef"][label].counts.total == 150
+    assert _total(out["ef"][label].counts) == 150
 
 
 def test_cross_validate_rejects_unknown_system_and_bad_partition():
     store, label = _store(n=60, n_users=3, seed=8)
-    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
+    part = partition_folds(store.user_ids(), k=3, seed=0)
     with pytest.raises(ValueError, match="unknown system"):
         cross_validate(store, [label], ["svm"], part)
     bad = FoldPartition(folds=(("nobody",),))
@@ -406,7 +435,7 @@ def test_cross_validate_rejects_unknown_system_and_bad_partition():
 
 def test_cross_validate_rejects_jobs_below_one():
     store, label = _store(n=60, n_users=3, seed=8)
-    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
+    part = partition_folds(store.user_ids(), k=3, seed=0)
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             cross_validate(store, [label], ["acc"], part, jobs=jobs)
@@ -417,14 +446,14 @@ def test_loo_mode_equals_per_user_folds_with_fixed_cost():
     part = loo_partition(store.user_ids())
     out = cross_validate(store, [label], ["acc"], part, mode="loo", seed=0)
     ev = out["acc"][label]
-    assert ev.counts.total == 120
+    assert _total(ev.counts) == 120
     # fixed C=1 everywhere, nothing grid-searched
     assert all(c == 1.0 for c in ev.chosen_costs.values())
 
 
 def test_jobs_do_not_change_results():
     store, label = _store(n=300, n_users=6, seed=10)
-    part = partition_folds({u: "p" for u in store.user_ids()}, k=3, seed=0)
+    part = partition_folds(store.user_ids(), k=3, seed=0)
     out1 = cross_validate(store, [label], ["acc", "lfa"], part, seed=5, jobs=1)
     out2 = cross_validate(store, [label], ["acc", "lfa"], part, seed=5, jobs=3)
     for sys_name in ("acc", "lfa"):
@@ -438,7 +467,7 @@ def test_jobs_do_not_change_results():
 
 def _tiny_results():
     store, label = _store(n=200, n_users=4, seed=11)
-    part = partition_folds({u: "p" for u in store.user_ids()}, k=2, seed=0)
+    part = partition_folds(store.user_ids(), k=2, seed=0)
     evaluations = cross_validate(store, [label], ["acc", "lfa"], part, seed=0)
     return evaluations, [label]
 

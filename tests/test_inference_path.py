@@ -299,7 +299,7 @@ def test_cross_validate_counts_and_costs_match_rowwise_path(monkeypatch):
     examples = _small_cv_dataset()
     labels = ["COMMON", "MEDIUM", "RARE"]
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
-    partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
+    partition = partition_folds(user_ids(examples), k=5, seed=1)
     store = example_store(examples, labels=labels)
 
     batched = cross_validate(store, labels, systems, partition, seed=9)
@@ -387,7 +387,7 @@ def captured_cv():
     examples = _small_cv_dataset()
     labels = ["COMMON", "MEDIUM", "RARE"]
     systems = list(SENSORS) + ["ef", "lfa", "lfl"]
-    partition = partition_folds({u: "x" for u in user_ids(examples)}, k=5, seed=1)
+    partition = partition_folds(user_ids(examples), k=5, seed=1)
     captured = {"ef": [], "lfl": []}
     fit_labels, fit_lfl = evaluation.fit_labels, evaluation.late_fusion_learned
 

@@ -62,27 +62,33 @@ def test_held_out_user_leaking_into_training_fails_golden(tmp_path, monkeypatch,
 
 def test_ba_averaged_per_fold_fails_golden(tmp_path, monkeypatch, capsys):
     fold_counts = []
+    per_fold = {}  # id of a summed counts cell -> that cell's per-fold counts
     fold_run = evaluation._fold_counts
     cross_validate = cli.cross_validate
+    compute_metrics = evaluation.compute_metrics
 
     def recording(*args, **kwargs):
         result = fold_run(*args, **kwargs)
         fold_counts.append(result[0])
         return result
 
-    def per_fold_mean(*args, **kwargs):
+    def keeping_fold_counts(*args, **kwargs):
         out = cross_validate(*args, **kwargs)
         for system, by_label in out.items():
             for label, ev in by_label.items():
-                bas = [evaluation.compute_metrics(c[system][label]).ba
-                       for c in fold_counts if label in c.get(system, {})]
-                bas = [b for b in bas if b is not None]
-                ba = float(np.mean(bas)) if bas else None
-                by_label[label] = replace(ev, report=replace(ev.report, ba=ba))
+                per_fold[id(ev.counts)] = [c[system][label] for c in fold_counts if label in c.get(system, {})]
         return out
 
+    def per_fold_mean(counts):
+        report = compute_metrics(counts)
+        if id(counts) not in per_fold:
+            return report
+        ba = evaluation.mean_of_defined([compute_metrics(c).ba for c in per_fold[id(counts)]])
+        return replace(report, ba=ba)
+
     monkeypatch.setattr(evaluation, "_fold_counts", recording)
-    monkeypatch.setattr(cli, "cross_validate", per_fold_mean)
+    monkeypatch.setattr(cli, "cross_validate", keeping_fold_counts)
+    monkeypatch.setattr(evaluation, "compute_metrics", per_fold_mean)
     assert "'ba'" in _golden_fails(tmp_path, monkeypatch, capsys)
 
 
@@ -134,10 +140,24 @@ def test_p99_over_undefined_simulations_fails_p99_test(monkeypatch):
     def undefined_as_zero(values):
         return float(np.percentile(np.nan_to_num(values, nan=0.0), 99))
 
-    monkeypatch.setattr(evaluation, "p99_of_defined", undefined_as_zero)
-    monkeypatch.setattr(cli, "p99_of_defined", undefined_as_zero)
+    for module in (evaluation, cli, test_evaluation):
+        monkeypatch.setattr(module, "p99_of_defined", undefined_as_zero)
     with pytest.raises(AssertionError):
-        test_evaluation.test_p99_is_none_only_when_no_simulation_defines_the_metric()
+        test_evaluation.test_p99_is_nan_only_when_no_simulation_defines_the_metric()
+
+
+def test_f1_as_the_cost_grids_formula_fails_golden(tmp_path, monkeypatch, capsys):
+    # classifier.f1_binary's exact-rounded 2tp / (2tp + fp + fn) rounds one
+    # recorded result cell of the full seed-0 corpus the other way: F1
+    # 0.7937, not 0.7938, at acc|SITTING's counts
+    _mutate(monkeypatch, evaluation, "compute_metrics",
+            "f1 = 2 * tpr * precision / (tpr + precision)", "f1 = 2 * tp / (2 * tp + fp + fn)",
+            test_evaluation)
+    with pytest.raises(AssertionError):
+        test_evaluation.test_f1_formats_as_the_result_cells_record()
+    with pytest.raises(AssertionError) as caught:
+        test_evaluate_golden.test_evaluate_matches_reference_cells(tmp_path, False, monkeypatch, capsys)
+    assert "acc|SITTING" in str(caught.value)
 
 
 def test_deployment_minute_in_adaptation_half_fails_split_test(monkeypatch):

@@ -64,7 +64,7 @@ def _chance_score():
 
 def _scored(counts):
     report = compute_metrics(counts)
-    return ModelScore(ba=report.ba, f1=report.f1)
+    return ModelScore(ba=float(report.ba), f1=float(report.f1))
 
 
 def _per_example_personalization(universal_models, adaptation, deployment, labels, *, seed):
@@ -98,7 +98,6 @@ def _per_example_personalization(universal_models, adaptation, deployment, label
             1 for ex in list(adaptation) + list(deployment) if ex.label_value(label) == RELEVANT
         )
         results[label] = PersonalizationResult(
-            label=label,
             universal=universal_score,
             individual=individual_score,
             adapted=adapted_score,
@@ -130,7 +129,9 @@ def _assert_same_results(got, want, labels):
         assert g.n_user_positives == w.n_user_positives, label
         for model in ("universal", "individual", "adapted"):
             gs, ws = getattr(g, model), getattr(w, model)
-            assert (gs.ba, gs.f1, gs.trivial) == (ws.ba, ws.f1, ws.trivial), (label, model)
+            # bitwise, so that NaN (an undefined score) equals NaN
+            assert np.array([gs.ba, gs.f1]).tobytes() == np.array([ws.ba, ws.f1]).tobytes(), (label, model)
+            assert gs.trivial == ws.trivial, (label, model)
             gp, wp = g.probabilities[model], w.probabilities[model]
             assert (gp is None) == (wp is None), (label, model)
             if gp is not None:

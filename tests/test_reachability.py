@@ -1,35 +1,30 @@
 """Every function of the package is reached by a command, or is listed.
 
-A subprocess (``tests/reachability_probe.py``) installs a profiler before
-``import ctxfuse`` and runs the CLI on the benchmark's tiny corpora:
-``extract``; ``evaluate`` in cv5 mode with a partition file, with a
-partition directory and with no partition (and ``--markdown --seed 3
---jobs 2``); ``evaluate --mode loo``; ``personalize --partition --markdown
---seed 3``; ``rerun``; and ``evaluate`` with a labels file that is not
-UTF-8. A ``def`` in ``src/ctxfuse`` that none of these calls fails the
-check unless :data:`LIBRARY_ONLY` names it with its reason, so code that no
-command needs does not linger in the package. One level down, a parameter with a
+A subprocess (``tests/reachability_probe.py``, run once per session by the
+``probe`` fixture of ``conftest.py``) installs a profiler before ``import
+ctxfuse`` and runs the CLI on the benchmark's tiny corpora: ``extract``;
+``evaluate`` in cv5 mode with a partition file, with a two-fold partition
+directory (whose second fold trains trivial models) and with no partition
+(and ``--markdown --seed 3 --jobs 2``); ``evaluate --mode loo``;
+``personalize --partition --markdown --seed 3``; ``rerun``; and
+``evaluate`` with a labels file that is not UTF-8. A ``def`` in
+``src/ctxfuse`` that none of these calls fails the check unless
+:data:`LIBRARY_ONLY` names it with its reason, so code that no command
+needs does not linger in the package. One level down, a parameter with a
 default that no call of these binds to another value fails the check
 unless :data:`FIXED_DEFAULTS` names it with its reason: a setting that no
 command sets is a constant.
 """
 
 import ast
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perfbench_files import perfbench_module
 from reachability_probe import CallRecorder
 
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
-PACKAGE = SRC / "ctxfuse"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxfuse"
 
 #: ``module.qualified_name`` -> why the function stays although no command calls it
 LIBRARY_ONLY = {
@@ -115,51 +110,6 @@ def test_the_check_sees_a_parameter_never_set(tmp_path):
         namespace["f"](0, d=2, e=np.arange(2))  # d at its default, e to an array
         namespace["C"]().m()
     assert never_set(source, str(path), recorder.defaulted, recorder.set) == ["C.m.rows", "f.c", "f.d"]
-
-
-def _evaluate(root, out, *extra, labels=None):
-    return ["evaluate", "--features-dir", str(root / "features"),
-            "--labels", str(labels or root / "labels.txt"), "--out", str(out), *extra]
-
-
-@pytest.fixture(scope="module")
-def probe(tmp_path_factory):
-    """The probe's record of the command lines: ``reached``, ``{(file,
-    first line)}`` of every function they call, and ``defaulted`` and
-    ``set``, ``{(file, first line, parameter)}`` of the called functions'
-    defaulted parameters and of those some call set."""
-    corpus = perfbench_module("corpus")
-    work = tmp_path_factory.mktemp("reach")
-    tables, _ = corpus.materialize(corpus.WORKLOADS["cv5-fusion"], 0, True, work / "inputs")
-    raw, _ = corpus.materialize(corpus.WORKLOADS["extract-raw"], 0, True, work / "inputs")
-    folds = work / "folds"
-    folds.mkdir()
-    for i, line in enumerate((tables / "partition.txt").read_text(encoding="utf-8").splitlines()):
-        (folds / f"fold_{i}_test_uuids.txt").write_text(line + "\n", encoding="utf-8")
-    latin1 = work / "labels-latin1.txt"
-    latin1.write_bytes("SITTING # assis \xe0 la table\n".encode("latin-1"))
-    out = work / "out"
-    runs = [
-        ["extract", "--input", str(raw / "sessions"), "--utc-offset", "-7", "--out", str(out / "extract")],
-        _evaluate(tables, out / "cv5-file", "--partition", str(tables / "partition.txt")),
-        _evaluate(tables, out / "cv5-dir", "--partition", str(folds)),
-        _evaluate(tables, out / "cv5-random", "--markdown", "--seed", "3", "--jobs", "2"),
-        _evaluate(tables, out / "loo", "--mode", "loo"),
-        ["personalize", "--features-dir", str(tables / "features"), "--labels", str(tables / "labels.txt"),
-         "--user", "user00", "--partition", str(tables / "partition.txt"), "--markdown",
-         "--seed", "3", "--out", str(out / "personalize")],
-        ["rerun", str(out / "personalize" / "run_manifest.json")],
-        _evaluate(tables, out / "latin1", labels=latin1),
-    ]
-    (work / "runs.json").write_text(json.dumps(runs), encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(TESTS / "reachability_probe.py"), str(work / "runs.json"),
-                          str(work / "probe.json")], env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    record = json.loads((work / "probe.json").read_text(encoding="utf-8"))
-    assert record["codes"] == [0] * (len(runs) - 1) + [2]
-    return {key: {tuple(entry) for entry in record[key]} for key in ("reached", "defaulted", "set")}
 
 
 @pytest.fixture(scope="module")

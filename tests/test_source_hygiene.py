@@ -5,12 +5,13 @@ Every name a module imports must be used in that module, and every private
 module of the package. A deletion or refactor that leaves an import or a
 private helper behind fails here instead of lingering. The package
 ``__init__`` is exempt from the import check: its imports are the public
-API it re-exports. Every dataclass field must be read as an attribute by
-some module of the package, unless :data:`FIELDS_READ_ELSEWHERE` names it
-with its reason: a field that is only ever set is data no command uses.
-No dataclass field of the domain model may be an optional float or int:
-NaN in a float64 array is the one encoding of a missing value, and a None
-beside it is a second one. Importing the command line loads no package
+API it re-exports. Every dataclass field must be read on an instance of its
+own class by some command (the ``probe`` fixture of ``conftest.py`` records
+the reads), unless :data:`FIELDS_READ_ELSEWHERE` names it with its reason:
+a field that is only ever set is data no command uses. No dataclass field
+of the package may be an optional float or int: NaN is the one encoding of
+a missing value or an undefined score, and a None beside it is a second
+one. Importing the command line loads no package
 outside the standard library but numpy, the one dependency an install
 brings: the test-only ones (scipy, hypothesis) would hide such an import.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxfuse.model import PHONE_STATE_VALUES
+from reachability_probe import FieldRecorder
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxfuse"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -116,70 +117,65 @@ def dataclass_fields(source: str) -> dict:
     return out
 
 
-def attributes_read(source: str) -> set:
-    """Every attribute name ``source`` loads (``x.name``); a keyword of a
-    constructor call or a ``getattr`` by name is no such read."""
-    return {
-        n.attr for n in ast.walk(ast.parse(source))
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-    }
-
-
 def unread_fields(fields: dict, read: set) -> list:
-    """``(line, "Class.field")`` of each field whose name no attribute read names."""
-    return sorted((line, name) for name, line in fields.items() if name.split(".")[1] not in read)
+    """``(line, "Class.field")`` of each field of ``fields`` that ``read`` does not name."""
+    return sorted((line, name) for name, line in fields.items() if name not in read)
 
 
-#: ``Class.field`` -> why the field stays although no module of the package reads it as an attribute
+#: ``Class.field`` -> why the field stays although no command reads it
 FIELDS_READ_ELSEWHERE = {
-    **{f"MetricReport.{name}": "read by name: MetricReport.metric(name) is getattr, for the results tables"
-       for name in ("accuracy", "tpr", "tnr", "precision")},
-    **{f"PhoneStateSnapshot.{name}": "read by name: the phone-state extractor getattrs each "
-       "PHONE_STATE_VALUES property" for name in PHONE_STATE_VALUES},
-    "LabelEvaluation.counts": "cross_validate's summed counts; perfbench/reference.py compares them",
     "ModelScore.trivial": "personalize's result for library callers: the trivial-individual convention",
     "PersonalizationResult.probabilities": "personalize's result for library callers: each model's scores",
 }
 
 
-def _package_fields_and_reads():
-    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+def _package_fields() -> dict:
     fields = {}
-    for source in sources:
-        fields.update(dataclass_fields(source))
-    return fields, set().union(*(attributes_read(source) for source in sources))
+    for path in sorted(PACKAGE.glob("*.py")):
+        fields.update(dataclass_fields(path.read_text(encoding="utf-8")))
+    return fields
 
 
 def test_the_check_sees_a_field_never_read():
+    # Reading.unit is read and Series.unit is not: a field counts as read
+    # only on its own class
     source = (
         "from dataclasses import dataclass\n"
+        "from typing import ClassVar\n"
         "@dataclass(frozen=True)\n"
         "class Series:\n"
         "    samples: list\n"
         "    unit: str\n"
         "    rate: float = 1.0\n"
         "    scale: ClassVar[float] = 2.0\n"
+        "@dataclass(frozen=True)\n"
+        "class Reading:\n"
+        "    unit: str\n"
         "class Plain:\n"
         "    note: str = ''\n"
         "def load(rows):\n"
         "    s = Series(samples=rows, unit='G', rate=2.0)\n"
-        "    return s.samples, getattr(s, 'rate')\n"
+        "    return s.samples, getattr(s, 'rate'), Reading(unit='G').unit, Plain().note\n"
     )
     fields = dataclass_fields(source)
-    assert fields == {"Series.samples": 4, "Series.unit": 5, "Series.rate": 6}
-    assert unread_fields(fields, attributes_read(source)) == [(5, "Series.unit"), (6, "Series.rate")]
+    assert fields == {"Series.samples": 5, "Series.unit": 6, "Series.rate": 7, "Reading.unit": 11}
+    namespace = {"__name__": "series"}
+    exec(compile(source, "series.py", "exec"), namespace)
+    classes = [namespace[name] for name in ("Series", "Reading", "Plain")]
+    with FieldRecorder(classes) as recorder:
+        namespace["load"]([1.0])
+    assert unread_fields(fields, recorder.read) == [(6, "Series.unit")]
+    assert all("__getattribute__" not in vars(cls) for cls in classes)  # restored
 
 
-def test_every_dataclass_field_is_read():
-    fields, read = _package_fields_and_reads()
-    unread = unread_fields(fields, read)
+def test_every_dataclass_field_is_read(probe):
+    unread = unread_fields(_package_fields(), probe["fields_read"])
     assert [(line, name) for line, name in unread if name not in FIELDS_READ_ELSEWHERE] == []
 
 
-def test_fields_read_elsewhere_lists_only_unread_fields():
-    """An entry whose field is gone, or that the package now reads, goes."""
-    fields, read = _package_fields_and_reads()
-    unread = {name for _, name in unread_fields(fields, read)}
+def test_fields_read_elsewhere_lists_only_unread_fields(probe):
+    """An entry whose field is gone, or that a command now reads, goes."""
+    unread = {name for _, name in unread_fields(_package_fields(), probe["fields_read"])}
     assert sorted(set(FIELDS_READ_ELSEWHERE) - unread) == []
 
 
@@ -224,7 +220,10 @@ def test_the_check_sees_an_optional_scalar_field():
 
 
 def test_model_dataclasses_have_no_optional_scalar_field():
-    assert optional_scalar_fields((PACKAGE / "model.py").read_text(encoding="utf-8")) == []
+    """No dataclass of any module of the package: a score, too, is NaN when undefined."""
+    found = [(path.name, line, name) for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in optional_scalar_fields(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def packages_loaded_by(statement: str) -> list:
