@@ -9,8 +9,11 @@ with an unregularized intercept, to gradient norm <= 1e-6 * max(1, initial).
 The cost C comes from a validation grid search on F1 unless fixed by the
 caller. :func:`minimize` is the one solver: damped Newton with the exact
 Hessian (the fits are small, d <= 175) and an Armijo line search, stopping
-well inside the tolerance. Each fit owns one workspace, the curvature-scaled
-rows and the Hessian, which every Newton step overwrites.
+well inside the tolerance. The rows a fit trains on carry its per-row setup:
+the intercept's column, the +-1 labels, the balanced weights and one
+workspace (the float32 curvature-scaled rows and their product, and the
+float64 Hessian), which every Newton step overwrites. :func:`select_cost`
+builds that setup once for its six grid fits.
 
 :data:`COST_GRID` is geometric, so the grid fits lie on a path along log C.
 The first fit starts from zero, the second from the first's solution and
@@ -160,40 +163,72 @@ def _with_intercept_column(X: np.ndarray) -> np.ndarray:
 
 
 def _hessian_workspace(Xa) -> tuple:
-    """``(Xs, H)``: buffers for the curvature-scaled rows of ``Xa`` and the
-    Hessian, allocated once per fit and overwritten by every Hessian of it."""
-    return np.empty_like(Xa), np.empty((Xa.shape[1], Xa.shape[1]))
+    """``(Xs, P, H)``: the curvature-scaled rows of ``Xa`` and their product
+    ``Xs.T @ Xs`` in float32, and the float64 Hessian; allocated once per
+    training rows and overwritten by every Hessian taken on them."""
+    k = Xa.shape[1]
+    return np.empty(Xa.shape, dtype=np.float32), np.empty((k, k), dtype=np.float32), np.empty((k, k))
 
 
-def _objective(params, Xa, y_signed, example_weights, C, workspace):
+@dataclass(frozen=True)
+class _TrainingRows:
+    """What every fit on one set of training rows shares: the rows with the
+    intercept's column (:func:`_with_intercept_column`), the labels as +-1,
+    the :func:`balanced_weights` and the :func:`_hessian_workspace`."""
+
+    Xa: np.ndarray
+    y_signed: np.ndarray
+    weights: np.ndarray
+    workspace: tuple
+
+
+def _training_rows(X, y) -> _TrainingRows:
+    """The per-row setup of fits on rows ``X`` with 0/1 labels ``y``."""
+    Xa = _with_intercept_column(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    y = np.asarray(y)
+    return _TrainingRows(Xa, np.where(y > 0, 1.0, -1.0), balanced_weights(y), _hessian_workspace(Xa))
+
+
+def _fit_args(rows: _TrainingRows, C) -> tuple:
+    """:func:`_objective`'s arguments after the parameters, for a fit at cost
+    ``C`` on ``rows``: the products ``C a`` and ``-C a y`` are formed once
+    per fit rather than in every objective call."""
+    Ca = C * rows.weights
+    return rows, C, Ca, -Ca * rows.y_signed
+
+
+def _objective(params, rows, C, Ca, neg_Cay):
     """Loss, gradient and Hessian of the training objective at packed
-    parameters (weights..., intercept), on rows ``Xa`` whose last column is
-    the intercept's column of ones (:func:`_with_intercept_column`).
+    parameters (weights..., intercept) on :class:`_TrainingRows` ``rows``,
+    with ``Ca`` and ``neg_Cay`` from :func:`_fit_args`.
 
     The Hessian comes back as a function of no arguments, so a line search
-    pays for it only at the point it accepts. It is written into the
-    :func:`_hessian_workspace` ``workspace`` and returned there, so it holds
-    only until the next Hessian of the fit. With margins ``m = y z`` and
-    ``e = exp(-|m|)``, the loss terms are ``log1p(e) + max(-m, 0)``,
-    ``sigmoid(-m)`` is ``e / (1 + e)`` or ``1 / (1 + e)`` and the curvature
-    ``sigmoid(m) sigmoid(-m)`` is ``e / (1 + e)^2``: finite at every score.
-    With ``Xs`` the rows scaled by the square roots of their curvatures, the
-    Hessian is the one symmetric product ``Xs.T @ Xs`` plus 1 on the weight
-    diagonal (the intercept is unregularized).
+    pays for it only at the point it accepts. It is written into the rows'
+    workspace and returned there, so it holds only until the next Hessian
+    on those rows. With margins ``m = y z`` and ``e = exp(-|m|)``, the loss
+    terms are ``log1p(e) + max(-m, 0)``, ``sigmoid(-m)`` is ``e / (1 + e)``
+    or ``1 / (1 + e)`` and the curvature ``sigmoid(m) sigmoid(-m)`` is
+    ``e / (1 + e)^2``: finite at every score. With ``Xs`` the rows scaled by
+    the square roots of their curvatures, the Hessian is the one symmetric
+    product ``Xs.T @ Xs`` plus 1 on the weight diagonal (the intercept is
+    unregularized). ``Xs`` and the product are float32, which halves the
+    product's cost; the product is then copied into the float64 Hessian.
+    Only the Newton direction carries that rounding: the loss and gradient,
+    which decide where the solver stops, are float64.
     """
-    w = params[:-1]
-    m = y_signed * (Xa @ params)
+    Xa, w = rows.Xa, params[:-1]
+    m = rows.y_signed * (Xa @ params)
     e = np.exp(-np.abs(m))
     one_e = 1.0 + e
-    loss = 0.5 * float(w @ w) + C * float(example_weights @ (np.log1p(e) + np.maximum(-m, 0.0)))
-    resid = -C * example_weights * y_signed * np.where(m >= 0, e, 1.0) / one_e
-    grad = Xa.T @ resid
+    loss = 0.5 * float(w @ w) + C * float(rows.weights @ (np.log1p(e) + np.maximum(-m, 0.0)))
+    grad = Xa.T @ (neg_Cay * np.where(m >= 0, e, 1.0) / one_e)
     grad[:-1] += w
 
     def hessian():
-        Xs, H = workspace
-        np.multiply(Xa, np.sqrt(C * example_weights * e / one_e ** 2)[:, None], out=Xs)
-        np.matmul(Xs.T, Xs, out=H)
+        Xs, P, H = rows.workspace
+        np.multiply(Xa, np.sqrt(Ca * e / one_e ** 2)[:, None], out=Xs, casting="same_kind")
+        np.matmul(Xs.T, Xs, out=P)
+        H[...] = P
         d = w.shape[0]
         H.reshape(-1)[: d * (d + 2) : d + 2] += 1.0  # the weight diagonal, as a strided view
         return H
@@ -201,12 +236,10 @@ def _objective(params, Xa, y_signed, example_weights, C, workspace):
     return loss, grad, hessian
 
 
-def loss_and_gradient(params, X, y_signed, example_weights, C):
-    """Objective and gradient at packed parameters (weights..., intercept)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    # no Hessian is taken, so no workspace is needed
-    loss, grad, _ = _objective(params, _with_intercept_column(X), y_signed, example_weights, C, None)
-    return loss, grad
+def _gradient_at_zero(rows: _TrainingRows, neg_Cay) -> np.ndarray:
+    """:func:`_objective`'s gradient at zero without its loss or Hessian:
+    every margin is 0 there, so each row's residual is ``-C a y / 2``."""
+    return rows.Xa.T @ (neg_Cay / 2.0)
 
 
 @dataclass(frozen=True)
@@ -263,7 +296,7 @@ def minimize(fun, x0, *, args=(), tol, at_x0=None) -> NewtonResult:
 
 
 def train_linear(
-    X: np.ndarray,
+    X,
     y: np.ndarray,
     C: float,
     *,
@@ -272,25 +305,27 @@ def train_linear(
     """Fit the regularized logistic model on a standardized matrix, each
     example weighted by :func:`balanced_weights`.
 
-    ``start`` is the packed (weights..., intercept) point the solver starts
-    from, zero when None (:func:`select_cost` passes extrapolations along
-    the grid). The tolerance is always taken at zero. Raises
+    ``X`` is the matrix, or the :class:`_TrainingRows` that
+    :func:`select_cost` builds once from its training rows and labels ``y``
+    for all its grid fits. ``start`` is the packed (weights..., intercept)
+    point the solver starts from, zero when None (:func:`select_cost`
+    passes extrapolations along the grid). The tolerance is always taken
+    at zero; a started fit evaluates only the gradient there. Raises
     :class:`DegenerateLabelError` when only one class is present.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y).astype(np.float64)
     if C <= 0:
         raise ValueError("cost C must be positive")
-    wts = balanced_weights(y)
-
-    Xa = _with_intercept_column(X)
-    args = (Xa, np.where(y > 0, 1.0, -1.0), wts, C, _hessian_workspace(Xa))
-    zero = np.zeros(Xa.shape[1])
-    at_zero = _objective(zero, *args)
-    g0 = at_zero[1]
+    rows = X if isinstance(X, _TrainingRows) else _training_rows(X, y)
+    args = _fit_args(rows, C)
+    zero = np.zeros(rows.Xa.shape[1])
+    if start is None:
+        x0, at_x0 = zero, _objective(zero, *args)
+        g0 = at_x0[1]
+    else:
+        x0, at_x0 = start, None
+        g0 = _gradient_at_zero(rows, args[-1])
     tol = GRADIENT_TOLERANCE * max(1.0, float(np.sqrt(g0 @ g0)))
 
-    x0, at_x0 = (zero, at_zero) if start is None else (start, None)
     res = minimize(_objective, x0, args=args, tol=tol, at_x0=at_x0)
     g_norm = np.sqrt(res.jac @ res.jac)
     if g_norm > tol:
@@ -359,11 +394,12 @@ def select_cost(X: np.ndarray, y: np.ndarray, *, seed: int = 0) -> tuple:
 
     Returns ``(C, fell_back, x)`` with ``x`` the packed (weights...,
     intercept) grid solution at C, the final fit's start. Ties keep the
-    smallest C. The first fit starts from zero, the second from the first's
-    solution and each later one from the secant step through the two
-    solutions before it. With fewer than 3 examples of either class the
-    split cannot be stratified and the fallback C = 1 is returned flagged,
-    with ``x`` None.
+    smallest C. The grid fits share one per-row setup of the training
+    rows (:func:`_training_rows`). The first fit starts from zero, the
+    second from the first's solution and each later one from the secant
+    step through the two solutions before it. With fewer than 3 examples
+    of either class the split cannot be stratified and the fallback C = 1
+    is returned flagged, with ``x`` None.
     """
     y = np.asarray(y)
     n_pos = int(y.sum())
@@ -372,11 +408,12 @@ def select_cost(X: np.ndarray, y: np.ndarray, *, seed: int = 0) -> tuple:
         return 1.0, True, None
 
     train_idx, val_idx = stratified_split_third(y, seed)
-    X_train, y_train, X_val, y_val = X[train_idx], y[train_idx], X[val_idx], y[val_idx]
+    y_train, X_val, y_val = y[train_idx], X[val_idx], y[val_idx]
+    rows = _training_rows(X[train_idx], y_train)  # shared by the six grid fits
     best_c, best_f1, best_x = None, -1.0, None
     start = previous = None
     for c in COST_GRID:
-        model = train_linear(X_train, y_train, c, start=start)
+        model = train_linear(rows, y_train, c, start=start)
         x = np.append(model.weights, model.intercept)
         # COST_GRID is geometric: the secant step along log C
         start = x if previous is None else 2.0 * x - previous

@@ -17,6 +17,7 @@ become errors with line numbers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -202,7 +203,8 @@ def _group_columns(header: Sequence[str], origin: str):
     A group whose names are exactly the canonical ones (``FEATURE_COLUMNS``)
     is mapped by name; any other naming is mapped by position, and the
     sensor is listed in the returned ``positional``. A column of no sensor
-    group and no label is skipped, with one warning per file.
+    group and no label is skipped; the skipped names come back last, for
+    the caller's one warning per file (:func:`_warn_skipped`).
     """
     groups = {s: [] for s in SENSORS}
     label_cols = []
@@ -218,11 +220,7 @@ def _group_columns(header: Sequence[str], origin: str):
                                      f"and {name!r} both canonicalize to {label!r}")
             label_cols.append((idx, label))
             continue
-        owner = None
-        for sensor, prefixes in SENSOR_COLUMN_PREFIXES.items():
-            if any(name.startswith(p) for p in prefixes):
-                owner = sensor
-                break
+        owner = next((s for s, prefixes in SENSOR_COLUMN_PREFIXES.items() if name.startswith(prefixes)), None)
         if owner is None:
             skipped.append(name)
         else:
@@ -245,6 +243,11 @@ def _group_columns(header: Sequence[str], origin: str):
                 f"{origin}: sensor group {sensor!r} has {len(cols)} columns, "
                 f"expected {FEATURE_DIMS[sensor]}"
             )
+    return groups, label_cols, tuple(positional), skipped
+
+
+def _warn_skipped(origin: str, skipped) -> None:
+    """The one warning of a file whose columns :func:`_group_columns` skipped."""
     if skipped:
         log.warning(
             "%s: skipping %d unknown columns: %s",
@@ -252,7 +255,6 @@ def _group_columns(header: Sequence[str], origin: str):
             len(skipped),
             ", ".join(sorted({n.split(":")[0] for n in skipped})),
         )
-    return groups, label_cols, tuple(positional)
 
 
 def _parse_cell(cell: str, origin: str, lineno: int, colname: str) -> float:
@@ -329,10 +331,14 @@ def feature_table(user_id: str, minutes) -> FeatureTable:
 
 
 def read_features_table(path) -> FeatureTable:
-    """Parse one user's feature table into columns, cell by cell.
+    """Parse one user's feature table into columns.
 
     The user id is the file name up to its first dot, and must not be
-    empty. A group absent from the header has no matrix.
+    empty. A group absent from the header has no matrix. The file is
+    parsed by one ``np.loadtxt`` call (:func:`_bulk_table`); a file that
+    parse rejects or that fails a check afterwards is read again cell by
+    cell (:func:`_table_cells`), which returns the same table or raises
+    the line-numbered error, so it is the only source of error messages.
     """
     path = Path(path)
     origin = str(path)
@@ -341,15 +347,105 @@ def read_features_table(path) -> FeatureTable:
         raise IngestionError(f"{origin}: the file name gives an empty user id")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header, rows = _read_table(fh, origin)
+            text = fh.read()
     except OSError as exc:
         raise IngestionError(f"cannot read feature table {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    table = _bulk_table(text, origin, user_id)
+    return _table_cells(text, origin, user_id) if table is None else table
 
+
+#: the spelling :func:`_bulk_table` gives an empty cell, which ``np.loadtxt``
+#: reads as NaN; a file that already holds it is read cell by cell, so in a
+#: label column it always stands for an empty cell
+_EMPTY_CELL = "nAn"
+
+_LABEL_FLOATS = {"": np.nan, _EMPTY_CELL: np.nan, "1": 1.0, "1.0": 1.0, "0": 0.0, "0.0": 0.0}
+
+
+def _label_float(cell: str) -> float:
+    """A label cell as ``np.loadtxt`` converts it: NaN for empty, or 1.0 or
+    0.0; any other cell raises, which sends the file to the per-cell reader."""
+    return _LABEL_FLOATS[cell.strip()]
+
+
+def _bulk_table(text: str, origin: str, user_id: str) -> Optional[FeatureTable]:
+    """The table of ``text`` from one ``np.loadtxt`` call, or None when the
+    file needs the per-cell reader.
+
+    Empty cells are filled with :data:`_EMPTY_CELL` first, and the
+    timestamps come from one ``int64`` conversion of each line's first
+    cell. None is returned for whatever :func:`_table_cells` might read
+    otherwise or reject: quotes, a carriage return or a NUL; a header that
+    is rejected; no data line, a blank line or a row of another width; a
+    cell that the parse or the conversion rejects (a timestamp outside
+    int64 included); a label cell other than 0, 1 or empty; a repeated
+    timestamp; or an infinite feature cell.
+    """
+    if any(c in text for c in ('"', "\r", "\x00", _EMPTY_CELL)):
+        return None
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    if not body or header[0] != "timestamp" or len(set(header)) != len(header):
+        return None
+    try:
+        groups, label_cols, positional, skipped = _group_columns(header, origin)
+    except IngestionError:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    # two passes fill every cell of a run of empty ones
+    body = body.replace(",,", f",{_EMPTY_CELL},").replace(",,", f",{_EMPTY_CELL},")
+    lines = body.replace(",\n", f",{_EMPTY_CELL}\n").split("\n")[:-1]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None,
+                                converters={idx: _label_float for idx, _ in label_cols})
+        timestamps = np.array([line.partition(",")[0] for line in lines], dtype=np.int64)
+    except (ValueError, OverflowError, Warning):
+        return None
+    n = len(lines)
+    if values.shape != (n, len(header)) or np.unique(timestamps).size != n:
+        return None
+
+    order = np.argsort(timestamps, kind="stable")
+    cells = values[np.ix_(order, [idx for cols in groups.values() for idx, _ in cols])]
+    if np.isinf(cells).any():
+        return None
+    cells[np.isnan(cells)] = np.nan  # one NaN bit pattern, whatever the cell spelled
+    _warn_skipped(origin, skipped)
+    label_values = values[np.ix_(order, [idx for idx, _ in label_cols])]
+    codes = np.where(np.isnan(label_values), -1, label_values).astype(np.int8)
+    return FeatureTable(
+        user_id=user_id,
+        timestamps=timestamps[order],
+        features=_group_blocks(groups, cells),
+        labels={name: codes[:, k].copy() for k, (_, name) in enumerate(label_cols)},
+        positional=positional,
+    )
+
+
+def _group_blocks(groups, values) -> dict:
+    """``{sensor: its columns of values}`` for each group the header has,
+    ``values`` holding the groups' columns side by side in ``groups`` order."""
+    features, start = {}, 0
+    for sensor, cols in groups.items():
+        if cols:
+            features[sensor] = values[:, start:start + len(cols)]
+            start += len(cols)
+    return features
+
+
+def _table_cells(text: str, origin: str, user_id: str) -> FeatureTable:
+    """The per-cell reader behind :func:`read_features_table`, and the
+    source of its error messages."""
+    header, rows = _read_table(io.StringIO(text, newline=""), origin)
     if not header or header[0] != "timestamp":
         raise IngestionError(f"{origin}: first column must be 'timestamp'")
-    groups, label_cols, positional = _group_columns(header, origin)
+    groups, label_cols, positional, skipped = _group_columns(header, origin)
+    _warn_skipped(origin, skipped)
     # every feature cell of a row in one pass, group by group in SENSORS order
     cells = [col for cols in groups.values() for col in cols]
 
@@ -384,15 +480,10 @@ def read_features_table(path) -> FeatureTable:
     order = np.argsort(timestamps, kind="stable")
     values = values[order]
     values[np.isnan(values)] = np.nan  # one NaN bit pattern, whatever the cell spelled
-    features, start = {}, 0
-    for sensor, cols in groups.items():
-        if cols:
-            features[sensor] = values[:, start:start + len(cols)]
-            start += len(cols)
     return FeatureTable(
         user_id=user_id,
         timestamps=timestamps[order],
-        features=features,
+        features=_group_blocks(groups, values),
         labels={name: labels[k, order] for k, (_, name) in enumerate(label_cols)},
         positional=positional,
     )

@@ -9,7 +9,7 @@ averages the universal and individual probabilities (late-fusion style).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,10 @@ class ModelScore:
 
     ba: float
     f1: float
-    trivial: bool = False
+
+
+#: the score of a trivial individual model
+_CHANCE = ModelScore(ba=0.5, f1=0.0)
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,6 @@ class PersonalizationResult:
     individual: ModelScore
     adapted: ModelScore
     n_user_positives: int
-    #: per-deployment-example probabilities of the three models
-    #: (individual entry is None when trivial)
-    probabilities: Optional[dict] = None
 
 
 def split_user_timeline(store: FeatureStore, user: str) -> tuple:
@@ -62,6 +62,18 @@ def _scored(y_true, p) -> ModelScore:
     return ModelScore(ba=float(report.ba), f1=float(report.f1))
 
 
+def _result(y_true, p_universal, p_individual, p_adapted, n_user_positives) -> PersonalizationResult:
+    """One label's scores from the three models' deployment probabilities;
+    ``p_individual`` is None for a trivial individual model, which scores
+    at chance."""
+    return PersonalizationResult(
+        universal=_scored(y_true, p_universal),
+        individual=_CHANCE if p_individual is None else _scored(y_true, p_individual),
+        adapted=_scored(y_true, p_adapted),
+        n_user_positives=n_user_positives,
+    )
+
+
 def personalize(
     store: FeatureStore, user: str, labels: Sequence[str], train_users: Sequence[str], *, seed: int = 0
 ) -> dict:
@@ -70,9 +82,12 @@ def personalize(
     Per label, the universal model is early fusion fit on the complete-sensor
     rows of ``train_users``, the individual model on those of the user's
     adaptation half (:func:`split_user_timeline`); both grid-search the cost
-    with seeds derived from ``seed``. A trivial individual model (a single
-    class, or no row) is reported at chance level (BA 0.5, F1 0) and the
-    adapted model is then the universal one alone. Leakage is asserted: the
+    with seeds derived from ``seed``: the universal model's per label and
+    not per user, the individual model's per user and not per label. Both
+    are deliberate; changing either changes ``personalization.csv``. A
+    trivial individual model (a single class, or no row) is reported at
+    chance level (BA 0.5, F1 0) and the adapted model is then the universal
+    one alone. Leakage is asserted: the
     halves are disjoint, and the user is not one of ``train_users``. A
     ``RuntimeError`` of a failed fit names the user, model and label.
     """
@@ -111,22 +126,15 @@ def personalize(
     X = store.matrix(SENSORS, deploy)
     results = {}
     for label in labels:
-        y_true = store.relevant[label][deploy] > 0
         p_universal = predict_proba_features(universal[label], X)
         if individual[label].is_trivial:
-            # the convention for a trivial individual classifier
-            individual_score = ModelScore(ba=0.5, f1=0.0, trivial=True)
             p_individual, p_adapted = None, p_universal
         else:
             p_individual = predict_proba_features(individual[label], X)
-            individual_score = _scored(y_true, p_individual)
             p_adapted = (p_universal + p_individual) / 2.0
-        results[label] = PersonalizationResult(
-            universal=_scored(y_true, p_universal),
-            individual=individual_score,
-            adapted=_scored(y_true, p_adapted),
-            n_user_positives=int(store.relevant[label][store.rows([user])].sum()),
-            probabilities={"universal": p_universal, "individual": p_individual, "adapted": p_adapted},
+        results[label] = _result(
+            store.relevant[label][deploy] > 0, p_universal, p_individual, p_adapted,
+            int(store.relevant[label][store.rows([user])].sum()),
         )
     return results
 

@@ -54,6 +54,14 @@ def probe(tmp_path_factory):
         (folds / f"fold_{i}_test_uuids.txt").write_text("\n".join(fold) + "\n", encoding="utf-8")
     latin1 = work / "labels-latin1.txt"
     latin1.write_bytes("SITTING # assis \xe0 la table\n".encode("latin-1"))
+    # a table with an infinite cell, which the bulk parse rejects: the
+    # per-cell reader reads it again and reports the line
+    infinite = work / "infinite"
+    (infinite / "features").mkdir(parents=True)
+    header, first, *rest = (tables / "features" / "user00.features.csv").read_text(encoding="utf-8").splitlines()
+    first = ",".join([first.split(",")[0], "inf", *first.split(",")[2:]])
+    (infinite / "features" / "user00.features.csv").write_text("\n".join([header, first, *rest]) + "\n",
+                                                                encoding="utf-8")
     out = work / "out"
     runs = [
         ["extract", "--input", str(raw / "sessions"), "--utc-offset", "-7", "--out", str(out / "extract")],
@@ -66,6 +74,7 @@ def probe(tmp_path_factory):
          "--seed", "3", "--out", str(out / "personalize")],
         ["rerun", str(out / "personalize" / "run_manifest.json")],
         _evaluate(tables, out / "latin1", labels=latin1),
+        _evaluate(infinite, out / "infinite", labels=tables / "labels.txt"),
     ]
     (work / "runs.json").write_text(json.dumps(runs), encoding="utf-8")
     env = dict(os.environ)
@@ -74,7 +83,7 @@ def probe(tmp_path_factory):
                           str(work / "probe.json")], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     record = json.loads((work / "probe.json").read_text(encoding="utf-8"))
-    assert record["codes"] == [0] * (len(runs) - 1) + [2]
+    assert record["codes"] == [0] * (len(runs) - 2) + [2, 2]
     return {
         **{key: {tuple(entry) for entry in record[key]} for key in ("reached", "defaulted", "set")},
         "fields_read": set(record["fields_read"]),

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ctxfuse import data
+from ctxfuse import classifier, data
 from ctxfuse.data import FeatureStore
 from ctxfuse.ingestion import feature_table, write_features_csv
 from ctxfuse.model import (
@@ -266,3 +266,13 @@ def complementary_sensor_dataset(
             feature_example(user, 1_600_000_000 + i * 60, vals, {label: int(y[i])})
         )
     return ordered(examples), label
+
+
+def loss_and_gradient(params, X, y_signed, example_weights, C):
+    """The training objective and its gradient at packed parameters
+    (weights..., intercept) on raw rows ``X``: the library's objective,
+    taken without a Hessian, so its rows need no workspace."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    rows = classifier._TrainingRows(classifier._with_intercept_column(X), y_signed, example_weights, None)
+    loss, grad, _ = classifier._objective(params, *classifier._fit_args(rows, C))
+    return loss, grad

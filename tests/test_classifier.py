@@ -14,12 +14,12 @@ from ctxfuse.classifier import (
     f1_binary,
     fit_single_sensor_model,
     fit_standardizer,
-    loss_and_gradient,
     predict_proba_matrix,
     select_cost,
     stratified_split_third,
     train_linear,
 )
+from synth import loss_and_gradient
 
 
 def _independent_loss(params, X, y, C, balanced=True):
@@ -255,7 +255,8 @@ def _recording_train_linear(monkeypatch) -> list:
 
     def recording(X, y, C, **kwargs):
         model = original(X, y, C, **kwargs)
-        calls.append((X.shape[0], kwargs.get("start"), _packed(model)))
+        rows = X.Xa if isinstance(X, classifier._TrainingRows) else X
+        calls.append((rows.shape[0], kwargs.get("start"), _packed(model)))
         return model
 
     monkeypatch.setattr(classifier, "train_linear", recording)
@@ -323,9 +324,9 @@ def test_solver_held_to_one_step_raises_naming_both_norms(monkeypatch):
 def test_minimize_reports_point_gradient_and_steps():
     X, y = _solver_problem(3, False)
     ys = np.where(y > 0, 1.0, -1.0)
-    Xa = classifier._with_intercept_column(X)
+    rows = classifier._training_rows(X, y)
     res = classifier.minimize(classifier._objective, np.zeros(4), tol=1e-6,
-                              args=(Xa, ys, balanced_weights(y), 1.0, classifier._hessian_workspace(Xa)))
+                              args=classifier._fit_args(rows, 1.0))
     _, g = loss_and_gradient(res.x, X, ys, balanced_weights(y), 1.0)
     assert np.array_equal(res.jac, g)
     assert np.linalg.norm(g) <= 1e-6
@@ -347,6 +348,17 @@ def _block_hessian(params, X, ys, wts, C):
     return H
 
 
+def _float32_product_bound(n, want):
+    """The largest error the float32 product may put on a Hessian entry:
+    ``(n + 3) u max|want|`` with ``u = 2**-24`` (CHANGES.md argues it)."""
+    return (n + 3) * 2.0 ** -24 * np.max(np.abs(want))
+
+
+def _rows_with_weights(X, ys, wts):
+    Xa = classifier._with_intercept_column(X)
+    return classifier._TrainingRows(Xa, ys, wts, classifier._hessian_workspace(Xa))
+
+
 @pytest.mark.parametrize("rows", ["n<d+1", "n>d+1"])
 @pytest.mark.parametrize("d", [1, 46, 175])
 def test_symmetric_product_hessian_matches_block_formula(d, rows):
@@ -356,15 +368,14 @@ def test_symmetric_product_hessian_matches_block_formula(d, rows):
     ys = np.where(rng.random(n) < 0.4, 1.0, -1.0)
     wts = rng.uniform(0.5, 2.0, size=n)
     params = rng.normal(scale=0.3, size=d + 1)
-    Xa = classifier._with_intercept_column(X)
-    workspace = classifier._hessian_workspace(Xa)
+    training = _rows_with_weights(X, ys, wts)
     for C in (0.01, 1.0, 100.0):  # successive Hessians of one workspace
-        _, _, hessian = classifier._objective(params, Xa, ys, wts, C, workspace)
+        _, _, hessian = classifier._objective(params, *classifier._fit_args(training, C))
         H = hessian()
         want = _block_hessian(params, X, ys, wts, C)
-        assert H.shape == (d + 1, d + 1)
+        assert H.shape == (d + 1, d + 1) and H.dtype == np.float64
         assert np.array_equal(H, H.T)
-        assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(H - want)) <= _float32_product_bound(n, want)
 
 
 @pytest.mark.parametrize("d", [1, 46, 175])
@@ -376,16 +387,47 @@ def test_each_hessian_call_rewrites_the_whole_workspace(d):
     X = rng.normal(size=(n, d))
     ys = np.where(rng.random(n) < 0.4, 1.0, -1.0)
     wts = rng.uniform(0.5, 2.0, size=n)
-    Xa = classifier._with_intercept_column(X)
-    workspace = classifier._hessian_workspace(Xa)
+    training = _rows_with_weights(X, ys, wts)
     points = [(rng.normal(scale=0.3, size=d + 1), C) for C in (1.0, 10.0)]
-    hessians = [classifier._objective(p, Xa, ys, wts, C, workspace)[2] for p, C in points]
+    hessians = [classifier._objective(p, *classifier._fit_args(training, C))[2] for p, C in points]
     for i in (0, 1, 0):
         params, C = points[i]
         H = hessians[i]()
-        assert H is workspace[1]
+        assert H is training.workspace[2]
         want = _block_hessian(params, X, ys, wts, C)
-        assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(H - want)) <= _float32_product_bound(n, want)
+
+
+def test_select_cost_builds_the_per_row_setup_once(monkeypatch):
+    counts = {"balanced_weights": 0, "_with_intercept_column": 0}
+    for name in counts:
+        original = getattr(classifier, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(classifier, name, counting)
+    calls = _recording_train_linear(monkeypatch)
+    X, y = _solver_problem(5, False)
+    select_cost(X, y, seed=0)
+    assert len(calls) == len(COST_GRID)
+    assert counts == {"balanced_weights": 1, "_with_intercept_column": 1}
+
+
+@pytest.mark.parametrize("d", [1, 46, 175])
+def test_started_fit_tolerance_is_the_full_objectives_at_zero(d):
+    X, y = _solver_problem(d, False)
+    X[:, 0] = 0.0  # a constant column standardizes to zeros
+    rows = classifier._training_rows(X, y)
+    zero = np.zeros(d + 1)
+    for c in COST_GRID:
+        args = classifier._fit_args(rows, c)
+        _, full, _ = classifier._objective(zero, *args)
+        alone = classifier._gradient_at_zero(rows, args[-1])
+        assert np.array_equal(alone, full)
+        tol = [classifier.GRADIENT_TOLERANCE * max(1.0, float(np.sqrt(g @ g))) for g in (full, alone)]
+        assert np.array(tol[0]).tobytes() == np.array(tol[1]).tobytes()
 
 
 def test_separable_symmetric_data():
@@ -588,3 +630,67 @@ def test_single_class_pipeline_gives_trivial_model():
     assert m.is_trivial
     assert m.model.probability == 0.0
     assert "trivial:single_class" in m.notes
+
+
+def _float64_product_objective(params, Xa, ys, wts, C, workspace):
+    """The training objective with its Hessian product ``Xs.T @ Xs`` in
+    float64: the library's objective before its curvature product ran in
+    float32, kept as the oracle of :func:`_float64_product_fit`."""
+    w = params[:-1]
+    m = ys * (Xa @ params)
+    e = np.exp(-np.abs(m))
+    one_e = 1.0 + e
+    loss = 0.5 * float(w @ w) + C * float(wts @ (np.log1p(e) + np.maximum(-m, 0.0)))
+    grad = Xa.T @ (-C * wts * ys * np.where(m >= 0, e, 1.0) / one_e)
+    grad[:-1] += w
+
+    def hessian():
+        Xs, H = workspace
+        np.multiply(Xa, np.sqrt(C * wts * e / one_e ** 2)[:, None], out=Xs)
+        np.matmul(Xs.T, Xs, out=H)
+        d = w.shape[0]
+        H.reshape(-1)[: d * (d + 2) : d + 2] += 1.0
+        return H
+
+    return loss, grad, hessian
+
+
+def _float64_product_fit(X, y, C, start):
+    """``(params, tol)``: the library's Newton solver on the float64-product
+    objective, from ``start`` (zero when None), with the tolerance at zero."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    args = (Xa, np.where(y > 0, 1.0, -1.0), balanced_weights(y), C,
+            (np.empty_like(Xa), np.empty((Xa.shape[1], Xa.shape[1]))))
+    zero = np.zeros(Xa.shape[1])
+    _, g0, _ = _float64_product_objective(zero, *args)
+    tol = classifier.GRADIENT_TOLERANCE * max(1.0, float(np.sqrt(g0 @ g0)))
+    res = classifier.minimize(_float64_product_objective, zero if start is None else start,
+                              args=args, tol=tol)
+    assert np.sqrt(res.jac @ res.jac) <= tol
+    return res.x, tol
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 40), (46, 23), (46, 150), (175, 87), (175, 535)],
+                         ids=["d1-n=d+1", "d1-n>d+1", "d46-n<d+1", "d46-n>d+1", "d175-n<d+1", "d175-n>d+1"])
+def test_fits_reach_the_float64_product_fit(d, n):
+    """Every grid cost, from zero and from the secant start, reaches the
+    float64-product fit from the same start within the stopping tolerance.
+    With one feature, two rows are the fewest that carry both classes."""
+    rng = np.random.default_rng(d + n)
+    X = rng.normal(size=(n, d))
+    y = (X @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(int)
+    y[:2] = (0, 1)
+    for start_of in ("cold", "secant"):
+        previous = current = None
+        for c in COST_GRID:
+            if start_of == "cold" or current is None:
+                start = None
+            else:
+                start = current if previous is None else 2.0 * current - previous
+            want, tol = _float64_product_fit(X, y, c, start)
+            model = train_linear(X, y, c, start=start)
+            got = _packed(model)
+            assert np.linalg.norm(got - want) <= 1e-6 * max(1.0, np.linalg.norm(want)), (start_of, c)
+            _, g = loss_and_gradient(got, X, np.where(y > 0, 1.0, -1.0), balanced_weights(y), c)
+            assert np.linalg.norm(g) <= tol, (start_of, c)
+            previous, current = current, want

@@ -277,6 +277,77 @@ def test_feature_table_round_trip_property(tmp_path_factory, table, data):
         _assert_same_table(read_features_table(path), table)
 
 
+#: spellings of an empty feature cell that the per-cell reader reads as NaN
+_EMPTY_SPELLINGS = ("", "nan", "NaN", "-nan", " nan ", " ")
+
+#: cells that ``float`` reads and ``np.loadtxt`` does not
+_FLOAT_ONLY_CELLS = ("1_000", "\uff11\uff12")
+
+_LABEL_SPELLINGS = {"1": ("1", "1.0"), "0": ("0", "0.0"), "": ("", " ")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_feature_tables(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_bulk_reader_returns_the_per_cell_readers_table(tmp_path_factory, table, seed, float_only, data):
+    """Whatever the spelling of its cells, the order of its rows or of a
+    group's canonical columns, a table reads bit for bit as the per-cell
+    reader reads it; one ``np.loadtxt`` call reads it unless a cell needs
+    the per-cell reader."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("bulk") / "u0.features.csv"
+    write_features_csv(path, table)
+    text = path.read_text(encoding="utf-8")
+    if table.features and data.draw(st.booleans()):
+        sensor = data.draw(st.sampled_from(list(table.features)))
+        text = _permute_group_columns(text, sensor, data.draw(st.permutations(range(FEATURE_DIMS[sensor]))))
+    header, *body = csv.reader(io.StringIO(text))
+    labels = {i for i, name in enumerate(header) if name.startswith("label:")}
+    needs_cells = False
+    for row in body:
+        for i, cell in enumerate(row[1:], start=1):
+            if i in labels:
+                row[i] = str(rng.choice(_LABEL_SPELLINGS[cell]))
+            elif cell == "":
+                row[i] = str(rng.choice(_EMPTY_SPELLINGS))
+                needs_cells |= row[i] == " "
+            elif float_only and rng.random() < 0.05:
+                row[i] = str(rng.choice(_FLOAT_ONLY_CELLS))
+                needs_cells = True
+            elif rng.random() < 0.1:
+                row[i] = f" {cell} "
+    rng.shuffle(body)
+    text = "".join(",".join(row) + "\n" for row in [header, *body])
+    path.write_text(text, encoding="utf-8")
+    _assert_same_table(read_features_table(path), ingestion._table_cells(text, str(path), "u0"))
+    if body and not needs_cells:
+        assert ingestion._bulk_table(text, str(path), "u0") is not None
+
+
+@pytest.mark.parametrize("cell, value", [("1_000", 1000.0), ("\uff11\uff12", 12.0), (" 1_0 ", 10.0)])
+def test_cells_that_only_float_reads_take_the_per_cell_reader(tmp_path, cell, value):
+    path = tmp_path / "u0.features.csv"
+    write_examples(path, _some_examples(2))
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = rows[0].split(",")
+    cells[header.split(",").index(FEATURE_COLUMNS["acc"][0])] = cell
+    text = "\n".join([header, ",".join(cells), *rows[1:]]) + "\n"
+    path.write_text(text, encoding="utf-8")
+    assert ingestion._bulk_table(text, str(path), "u0") is None
+    assert read_features_table(path).features["acc"][0, 0] == value
+
+
+@pytest.mark.parametrize("timestamp", [2**63, -2**63 - 1])
+def test_timestamp_past_int64_gets_the_per_cell_range_message(tmp_path, timestamp):
+    path = tmp_path / "u0.features.csv"
+    text = f"timestamp,label:A\n60,1\n{timestamp},0\n"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(OverflowError):
+        np.array(["60", str(timestamp)], dtype=np.int64)
+    assert ingestion._bulk_table(text, str(path), "u0") is None
+    with pytest.raises(IngestionError, match=f"line 3: timestamp {timestamp} is out of range"):
+        read_features_table(path)
+
+
 @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
 def test_extract_tables_write_back_byte_identical(tmp_path, tiny, capsys):
     corpus = perfbench_module("corpus")

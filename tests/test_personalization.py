@@ -6,8 +6,8 @@ before the store: EF models trained per label through ``early_fusion`` on
 a store of their own examples, and scored on the per-example feature
 matrix of the user's deployment examples (split by ``_split_examples``).
 ``_per_example_protocol`` is the CLI's use of it. They are test oracles
-only: ``personalize`` must give the same scores and bit-identical
-probabilities.
+only: ``personalize`` must give the same scores, and score bit-identical
+probabilities, which :func:`scored_probabilities` records.
 """
 
 import json
@@ -59,7 +59,27 @@ def _split_examples(user_examples):
 
 
 def _chance_score():
-    return ModelScore(ba=0.5, f1=0.0, trivial=True)
+    return ModelScore(ba=0.5, f1=0.0)
+
+
+def scored_probabilities(store, user, labels, train_users, **kwargs) -> tuple:
+    """``(results, probabilities)`` of :func:`personalize`, with
+    ``probabilities[label]`` the ``{"universal", "individual", "adapted"}``
+    deployment probabilities it scored that label on (the individual entry
+    None for a trivial individual model), recorded at the call that scores
+    them."""
+    scored = []
+    result = personalization._result
+
+    def recording(y_true, p_universal, p_individual, p_adapted, n_user_positives):
+        scored.append({"universal": p_universal, "individual": p_individual, "adapted": p_adapted})
+        return result(y_true, p_universal, p_individual, p_adapted, n_user_positives)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(personalization, "_result", recording)
+        results = personalize(store, user, labels, train_users, **kwargs)
+    assert len(scored) == len(labels)
+    return results, dict(zip(labels, scored))
 
 
 def _scored(counts):
@@ -75,7 +95,7 @@ def _per_example_personalization(universal_models, adaptation, deployment, label
     adapt_store = store_of(adapt_complete, labels)
     X_deploy = concat_feature_matrix(deploy)
 
-    results = {}
+    results, probabilities = {}, {}
     for label in labels:
         p_universal = predict_proba_features(universal_models[label], X_deploy)
         y_true = label_vector(deploy, label) > 0
@@ -102,13 +122,9 @@ def _per_example_personalization(universal_models, adaptation, deployment, label
             individual=individual_score,
             adapted=adapted_score,
             n_user_positives=n_pos,
-            probabilities={
-                "universal": p_universal,
-                "individual": p_individual,
-                "adapted": p_adapted,
-            },
         )
-    return results
+        probabilities[label] = {"universal": p_universal, "individual": p_individual, "adapted": p_adapted}
+    return results, probabilities
 
 
 def _per_example_protocol(examples, user, labels, train_users, *, seed):
@@ -124,15 +140,16 @@ def _per_example_protocol(examples, user, labels, train_users, *, seed):
 
 
 def _assert_same_results(got, want, labels):
+    """``got`` and ``want`` are ``(results, probabilities)`` pairs, as
+    :func:`scored_probabilities` and the oracles return them."""
     for label in labels:
-        g, w = got[label], want[label]
+        g, w = got[0][label], want[0][label]
         assert g.n_user_positives == w.n_user_positives, label
         for model in ("universal", "individual", "adapted"):
             gs, ws = getattr(g, model), getattr(w, model)
             # bitwise, so that NaN (an undefined score) equals NaN
             assert np.array([gs.ba, gs.f1]).tobytes() == np.array([ws.ba, ws.f1]).tobytes(), (label, model)
-            assert gs.trivial == ws.trivial, (label, model)
-            gp, wp = g.probabilities[model], w.probabilities[model]
+            gp, wp = got[1][label][model], want[1][label][model]
             assert (gp is None) == (wp is None), (label, model)
             if gp is not None:
                 assert gp.tobytes() == wp.tobytes(), (label, model)
@@ -189,31 +206,31 @@ def drift():
     labels = [label, "NEVER_SEEN"]
     store = example_store(ordered(background + test_user), labels=labels)
     train_users = user_ids(background)
-    results = personalize(store, "tu", labels, train_users, seed=2)
-    return store, train_users, label, results
+    results, probabilities = scored_probabilities(store, "tu", labels, train_users, seed=2)
+    return store, train_users, label, results, probabilities
 
 
 def test_zero_positive_adaptation_label_reports_chance(drift):
-    *_, results = drift
+    *_, results, probabilities = drift
     r = results["NEVER_SEEN"]
-    assert r.individual.trivial
+    assert probabilities["NEVER_SEEN"]["individual"] is None  # trivial
     assert r.individual.ba == 0.5
     assert r.individual.f1 == 0.0
     # the adapted model falls back to the universal probabilities alone
     assert np.array_equal(
-        r.probabilities["adapted"], r.probabilities["universal"]
+        probabilities["NEVER_SEEN"]["adapted"], probabilities["NEVER_SEEN"]["universal"]
     )
 
 
 def test_adapted_probability_is_exact_mean(drift):
-    _, _, label, results = drift
-    pr = results[label].probabilities
+    _, _, label, _, probabilities = drift
+    pr = probabilities[label]
     assert pr["individual"] is not None
     assert np.array_equal(pr["adapted"], (pr["universal"] + pr["individual"]) / 2.0)
 
 
 def test_adaptation_with_enough_positives_helps(drift):
-    store, _, label, results = drift
+    store, _, label, results, _ = drift
     r = results[label]
     adaptation, _ = split_user_timeline(store, "tu")
     assert store.relevant[label][adaptation].sum() >= 300
@@ -231,7 +248,7 @@ def test_identical_models_average_to_themselves(monkeypatch):
     clone = [replace(ex, user_id="bg") for ex in adaptation]
     store = example_store(ordered(clone + test_user), labels=[label])
     monkeypatch.setattr(personalization, "derive_seed", lambda *parts: 2)
-    pr = personalize(store, "tu", [label], ["bg"])[label].probabilities
+    pr = scored_probabilities(store, "tu", [label], ["bg"])[1][label]
     assert pr["universal"].tobytes() == pr["individual"].tobytes()
     assert pr["adapted"].tobytes() == pr["universal"].tobytes()
 
@@ -247,13 +264,13 @@ def test_overlapping_split_rejected(monkeypatch):
 
 
 def test_universal_trained_on_test_user_rejected(drift):
-    store, _, label, _ = drift
+    store, _, label, _, _ = drift
     with pytest.raises(AssertionError, match="trained on the test user"):
         personalize(store, "tu", [label], ["bg0", "tu"])
 
 
 def test_no_leakage_with_proper_train_users(drift, monkeypatch):
-    store, train_users, label, _ = drift
+    store, train_users, label, _, _ = drift
     fitted_users = []
     fit = personalization.fit_labels
 
@@ -268,7 +285,7 @@ def test_no_leakage_with_proper_train_users(drift, monkeypatch):
 
 
 def test_personalization_table_rows_and_averages(drift):
-    _, _, label, results = drift
+    _, _, label, results, _ = drift
     r = results[label]
     rows = personalization_table({label: r}, [label])
     assert rows[0][0] == "label"
@@ -289,7 +306,7 @@ def test_store_path_matches_per_example_oracle_on_drift():
     store = example_store(examples, labels=labels)
     train_users = user_ids(background)
     _assert_same_results(
-        personalize(store, "tu", labels, train_users, seed=5),
+        scored_probabilities(store, "tu", labels, train_users, seed=5),
         _per_example_protocol(examples, "tu", labels, train_users, seed=5),
         labels,
     )
@@ -306,7 +323,7 @@ def test_store_path_matches_per_example_oracle_on_golden_corpus(tmp_path):
     for user in json.loads(REFERENCE.read_text(encoding="utf-8")):
         train_users = [u for f in partition.folds if user not in f for u in f]
         _assert_same_results(
-            personalize(store, user, labels, train_users),
+            scored_probabilities(store, user, labels, train_users),
             _per_example_protocol(examples, user, labels, train_users, seed=0),
             labels,
         )

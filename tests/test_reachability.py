@@ -28,7 +28,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxfuse"
 
 #: ``module.qualified_name`` -> why the function stays although no command calls it
 LIBRARY_ONLY = {
-    "classifier.loss_and_gradient": "the objective at the raw inputs; tests check the solver's gradient on it",
     "classifier.fit_single_sensor_model": "the array-level fit of README Fitting; the tracer and fit oracles use it",
     "fusion.early_fusion": "the one-label EF fit of README Fitting; fusion tests use it as the fit oracle",
     "fusion.predict_late_fusion_learned": "LFL scoring; the fold loop calls it once its columns are fixed (ROADMAP 1)",

@@ -123,10 +123,7 @@ def unread_fields(fields: dict, read: set) -> list:
 
 
 #: ``Class.field`` -> why the field stays although no command reads it
-FIELDS_READ_ELSEWHERE = {
-    "ModelScore.trivial": "personalize's result for library callers: the trivial-individual convention",
-    "PersonalizationResult.probabilities": "personalize's result for library callers: each model's scores",
-}
+FIELDS_READ_ELSEWHERE = {}
 
 
 def _package_fields() -> dict:
