@@ -33,7 +33,6 @@ from .classifier import (
     LinearModel,
     SensorModel,
     Standardizer,
-    fit_single_sensor_model,
     fit_standardizer,
     predict_proba_features,
     select_cost,
@@ -41,7 +40,6 @@ from .classifier import (
 )
 from .fusion import (
     LateFusionLearned,
-    early_fusion,
     late_fusion_average,
     late_fusion_learned,
 )

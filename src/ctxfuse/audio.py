@@ -53,13 +53,14 @@ def mel_filterbank() -> np.ndarray:
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / AUDIO_SAMPLE_RATE)
 
-    weights = np.zeros((N_MEL_BANDS, bin_freqs.shape[0]), dtype=np.float64)
-    for b in range(N_MEL_BANDS):
-        lo, mid, hi = hz_points[b], hz_points[b + 1], hz_points[b + 2]
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
-        weights[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return weights
+    lo, mid, hi = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    # in place: each (40, 1025) temporary costs more than the arithmetic on it
+    rising = bin_freqs - lo
+    rising /= mid - lo
+    falling = hi - bin_freqs
+    falling /= hi - mid
+    np.minimum(rising, falling, out=rising)
+    return np.clip(rising, 0.0, None, out=rising)
 
 
 def compute_mfcc(audio) -> AudioMfccSeries:

@@ -470,21 +470,3 @@ def _fit_standardized(
     model, notes = _train_at_selected_cost(Z, y, cost=cost, seed=seed)
     return SensorModel(label, sensors, standardizer, model, notes)
 
-
-def fit_single_sensor_model(
-    sensor: str,
-    label: str,
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    cost: Optional[float] = None,
-    seed: int = 0,
-) -> SensorModel:
-    """Full training pipeline for one (sensor, label) pair.
-
-    ``X`` is the raw feature matrix with NaN marking missing entries.
-    ``cost=None`` grid-searches :data:`COST_GRID` on a validation third; a
-    number fits at that C. Single-class labels yield a flagged trivial
-    constant model instead of an error so evaluation harnesses can proceed.
-    """
-    return _fit_standardized(label, (sensor,), *_standardized(X), y, cost=cost, seed=seed)

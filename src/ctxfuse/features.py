@@ -36,12 +36,38 @@ BAND_EDGES_HZ = (0.0, 0.5, 1.0, 3.0, 5.0)
 
 LOG_FLOOR_EPSILON = 1e-12
 
+#: the quantiles of the scalar features' 25th/50th/75th percentiles
+QUARTILES = np.array([0.25, 0.5, 0.75])
+
 
 def magnitude_series(series: TriaxialSeries) -> np.ndarray:
     """Euclidean norm of the 3-axis samples at each time point."""
     if len(series) < 1:
         raise ValueError("empty signal")
     return np.sqrt((series.samples ** 2).sum(axis=1))
+
+
+def _power_spectrum(centered: np.ndarray) -> np.ndarray:
+    """``|rfft|^2`` of a mean-removed real signal: the one-sided power
+    spectrum, one bin per frequency ``k * rate / n`` for ``k <= n // 2``."""
+    spec = np.fft.rfft(centered)
+    return spec.real ** 2 + spec.imag ** 2
+
+
+def _band_energies(power: np.ndarray, n: int, rate: float) -> np.ndarray:
+    """:func:`band_energies` from the one-sided power spectrum of ``n`` samples.
+
+    The full spectrum of a real signal mirrors every bin but 0 (and the
+    Nyquist bin of an even ``n``) at the same absolute frequency, so those
+    interior bins count twice.
+    """
+    weights = power * (2.0 / n)
+    weights[0] = power[0] / n
+    if n % 2 == 0:
+        weights[-1] = power[-1] / n
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+    band = np.searchsorted(BAND_EDGES_HZ[1:], freqs, side="right")
+    return np.bincount(band, weights=weights, minlength=len(BAND_EDGES_HZ))
 
 
 def band_energies(signal: np.ndarray, rate: float) -> np.ndarray:
@@ -52,14 +78,7 @@ def band_energies(signal: np.ndarray, rate: float) -> np.ndarray:
     mean-removed signal (Parseval).
     """
     x = np.asarray(signal, dtype=np.float64)
-    n = x.shape[0]
-    spec = np.fft.fft(x - x.mean())
-    power = (spec.real ** 2 + spec.imag ** 2) / n
-    freqs = np.abs(np.fft.fftfreq(n, d=1.0 / rate))
-    band = np.searchsorted(BAND_EDGES_HZ[1:], freqs, side="right")
-    out = np.zeros(len(BAND_EDGES_HZ), dtype=np.float64)
-    np.add.at(out, band, power)
-    return out
+    return _band_energies(_power_spectrum(x - x.mean()), x.shape[0], rate)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -85,9 +104,7 @@ def _time_entropy(x: np.ndarray) -> float:
     return _entropy(mass / total)
 
 
-def _spectral_entropy(x: np.ndarray) -> float:
-    spec = np.fft.rfft(x - x.mean())
-    power = spec.real ** 2 + spec.imag ** 2
+def _spectral_entropy(power: np.ndarray) -> float:
     total = power.sum()
     if total <= 0:
         return 0.0
@@ -127,6 +144,20 @@ def dominant_periodicity(signal: np.ndarray, rate: float) -> tuple:
     return lag / rate, float(ac[lag])
 
 
+def _quartiles(ordered: np.ndarray) -> np.ndarray:
+    """The 25th/50th/75th percentiles of sorted values by numpy's default
+    linear rule, with its arithmetic: position ``(n - 1) q``, and the
+    interpolation taken from the upper neighbour when its weight is at
+    least 1/2, so the result equals ``np.percentile`` bit for bit."""
+    pos = (ordered.shape[0] - 1) * QUARTILES
+    below = np.floor(pos)
+    weight = pos - below
+    index = below.astype(np.intp)
+    lo, hi = ordered[index], ordered[index + 1]
+    step = hi - lo
+    return np.where(weight >= 0.5, hi - step * (1 - weight), lo + step * weight)
+
+
 def scalar_series_features(signal: np.ndarray, rate: float) -> np.ndarray:
     """The 17 statistics of a scalar (magnitude) signal, in fixed order.
 
@@ -138,23 +169,28 @@ def scalar_series_features(signal: np.ndarray, rate: float) -> np.ndarray:
     14 spectral entropy,
     15 dominant periodicity in seconds, 16 its normalized autocorrelation.
 
-    Standard deviations and moments are population statistics.
+    Standard deviations and moments are population statistics. One power
+    spectrum of the mean-removed signal gives both the band energies and
+    the spectral entropy.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.shape[0] < 8:
+    n = x.shape[0]
+    if n < 8:
         raise ValueError("signal too short for scalar features (need >= 8 samples)")
     mu = x.mean()
     centered = x - mu
+    squared = centered * centered
+    power = _power_spectrum(centered)
     out = np.empty(17, dtype=np.float64)
     out[0] = mu
     out[1] = centered.std()
-    out[2] = (centered ** 3).mean()
-    out[3] = (centered ** 4).mean()
-    out[4:7] = np.percentile(x, (25, 50, 75))
+    out[2] = (squared * centered).mean()
+    out[3] = (squared * squared).mean()
+    out[4:7] = _quartiles(np.sort(x))
     out[7] = _value_entropy(x)
     out[8] = _time_entropy(x)
-    out[9:14] = np.log(band_energies(x, rate) + LOG_FLOOR_EPSILON)
-    out[14] = _spectral_entropy(x)
+    out[9:14] = np.log(_band_energies(power, n, rate) + LOG_FLOOR_EPSILON)
+    out[14] = _spectral_entropy(power)
     out[15], out[16] = dominant_periodicity(x, rate)
     return out
 
@@ -166,24 +202,21 @@ def axis_statistics(series: TriaxialSeries) -> np.ndarray:
     Correlations against a constant axis are defined as 0.
     """
     xyz = series.samples
-    if xyz.shape[0] < 2:
+    n = xyz.shape[0]
+    if n < 2:
         raise ValueError("axis statistics need at least 2 samples")
     means = xyz.mean(axis=0)
-    stds = xyz.std(axis=0)
-    # a value-constant axis has zero variance by definition, not by rounding
-    constant = np.ptp(xyz, axis=0) == 0.0
-    stds[constant] = 0.0
     centered = xyz - means
-    out = np.empty(9, dtype=np.float64)
+    cov = centered.T @ centered / n
+    stds = np.sqrt(np.diag(cov))
+    # a value-constant axis has zero variance by definition, not by rounding
+    stds[np.ptp(xyz, axis=0) == 0.0] = 0.0
+    a, b = [0, 0, 1], [1, 2, 2]
+    denom = stds[a] * stds[b]
+    out = np.zeros(9, dtype=np.float64)
     out[0:3] = means
     out[3:6] = stds
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for k, (a, b) in enumerate(pairs):
-        denom = stds[a] * stds[b]
-        if denom == 0.0:
-            out[6 + k] = 0.0
-        else:
-            out[6 + k] = (centered[:, a] * centered[:, b]).mean() / denom
+    np.divide(cov[a, b], denom, out=out[6:9], where=denom != 0.0)
     return out
 
 

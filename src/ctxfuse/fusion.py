@@ -1,8 +1,9 @@
 """Sensor fusion: early feature concatenation, probability averaging, and a
 learned second layer over the per-sensor probabilities.
 
-Early fusion (EF) trains one linear model on the 175-dim standardized
-concatenation and can only learn from examples with all sensors present.
+Early fusion (EF) is :func:`fit_labels` on all six sensors: one linear
+model on the 175-dim standardized concatenation, which can only learn from
+examples with all sensors present.
 Late fusion reuses the six single-sensor models: LFA averages their
 probabilities, LFL learns a 6-input second-layer logistic model on them.
 
@@ -29,7 +30,6 @@ from .classifier import (
     predict_proba_matrix,
 )
 from .data import FeatureStore
-from .model import SENSORS
 
 
 def fit_labels(store: FeatureStore, sensors, rows, labels, *, cost, seeds) -> dict:
@@ -67,18 +67,6 @@ class LateFusionLearned:
         if isinstance(self.second_layer, TrivialModel):
             return {s: 0.0 for s in self.components}
         return dict(zip(self.components, self.second_layer.weights))
-
-
-def early_fusion(store: FeatureStore, rows, label: str, *, sensors=SENSORS,
-                 cost: Optional[float] = None, seed: int = 0) -> SensorModel:
-    """Train the EF classifier on the complete-sensor rows among ``rows``.
-
-    ``cost=None`` grid-searches the cost; a number fits at that C.
-    """
-    rows = rows[store.complete(sensors)[rows]]
-    if not rows.size:
-        raise ValueError("early fusion has no complete-sensor training examples")
-    return fit_labels(store, sensors, rows, (label,), cost=cost, seeds=lambda _: seed)[label]
 
 
 def component_probabilities(components: Mapping[str, SensorModel], store: FeatureStore, rows) -> np.ndarray:

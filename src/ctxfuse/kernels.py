@@ -13,20 +13,37 @@ def _first_at_lag(times, edges):
 
     ``times`` must be sorted. The lag is the rounded difference, exactly as
     an all-pairs loop computes it; rounding is monotone, so the predicate is
-    monotone in ``j`` and a bisection over ``(i, n]`` finds its first true
-    index. Every row is bisected at once, about ``log2(n)`` passes.
+    monotone in ``j``. ``searchsorted`` of the rounded sum
+    ``times[i] + edges[k]`` guesses the bound, which can miss it by a few
+    rounding steps either way. The guess moves down while the sample before
+    it is at the lag and up while it is not; samples with equal timestamps
+    share the predicate, so each step jumps a whole run of them and the
+    number of passes does not grow with the length of a run.
     """
     n = times.shape[0]
-    lo = np.broadcast_to(np.arange(1, n + 1), (edges.shape[0], n))
-    hi = np.full_like(lo, n)
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) // 2
-        at_lag = times[np.minimum(mid, n - 1)] - times >= edges[:, None]
-        hi = np.where(active & at_lag, mid, hi)
-        lo = np.where(active & ~at_lag, mid + 1, lo)
-        active = lo < hi
-    return lo
+    k = edges.shape[0]
+    owner = np.tile(np.arange(n), k)  # the i of each flat entry
+    lag = np.repeat(edges, n)
+    first = np.maximum(np.searchsorted(times, times + edges[:, None]).ravel(), owner + 1)
+    run_start = np.searchsorted(times, times, side="left")
+    run_end = np.searchsorted(times, times, side="right")
+
+    moving = np.flatnonzero(first > owner + 1)
+    while moving.size:
+        before = first[moving] - 1
+        at_lag = times[before] - times[owner[moving]] >= lag[moving]
+        moving, before = moving[at_lag], before[at_lag]
+        first[moving] = np.maximum(run_start[before], owner[moving] + 1)
+        moving = moving[first[moving] > owner[moving] + 1]
+
+    moving = np.flatnonzero(first < n)
+    while moving.size:
+        guess = first[moving]
+        short = ~(times[guess] - times[owner[moving]] >= lag[moving])
+        moving = moving[short]
+        first[moving] = run_end[guess[short]]
+        moving = moving[first[moving] < n]
+    return first.reshape(k, n)
 
 
 def pair_cosine_lag_stats(xyz, times, edges):

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ctxfuse import classifier, data
+from ctxfuse import classifier, data, fusion
 from ctxfuse.data import FeatureStore
 from ctxfuse.ingestion import feature_table, write_features_csv
 from ctxfuse.model import (
@@ -276,3 +276,22 @@ def loss_and_gradient(params, X, y_signed, example_weights, C):
     rows = classifier._TrainingRows(classifier._with_intercept_column(X), y_signed, example_weights, None)
     loss, grad, _ = classifier._objective(params, *classifier._fit_args(rows, C))
     return loss, grad
+
+
+def fit_single_sensor_model(sensor, label, X, y, *, cost=None, seed=0):
+    """One (sensor, label) model fit on the raw feature matrix ``X`` (NaN
+    for missing entries): a standardizer fit on ``X``, then the library's
+    cost selection and fit on the standardized rows. ``cost=None``
+    grid-searches the cost; single-class labels give the flagged trivial
+    model. The array-level fit oracle of ``fusion.fit_labels``, whose
+    models are bit-identical to fitting each label on its own this way."""
+    return classifier._fit_standardized(label, (sensor,), *classifier._standardized(X), y, cost=cost, seed=seed)
+
+
+def early_fusion(store, rows, label, *, sensors=SENSORS, cost=None, seed=0):
+    """The one-label EF fit on the complete-sensor rows among ``rows``:
+    ``fusion.fit_labels`` on all of ``sensors`` with seed ``seed``."""
+    rows = rows[store.complete(sensors)[rows]]
+    if not rows.size:
+        raise ValueError("early fusion has no complete-sensor training examples")
+    return fusion.fit_labels(store, sensors, rows, (label,), cost=cost, seeds=lambda _: seed)[label]

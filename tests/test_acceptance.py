@@ -16,7 +16,6 @@ from scipy.optimize import minimize
 from ctxfuse.audio import compute_mfcc, extract_audio_features
 from ctxfuse.classifier import (
     balanced_weights,
-    fit_single_sensor_model,
     predict_proba_matrix,
     train_linear,
 )
@@ -37,7 +36,7 @@ from ctxfuse.features import (
     scalar_series_features,
     time_bin_indicators,
 )
-from ctxfuse.fusion import early_fusion, late_fusion_average, late_fusion_learned
+from ctxfuse.fusion import late_fusion_average, late_fusion_learned
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import (
     LocationSeries,
@@ -50,9 +49,11 @@ from synth import (
     complementary_sensor_dataset,
     concat_feature_matrix,
     drift_user_scenario,
+    early_fusion,
     example_store,
     feature_example,
     feature_matrix,
+    fit_single_sensor_model,
     label_vector,
     loss_and_gradient,
     make_triaxial,

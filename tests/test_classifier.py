@@ -12,14 +12,13 @@ from ctxfuse.classifier import (
     LinearModel,
     balanced_weights,
     f1_binary,
-    fit_single_sensor_model,
     fit_standardizer,
     predict_proba_matrix,
     select_cost,
     stratified_split_third,
     train_linear,
 )
-from synth import loss_and_gradient
+from synth import fit_single_sensor_model, loss_and_gradient
 
 
 def _independent_loss(params, X, y, C, balanced=True):

@@ -20,6 +20,7 @@ import pytest
 import ctxfuse.classifier as classifier
 import ctxfuse.cli as cli
 from perfbench_files import perfbench_module
+from synth import fit_single_sensor_model
 
 corpus = perfbench_module("corpus")
 reference = perfbench_module("reference")
@@ -88,7 +89,7 @@ def test_tracer_counts_every_grid_fit_and_restores_bindings():
     t = tracer.Tracer()
     t.install()
     try:
-        classifier.fit_single_sensor_model("acc", "SITTING", X, y)
+        fit_single_sensor_model("acc", "SITTING", X, y)
     finally:
         t.uninstall()
     summary = t.summary()

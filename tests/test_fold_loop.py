@@ -25,7 +25,6 @@ from ctxfuse.classifier import (
     PROBABILITY_CLIP,
     SensorModel,
     TrivialModel,
-    fit_single_sensor_model,
     fit_standardizer,
     predict_proba_features,
     predict_proba_matrix,
@@ -41,7 +40,7 @@ from ctxfuse.evaluation import (
     derive_seed,
     loo_partition,
 )
-from ctxfuse.fusion import early_fusion, fit_labels, late_fusion_average, late_fusion_learned
+from ctxfuse.fusion import fit_labels, late_fusion_average, late_fusion_learned
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import FEATURE_DIMS, SENSORS
 from perfbench_files import perfbench_module
@@ -49,9 +48,11 @@ from synth import (
     by_user,
     concat_feature_matrix,
     core_examples,
+    early_fusion,
     example_store,
     feature_example,
     feature_matrix,
+    fit_single_sensor_model,
     has_sensors,
     label_vector,
     make_triaxial,

@@ -8,7 +8,6 @@ from ctxfuse.classifier import (
     LinearModel,
     SensorModel,
     TrivialModel,
-    fit_single_sensor_model,
     fit_standardizer,
     predict_proba_features,
     predict_proba_matrix,
@@ -16,7 +15,6 @@ from ctxfuse.classifier import (
 )
 from ctxfuse.evaluation import count_outcomes, compute_metrics
 from ctxfuse.fusion import (
-    early_fusion,
     late_fusion_average,
     late_fusion_learned,
     predict_late_fusion_learned,
@@ -25,8 +23,10 @@ from ctxfuse.model import FEATURE_DIMS, SENSORS
 from synth import (
     complementary_sensor_dataset,
     concat_feature_matrix,
+    early_fusion,
     feature_example,
     feature_matrix,
+    fit_single_sensor_model,
     label_vector,
     ordered,
     random_full_example,

@@ -19,7 +19,6 @@ import ctxfuse.fusion as fusion
 from ctxfuse.classifier import (
     PROBABILITY_CLIP,
     TrivialModel,
-    fit_single_sensor_model,
     predict_proba_features,
     predict_proba_matrix,
     select_cost,
@@ -29,7 +28,6 @@ from ctxfuse.evaluation import MetricCounts, count_outcomes, cross_validate, par
 from ctxfuse.fusion import (
     LateFusionLearned,
     component_probabilities,
-    early_fusion,
     late_fusion_average,
     late_fusion_learned,
     predict_late_fusion_learned,
@@ -38,9 +36,11 @@ from ctxfuse.model import FEATURE_DIMS, SENSORS
 from synth import (
     concat_feature_matrix,
     core_examples,
+    early_fusion,
     example_store,
     feature_example,
     feature_matrix,
+    fit_single_sensor_model,
     has_sensors,
     label_vector,
     make_triaxial,

@@ -1,9 +1,31 @@
+import timeit
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctxfuse.kernels import pair_cosine_lag_stats
+from ctxfuse.kernels import _first_at_lag, pair_cosine_lag_stats
 
 EDGES = np.array([0.0, 0.5, 1.0, 5.0, 10.0, np.inf])
+
+
+def _bisection_first_at_lag(times, edges):
+    """``B[k, i]``: the first ``j > i`` with ``times[j] - times[i] >= edges[k]``,
+    else ``n``, by bisecting every row over ``(i, n]`` at once (about
+    ``log2(n)`` passes); the kernel's lag bounds before the searchsorted
+    guess, kept as their oracle."""
+    n = times.shape[0]
+    lo = np.broadcast_to(np.arange(1, n + 1), (edges.shape[0], n))
+    hi = np.full_like(lo, n)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) // 2
+        at_lag = times[np.minimum(mid, n - 1)] - times >= edges[:, None]
+        hi = np.where(active & at_lag, mid, hi)
+        lo = np.where(active & ~at_lag, mid + 1, lo)
+        active = lo < hi
+    return lo
 
 
 def _all_pairs_oracle(xyz, times, edges):
@@ -124,3 +146,54 @@ def test_pair_cosine_finite_last_edge():
     xyz = rng.normal(size=(600, 3))
     for edges in ([0.0, 0.5, 1.0, 5.0, 10.0], [0.0, 0.04, 1.0], [0.2, 0.36, 3.0, 7.5]):
         _assert_matches_oracle(xyz, times, np.array(edges))
+
+
+_OFFSETS = (0.0, 0.08, 1234.56, 1.7e6)
+
+
+@st.composite
+def _sorted_times(draw):
+    shape = draw(st.sampled_from(("grid", "ticks", "runs")))
+    if shape == "grid":  # lags land on the edges up to rounding
+        n = draw(st.integers(0, 400))
+        rate = draw(st.sampled_from((25.0, 40.0, 50.0, 100.0 / 3.0)))
+        return np.arange(n) / rate + draw(st.sampled_from(_OFFSETS))
+    if shape == "ticks":  # ties, at lags that are whole edges
+        steps = np.sort(draw(st.lists(st.integers(0, 60), max_size=300)))
+        return steps * draw(st.sampled_from((0.5, 0.25, 0.04))) + draw(st.sampled_from(_OFFSETS))
+    # long runs of equal timestamps, some a rounded edge apart
+    values = draw(st.lists(st.one_of(st.sampled_from((0.08, 0.58, 1.08, 0.56, 5.56, 0.5, 1.0)),
+                                     st.floats(0.0, 30.0)), min_size=1, max_size=8, unique=True))
+    lengths = draw(st.lists(st.integers(1, 300), min_size=len(values), max_size=len(values)))
+    return np.repeat(np.sort(values), lengths)
+
+
+_lag_edges = st.lists(st.sampled_from((0.0, 0.04, 0.2, 0.25, 0.5, 1.0, 5.0, 7.5, 10.0, np.inf)),
+                      min_size=1, max_size=6, unique=True).map(lambda e: np.sort(np.array(e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_times(), _lag_edges)
+def test_lag_bounds_match_the_bisection_oracle(times, edges):
+    assert np.array_equal(_first_at_lag(times, edges), _bisection_first_at_lag(times, edges))
+
+
+@pytest.mark.parametrize("first, then, row, bound", [(0.08, 0.58, 1, 4001), (0.56, 5.56, 3, 1)],
+                         ids=["guess-short", "guess-past"])
+def test_lag_bounds_step_over_a_run_of_equal_timestamps(first, then, row, bound):
+    # 0.08 + 0.5 rounds to 0.58, but 0.58 - 0.08 < 0.5: the first sample's
+    # guess lands on a run of 4,000 samples that are all short of the lag.
+    # 0.56 + 5 rounds past 5.56, but 5.56 - 0.56 >= 5: the guess lands past
+    # a run of 4,000 samples that are all at the lag. A correction of one
+    # index per pass would take 4,000 passes either way.
+    lag = EDGES[row]
+    assert (first + lag == then) != (then - first >= lag)
+    times = np.concatenate([[first], np.full(4000, then)])
+    bounds = _first_at_lag(times, EDGES)
+    assert np.array_equal(bounds, _bisection_first_at_lag(times, EDGES))
+    assert bounds[row, 0] == bound
+
+    def best_of_five(bound):
+        return min(timeit.repeat(lambda: bound(times, EDGES), number=1, repeat=5))
+
+    assert best_of_five(_first_at_lag) <= 4.0 * best_of_five(_bisection_first_at_lag)

@@ -23,7 +23,6 @@ from ctxfuse.classifier import predict_proba_features
 from ctxfuse.cli import _read_labels_file
 from ctxfuse.data import FeatureStore
 from ctxfuse.evaluation import compute_metrics, count_outcomes, derive_seed
-from ctxfuse.fusion import early_fusion
 from ctxfuse.ingestion import load_feature_tables, load_fold_partition
 from ctxfuse.model import RELEVANT, SENSORS
 from ctxfuse.personalization import (
@@ -37,6 +36,7 @@ from perfbench_files import perfbench_module
 from synth import (
     concat_feature_matrix,
     drift_user_scenario,
+    early_fusion,
     example_store,
     has_sensors,
     label_vector,

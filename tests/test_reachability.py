@@ -28,8 +28,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxfuse"
 
 #: ``module.qualified_name`` -> why the function stays although no command calls it
 LIBRARY_ONLY = {
-    "classifier.fit_single_sensor_model": "the array-level fit of README Fitting; the tracer and fit oracles use it",
-    "fusion.early_fusion": "the one-label EF fit of README Fitting; fusion tests use it as the fit oracle",
     "fusion.predict_late_fusion_learned": "LFL scoring; the fold loop calls it once its columns are fixed (ROADMAP 1)",
     "fusion.LateFusionLearned.sensor_weights": "LFL weights per sensor; reported in the manifest once ROADMAP 4 lands",
 }
